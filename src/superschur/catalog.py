@@ -171,13 +171,26 @@ def _parse_terms(expr: str, line_no: int):
         m = _TERM_RE.match(rest)
         if not m:
             raise CatalogError(f"cannot read term at {rest!r}", line_no)
-        coeff = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+        try:
+            coeff = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+        except ZeroDivisionError:
+            raise CatalogError(
+                f"coefficient {m.group(1)} has a zero denominator", line_no
+            ) from None
         pieces.append((sign * coeff, m.group(2)))
         rest = rest[m.end():].lstrip()
         first = False
     if not pieces:
         raise CatalogError("empty right-hand side", line_no)
     return pieces
+
+
+def _parse_labels(line: str, line_no: int) -> list[str]:
+    labels = line.split()[1:]
+    for lbl in labels:
+        if not re.fullmatch(_LABEL, lbl):
+            raise CatalogError(f"{lbl!r} is not a valid basis label", line_no)
+    return labels
 
 
 def parse_catalog(text: str) -> list[LieSuperalgebra]:
@@ -264,11 +277,11 @@ def parse_catalog(text: str) -> list[LieSuperalgebra]:
         elif head == "even":
             if even_labels is not None:
                 raise CatalogError("repeated 'even' line", line_no)
-            even_labels = line.split()[1:]
+            even_labels = _parse_labels(line, line_no)
         elif head == "odd":
             if odd_labels is not None:
                 raise CatalogError("repeated 'odd' line", line_no)
-            odd_labels = line.split()[1:]
+            odd_labels = _parse_labels(line, line_no)
         elif head == "end":
             finish(line_no)
         elif line.startswith("["):

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .bounds import BoundError, BoundViolation, check_bound
 from .catalog import CatalogError, builtin_algebras, parse_catalog
-from .exactla import SparseEchelon, unit_vector
+from .exactla import SparseEchelon, SubspaceError, unit_vector
 from .freenilp import GeneratorSpec, build_free_nilpotent, hilbert_check, rewrite_identity_residual
 from .multiplier import (
     bracket_map_kernel_dim,
@@ -118,11 +118,19 @@ def _load_algebras(args) -> list:
     path = getattr(args, "catalog", None)
     if path is None:
         algebras = builtin_algebras()
-    elif path == "-":
-        algebras = parse_catalog(sys.stdin.read())
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            algebras = parse_catalog(fh.read())
+        try:
+            if path == "-":
+                text = sys.stdin.read()
+            else:
+                with open(path, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+        except UnicodeDecodeError as exc:
+            source = "standard input" if path == "-" else path
+            raise CatalogError(
+                f"{source} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+            ) from None
+        algebras = parse_catalog(text)
     wanted = getattr(args, "algebra", None)
     if wanted:
         by_name = {a.name: a for a in algebras}
@@ -261,7 +269,7 @@ def cmd_verify(args) -> Report:
                 checked += 1
             if tensors:
                 witnesses_ok = witnesses_ok and _tensor_rank(tensors) == len(tensors)
-        rec["witness_tensores_checked"] = checked
+        rec["witness_tensors_checked"] = checked
         rec["witnesses_ok"] = witnesses_ok
         rec_ok = r21.ok and r24.ok and kernel_bounds_ok and witnesses_ok
         rec["status"] = "ok" if rec_ok else "FAILED"
@@ -377,7 +385,7 @@ def main(argv=None) -> int:
     except (CatalogError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (AlgebraError, BoundError) as exc:
+    except (AlgebraError, BoundError, SubspaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(report.render(args.format))

@@ -462,12 +462,18 @@ class HomMap:
 def eval_hom(
     f: FreeNilpotentSuperalgebra, images, target: LieSuperalgebra
 ) -> HomMap:
-    """The homomorphism extending generator -> image, checked on basis pairs.
+    """The homomorphism extending generator -> image, checked on generator pairs.
 
     Images must be homogeneous with the generators' parities, and the
     target's class may not exceed the truncation class (a violation
-    surfaces as a failed homomorphism check on some basis pair).
+    surfaces as a failed homomorphism check).  The target must be a Lie
+    superalgebra (`require_valid` is called first, and cached): the check
+    then covers only the pairs (basis word x, generator g).  That suffices
+    by the graded Jacobi identity in source and target: the set of y with
+    φ[x, y] = [φx, φy] for every x is a subspace, it contains the
+    generators, and it is closed under brackets, so it is all of F.
     """
+    target.require_valid()
     images = [vector(x) for x in images]
     if len(images) != f.spec.num:
         raise AlgebraError(f"need {f.spec.num} images, got {len(images)}")
@@ -494,16 +500,14 @@ def eval_hom(
     matrix = Matrix.from_rows(
         [[cols[j][i] for j in range(f.dim)] for i in range(target.dim)], cols=f.dim
     )
-    hom = HomMap(f, target, matrix)
     A = f.algebra
-    for i in range(f.dim):
-        for j in range(i, f.dim):
-            lhs = hom.apply(A.bracket(unit_vector(f.dim, i), unit_vector(f.dim, j)))
-            rhs = target.bracket(cols[i], cols[j])
-            if lhs != rhs:
+    for x in range(f.dim):
+        for t in range(f.spec.num):
+            g = f.generator_basis_index(t)
+            if A.bracket_image(x, g, cols) != target.bracket(cols[x], cols[g]):
                 raise AlgebraError(
                     "generator images do not extend to a homomorphism "
-                    f"(fails at basis pair {i},{j}; is the target's class within "
+                    f"(fails at basis pair {x},{g}; is the target's class within "
                     f"the truncation class {f.spec.class_bound}?)"
                 )
-    return hom
+    return HomMap(f, target, matrix)

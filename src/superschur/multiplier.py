@@ -114,9 +114,8 @@ class FreePresentation:
         """[gamma_i(F) + R, F] inside fbar."""
         key = ("num", i)
         if key not in self._cache:
-            A = self.algebra
-            self._cache[key] = A.product_space(
-                gs_sum(self.fbar.gamma(i), self.relations), A.graded_full()
+            self._cache[key] = bracket_with_free(
+                self.fbar, gs_sum(self.fbar.gamma(i), self.relations)
             )
         return self._cache[key]
 
@@ -125,13 +124,36 @@ class FreePresentation:
         c = self.target.nilpotency_class()
         key = ("den", i)
         if key not in self._cache:
-            A = self.algebra
             if i == c:
                 base = self.relations
             else:
                 base = gs_sum(self.fbar.gamma(i + 1), self.relations)
-            self._cache[key] = A.product_space(base, A.graded_full())
+            self._cache[key] = bracket_with_free(self.fbar, base)
         return self._cache[key]
+
+
+def bracket_with_free(f: FreeNilpotentSuperalgebra, ideal: GradedSubspace) -> GradedSubspace:
+    """[I, F] for a graded ideal I of F, from the generators of F alone.
+
+    [I, F] is the span J of [x, g] over basis members x of I and
+    generators g.  The y with [I, y] ⊆ J contain the generators and are
+    closed under brackets, because [x, [y, z]] = [[x, y], z] ± [[x, z], y]
+    and [x, y], [x, z] lie in I; so they are all of F.
+    """
+    A = f.algebra
+    gens = [f.generator_basis_index(t) for t in range(f.spec.num)]
+    ech = SparseEchelon()
+    kept = []
+    for x in A.gs_members(ideal):
+        support = [(k, c) for k, c in enumerate(x) if c]
+        for g in gens:
+            z = [Fraction(0)] * f.dim
+            for k, c in support:
+                for t, d in A.bracket_basis(k, g).items():
+                    z[t] += c * d
+            if ech.insert({t: c for t, c in enumerate(z) if c}, tag=len(kept)):
+                kept.append(tuple(z))
+    return A.graded_span(kept)
 
 
 def present(L: LieSuperalgebra, lift_order=None) -> FreePresentation:
@@ -179,8 +201,10 @@ def present(L: LieSuperalgebra, lift_order=None) -> FreePresentation:
 
     relations = GradedSubspace(block_kernel(even_cols), block_kernel(odd_cols))
     pres = FreePresentation(L, f, pi, relations, tuple(lifts))
-    for v in f.algebra.gs_members(f.gamma(c + 1)):
-        if not is_zero_vector(pi.apply(v)):
+    for idx in range(f.dim):
+        if f.basis_degree(idx) > c and any(
+            pi.matrix.entries[r * f.dim + idx] for r in range(L.dim)
+        ):
             raise AlgebraError("truncation step is not contained in the relations")
     L._cache[cache_key] = pres
     return pres
@@ -200,7 +224,7 @@ def schur_multiplier_hopf(L: LieSuperalgebra) -> MultiplierResult:
     A = pres.algebra
     f2 = pres.fbar.gamma(2)
     num = gs_intersect(pres.relations, f2)
-    den = A.product_space(pres.relations, A.graded_full())
+    den = pres.denominator_space(L.nilpotency_class())
     dims = SuperDim(
         quotient_dim(num.even, den.even), quotient_dim(num.odd, den.odd)
     )

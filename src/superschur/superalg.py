@@ -187,6 +187,15 @@ class LieSuperalgebra:
         sign = -Fraction((-1) ** (self.parities[i] * self.parities[j]))
         return {k: sign * c for k, c in base.items()}
 
+    def bracket_image(self, i: int, j: int, cols) -> Vector:
+        """Image of [b_i, b_j] under the linear map sending b_k to cols[k]."""
+        acc = [Fraction(0)] * len(cols[i])
+        for k, c in self.bracket_basis(i, j).items():
+            for t, v in enumerate(cols[k]):
+                if v:
+                    acc[t] += c * v
+        return tuple(acc)
+
     def bracket(self, x, y) -> Vector:
         """Bilinear extension of the table to arbitrary coordinate vectors."""
         x = vector(x)
@@ -468,38 +477,30 @@ class LieSuperalgebra:
         comp = self.complement_indices(ideal)
         labels = [self.basis_labels[i] for i in comp]
         pars = [self.parities[i] for i in comp]
-
-        def project(v) -> Vector:
-            red = self.gs_reduce(ideal, v)
-            return tuple(red[i] for i in comp)
+        # column s is the image of b_s, projected once
+        cols = []
+        for s in range(self.dim):
+            red = self.gs_reduce(ideal, unit_vector(self.dim, s))
+            cols.append(tuple(red[i] for i in comp))
 
         table = {}
         for a in range(len(comp)):
             for b in range(a, len(comp)):
-                z = self.bracket(
-                    unit_vector(self.dim, comp[a]), unit_vector(self.dim, comp[b])
-                )
-                terms = tuple(
-                    (t, c) for t, c in enumerate(project(z)) if c != 0
-                )
+                z = self.bracket_image(comp[a], comp[b], cols)
+                terms = tuple((t, c) for t, c in enumerate(z) if c != 0)
                 if terms:
                     table[(a, b)] = terms
         q = LieSuperalgebra(
             name if name is not None else f"{self.name}/I", labels, pars, table
         )
         proj = Matrix.from_rows(
-            [
-                [project(unit_vector(self.dim, s))[t] for s in range(self.dim)]
-                for t in range(len(comp))
-            ],
+            [[cols[s][t] for s in range(self.dim)] for t in range(len(comp))],
             cols=self.dim,
         )
         # projection must be a homomorphism of even degree
         for i in range(self.dim):
             for j in range(i, self.dim):
-                lhs = proj.mul_vec(self.bracket(unit_vector(self.dim, i), unit_vector(self.dim, j)))
-                rhs = q.bracket(proj.mul_vec(unit_vector(self.dim, i)), proj.mul_vec(unit_vector(self.dim, j)))
-                if lhs != rhs:
+                if self.bracket_image(i, j, cols) != q.bracket(cols[i], cols[j]):
                     raise AlgebraError(
                         f"projection from {self.name} is not a homomorphism at "
                         f"({self.label_of(i)},{self.label_of(j)})"

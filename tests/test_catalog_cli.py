@@ -165,6 +165,48 @@ class TestCli:
         assert code == 1
         assert "line 3" in capsys.readouterr().err
 
+    def test_zero_denominator_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cat"
+        bad.write_text("algebra a\nodd f1\n[f1,f1] = 1/0*f1\nend\n")
+        code = main(["check", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "line 3" in err and "zero denominator" in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_catalog_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cat"
+        bad.write_bytes(b"algebra a\neven e\xff1\nend\n")
+        code = main(["check", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    def test_undecodable_stdin_label_is_parse_error(self, monkeypatch, capsys):
+        import io
+
+        # stdin decoded with surrogateescape turns the byte 0xff into a
+        # lone surrogate inside the label
+        monkeypatch.setattr("sys.stdin", io.StringIO("algebra a\neven e\udcff1\nend\n"))
+        code = main(["check", "-"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "line 2" in err and "not a valid basis label" in err
+
+    def test_subspace_error_is_usage_error(self, capsys, monkeypatch):
+        from superschur import cli as cli_mod
+        from superschur.exactla import SubspaceError
+
+        def broken(L):
+            raise SubspaceError("quotient undefined")
+
+        monkeypatch.setattr(cli_mod, "schur_multiplier_hopf", broken)
+        code = main(["multiplier", "--algebra", "heis3", "--method", "hopf"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: quotient undefined\n"
+
     def test_stdin_catalog(self, monkeypatch, capsys):
         import io
 
@@ -203,6 +245,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "status: ok" in out
+
+    def test_verify_reports_witness_tensor_count(self, capsys):
+        import json
+
+        code = main(["--format", "json", "verify", "--algebra", "heis3"])
+        rec = json.loads(capsys.readouterr().out)["results"][0]
+        assert code == 0
+        assert "witness_tensors_checked" in rec
+        assert "witness_tensores_checked" not in rec
 
     def test_check_builtin(self, capsys):
         code = main(["check"])

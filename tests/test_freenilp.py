@@ -255,6 +255,22 @@ class TestEvalHom:
         with pytest.raises(AlgebraError, match="homomorphism"):
             eval_hom(f, [unit_vector(4, 0), unit_vector(4, 1)], filiform4())
 
+    def test_failure_at_word_and_odd_generator_detected(self):
+        # every generator is odd, so each pair the truncation breaks is
+        # (degree-2 word, odd generator): [[f_a, f_b], f_c] is zero in the
+        # class-2 source but not in the class-3 target
+        import re
+
+        f = build_free_nilpotent(GeneratorSpec(0, 2, 2))
+        g = build_free_nilpotent(GeneratorSpec(0, 2, 3))
+        images = [unit_vector(g.dim, g.generator_basis_index(t)) for t in range(2)]
+        with pytest.raises(AlgebraError, match="homomorphism") as err:
+            eval_hom(f, images, g.algebra)
+        x, gen = map(int, re.search(r"basis pair (\d+),(\d+)", str(err.value)).groups())
+        assert f.basis_degree(x) == 2
+        assert gen in {f.generator_basis_index(t) for t in range(2)}
+        assert f.algebra.parity(gen) == 1
+
     def test_surjection_image_of_filtration_is_filtration(self):
         f = build_free_nilpotent(GeneratorSpec(2, 0, 3))
         h = heisenberg3()

@@ -17,6 +17,7 @@ from superschur.multiplier import (
     compare_methods,
     bracket_map_residual,
     bracket_map_kernel_dim,
+    bracket_with_free,
     witness_tuple_positions,
     witness_tensor,
     present,
@@ -26,7 +27,7 @@ from superschur.multiplier import (
     verify_telescoped_identity,
     _leg1_rows,
 )
-from superschur.superalg import AlgebraError, SuperDim, direct_sum
+from superschur.superalg import AlgebraError, SuperDim, change_basis, direct_sum, gs_sum
 
 F = Fraction
 
@@ -285,6 +286,40 @@ class TestIdentities:
     def test_class_one_rejected(self):
         with pytest.raises(AlgebraError, match="class"):
             verify_top_step_identity(abelian(2, 0))
+
+
+def _basis_changed(L, seed):
+    rng = random.Random(seed)
+    ev = list(range(L.n_even))
+    od = list(range(L.n_even, L.dim))
+    rng.shuffle(ev)
+    rng.shuffle(od)
+    scales = [F(rng.choice([1, 2, -1, F(1, 2)])) for _ in range(L.dim)]
+    return change_basis(L, ev + od, scales)
+
+
+class TestBracketWithFree:
+    @pytest.mark.parametrize(
+        "L",
+        [
+            L
+            for base in builtin_algebras()
+            if base.dim and base.is_nilpotent()
+            for L in (base, _basis_changed(base, 5))
+        ],
+        ids=lambda L: L.name,
+    )
+    def test_matches_all_pairs_product_space(self, L):
+        p = present(L)
+        A = p.algebra
+        c = L.nilpotency_class()
+        ideals = [p.relations] + [
+            gs_sum(p.fbar.gamma(i), p.relations) for i in range(2, c + 1)
+        ]
+        for ideal in ideals:
+            assert bracket_with_free(p.fbar, ideal) == A.product_space(
+                ideal, A.graded_full()
+            )
 
 
 class TestPresentationInvariance:
