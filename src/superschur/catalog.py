@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 
 from .freenilp import GeneratorSpec, build_free_nilpotent
-from .superalg import EVEN, ODD, LieSuperalgebra, direct_sum
+from .superalg import EVEN, ODD, LieSuperalgebra, direct_sum, graded_sign
 
 _LABEL = r"[A-Za-z_][A-Za-z0-9_']*"
 _COEFF = r"-?\d+(?:/\d+)?"
@@ -239,7 +239,7 @@ def parse_catalog(text: str) -> list[LieSuperalgebra]:
             if i <= j:
                 table[(i, j)] = resolved
             else:
-                sign = -Fraction((-1) ** (parities[i] * parities[j]))
+                sign = -graded_sign(parities[i], parities[j])
                 table[(j, i)] = [(k, sign * c) for k, c in resolved]
         alg = LieSuperalgebra(name, labels, parities, table)
         report = alg.validate()

@@ -1,16 +1,19 @@
 """Exact linear algebra over the rationals.
 
-The substrate for every dimension computation in this package: reduced
-row-echelon forms, nullspaces and subspace arithmetic with Fraction
-entries.  No floating point anywhere.  Subspaces are canonicalized to
-reduced row-echelon bases, so two objects describe the same subspace
-exactly when their stored data compare equal.
+The substrate for every dimension computation in this package.  One
+elimination engine, `SparseEchelon`, reduces sparse keyed vectors with
+Fraction entries; spans, reduced row-echelon forms, kernels, solutions
+and intersections are all read off it.  No floating point anywhere.
+Subspaces are canonicalized to reduced row-echelon bases, so two
+objects describe the same subspace exactly when their stored data
+compare equal.  `Matrix` only holds linear maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Hashable, Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -28,6 +31,11 @@ def vector(entries: Iterable) -> Vector:
     return tuple(Fraction(x) for x in entries)
 
 
+def sparse(v: Sequence) -> dict[int, Fraction]:
+    """The nonzero entries of a dense vector, keyed by position."""
+    return {i: c for i, c in enumerate(v) if c}
+
+
 def zero_vector(n: int) -> Vector:
     return (_ZERO,) * n
 
@@ -40,10 +48,6 @@ def unit_vector(n: int, i: int) -> Vector:
 
 def vadd(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vsub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
 def vscale(c, v: Vector) -> Vector:
@@ -95,13 +99,7 @@ class Matrix:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def col(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "Matrix":
-        return Matrix.from_rows([self.col(j) for j in range(self.cols)], cols=self.rows)
+        return self.entries[j::self.cols]
 
     def mul_vec(self, v: Sequence) -> Vector:
         v = vector(v)
@@ -111,189 +109,6 @@ class Matrix:
             sum((self.entries[i * self.cols + j] * v[j] for j in range(self.cols)), _ZERO)
             for i in range(self.rows)
         )
-
-
-def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Reduced row-echelon form of m and its rank (exact Gauss-Jordan)."""
-    a = m.to_rows()
-    nr, nc = m.rows, m.cols
-    piv_r = 0
-    for col in range(nc):
-        pr = next((r for r in range(piv_r, nr) if a[r][col] != 0), None)
-        if pr is None:
-            continue
-        a[piv_r], a[pr] = a[pr], a[piv_r]
-        inv = 1 / a[piv_r][col]
-        a[piv_r] = [x * inv for x in a[piv_r]]
-        for r in range(nr):
-            if r != piv_r and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[piv_r])]
-        piv_r += 1
-        if piv_r == nr:
-            break
-    return Matrix.from_rows(a, cols=nc), piv_r
-
-
-def nullspace(m: Matrix) -> "Subspace":
-    """The solution space {v : m v = 0}, canonicalized."""
-    red, rank = rref(m)
-    rows = red.to_rows()[:rank]
-    pivots = [next(j for j, x in enumerate(row) if x != 0) for row in rows]
-    pivset = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivset:
-            continue
-        v = [_ZERO] * m.cols
-        v[free] = _ONE
-        for prow, pcol in zip(rows, pivots):
-            v[pcol] = -prow[free]
-        basis.append(v)
-    return Subspace.span(basis, m.cols)
-
-
-def solve(m: Matrix, b: Sequence) -> Vector | None:
-    """One solution x of m x = b, or None when the system is inconsistent."""
-    b = vector(b)
-    if len(b) != m.rows:
-        raise ValueError(f"rhs of length {len(b)} against {m.rows} rows")
-    aug = Matrix.from_rows(
-        [list(m.row(i)) + [b[i]] for i in range(m.rows)], cols=m.cols + 1
-    )
-    red, rank = rref(aug)
-    x = [_ZERO] * m.cols
-    for i in range(rank):
-        row = red.row(i)
-        pivot = next(j for j, val in enumerate(row) if val != 0)
-        if pivot == m.cols:
-            return None
-        x[pivot] = row[m.cols]
-    return tuple(x)
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """Subspace of Q^n stored as a reduced row-echelon basis.
-
-    The canonical form makes structural equality coincide with equality
-    of subspaces; pivot columns strictly increase along the basis.
-    """
-
-    ambient_dim: int
-    basis: tuple[Vector, ...]
-
-    @staticmethod
-    def span(vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
-        vecs = []
-        for v in vectors:
-            v = vector(v)
-            if len(v) != ambient_dim:
-                raise SubspaceError(
-                    f"spanning vector of length {len(v)} in ambient dimension {ambient_dim}"
-                )
-            vecs.append(v)
-        if not vecs:
-            return Subspace(ambient_dim, ())
-        red, rank = rref(Matrix.from_rows(vecs, cols=ambient_dim))
-        return Subspace(ambient_dim, tuple(red.row(i) for i in range(rank)))
-
-    @staticmethod
-    def zero(n: int) -> "Subspace":
-        return Subspace(n, ())
-
-    @staticmethod
-    def full(n: int) -> "Subspace":
-        return Subspace(n, tuple(unit_vector(n, i) for i in range(n)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(next(j for j, x in enumerate(row) if x != 0) for row in self.basis)
-
-    def reduce(self, v: Sequence) -> Vector:
-        """Eliminate this subspace's pivot coordinates from v."""
-        v = list(vector(v))
-        if len(v) != self.ambient_dim:
-            raise SubspaceError(
-                f"vector of length {len(v)} in ambient dimension {self.ambient_dim}"
-            )
-        for row, p in zip(self.basis, self.pivots):
-            f = v[p]
-            if f != 0:
-                v = [x - f * y for x, y in zip(v, row)]
-        return tuple(v)
-
-    def contains(self, v: Sequence) -> bool:
-        return is_zero_vector(self.reduce(v))
-
-    def coords(self, v: Sequence) -> Vector | None:
-        """Coefficients of v over the stored basis rows, or None if outside."""
-        v = vector(v)
-        if not self.contains(v):
-            return None
-        return tuple(v[p] for p in self.pivots)
-
-
-def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
-    if u.ambient_dim != w.ambient_dim:
-        raise SubspaceError(
-            f"ambient dimensions differ: {u.ambient_dim} vs {w.ambient_dim}"
-        )
-    return Subspace.span(list(u.basis) + list(w.basis), u.ambient_dim)
-
-
-def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:
-    """Intersection via coefficient vectors of a common element.
-
-    Solves sum_i a_i u_i = sum_j b_j w_j by taking the nullspace of the
-    ambient x (dim u + dim w) matrix whose columns are the u basis and
-    the negated w basis; reuses rref, no separate kernel code.
-    """
-    if u.ambient_dim != w.ambient_dim:
-        raise SubspaceError(
-            f"ambient dimensions differ: {u.ambient_dim} vs {w.ambient_dim}"
-        )
-    n = u.ambient_dim
-    if u.dim == 0 or w.dim == 0:
-        return Subspace.zero(n)
-    rows = [
-        [row[r] for row in u.basis] + [-row[r] for row in w.basis]
-        for r in range(n)
-    ]
-    coeffs = nullspace(Matrix.from_rows(rows, cols=u.dim + w.dim))
-    members = []
-    for cv in coeffs.basis:
-        v = zero_vector(n)
-        for i in range(u.dim):
-            if cv[i] != 0:
-                v = vadd(v, vscale(cv[i], u.basis[i]))
-        members.append(v)
-    return Subspace.span(members, n)
-
-
-def quotient_dim(u: Subspace, w: Subspace) -> int:
-    """dim(u/w); raises with a witness vector when w is not inside u."""
-    if u.ambient_dim != w.ambient_dim:
-        raise SubspaceError(
-            f"ambient dimensions differ: {u.ambient_dim} vs {w.ambient_dim}"
-        )
-    for row in w.basis:
-        if not u.contains(row):
-            raise SubspaceError(
-                f"quotient undefined: witness {tuple(map(str, row))} lies outside the numerator"
-            )
-    return u.dim - w.dim
-
-
-def complement_rows(u: Subspace, w: Subspace) -> tuple[Vector, ...]:
-    """Rows of u's basis spanning a complement of w inside u (w ⊆ u checked)."""
-    quotient_dim(u, w)
-    wp = set(w.pivots)
-    return tuple(row for row, p in zip(u.basis, u.pivots) if p not in wp)
 
 
 class SparseEchelon:
@@ -365,3 +180,192 @@ class SparseEchelon:
         if rv:
             return None
         return {k: -c for k, c in rl.items() if c != 0}
+
+    def dense_rows(self, n: int) -> tuple[Vector, ...]:
+        """The rows as length-n vectors, in pivot order.
+
+        For integer keys below n this is the reduced row-echelon basis of
+        the row space: each pivot is its row's smallest key, it is 1, and
+        every other row is 0 there.
+        """
+        out = []
+        for p in sorted(self._pivots):
+            v = [_ZERO] * n
+            for k, c in self._rows[self._pivots[p]][1].items():
+                v[k] = c
+            out.append(tuple(v))
+        return tuple(out)
+
+
+def _subspace(vectors: Iterable[dict], n: int) -> "Subspace":
+    """The span of sparse vectors with integer keys below n, canonicalized."""
+    ech = SparseEchelon()
+    for t, v in enumerate(vectors):
+        ech.insert(v, tag=t)
+    return Subspace(n, ech.dense_rows(n))
+
+
+def rref(m: Matrix) -> tuple[Matrix, int]:
+    """Reduced row-echelon form of m and its rank."""
+    rows = _subspace((sparse(m.row(i)) for i in range(m.rows)), m.cols).basis
+    pad = (_ZERO,) * ((m.rows - len(rows)) * m.cols)
+    return Matrix(m.rows, m.cols, tuple(x for row in rows for x in row) + pad), len(rows)
+
+
+def kernel(columns: Sequence[dict]) -> "Subspace":
+    """{a : sum_j a_j columns[j] = 0}, a canonical subspace of Q^len(columns).
+
+    Columns are sparse vectors with mutually comparable keys.  Each one
+    that the columns before it already span gives the kernel vector
+    e_j - sum_k c_k e_k, where sum_k c_k columns[k] is its expression
+    over them; these vectors are a basis of the kernel.
+    """
+    ech = SparseEchelon()
+    basis = []
+    for j, col in enumerate(columns):
+        if not ech.insert(col, tag=j):
+            v = {k: -c for k, c in ech.express(col).items()}
+            v[j] = _ONE
+            basis.append(v)
+    return _subspace(basis, len(columns))
+
+
+def nullspace(m: Matrix) -> "Subspace":
+    """The solution space {v : m v = 0}, canonicalized."""
+    return kernel([sparse(m.col(j)) for j in range(m.cols)])
+
+
+def solve(m: Matrix, b: Sequence) -> Vector | None:
+    """One solution x of m x = b, or None when the system is inconsistent.
+
+    b is expressed over the columns of m that the columns before them do
+    not span, so x is zero off the pivot columns.
+    """
+    if len(b) != m.rows:
+        raise ValueError(f"rhs of length {len(b)} against {m.rows} rows")
+    ech = SparseEchelon()
+    for j in range(m.cols):
+        ech.insert(sparse(m.col(j)), tag=j)
+    coeffs = ech.express(sparse(b))
+    if coeffs is None:
+        return None
+    return tuple(coeffs.get(j, _ZERO) for j in range(m.cols))
+
+
+@dataclass(frozen=True)
+class Subspace:
+    """Subspace of Q^n stored as a reduced row-echelon basis.
+
+    The canonical form makes structural equality coincide with equality
+    of subspaces; pivot columns strictly increase along the basis.
+    """
+
+    ambient_dim: int
+    basis: tuple[Vector, ...]
+
+    @staticmethod
+    def span(vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
+        """The span of dense vectors, as the rows of a SparseEchelon in pivot order."""
+        vecs = []
+        for v in vectors:
+            if len(v) != ambient_dim:
+                raise SubspaceError(
+                    f"spanning vector of length {len(v)} in ambient dimension {ambient_dim}"
+                )
+            vecs.append(sparse(v))
+        return _subspace(vecs, ambient_dim)
+
+    @staticmethod
+    def zero(n: int) -> "Subspace":
+        return Subspace(n, ())
+
+    @staticmethod
+    def full(n: int) -> "Subspace":
+        return Subspace(n, tuple(unit_vector(n, i) for i in range(n)))
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(next(j for j, x in enumerate(row) if x != 0) for row in self.basis)
+
+    def reduce(self, v: Sequence) -> Vector:
+        """Eliminate this subspace's pivot coordinates from v."""
+        v = list(vector(v))
+        if len(v) != self.ambient_dim:
+            raise SubspaceError(
+                f"vector of length {len(v)} in ambient dimension {self.ambient_dim}"
+            )
+        for row, p in zip(self.basis, self.pivots):
+            f = v[p]
+            if f != 0:
+                v = [x - f * y for x, y in zip(v, row)]
+        return tuple(v)
+
+    def contains(self, v: Sequence) -> bool:
+        return is_zero_vector(self.reduce(v))
+
+    def coords(self, v: Sequence) -> Vector | None:
+        """Coefficients of v over the stored basis rows, or None if outside."""
+        v = vector(v)
+        if not self.contains(v):
+            return None
+        return tuple(v[p] for p in self.pivots)
+
+
+def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
+    if u.ambient_dim != w.ambient_dim:
+        raise SubspaceError(
+            f"ambient dimensions differ: {u.ambient_dim} vs {w.ambient_dim}"
+        )
+    return Subspace.span(list(u.basis) + list(w.basis), u.ambient_dim)
+
+
+def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:
+    """Intersection from the dependencies of w's basis on u's.
+
+    With u's basis inserted first, each w row that is rejected satisfies
+    w_j - sum_k b_k w_k = sum_i a_i u_i over the rows accepted before it,
+    a member of both; there is one per dimension of the intersection.
+    """
+    if u.ambient_dim != w.ambient_dim:
+        raise SubspaceError(
+            f"ambient dimensions differ: {u.ambient_dim} vs {w.ambient_dim}"
+        )
+    n = u.ambient_dim
+    ech = SparseEchelon()
+    for i, row in enumerate(u.basis):
+        ech.insert(sparse(row), tag=i)
+    members = []
+    for j, row in enumerate(w.basis):
+        col = sparse(row)
+        if not ech.insert(col, tag=u.dim + j):
+            v = zero_vector(n)
+            for i, a in ech.express(col).items():
+                if i < u.dim:
+                    v = vadd(v, vscale(a, u.basis[i]))
+            members.append(v)
+    return Subspace.span(members, n)
+
+
+def quotient_dim(u: Subspace, w: Subspace) -> int:
+    """dim(u/w); raises with a witness vector when w is not inside u."""
+    if u.ambient_dim != w.ambient_dim:
+        raise SubspaceError(
+            f"ambient dimensions differ: {u.ambient_dim} vs {w.ambient_dim}"
+        )
+    for row in w.basis:
+        if not u.contains(row):
+            raise SubspaceError(
+                f"quotient undefined: witness {tuple(map(str, row))} lies outside the numerator"
+            )
+    return u.dim - w.dim
+
+
+def complement_rows(u: Subspace, w: Subspace) -> tuple[Vector, ...]:
+    """Rows of u's basis spanning a complement of w inside u (w ⊆ u checked)."""
+    quotient_dim(u, w)
+    wp = set(w.pivots)
+    return tuple(row for row, p in zip(u.basis, u.pivots) if p not in wp)

@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
-from .exactla import Matrix, SparseEchelon, Subspace, Vector, unit_vector, vector
+from .exactla import Matrix, SparseEchelon, Subspace, Vector, sparse, unit_vector, vector
 from .superalg import (
     EVEN,
     ODD,
@@ -23,11 +24,11 @@ from .superalg import (
     GradedSubspace,
     LieSuperalgebra,
     SuperDim,
+    graded_sign,
 )
 
 # A bracket word is a full binary tree: a leaf is a generator index,
 # an inner node is a pair (left subtree, right subtree).
-BracketWord = "int | tuple"
 
 
 def leaf(i: int) -> int:
@@ -54,7 +55,7 @@ def word_parity(w, parities) -> int:
     return sum(parities[i] for i in word_leaves(w)) % 2
 
 
-def left_normed_word(indices) -> "BracketWord":
+def left_normed_word(indices) -> int | tuple:
     indices = list(indices)
     if not indices:
         raise AlgebraError("a bracket word needs at least one leaf")
@@ -64,7 +65,7 @@ def left_normed_word(indices) -> "BracketWord":
     return w
 
 
-def right_normed_word(indices) -> "BracketWord":
+def right_normed_word(indices) -> int | tuple:
     indices = list(indices)
     if not indices:
         raise AlgebraError("a bracket word needs at least one leaf")
@@ -114,7 +115,7 @@ def expand(w, parities) -> dict[tuple[int, ...], Fraction]:
         return {(w,): Fraction(1)}
     ea = expand(w[0], parities)
     eb = expand(w[1], parities)
-    sign = Fraction((-1) ** (word_parity(w[0], parities) * word_parity(w[1], parities)))
+    sign = graded_sign(word_parity(w[0], parities), word_parity(w[1], parities))
     return _combine(_concat(ea, eb), -sign, _concat(eb, ea))
 
 
@@ -257,7 +258,7 @@ class FreeNilpotentSuperalgebra:
                 if dd > k:
                     continue
                 pj = word_parity(wj, pars)
-                sign = Fraction((-1) ** (pi * pj))
+                sign = graded_sign(pi, pj)
                 z = _combine(_concat(ei, self._expansions[wj]), -sign,
                              _concat(self._expansions[wj], ei))
                 if not z:
@@ -277,10 +278,6 @@ class FreeNilpotentSuperalgebra:
         name = f"free({self.spec.even}|{self.spec.odd},c{k})"
         parities = [EVEN] * self.n_even + [ODD] * self.n_odd
         return LieSuperalgebra(name, self.basis_labels(), parities, table)
-
-    def express_in_degree(self, d: int, assoc: dict) -> dict | None:
-        """Coefficients over the degree-d basis words, or None if outside."""
-        return self._echelons[d - 1].express(assoc)
 
 
 def build_free_nilpotent(spec: GeneratorSpec) -> FreeNilpotentSuperalgebra:
@@ -362,13 +359,9 @@ def _psum(parities, a: int, b: int) -> int:
     return sum(parities[t - 1] for t in range(a, b + 1))
 
 
-def _sgn(exponent: int) -> Fraction:
-    return Fraction((-1) ** (exponent % 2))
-
-
 def rewrite_head_sign(i: int, parities) -> Fraction:
     """Sign of the head term [[x_1..x_i]_l, x_{i+1}] of the rewriting identity."""
-    return _sgn(_psum(parities, 1, i - 1) * parities[i])
+    return graded_sign(_psum(parities, 1, i - 1), parities[i])
 
 
 def rewrite_term_sign(i: int, a: int, parities) -> Fraction:
@@ -381,22 +374,21 @@ def rewrite_term_sign(i: int, a: int, parities) -> Fraction:
     if not 2 <= a <= i + 1:
         raise AlgebraError(f"term index {a} outside [2, {i + 1}]")
     if a == i + 1:
-        expo = p(i + 1) * p(i)
-    elif a == i:
-        expo = (p(i) + p(i + 1)) * p(i - 1)
-    else:
-        expo = _psum(parities, 1, a - 1) * _psum(parities, a, i - 1) + _psum(
-            parities, i, i + 1
-        ) * _psum(parities, a, i - 2)
-    return _sgn(expo)
+        return graded_sign(p(i + 1), p(i))
+    if a == i:
+        return graded_sign(p(i) + p(i + 1), p(i - 1))
+    return graded_sign(_psum(parities, 1, a - 1), _psum(parities, a, i - 1)) * graded_sign(
+        _psum(parities, i, i + 1), _psum(parities, a, i - 2)
+    )
 
 
 def rewrite_brace_coeff(i: int, parities) -> Fraction:
     """Coefficient of the closing term [[x_1..x_{i-1}]_l, [x_i, x_{i+1}]]."""
     p = lambda t: parities[t - 1]  # noqa: E731 - local shorthand
-    return (
-        _sgn(_psum(parities, 1, i - 2) * p(i)) - _sgn(p(i - 1) * p(i + 1))
-    ) * _sgn(_psum(parities, 1, i - 2) * p(i + 1))
+    head = _psum(parities, 1, i - 2)
+    return (graded_sign(head, p(i)) - graded_sign(p(i - 1), p(i + 1))) * graded_sign(
+        head, p(i + 1)
+    )
 
 
 def rewrite_identity_terms(i: int, parities) -> list[tuple[Fraction, object]]:
@@ -457,6 +449,11 @@ class HomMap:
 
     def apply(self, v) -> Vector:
         return self.matrix.mul_vec(v)
+
+    @cached_property
+    def columns(self) -> list[dict[int, Fraction]]:
+        """Images of the source basis, as sparse target coordinates."""
+        return [sparse(self.matrix.col(j)) for j in range(self.matrix.cols)]
 
 
 def eval_hom(

@@ -21,16 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactla import (
-    Matrix,
     SparseEchelon,
-    Subspace,
     Vector,
     complement_rows,
     is_zero_vector,
-    nullspace,
+    kernel,
     quotient_dim,
     rref,
-    solve,
+    sparse,
     unit_vector,
     vadd,
     vector,
@@ -53,6 +51,7 @@ from .superalg import (
     GradedSubspace,
     LieSuperalgebra,
     SuperDim,
+    graded_sign,
     gs_intersect,
     gs_sum,
     left_normed,
@@ -96,18 +95,19 @@ class FreePresentation:
     def lift_into_gamma(self, v, i: int) -> Vector:
         """Some w in gamma_i(fbar) with pi(w) = v; v must lie in gamma_i(target)."""
         f = self.fbar
-        cols = [idx for idx in range(f.dim) if f.basis_degree(idx) >= i]
-        mat = Matrix.from_rows(
-            [[self.pi.matrix.entries[r * f.dim + c] for c in cols]
-             for r in range(self.target.dim)],
-            cols=len(cols),
-        )
-        x = solve(mat, vector(v))
-        if x is None:
+        key = ("lift", i)
+        if key not in self._cache:
+            ech = SparseEchelon()
+            for idx in range(f.dim):
+                if f.basis_degree(idx) >= i:
+                    ech.insert(self.pi.columns[idx], tag=idx)
+            self._cache[key] = ech
+        coeffs = self._cache[key].express(sparse(v))
+        if coeffs is None:
             raise AlgebraError("element does not lift into the requested filtration step")
         w = [Fraction(0)] * f.dim
-        for pos, c in zip(cols, x):
-            w[pos] = c
+        for idx, c in coeffs.items():
+            w[idx] = c
         return tuple(w)
 
     def numerator_space(self, i: int) -> GradedSubspace:
@@ -133,7 +133,8 @@ class FreePresentation:
 
 
 def bracket_with_free(f: FreeNilpotentSuperalgebra, ideal: GradedSubspace) -> GradedSubspace:
-    """[I, F] for a graded ideal I of F, from the generators of F alone.
+    """[I, F] for a graded ideal I of F, as the product space [I, G] with
+    G the span of the generators of F.
 
     [I, F] is the span J of [x, g] over basis members x of I and
     generators g.  The y with [I, y] ⊆ J contain the generators and are
@@ -141,19 +142,10 @@ def bracket_with_free(f: FreeNilpotentSuperalgebra, ideal: GradedSubspace) -> Gr
     and [x, y], [x, z] lie in I; so they are all of F.
     """
     A = f.algebra
-    gens = [f.generator_basis_index(t) for t in range(f.spec.num)]
-    ech = SparseEchelon()
-    kept = []
-    for x in A.gs_members(ideal):
-        support = [(k, c) for k, c in enumerate(x) if c]
-        for g in gens:
-            z = [Fraction(0)] * f.dim
-            for k, c in support:
-                for t, d in A.bracket_basis(k, g).items():
-                    z[t] += c * d
-            if ech.insert({t: c for t, c in enumerate(z) if c}, tag=len(kept)):
-                kept.append(tuple(z))
-    return A.graded_span(kept)
+    gens = A.graded_span(
+        unit_vector(f.dim, f.generator_basis_index(t)) for t in range(f.spec.num)
+    )
+    return A.product_space(ideal, gens)
 
 
 def present(L: LieSuperalgebra, lift_order=None) -> FreePresentation:
@@ -188,23 +180,12 @@ def present(L: LieSuperalgebra, lift_order=None) -> FreePresentation:
         raise AlgebraError(
             f"chosen lifts fail to generate {L.name} (closure has rank {rank})"
         )
-    even_cols = list(range(f.n_even))
-    odd_cols = list(range(f.n_even, f.dim))
-
-    def block_kernel(cols):
-        mat = Matrix.from_rows(
-            [[pi.matrix.entries[r * f.dim + ccol] for ccol in cols]
-             for r in range(L.dim)],
-            cols=len(cols),
-        )
-        return nullspace(mat)
-
-    relations = GradedSubspace(block_kernel(even_cols), block_kernel(odd_cols))
+    relations = GradedSubspace(
+        kernel(pi.columns[: f.n_even]), kernel(pi.columns[f.n_even:])
+    )
     pres = FreePresentation(L, f, pi, relations, tuple(lifts))
     for idx in range(f.dim):
-        if f.basis_degree(idx) > c and any(
-            pi.matrix.entries[r * f.dim + idx] for r in range(L.dim)
-        ):
+        if f.basis_degree(idx) > c and pi.columns[idx]:
             raise AlgebraError("truncation step is not contained in the relations")
     L._cache[cache_key] = pres
     return pres
@@ -268,14 +249,14 @@ def schur_multiplier_cohomology(L: LieSuperalgebra) -> MultiplierResult:
             return (a, a), Fraction(1)
         if a < b:
             return (a, b), Fraction(1)
-        return (b, a), -Fraction((-1) ** (p[a] * p[b]))
+        return (b, a), -graded_sign(p[a], p[b])
 
     cocycle_rank = {EVEN: SparseEchelon(), ODD: SparseEchelon()}
     for i, j, k in itertools.combinations_with_replacement(range(n), 3):
         sigma = (p[i] + p[j] + p[k]) % 2
         row: dict = {}
         for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-            sign = Fraction((-1) ** (p[x] * p[z]))
+            sign = graded_sign(p[x], p[z])
             for t, c in L.bracket_basis(y, z).items():
                 co = coord_of(x, t)
                 if co is None or c == 0:
@@ -401,23 +382,15 @@ def _leg1_coords(L: LieSuperalgebra, i: int, v) -> list[Fraction]:
         return list(ce) + list(co)
     gnext = L.gamma(i + 1)
     out: list[Fraction] = []
-    for block, vb in ((EVEN, ve), (ODD, vo)):
-        amb = gi.even if block == EVEN else gi.odd
-        den = gnext.even if block == EVEN else gnext.odd
+    for amb, den, vb in ((gi.even, gnext.even, ve), (gi.odd, gnext.odd, vo)):
         comp = complement_rows(amb, den)
-        cols = list(comp) + list(den.basis)
-        if not cols:
-            if not is_zero_vector(vb):
-                raise AlgebraError("element lies outside the filtration step")
-            continue
-        mat = Matrix.from_rows(
-            [[col[r] for col in cols] for r in range(amb.ambient_dim)],
-            cols=len(cols),
-        )
-        x = solve(mat, vb)
-        if x is None:
+        ech = SparseEchelon()
+        for t, col in enumerate(comp + den.basis):
+            ech.insert(sparse(col), tag=t)
+        coeffs = ech.express(sparse(vb))
+        if coeffs is None:
             raise AlgebraError("element lies outside the filtration step")
-        out.extend(x[: len(comp)])
+        out.extend(coeffs.get(t, Fraction(0)) for t in range(len(comp)))
     return out
 
 

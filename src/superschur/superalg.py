@@ -18,7 +18,7 @@ from .exactla import (
     Subspace,
     Vector,
     is_zero_vector,
-    nullspace,
+    kernel,
     subspace_intersect,
     subspace_sum,
     unit_vector,
@@ -29,6 +29,14 @@ from .exactla import (
 EVEN = 0
 ODD = 1
 Parity = int
+
+_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
+
+
+def graded_sign(p: int, q: int) -> Fraction:
+    """(-1)^{pq}: the sign of moving an element of parity p past one of parity q."""
+    return _MINUS_ONE if p * q % 2 else _ONE
 
 
 class AlgebraError(ValueError):
@@ -172,7 +180,7 @@ class LieSuperalgebra:
             for i, j, clean in deferred:
                 if (j, i) in canon:
                     continue  # mirror supplied directly; validate checks consistency
-                sign = -Fraction((-1) ** (self.parities[i] * self.parities[j]))
+                sign = -graded_sign(self.parities[i], self.parities[j])
                 canon[(j, i)] = {k: sign * c for k, c in clean.items()}
             self._canonical = canon
         return self._canonical
@@ -184,7 +192,7 @@ class LieSuperalgebra:
         base = self._canon().get((j, i), {})
         if not base:
             return {}
-        sign = -Fraction((-1) ** (self.parities[i] * self.parities[j]))
+        sign = -graded_sign(self.parities[i], self.parities[j])
         return {k: sign * c for k, c in base.items()}
 
     def bracket_image(self, i: int, j: int, cols) -> Vector:
@@ -197,18 +205,19 @@ class LieSuperalgebra:
         return tuple(acc)
 
     def bracket(self, x, y) -> Vector:
-        """Bilinear extension of the table to arbitrary coordinate vectors."""
-        x = vector(x)
-        y = vector(y)
+        """Bilinear extension of the table to coordinate sequences.
+
+        Entries may be ints or Fractions; only the nonzero ones are
+        visited, and the result is a tuple of Fractions.
+        """
         if len(x) != self.dim or len(y) != self.dim:
             raise AlgebraError(f"coordinate vectors must have length {self.dim}")
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
         acc = [Fraction(0)] * self.dim
         for i, xi in enumerate(x):
-            if xi == 0:
+            if not xi:
                 continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
+            for j, yj in ys:
                 f = xi * yj
                 for k, c in self.bracket_basis(i, j).items():
                     acc[k] += f * c
@@ -272,7 +281,7 @@ class LieSuperalgebra:
                     mirror = self._raw.get((j, i))
                     if mirror is None:
                         continue
-                    sign = -Fraction((-1) ** (self.parities[i] * self.parities[j]))
+                    sign = -graded_sign(self.parities[i], self.parities[j])
                     want = {}
                     for k, c in mirror:
                         if c != 0:
@@ -312,7 +321,7 @@ class LieSuperalgebra:
         p = self.parities
         acc = [Fraction(0)] * self.dim
         for (a, b, c_) in ((i, j, k), (j, k, i), (k, i, j)):
-            sign = Fraction((-1) ** (p[a] * p[c_]))
+            sign = graded_sign(p[a], p[c_])
             for t, ct in self.bracket_basis(b, c_).items():
                 if ct == 0:
                     continue
@@ -417,15 +426,12 @@ class LieSuperalgebra:
             return self._cache["center"]
 
         def block_kernel(indices):
-            rows = []
-            for j in range(self.dim):
-                for t in range(self.dim):
-                    rows.append(
-                        [self.bracket_basis(i, j).get(t, Fraction(0)) for i in indices]
-                    )
-            if not indices:
-                return Subspace.zero(0)
-            return nullspace(Matrix.from_rows(rows, cols=len(indices)))
+            # column i holds the coordinates t of [b_i, b_j], keyed (j, t)
+            return kernel([
+                {(j, t): c for j in range(self.dim)
+                 for t, c in self.bracket_basis(i, j).items()}
+                for i in indices
+            ])
 
         result = GradedSubspace(
             block_kernel(range(self.n_even)),

@@ -10,6 +10,7 @@ from superschur.exactla import (
     Subspace,
     SubspaceError,
     complement_rows,
+    is_zero_vector,
     nullspace,
     quotient_dim,
     rref,
@@ -56,6 +57,20 @@ class TestRref:
         assert rank == 1
         assert red.row(0) == vector([1, 2])
         assert red.row(1) == vector([0, 0])
+
+    @given(small_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_output_is_reduced_row_echelon(self, m):
+        red, rank = rref(m)
+        rows = [red.row(i) for i in range(red.rows)]
+        assert (red.rows, red.cols) == (m.rows, m.cols)
+        assert all(is_zero_vector(row) for row in rows[rank:])
+        pivots = [next(j for j, x in enumerate(row) if x != 0) for row in rows[:rank]]
+        assert pivots == sorted(set(pivots))
+        for i, p in enumerate(pivots):
+            assert [row[p] for row in rows] == [F(int(k == i)) for k in range(m.rows)]
+        span = Subspace.span([m.row(i) for i in range(m.rows)], m.cols)
+        assert tuple(rows[:rank]) == span.basis
 
 
 class TestNullspace:
@@ -201,6 +216,21 @@ def test_solve_consistent_and_inconsistent():
     assert x is not None and m.mul_vec(x) == vector([5, 6])
     singular = Matrix.from_rows([[1, 1], [1, 1]])
     assert solve(singular, [0, 1]) is None
+
+
+@given(
+    small_matrices().flatmap(
+        lambda m: st.tuples(
+            st.just(m), st.lists(entries, min_size=m.cols, max_size=m.cols)
+        )
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_solve_finds_a_preimage(data):
+    m, x = data
+    b = m.mul_vec(x)
+    y = solve(m, b)
+    assert y is not None and m.mul_vec(y) == b
 
 
 class TestSparseEchelon:

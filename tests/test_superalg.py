@@ -3,8 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from superschur.catalog import abelian, filiform4, heisenberg3, special_heisenberg_odd
-from superschur.exactla import unit_vector, vector
+from superschur.catalog import (
+    abelian,
+    builtin_algebras,
+    filiform4,
+    heisenberg3,
+    special_heisenberg_odd,
+)
+from superschur.exactla import Matrix, is_zero_vector, rref, unit_vector, vector
 from superschur.superalg import (
     EVEN,
     ODD,
@@ -22,6 +28,16 @@ F = Fraction
 
 def sh01():
     return special_heisenberg_odd(1)
+
+
+def _basis_changed(L, seed):
+    rng = random.Random(seed)
+    ev = list(range(L.n_even))
+    od = list(range(L.n_even, L.dim))
+    rng.shuffle(ev)
+    rng.shuffle(od)
+    scales = [F(rng.choice([1, 2, -1, F(1, 2)])) for _ in range(L.dim)]
+    return change_basis(L, ev + od, scales)
 
 
 class TestValidate:
@@ -101,6 +117,16 @@ class TestBracket:
         expect[2] = 2 * F(1) - 3 * F(1, 2)
         assert lhs == tuple(expect)
 
+    @pytest.mark.parametrize("L", [heisenberg3(), special_heisenberg_odd(2)], ids=lambda L: L.name)
+    def test_int_list_and_fraction_tuple_agree(self, L):
+        rng = random.Random(3)
+        for _ in range(10):
+            x = [rng.randint(-3, 3) for _ in range(L.dim)]
+            y = [rng.randint(-3, 3) for _ in range(L.dim)]
+            z = L.bracket(x, y)
+            assert z == L.bracket(vector(x), vector(y))
+            assert all(type(c) is F for c in z)
+
 
 class TestSeries:
     def test_heis3(self):
@@ -166,6 +192,28 @@ class TestCenter:
         z = sh01().center()
         assert z.sdim == SuperDim(1, 0)
         assert z.even.basis == (unit_vector(1, 0),)
+
+    @pytest.mark.parametrize(
+        "L",
+        [L for base in builtin_algebras() for L in (base, _basis_changed(base, 11))],
+        ids=lambda L: L.name,
+    )
+    def test_members_commute_and_dimension_is_corank_of_ad(self, L):
+        z = L.center()
+        for v in L.gs_members(z):
+            for j in range(L.dim):
+                assert is_zero_vector(L.bracket(v, unit_vector(L.dim, j)))
+        # rows (j, t), columns i: the stacked matrices of ad(b_j)
+        ad = Matrix.from_rows(
+            [
+                [L.bracket_basis(i, j).get(t, 0) for i in range(L.dim)]
+                for j in range(L.dim)
+                for t in range(L.dim)
+            ],
+            cols=L.dim,
+        )
+        _, rank = rref(ad)
+        assert z.total_dim == L.dim - rank
 
 
 class TestQuotient:
