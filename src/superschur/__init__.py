@@ -1,115 +1,3 @@
 """Exact-arithmetic multiplier computations for nilpotent Lie superalgebras."""
 
-from .bounds import (
-    BoundError,
-    BoundInput,
-    BoundViolation,
-    abelian_multiplier_dims,
-    check_bound,
-    extract_input,
-    main_bound,
-    nayak_bound,
-    rai_bound,
-)
-from .catalog import (
-    CatalogError,
-    abelian,
-    builtin_algebras,
-    filiform4,
-    heisenberg3,
-    parse_catalog,
-    render_catalog,
-    special_heisenberg_odd,
-)
-from .exactla import Matrix, Subspace, SubspaceError, nullspace, rref
-from .freenilp import (
-    GeneratorSpec,
-    build_free_nilpotent,
-    eval_hom,
-    expand,
-    free_superalgebra_degree_dims,
-    hilbert_check,
-    left_normed_word,
-    right_normed_word,
-    rewrite_identity_residual,
-)
-from .multiplier import (
-    MultiplierResult,
-    OracleDisagreement,
-    bracket_quotient_dim,
-    compare_methods,
-    bracket_map_kernel_dim,
-    witness_tensor,
-    present,
-    schur_multiplier_cohomology,
-    schur_multiplier_hopf,
-    verify_top_step_identity,
-    verify_telescoped_identity,
-)
-from .superalg import (
-    EVEN,
-    ODD,
-    AlgebraError,
-    GradedSubspace,
-    LieSuperalgebra,
-    SuperDim,
-    direct_sum,
-    left_normed,
-    right_normed,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlgebraError",
-    "BoundError",
-    "BoundInput",
-    "BoundViolation",
-    "CatalogError",
-    "EVEN",
-    "GeneratorSpec",
-    "GradedSubspace",
-    "LieSuperalgebra",
-    "Matrix",
-    "MultiplierResult",
-    "ODD",
-    "OracleDisagreement",
-    "Subspace",
-    "SubspaceError",
-    "SuperDim",
-    "abelian",
-    "abelian_multiplier_dims",
-    "bracket_quotient_dim",
-    "build_free_nilpotent",
-    "builtin_algebras",
-    "check_bound",
-    "compare_methods",
-    "direct_sum",
-    "eval_hom",
-    "expand",
-    "extract_input",
-    "filiform4",
-    "free_superalgebra_degree_dims",
-    "heisenberg3",
-    "hilbert_check",
-    "bracket_map_kernel_dim",
-    "left_normed",
-    "left_normed_word",
-    "main_bound",
-    "nayak_bound",
-    "nullspace",
-    "parse_catalog",
-    "witness_tensor",
-    "present",
-    "rai_bound",
-    "render_catalog",
-    "right_normed",
-    "right_normed_word",
-    "rref",
-    "schur_multiplier_cohomology",
-    "schur_multiplier_hopf",
-    "special_heisenberg_odd",
-    "verify_top_step_identity",
-    "verify_telescoped_identity",
-    "rewrite_identity_residual",
-]

@@ -4,9 +4,11 @@ The substrate for every dimension computation in this package.  One
 elimination engine, `SparseEchelon`, reduces sparse keyed vectors with
 Fraction entries; spans, reduced row-echelon forms, kernels, solutions
 and intersections are all read off it.  No floating point anywhere.
-Subspaces are canonicalized to reduced row-echelon bases, so two
-objects describe the same subspace exactly when their stored data
-compare equal.  `Matrix` only holds linear maps.
+Sparse dicts {index: nonzero Fraction} are the one vector type: a
+`Subspace` keeps the engine's reduced row-echelon rows as they are, so
+two objects describe the same subspace exactly when their rows compare
+equal.  Dense Fraction tuples appear only at the API boundary; `Matrix`
+only holds linear maps.
 """
 
 from __future__ import annotations
@@ -36,8 +38,19 @@ def sparse(v: Sequence) -> dict[int, Fraction]:
     return {i: c for i, c in enumerate(v) if c}
 
 
-def zero_vector(n: int) -> Vector:
-    return (_ZERO,) * n
+def dense(v: dict, n: int) -> Vector:
+    """The length-n tuple of a sparse vector with integer keys below n."""
+    return tuple(v.get(i, _ZERO) for i in range(n))
+
+
+def axpy(y: dict, a, x: dict) -> None:
+    """y += a * x in place, dropping the entries that cancel."""
+    for k, c in x.items():
+        nv = y.get(k, _ZERO) + a * c
+        if nv:
+            y[k] = nv
+        else:
+            y.pop(k, None)
 
 
 def unit_vector(n: int, i: int) -> Vector:
@@ -129,15 +142,6 @@ class SparseEchelon:
     def rank(self) -> int:
         return len(self._rows)
 
-    @staticmethod
-    def _axpy(target: dict, f: Fraction, source: dict) -> None:
-        for k, c in source.items():
-            nv = target.get(k, _ZERO) - f * c
-            if nv:
-                target[k] = nv
-            else:
-                target.pop(k, None)
-
     def _reduce(self, v: dict, ledger: dict) -> tuple[dict, dict]:
         v = {k: Fraction(c) for k, c in v.items() if c != 0}
         ledger = {k: Fraction(c) for k, c in ledger.items() if c != 0}
@@ -150,8 +154,8 @@ class SparseEchelon:
                 if f == 0:
                     continue
                 _, row, led = self._rows[self._pivots[k]]
-                self._axpy(v, f, row)
-                self._axpy(ledger, f, led)
+                axpy(v, -f, row)
+                axpy(ledger, -f, led)
 
     def insert(self, v: dict, tag: Hashable) -> bool:
         """Add v (tagged) if it enlarges the row space; returns acceptance."""
@@ -167,8 +171,8 @@ class SparseEchelon:
             if f != 0:
                 row = dict(row)
                 led = dict(led)
-                self._axpy(row, f, rv)
-                self._axpy(led, f, rl)
+                axpy(row, -f, rv)
+                axpy(led, -f, rl)
                 self._rows[idx] = (p, row, led)
         self._pivots[pivot] = len(self._rows)
         self._rows.append((pivot, rv, rl))
@@ -181,33 +185,28 @@ class SparseEchelon:
             return None
         return {k: -c for k, c in rl.items() if c != 0}
 
-    def dense_rows(self, n: int) -> tuple[Vector, ...]:
-        """The rows as length-n vectors, in pivot order.
+    def rows(self) -> tuple[dict, ...]:
+        """The rows in pivot order.
 
-        For integer keys below n this is the reduced row-echelon basis of
-        the row space: each pivot is its row's smallest key, it is 1, and
-        every other row is 0 there.
+        For integer keys this is the reduced row-echelon basis of the row
+        space: each pivot is its row's smallest key, it is 1, and every
+        other row is 0 there.
         """
-        out = []
-        for p in sorted(self._pivots):
-            v = [_ZERO] * n
-            for k, c in self._rows[self._pivots[p]][1].items():
-                v[k] = c
-            out.append(tuple(v))
-        return tuple(out)
+        return tuple(self._rows[self._pivots[p]][1] for p in sorted(self._pivots))
 
 
-def _subspace(vectors: Iterable[dict], n: int) -> "Subspace":
-    """The span of sparse vectors with integer keys below n, canonicalized."""
-    ech = SparseEchelon()
-    for t, v in enumerate(vectors):
-        ech.insert(v, tag=t)
-    return Subspace(n, ech.dense_rows(n))
+def _as_sparse(v, n: int) -> dict:
+    """v as a sparse vector: dicts pass through, dense sequences need length n."""
+    if isinstance(v, dict):
+        return v
+    if len(v) != n:
+        raise SubspaceError(f"vector of length {len(v)} in ambient dimension {n}")
+    return sparse(v)
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Reduced row-echelon form of m and its rank."""
-    rows = _subspace((sparse(m.row(i)) for i in range(m.rows)), m.cols).basis
+    rows = Subspace.span((m.row(i) for i in range(m.rows)), m.cols).basis
     pad = (_ZERO,) * ((m.rows - len(rows)) * m.cols)
     return Matrix(m.rows, m.cols, tuple(x for row in rows for x in row) + pad), len(rows)
 
@@ -227,7 +226,7 @@ def kernel(columns: Sequence[dict]) -> "Subspace":
             v = {k: -c for k, c in ech.express(col).items()}
             v[j] = _ONE
             basis.append(v)
-    return _subspace(basis, len(columns))
+    return Subspace.span(basis, len(columns))
 
 
 def nullspace(m: Matrix) -> "Subspace":
@@ -254,26 +253,28 @@ def solve(m: Matrix, b: Sequence) -> Vector | None:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of Q^n stored as a reduced row-echelon basis.
+    """Subspace of Q^n stored as its reduced row-echelon rows.
 
-    The canonical form makes structural equality coincide with equality
-    of subspaces; pivot columns strictly increase along the basis.
+    `rows` are the sparse rows of a `SparseEchelon`, in pivot order: each
+    pivot is its row's smallest key, it is 1, and every other row is 0
+    there.  The form is canonical, so equal subspaces have equal rows and
+    compare equal and hash alike.  The rows are shared, not copied:
+    callers must not mutate them.
     """
 
     ambient_dim: int
-    basis: tuple[Vector, ...]
+    rows: tuple[dict, ...]
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, tuple(frozenset(r.items()) for r in self.rows)))
 
     @staticmethod
-    def span(vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
-        """The span of dense vectors, as the rows of a SparseEchelon in pivot order."""
-        vecs = []
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise SubspaceError(
-                    f"spanning vector of length {len(v)} in ambient dimension {ambient_dim}"
-                )
-            vecs.append(sparse(v))
-        return _subspace(vecs, ambient_dim)
+    def span(vectors: Iterable, ambient_dim: int) -> "Subspace":
+        """The span of sparse vectors (integer keys below n) or dense length-n ones."""
+        ech = SparseEchelon()
+        for t, v in enumerate(vectors):
+            ech.insert(_as_sparse(v, ambient_dim), tag=t)
+        return Subspace(ambient_dim, ech.rows())
 
     @staticmethod
     def zero(n: int) -> "Subspace":
@@ -281,91 +282,99 @@ class Subspace:
 
     @staticmethod
     def full(n: int) -> "Subspace":
-        return Subspace(n, tuple(unit_vector(n, i) for i in range(n)))
+        return Subspace(n, tuple({i: _ONE} for i in range(n)))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @cached_property
+    def basis(self) -> tuple[Vector, ...]:
+        """The rows as dense vectors."""
+        return tuple(dense(r, self.ambient_dim) for r in self.rows)
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(next(j for j, x in enumerate(row) if x != 0) for row in self.basis)
+        return tuple(min(r) for r in self.rows)
 
-    def reduce(self, v: Sequence) -> Vector:
-        """Eliminate this subspace's pivot coordinates from v."""
-        v = list(vector(v))
-        if len(v) != self.ambient_dim:
-            raise SubspaceError(
-                f"vector of length {len(v)} in ambient dimension {self.ambient_dim}"
-            )
-        for row, p in zip(self.basis, self.pivots):
-            f = v[p]
-            if f != 0:
-                v = [x - f * y for x, y in zip(v, row)]
-        return tuple(v)
+    def reduce(self, v) -> dict:
+        """v minus v[p] times the row of each pivot p, as a sparse vector.
 
-    def contains(self, v: Sequence) -> bool:
-        return is_zero_vector(self.reduce(v))
+        Every row is 0 at the other rows' pivots, so one pass clears every
+        pivot coordinate; the result is empty exactly when v lies in the
+        subspace.  v is sparse or dense.
+        """
+        v = dict(_as_sparse(v, self.ambient_dim))
+        for row, p in zip(self.rows, self.pivots):
+            f = v.get(p)
+            if f:
+                axpy(v, -f, row)
+        return v
 
-    def coords(self, v: Sequence) -> Vector | None:
-        """Coefficients of v over the stored basis rows, or None if outside."""
-        v = vector(v)
-        if not self.contains(v):
+    def contains(self, v) -> bool:
+        return not self.reduce(v)
+
+    def coords(self, v) -> Vector | None:
+        """Coefficients of v over the rows (its pivot entries), or None if outside."""
+        v = _as_sparse(v, self.ambient_dim)
+        if self.reduce(v):
             return None
-        return tuple(v[p] for p in self.pivots)
+        return tuple(Fraction(v.get(p, 0)) for p in self.pivots)
+
+
+def _same_ambient(u: Subspace, w: Subspace) -> None:
+    if u.ambient_dim != w.ambient_dim:
+        raise SubspaceError(
+            f"ambient dimensions differ: {u.ambient_dim} vs {w.ambient_dim}"
+        )
 
 
 def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
-    if u.ambient_dim != w.ambient_dim:
-        raise SubspaceError(
-            f"ambient dimensions differ: {u.ambient_dim} vs {w.ambient_dim}"
-        )
-    return Subspace.span(list(u.basis) + list(w.basis), u.ambient_dim)
+    _same_ambient(u, w)
+    return Subspace.span(u.rows + w.rows, u.ambient_dim)
 
 
 def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:
-    """Intersection from the dependencies of w's basis on u's.
+    """Intersection from the dependencies of w's rows on u's.
 
-    With u's basis inserted first, each w row that is rejected satisfies
+    With u's rows inserted first, each w row that is rejected satisfies
     w_j - sum_k b_k w_k = sum_i a_i u_i over the rows accepted before it,
     a member of both; there is one per dimension of the intersection.
     """
-    if u.ambient_dim != w.ambient_dim:
-        raise SubspaceError(
-            f"ambient dimensions differ: {u.ambient_dim} vs {w.ambient_dim}"
-        )
-    n = u.ambient_dim
+    _same_ambient(u, w)
     ech = SparseEchelon()
-    for i, row in enumerate(u.basis):
-        ech.insert(sparse(row), tag=i)
+    for i, row in enumerate(u.rows):
+        ech.insert(row, tag=i)
     members = []
-    for j, row in enumerate(w.basis):
-        col = sparse(row)
-        if not ech.insert(col, tag=u.dim + j):
-            v = zero_vector(n)
-            for i, a in ech.express(col).items():
+    for j, row in enumerate(w.rows):
+        if not ech.insert(row, tag=u.dim + j):
+            v: dict = {}
+            for i, a in ech.express(row).items():
                 if i < u.dim:
-                    v = vadd(v, vscale(a, u.basis[i]))
+                    axpy(v, a, u.rows[i])
             members.append(v)
-    return Subspace.span(members, n)
+    return Subspace.span(members, u.ambient_dim)
+
+
+def complement_rows(u: Subspace, w: Subspace) -> tuple[dict, ...]:
+    """The rows of u off w's pivots: a basis of a complement of w in u.
+
+    Raises with a witness row when w is not inside u.  For w ⊆ u every
+    pivot of w is a pivot of u (pivots are the smallest keys of nonzero
+    members), and a nonzero combination of the returned rows has its
+    smallest key at one of their pivots, which no nonzero member of w has.
+    """
+    _same_ambient(u, w)
+    for row in w.rows:
+        if u.reduce(row):
+            witness = tuple(map(str, dense(row, w.ambient_dim)))
+            raise SubspaceError(
+                f"quotient undefined: witness {witness} lies outside the numerator"
+            )
+    wp = set(w.pivots)
+    return tuple(row for row, p in zip(u.rows, u.pivots) if p not in wp)
 
 
 def quotient_dim(u: Subspace, w: Subspace) -> int:
     """dim(u/w); raises with a witness vector when w is not inside u."""
-    if u.ambient_dim != w.ambient_dim:
-        raise SubspaceError(
-            f"ambient dimensions differ: {u.ambient_dim} vs {w.ambient_dim}"
-        )
-    for row in w.basis:
-        if not u.contains(row):
-            raise SubspaceError(
-                f"quotient undefined: witness {tuple(map(str, row))} lies outside the numerator"
-            )
-    return u.dim - w.dim
-
-
-def complement_rows(u: Subspace, w: Subspace) -> tuple[Vector, ...]:
-    """Rows of u's basis spanning a complement of w inside u (w ⊆ u checked)."""
-    quotient_dim(u, w)
-    wp = set(w.pivots)
-    return tuple(row for row, p in zip(u.basis, u.pivots) if p not in wp)
+    return len(complement_rows(u, w))

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from .exactla import Matrix, SparseEchelon, Subspace, Vector, sparse, unit_vector, vector
+from .exactla import Matrix, SparseEchelon, Subspace, Vector, axpy, sparse, vector
 from .superalg import (
     EVEN,
     ODD,
@@ -26,6 +26,9 @@ from .superalg import (
     SuperDim,
     graded_sign,
 )
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 # A bracket word is a full binary tree: a leaf is a generator index,
 # an inner node is a pair (left subtree, right subtree).
@@ -94,17 +97,6 @@ def _concat(a: dict, b: dict) -> dict:
     return out
 
 
-def _combine(a: dict, sign: Fraction, b: dict) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        val = out.get(k, Fraction(0)) + sign * c
-        if val:
-            out[k] = val
-        else:
-            out.pop(k, None)
-    return out
-
-
 def expand(w, parities) -> dict[tuple[int, ...], Fraction]:
     """Expansion of a bracket word in the free associative superalgebra.
 
@@ -116,7 +108,9 @@ def expand(w, parities) -> dict[tuple[int, ...], Fraction]:
     ea = expand(w[0], parities)
     eb = expand(w[1], parities)
     sign = graded_sign(word_parity(w[0], parities), word_parity(w[1], parities))
-    return _combine(_concat(ea, eb), -sign, _concat(eb, ea))
+    out = _concat(ea, eb)
+    axpy(out, -sign, _concat(eb, ea))
+    return out
 
 
 @dataclass(frozen=True)
@@ -222,18 +216,13 @@ class FreeNilpotentSuperalgebra:
 
     def gamma(self, d: int) -> GradedSubspace:
         """Degree filtration: span of basis elements of degree >= d."""
-        ev = [
-            unit_vector(self.n_even, i)
-            for i, (deg, _, _) in enumerate(self._basis[: self.n_even])
-            if deg >= d
-        ]
-        od = [
-            unit_vector(self.n_odd, i)
-            for i, (deg, _, _) in enumerate(self._basis[self.n_even:])
-            if deg >= d
-        ]
+        def block(entries):
+            # unit rows in increasing index order are already reduced row-echelon
+            rows = tuple({i: _ONE} for i, (deg, _, _) in enumerate(entries) if deg >= d)
+            return Subspace(len(entries), rows)
+
         return GradedSubspace(
-            Subspace.span(ev, self.n_even), Subspace.span(od, self.n_odd)
+            block(self._basis[: self.n_even]), block(self._basis[self.n_even:])
         )
 
     # -- assembled algebra -------------------------------------------------------
@@ -259,8 +248,9 @@ class FreeNilpotentSuperalgebra:
                     continue
                 pj = word_parity(wj, pars)
                 sign = graded_sign(pi, pj)
-                z = _combine(_concat(ei, self._expansions[wj]), -sign,
-                             _concat(self._expansions[wj], ei))
+                ej = self._expansions[wj]
+                z = _concat(ei, ej)
+                axpy(z, -sign, _concat(ej, ei))
                 if not z:
                     continue
                 coeffs = self._echelons[dd - 1].express(z)
@@ -432,7 +422,7 @@ def rewrite_identity_residual(i: int, parities) -> dict:
     parities = tuple(int(p) % 2 for p in parities)
     residual: dict = {}
     for coeff, word in rewrite_identity_terms(i, parities):
-        residual = _combine(residual, coeff, expand(word, parities))
+        axpy(residual, coeff, expand(word, parities))
     return residual
 
 
@@ -445,15 +435,16 @@ class HomMap:
 
     source: FreeNilpotentSuperalgebra
     target: LieSuperalgebra
-    matrix: Matrix  # target.dim x source.dim, columns are basis images
+    columns: list[dict[int, Fraction]]  # images of the source basis, sparse
+
+    @cached_property
+    def matrix(self) -> Matrix:
+        """target.dim x source.dim, the columns densely."""
+        n, cols = self.target.dim, self.columns
+        return Matrix(n, len(cols), tuple(c.get(i, _ZERO) for i in range(n) for c in cols))
 
     def apply(self, v) -> Vector:
         return self.matrix.mul_vec(v)
-
-    @cached_property
-    def columns(self) -> list[dict[int, Fraction]]:
-        """Images of the source basis, as sparse target coordinates."""
-        return [sparse(self.matrix.col(j)) for j in range(self.matrix.cols)]
 
 
 def eval_hom(
@@ -494,17 +485,15 @@ def eval_hom(
         return memo[key]
 
     cols = [ev(f.basis_word(idx)) for idx in range(f.dim)]
-    matrix = Matrix.from_rows(
-        [[cols[j][i] for j in range(f.dim)] for i in range(target.dim)], cols=f.dim
-    )
+    columns = [sparse(col) for col in cols]
     A = f.algebra
     for x in range(f.dim):
         for t in range(f.spec.num):
             g = f.generator_basis_index(t)
-            if A.bracket_image(x, g, cols) != target.bracket(cols[x], cols[g]):
+            if A.bracket_image(x, g, columns) != target.sparse_bracket(columns[x], columns[g]):
                 raise AlgebraError(
                     "generator images do not extend to a homomorphism "
                     f"(fails at basis pair {x},{g}; is the target's class within "
                     f"the truncation class {f.spec.class_bound}?)"
                 )
-    return HomMap(f, target, matrix)
+    return HomMap(f, target, columns)

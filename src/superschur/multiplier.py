@@ -23,17 +23,16 @@ from fractions import Fraction
 from .exactla import (
     SparseEchelon,
     Vector,
+    axpy,
     complement_rows,
+    dense,
     is_zero_vector,
     kernel,
     quotient_dim,
     rref,
     sparse,
     unit_vector,
-    vadd,
     vector,
-    vscale,
-    zero_vector,
 )
 from .freenilp import (
     FreeNilpotentSuperalgebra,
@@ -57,6 +56,9 @@ from .superalg import (
     left_normed,
     right_normed,
 )
+
+
+_ONE = Fraction(1)
 
 
 class OracleDisagreement(RuntimeError):
@@ -105,10 +107,7 @@ class FreePresentation:
         coeffs = self._cache[key].express(sparse(v))
         if coeffs is None:
             raise AlgebraError("element does not lift into the requested filtration step")
-        w = [Fraction(0)] * f.dim
-        for idx, c in coeffs.items():
-            w[idx] = c
-        return tuple(w)
+        return dense(coeffs, f.dim)
 
     def numerator_space(self, i: int) -> GradedSubspace:
         """[gamma_i(F) + R, F] inside fbar."""
@@ -142,9 +141,7 @@ def bracket_with_free(f: FreeNilpotentSuperalgebra, ideal: GradedSubspace) -> Gr
     and [x, y], [x, z] lie in I; so they are all of F.
     """
     A = f.algebra
-    gens = A.graded_span(
-        unit_vector(f.dim, f.generator_basis_index(t)) for t in range(f.spec.num)
-    )
+    gens = A.graded_span({f.generator_basis_index(t): _ONE} for t in range(f.spec.num))
     return A.product_space(ideal, gens)
 
 
@@ -206,14 +203,9 @@ def schur_multiplier_hopf(L: LieSuperalgebra) -> MultiplierResult:
     f2 = pres.fbar.gamma(2)
     num = gs_intersect(pres.relations, f2)
     den = pres.denominator_space(L.nilpotency_class())
-    dims = SuperDim(
-        quotient_dim(num.even, den.even), quotient_dim(num.odd, den.odd)
-    )
-    witnesses = tuple(
-        [A.embed_even(row) for row in complement_rows(num.even, den.even)]
-        + [A.embed_odd(row) for row in complement_rows(num.odd, den.odd)]
-    )
-    result = MultiplierResult(dims, "hopf", witnesses)
+    even, odd = complement_rows(num.even, den.even), complement_rows(num.odd, den.odd)
+    witnesses = tuple(dense(v, A.dim) for v in A.embed(even, odd))
+    result = MultiplierResult(SuperDim(len(even), len(odd)), "hopf", witnesses)
     L._cache["hopf"] = result
     return result
 
@@ -358,39 +350,28 @@ class WitnessTensor:
 
 
 def _leg1_rows(L: LieSuperalgebra, i: int) -> tuple[Vector, ...]:
-    """Representatives spanning γ_i(L) (top step) or γ_i/γ_{i+1} (below)."""
-    c = L.nilpotency_class()
-    gi = L.gamma(i)
-    if i == c:
-        return tuple(L.gs_members(gi))
-    gnext = L.gamma(i + 1)
-    rows = [L.embed_even(r) for r in complement_rows(gi.even, gnext.even)]
-    rows += [L.embed_odd(r) for r in complement_rows(gi.odd, gnext.odd)]
-    return tuple(rows)
+    """Representatives spanning γ_i/γ_{i+1}: the rows of γ_i off the
+    pivots of γ_{i+1}, which is zero at the top step i = c."""
+    gi, gnext = L.gamma(i), L.gamma(i + 1)
+    rows = L.embed(complement_rows(gi.even, gnext.even), complement_rows(gi.odd, gnext.odd))
+    return tuple(dense(v, L.dim) for v in rows)
 
 
 def _leg1_coords(L: LieSuperalgebra, i: int, v) -> list[Fraction]:
-    """Coordinates of v's class over the _leg1_rows representatives."""
-    c = L.nilpotency_class()
-    gi = L.gamma(i)
-    ve, vo = L.split(v)
-    if i == c:
-        ce = gi.even.coords(ve)
-        co = gi.odd.coords(vo)
-        if ce is None or co is None:
-            raise AlgebraError("element lies outside the filtration step")
-        return list(ce) + list(co)
-    gnext = L.gamma(i + 1)
+    """Coordinates of v's class over the _leg1_rows representatives.
+
+    γ_{i+1}.reduce(v) is v modulo γ_{i+1} with γ_{i+1}'s pivot entries
+    cleared, so over γ_i's rows its coordinates (its pivot entries) are
+    zero except at the representatives.
+    """
+    gi, gnext = L.gamma(i), L.gamma(i + 1)
     out: list[Fraction] = []
-    for amb, den, vb in ((gi.even, gnext.even, ve), (gi.odd, gnext.odd, vo)):
-        comp = complement_rows(amb, den)
-        ech = SparseEchelon()
-        for t, col in enumerate(comp + den.basis):
-            ech.insert(sparse(col), tag=t)
-        coeffs = ech.express(sparse(vb))
-        if coeffs is None:
+    for amb, den, vb in zip((gi.even, gi.odd), (gnext.even, gnext.odd), L.split(v)):
+        coords = amb.coords(den.reduce(vb))
+        if coords is None:
             raise AlgebraError("element lies outside the filtration step")
-        out.extend(coeffs.get(t, Fraction(0)) for t in range(len(comp)))
+        skip = set(den.pivots)
+        out.extend(c for c, p in zip(coords, amb.pivots) if p not in skip)
     return out
 
 
@@ -456,27 +437,25 @@ def witness_tensor(L: LieSuperalgebra, i: int, tuple_elems) -> WitnessTensor:
         i=i,
         tensor=tensor,
         nonzero=bool(tensor),
-        in_kernel=is_zero_vector(residual),
+        in_kernel=not residual,
         leg1_rows=rows,
     )
 
 
 def bracket_map_residual(
     pres: FreePresentation, i: int, tensor, leg1_rows
-) -> Vector:
+) -> dict:
     """Image of a tensor under the concrete lambda map, reduced modulo the
-    denominator subspace; a zero residual certifies kernel membership."""
+    denominator subspace, as a sparse vector; an empty residual certifies
+    kernel membership."""
     A = pres.algebra
     f = pres.fbar
-    den = pres.denominator_space(i)
-    total = zero_vector(f.dim)
+    total: dict = {}
     for (a, b), coeff in tensor.items():
-        if coeff == 0:
-            continue
-        w_u = pres.lift_into_gamma(leg1_rows[a], i)
-        w_y = unit_vector(f.dim, f.generator_basis_index(b))
-        total = vadd(total, vscale(coeff, A.bracket(w_u, w_y)))
-    return A.gs_reduce(den, total)
+        w_u = sparse(pres.lift_into_gamma(leg1_rows[a], i))
+        w_y = {f.generator_basis_index(b): _ONE}
+        axpy(total, coeff, A.sparse_bracket(w_u, w_y))
+    return A.gs_reduce(pres.denominator_space(i), total)
 
 
 def witness_tuple_positions(L: LieSuperalgebra, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -17,19 +17,20 @@ from .exactla import (
     Matrix,
     Subspace,
     Vector,
-    is_zero_vector,
+    axpy,
+    dense,
     kernel,
+    sparse,
     subspace_intersect,
     subspace_sum,
-    unit_vector,
     vector,
-    zero_vector,
 )
 
 EVEN = 0
 ODD = 1
 Parity = int
 
+_ZERO = Fraction(0)
 _ONE = Fraction(1)
 _MINUS_ONE = Fraction(-1)
 
@@ -195,59 +196,61 @@ class LieSuperalgebra:
         sign = -graded_sign(self.parities[i], self.parities[j])
         return {k: sign * c for k, c in base.items()}
 
-    def bracket_image(self, i: int, j: int, cols) -> Vector:
-        """Image of [b_i, b_j] under the linear map sending b_k to cols[k]."""
-        acc = [Fraction(0)] * len(cols[i])
+    def bracket_image(self, i: int, j: int, cols) -> dict:
+        """Image of [b_i, b_j] under the linear map sending b_k to the sparse cols[k]."""
+        acc: dict = {}
         for k, c in self.bracket_basis(i, j).items():
-            for t, v in enumerate(cols[k]):
-                if v:
-                    acc[t] += c * v
-        return tuple(acc)
+            axpy(acc, c, cols[k])
+        return acc
+
+    def sparse_bracket(self, x: dict, y: dict) -> dict:
+        """Bilinear extension of the table to sparse coordinate vectors."""
+        acc: dict = {}
+        for i, xi in x.items():
+            for j, yj in y.items():
+                axpy(acc, xi * yj, self.bracket_basis(i, j))
+        return acc
 
     def bracket(self, x, y) -> Vector:
-        """Bilinear extension of the table to coordinate sequences.
+        """`sparse_bracket` on dense coordinate sequences.
 
-        Entries may be ints or Fractions; only the nonzero ones are
-        visited, and the result is a tuple of Fractions.
+        Entries may be ints or Fractions; the result is a tuple of
+        Fractions.
         """
         if len(x) != self.dim or len(y) != self.dim:
             raise AlgebraError(f"coordinate vectors must have length {self.dim}")
-        ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        acc = [Fraction(0)] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in ys:
-                f = xi * yj
-                for k, c in self.bracket_basis(i, j).items():
-                    acc[k] += f * c
-        return tuple(acc)
+        return dense(self.sparse_bracket(sparse(x), sparse(y)), self.dim)
 
     # -- homogeneity helpers ----------------------------------------------
 
-    def split(self, v) -> tuple[Vector, Vector]:
-        v = vector(v)
-        return v[: self.n_even], v[self.n_even:]
+    def split(self, v) -> tuple[dict, dict]:
+        """The even and odd blocks of a full-coordinate vector, dense or
+        sparse, as sparse vectors in block coordinates."""
+        if not isinstance(v, dict):
+            if len(v) != self.dim:
+                raise AlgebraError(f"coordinate vectors must have length {self.dim}")
+            v = sparse(v)
+        ne = self.n_even
+        return (
+            {k: c for k, c in v.items() if k < ne},
+            {k - ne: c for k, c in v.items() if k >= ne},
+        )
 
-    def join(self, ve, vo) -> Vector:
-        return tuple(ve) + tuple(vo)
-
-    def embed_even(self, row) -> Vector:
-        return tuple(row) + zero_vector(self.n_odd)
-
-    def embed_odd(self, row) -> Vector:
-        return zero_vector(self.n_even) + tuple(row)
+    def embed(self, even_rows, odd_rows) -> list[dict]:
+        """Full-coordinate sparse vectors from block rows, even rows first."""
+        ne = self.n_even
+        return list(even_rows) + [{k + ne: c for k, c in r.items()} for r in odd_rows]
 
     def is_homogeneous(self, v) -> bool:
         ve, vo = self.split(v)
-        return is_zero_vector(ve) or is_zero_vector(vo)
+        return not ve or not vo
 
     def parity_of(self, v) -> Parity:
         """Parity of a homogeneous vector; zero counts as even."""
         ve, vo = self.split(v)
-        if is_zero_vector(vo):
+        if not vo:
             return EVEN
-        if is_zero_vector(ve):
+        if not ve:
             return ODD
         raise AlgebraError("vector is not homogeneous")
 
@@ -305,7 +308,7 @@ class LieSuperalgebra:
                         )
         if not malformed:
             for i, j, k in itertools.combinations_with_replacement(range(self.dim), 3):
-                if not is_zero_vector(self._jacobi_residual(i, j, k)):
+                if self._jacobi_residual(i, j, k):
                     violations.append(
                         f"graded Jacobi identity fails on "
                         f"({self.label_of(i)},{self.label_of(j)},{self.label_of(k)})"
@@ -314,20 +317,17 @@ class LieSuperalgebra:
         self._cache["validate"] = report
         return report
 
-    def _jacobi_residual(self, i: int, j: int, k: int) -> Vector:
+    def _jacobi_residual(self, i: int, j: int, k: int) -> dict:
         # (-1)^{|i||k|}[b_i,[b_j,b_k]] + cyclic; vanishing on i<=j<=k triples
         # suffices because the expression is graded-symmetric under the
         # bracket's skew-symmetry alone.
         p = self.parities
-        acc = [Fraction(0)] * self.dim
+        acc: dict = {}
         for (a, b, c_) in ((i, j, k), (j, k, i), (k, i, j)):
             sign = graded_sign(p[a], p[c_])
             for t, ct in self.bracket_basis(b, c_).items():
-                if ct == 0:
-                    continue
-                for u, cu in self.bracket_basis(a, t).items():
-                    acc[u] += sign * ct * cu
-        return tuple(acc)
+                axpy(acc, sign * ct, self.bracket_basis(a, t))
+        return acc
 
     def require_valid(self) -> None:
         report = self.validate()
@@ -343,43 +343,45 @@ class LieSuperalgebra:
         return GradedSubspace(Subspace.full(self.n_even), Subspace.full(self.n_odd))
 
     def graded_span(self, vectors) -> GradedSubspace:
-        """Span of the parity projections of the given full-coordinate vectors."""
+        """Span of the parity blocks of full-coordinate vectors, dense or sparse."""
         evens, odds = [], []
         for v in vectors:
             ve, vo = self.split(v)
-            if not is_zero_vector(ve):
+            if ve:
                 evens.append(ve)
-            if not is_zero_vector(vo):
+            if vo:
                 odds.append(vo)
         return GradedSubspace(
             Subspace.span(evens, self.n_even), Subspace.span(odds, self.n_odd)
         )
 
+    def members(self, gs: GradedSubspace) -> list[dict]:
+        """Homogeneous basis of gs as full-coordinate sparse vectors, even rows first."""
+        return self.embed(gs.even.rows, gs.odd.rows)
+
     def gs_members(self, gs: GradedSubspace) -> list[Vector]:
-        """Homogeneous basis of gs as full-coordinate vectors, even rows first."""
-        out = [self.embed_even(row) for row in gs.even.basis]
-        out += [self.embed_odd(row) for row in gs.odd.basis]
-        return out
+        """`members` as dense vectors."""
+        return [dense(v, self.dim) for v in self.members(gs)]
 
     def gs_contains(self, gs: GradedSubspace, v) -> bool:
         ve, vo = self.split(v)
         return gs.even.contains(ve) and gs.odd.contains(vo)
 
-    def gs_reduce(self, gs: GradedSubspace, v) -> Vector:
+    def gs_reduce(self, gs: GradedSubspace, v) -> dict:
+        """v with gs's pivot coordinates eliminated per block, as a sparse vector."""
         ve, vo = self.split(v)
-        return self.join(gs.even.reduce(ve), gs.odd.reduce(vo))
+        out = gs.even.reduce(ve)
+        out.update((k + self.n_even, c) for k, c in gs.odd.reduce(vo).items())
+        return out
 
     # -- structural invariants ----------------------------------------------
 
     def product_space(self, u: GradedSubspace, w: GradedSubspace) -> GradedSubspace:
         """Span of all brackets of homogeneous basis members of u and w."""
-        out = []
-        for x in self.gs_members(u):
-            for y in self.gs_members(w):
-                z = self.bracket(x, y)
-                if not is_zero_vector(z):
-                    out.append(z)
-        return self.graded_span(out)
+        ws = self.members(w)
+        return self.graded_span(
+            self.sparse_bracket(x, y) for x in self.members(u) for y in ws
+        )
 
     def lower_central_series(self) -> list[GradedSubspace]:
         """Chain gamma_1 = L, gamma_{k+1} = [gamma_k, L] until it stabilizes.
@@ -443,21 +445,18 @@ class LieSuperalgebra:
     # -- quotients and generators --------------------------------------------
 
     def is_graded_ideal(self, gs: GradedSubspace) -> tuple[bool, str | None]:
-        for x in self.gs_members(gs):
+        for x in self.members(gs):
             for j in range(self.dim):
-                z = self.bracket(x, unit_vector(self.dim, j))
-                if not self.gs_contains(gs, z):
+                if not self.gs_contains(gs, self.sparse_bracket(x, {j: _ONE})):
                     witness = (
                         f"[{self._describe(x)}, {self.label_of(j)}] escapes the subspace"
                     )
                     return False, witness
         return True, None
 
-    def _describe(self, v) -> str:
+    def _describe(self, v: dict) -> str:
         terms = [
-            (f"{c}*" if c != 1 else "") + self.label_of(i)
-            for i, c in enumerate(v)
-            if c != 0
+            (f"{c}*" if c != 1 else "") + self.label_of(i) for i, c in sorted(v.items())
         ]
         return " + ".join(terms) if terms else "0"
 
@@ -476,41 +475,43 @@ class LieSuperalgebra:
 
         The complement basis is the set of non-pivot coordinates of the
         ideal per parity block, so the induced table is deterministic.
+        Column s of the projection is b_s reduced by the ideal, read at
+        those coordinates, and the table is [b_a, b_b] projected for
+        complement indices a <= b.
+
+        The projection is then a homomorphism of even degree, with no
+        check needed: b_s minus its reduction c_s lies in the ideal I, so
+        [b_i, b_j] - [c_i, c_j] = [b_i - c_i, b_j] + [c_i, b_j - c_j] lies
+        in I, which `is_graded_ideal` has checked; the projection of
+        [c_i, c_j] is the table's bracket of the projections, by
+        bilinearity, and reduction keeps parity blocks apart.
         """
         ok, witness = self.is_graded_ideal(ideal)
         if not ok:
             raise AlgebraError(f"not an ideal of {self.name}: {witness}")
         comp = self.complement_indices(ideal)
+        pos = {s: t for t, s in enumerate(comp)}
         labels = [self.basis_labels[i] for i in comp]
         pars = [self.parities[i] for i in comp]
-        # column s is the image of b_s, projected once
-        cols = []
-        for s in range(self.dim):
-            red = self.gs_reduce(ideal, unit_vector(self.dim, s))
-            cols.append(tuple(red[i] for i in comp))
-
+        # column s is the image of b_s; reduction leaves only complement keys
+        cols = [
+            {pos[k]: c for k, c in self.gs_reduce(ideal, {s: _ONE}).items()}
+            for s in range(self.dim)
+        ]
         table = {}
         for a in range(len(comp)):
             for b in range(a, len(comp)):
                 z = self.bracket_image(comp[a], comp[b], cols)
-                terms = tuple((t, c) for t, c in enumerate(z) if c != 0)
-                if terms:
-                    table[(a, b)] = terms
+                if z:
+                    table[(a, b)] = tuple(sorted(z.items()))
         q = LieSuperalgebra(
             name if name is not None else f"{self.name}/I", labels, pars, table
         )
-        proj = Matrix.from_rows(
-            [[cols[s][t] for s in range(self.dim)] for t in range(len(comp))],
-            cols=self.dim,
+        proj = Matrix(
+            len(comp),
+            self.dim,
+            tuple(col.get(t, _ZERO) for t in range(len(comp)) for col in cols),
         )
-        # projection must be a homomorphism of even degree
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                if self.bracket_image(i, j, cols) != q.bracket(cols[i], cols[j]):
-                    raise AlgebraError(
-                        f"projection from {self.name} is not a homomorphism at "
-                        f"({self.label_of(i)},{self.label_of(j)})"
-                    )
         return q, proj
 
     def minimal_generator_dims(self) -> SuperDim:

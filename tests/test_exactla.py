@@ -10,6 +10,7 @@ from superschur.exactla import (
     Subspace,
     SubspaceError,
     complement_rows,
+    dense,
     is_zero_vector,
     nullspace,
     quotient_dim,
@@ -18,6 +19,7 @@ from superschur.exactla import (
     subspace_intersect,
     subspace_sum,
     unit_vector,
+    vadd,
     vector,
 )
 
@@ -174,12 +176,43 @@ def test_modular_dimension_law(pair):
     )
 
 
+def _rank_contains(u, v):
+    """Membership by the rank oracle: rref of u's basis plus v."""
+    return rref(Matrix.from_rows(list(u.basis) + [v], cols=u.ambient_dim))[1] == u.dim
+
+
 @given(subspace_pairs())
 @settings(max_examples=40, deadline=None)
 def test_intersection_members_lie_in_both(pair):
     u, w = pair
     for row in subspace_intersect(u, w).basis:
         assert u.contains(row) and w.contains(row)
+    # reduce, contains and coords on the sparse rows against the rank oracle
+    probes = list(w.basis) + [vadd(a, b) for a, b in zip(u.basis, w.basis)]
+    for v in probes:
+        inside = _rank_contains(u, v)
+        sv = {i: c for i, c in enumerate(v) if c}
+        red = u.reduce(sv)
+        assert u.reduce(v) == red
+        assert not any(p in red for p in u.pivots)
+        assert _rank_contains(u, [a - b for a, b in zip(v, dense(red, u.ambient_dim))])
+        assert u.contains(v) == u.contains(sv) == (not red) == inside
+        coords = u.coords(v)
+        if inside:
+            combo = [F(0)] * u.ambient_dim
+            for c, row in zip(coords, u.basis):
+                combo = [x + c * y for x, y in zip(combo, row)]
+            assert tuple(combo) == vector(v)
+        else:
+            assert coords is None
+    # complement_rows: dim u - dim w rows when w ⊆ u, a witness otherwise
+    if all(_rank_contains(u, row) for row in w.basis):
+        comp = complement_rows(u, w)
+        assert len(comp) == quotient_dim(u, w) == u.dim - w.dim
+        assert subspace_sum(Subspace.span(comp, u.ambient_dim), w) == u
+    else:
+        with pytest.raises(SubspaceError, match="witness"):
+            complement_rows(u, w)
 
 
 @given(
@@ -208,6 +241,17 @@ def test_canonical_basis_is_spanning_set_independent(data):
         recombined.append(v)
     w = Subspace.span(list(vecs) + recombined, n)
     assert w == u  # bit-identical canonical bases
+    assert hash(w) == hash(u)
+    flipped = Subspace.span([dict(reversed(row.items())) for row in u.rows], n)
+    assert flipped == u and hash(flipped) == hash(u)  # key order is not data
+    assert Subspace.span(reversed(recombined + list(vecs)), n) == u
+    # the rows are canonical: each pivot is its row's smallest key, it is
+    # 1, every other row is 0 there, and pivots increase along the rows
+    assert list(u.pivots) == sorted(set(u.pivots))
+    for i, (row, p) in enumerate(zip(u.rows, u.pivots)):
+        assert min(row) == p and row[p] == 1 and all(row.values())
+        assert all(p not in other for t, other in enumerate(u.rows) if t != i)
+    assert u.basis == tuple(tuple(row.get(t, 0) for t in range(n)) for row in u.rows)
 
 
 def test_solve_consistent_and_inconsistent():

@@ -10,7 +10,7 @@ from superschur.catalog import (
     heisenberg3,
     special_heisenberg_odd,
 )
-from superschur.exactla import Matrix, is_zero_vector, rref, unit_vector, vector
+from superschur.exactla import Matrix, dense, is_zero_vector, rref, sparse, unit_vector, vector
 from superschur.superalg import (
     EVEN,
     ODD,
@@ -126,6 +126,20 @@ class TestBracket:
             z = L.bracket(x, y)
             assert z == L.bracket(vector(x), vector(y))
             assert all(type(c) is F for c in z)
+        # random Fraction vectors, many entries zero: the dense wrapper, the
+        # sparse loop and a dense sum over all basis pairs agree
+        for _ in range(10):
+            x, y = (
+                [F(rng.choice([0, 0, 1, -2, 3]), rng.choice([1, 2, 3])) for _ in range(L.dim)]
+                for _ in range(2)
+            )
+            expect = [F(0)] * L.dim
+            for i in range(L.dim):
+                for j in range(L.dim):
+                    for k, c in L.bracket_basis(i, j).items():
+                        expect[k] += x[i] * y[j] * c
+            assert L.bracket(x, y) == tuple(expect)
+            assert dense(L.sparse_bracket(sparse(x), sparse(y)), L.dim) == tuple(expect)
 
 
 class TestSeries:
@@ -240,6 +254,44 @@ class TestQuotient:
         line = h.graded_span([unit_vector(3, 0)])  # [e1, e2] = e3 escapes
         with pytest.raises(AlgebraError, match="escapes"):
             h.quotient(line)
+        with pytest.raises(AlgebraError) as err:
+            h.quotient(h.graded_span([(2, 0, 1)]))
+        assert str(err.value) == (
+            "not an ideal of heis3: [e1 + 1/2*e3, e2] escapes the subspace"
+        )
+
+    def test_projection_is_a_homomorphism(self, monkeypatch):
+        # every quotient the package builds: the catalog's free (2|1)
+        # quotients, and L/gamma_c and L/gamma_2 of every shipped algebra of
+        # class >= 2 and of a change_basis copy of it
+        built = []
+        quotient = LieSuperalgebra.quotient
+
+        def record(L, ideal, name=None):
+            q, proj = quotient(L, ideal, name)
+            built.append((L, ideal, q, proj))
+            return q, proj
+
+        monkeypatch.setattr(LieSuperalgebra, "quotient", record)
+        shipped = builtin_algebras()
+        assert len(built) == 4
+        deep = [L for L in shipped if L.is_nilpotent() and L.nilpotency_class() >= 2]
+        for seed, L in enumerate(deep):
+            for M in (L, _basis_changed(L, seed)):
+                M.quotient(M.gamma(M.nilpotency_class()))
+                M.quotient(M.gamma(2))
+        assert len(deep) == 10 and len(built) == 4 + 4 * len(deep)
+        for L, ideal, q, proj in built:
+            assert all(is_zero_vector(proj.mul_vec(v)) for v in L.gs_members(ideal))
+            assert q.dim == L.dim - ideal.total_dim
+            e = [unit_vector(L.dim, i) for i in range(L.dim)]
+            im = [proj.mul_vec(v) for v in e]
+            for i in range(L.dim):
+                assert q.parity_of(im[i]) == L.parity(i) or is_zero_vector(im[i])
+                for j in range(L.dim):
+                    assert proj.mul_vec(L.bracket(e[i], e[j])) == q.bracket(im[i], im[j]), (
+                        f"{L.name} -> {q.name} at ({L.label_of(i)},{L.label_of(j)})"
+                    )
 
 
 class TestGenerators:
