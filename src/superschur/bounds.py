@@ -117,10 +117,8 @@ def extract_input(L: LieSuperalgebra) -> BoundInput:
     """Read (m|n), (r|s) and the class off a nilpotent algebra."""
     L.require_valid()
     c = L.nilpotency_class()
-    g2 = L.gamma(2)
-    return BoundInput(
-        m=L.n_even, n=L.n_odd, r=g2.even.dim, s=g2.odd.dim, c=c
-    )
+    g2 = L.superdim(L.gamma(2))
+    return BoundInput(m=L.n_even, n=L.n_odd, r=g2.even, s=g2.odd, c=c)
 
 
 @dataclass

@@ -128,7 +128,7 @@ def _free21_quotients() -> list[LieSuperalgebra]:
     out.append(relabel_canonical(q2b, "free21c2oddcut"))
     # class-3 quotient by one degree-3 line (degree-3 elements are central)
     g3 = a3.gamma(3)
-    line = a3.graded_span([a3.gs_members(g3)[0]])
+    line = a3.graded_span([g3.basis[0]])
     q3, _ = a3.quotient(line)
     out.append(relabel_canonical(q3, "free21c3cut"))
     return out

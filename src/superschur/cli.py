@@ -163,11 +163,11 @@ def cmd_invariants(args) -> Report:
         rec = {"algebra": alg.name, "dim": alg.sdim}
         series = alg.lower_central_series()
         rec["nilpotent"] = alg.is_nilpotent()
-        rec["series_dims"] = [gs.sdim for gs in series]
+        rec["series_dims"] = [alg.superdim(gs) for gs in series]
         if alg.is_nilpotent():
             rec["class"] = alg.nilpotency_class()
             rec["generator_dims"] = alg.minimal_generator_dims()
-        rec["center_dim"] = alg.center().sdim
+        rec["center_dim"] = alg.superdim(alg.center())
         records.append(rec)
     return Report("invariants", records, True)
 

@@ -145,17 +145,14 @@ class SparseEchelon:
     def _reduce(self, v: dict, ledger: dict) -> tuple[dict, dict]:
         v = {k: Fraction(c) for k, c in v.items() if c != 0}
         ledger = {k: Fraction(c) for k, c in ledger.items() if c != 0}
-        while True:
-            hits = [k for k in v if k in self._pivots]
-            if not hits:
-                return v, ledger
-            for k in hits:
-                f = v.get(k, _ZERO)
-                if f == 0:
-                    continue
-                _, row, led = self._rows[self._pivots[k]]
-                axpy(v, -f, row)
-                axpy(ledger, -f, led)
+        # every row is 0 at the other rows' pivots, so clearing one pivot
+        # leaves v's other pivot entries alone: one pass clears them all
+        for k in [k for k in v if k in self._pivots]:
+            f = v[k]
+            _, row, led = self._rows[self._pivots[k]]
+            axpy(v, -f, row)
+            axpy(ledger, -f, led)
+        return v, ledger
 
     def insert(self, v: dict, tag: Hashable) -> bool:
         """Add v (tagged) if it enlarges the row space; returns acceptance."""
@@ -167,8 +164,8 @@ class SparseEchelon:
         rv = {k: c * inv for k, c in rv.items()}
         rl = {k: c * inv for k, c in rl.items()}
         for idx, (p, row, led) in enumerate(self._rows):
-            f = row.get(pivot, _ZERO)
-            if f != 0:
+            if pivot in row:
+                f = row[pivot]
                 row = dict(row)
                 led = dict(led)
                 axpy(row, -f, rv)
@@ -297,6 +294,13 @@ class Subspace:
     def pivots(self) -> tuple[int, ...]:
         return tuple(min(r) for r in self.rows)
 
+    @cached_property
+    def non_pivots(self) -> tuple[int, ...]:
+        """The coordinates that are no row's pivot, in increasing order; their
+        unit vectors span a complement."""
+        taken = set(self.pivots)
+        return tuple(i for i in range(self.ambient_dim) if i not in taken)
+
     def reduce(self, v) -> dict:
         """v minus v[p] times the row of each pivot p, as a sparse vector.
 
@@ -345,15 +349,15 @@ def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:
     ech = SparseEchelon()
     for i, row in enumerate(u.rows):
         ech.insert(row, tag=i)
-    members = []
+    shared = []
     for j, row in enumerate(w.rows):
         if not ech.insert(row, tag=u.dim + j):
             v: dict = {}
             for i, a in ech.express(row).items():
                 if i < u.dim:
                     axpy(v, a, u.rows[i])
-            members.append(v)
-    return Subspace.span(members, u.ambient_dim)
+            shared.append(v)
+    return Subspace.span(shared, u.ambient_dim)
 
 
 def complement_rows(u: Subspace, w: Subspace) -> tuple[dict, ...]:

@@ -2,30 +2,22 @@
 
 Bracket words embed into the free associative superalgebra through
 [a, b] = ab - (-1)^{|a||b|} ba.  Per-degree bases are picked by exact
-rank computation on those expansions (left-normed words span every
-graded component), structure constants are solved from the same
-expansions, and an independent word-counting oracle cross-checks the
-resulting dimensions.
+rank computation on those expansions: the degree-d candidates are the
+brackets [w, g] of the kept degree-(d-1) words w with the generators g
+(left-normed words span every graded component), structure constants
+are solved from the same expansions, and an independent word-counting
+oracle cross-checks the resulting dimensions.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
 
 from .exactla import Matrix, SparseEchelon, Subspace, Vector, axpy, sparse, vector
-from .superalg import (
-    EVEN,
-    ODD,
-    AlgebraError,
-    GradedSubspace,
-    LieSuperalgebra,
-    SuperDim,
-    graded_sign,
-)
+from .superalg import EVEN, ODD, AlgebraError, LieSuperalgebra, SuperDim, graded_sign
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -145,10 +137,14 @@ class GeneratorSpec:
 class FreeNilpotentSuperalgebra:
     """Free Lie superalgebra on graded generators modulo brackets of length > k.
 
-    Built degree by degree: candidates are the left-normed bracket words
-    over all index tuples in lexicographic order, and a candidate joins
-    the basis exactly when its associative expansion is independent of
-    the expansions already kept.  The assembled structure-constant table
+    Built degree by degree: the degree-d candidates are the left-normed
+    words [w, g] for the kept degree-(d-1) words w, in keep order, and the
+    generators g, and a candidate joins the basis exactly when its
+    associative expansion is independent of the expansions already kept.
+    This keeps the same words as trying the left-normed words of all
+    index tuples in lexicographic order: a word w left out there is a
+    combination of earlier kept words, so [w, g] is a combination of
+    earlier candidates [w', g].  The assembled structure-constant table
     is computed lazily on first use.
     """
 
@@ -163,9 +159,7 @@ class FreeNilpotentSuperalgebra:
             ech = SparseEchelon()
             words: list = []
             wpars: list[int] = []
-            for tup in itertools.product(range(spec.num), repeat=d):
-                w = left_normed_word(tup)
-                e = expand(w, pars)
+            for w, e in self._candidates(d):
                 if e and ech.insert(e, tag=len(words)):
                     words.append(w)
                     wpars.append(word_parity(w, pars))
@@ -185,6 +179,21 @@ class FreeNilpotentSuperalgebra:
         self.dim = len(self._basis)
         self._index = {(d, slot): idx for idx, (d, slot, _) in enumerate(self._basis)}
         self._algebra: LieSuperalgebra | None = None
+
+    def _candidates(self, d: int):
+        """The degree-d candidate words with their expansions, lazily; the
+        expansion of [w, g] is e g - (-1)^{|w||g|} g e for e that of w."""
+        pars = self.spec.parities
+        if d == 1:
+            for g in range(self.spec.num):
+                yield g, {(g,): _ONE}
+            return
+        for w, pw in zip(self.degree_words[d - 2], self.degree_parities[d - 2]):
+            e = self._expansions[w]
+            for g in range(self.spec.num):
+                z = _concat(e, {(g,): _ONE})
+                axpy(z, -graded_sign(pw, pars[g]), _concat({(g,): _ONE}, e))
+                yield (w, g), z
 
     # -- counting ------------------------------------------------------------
 
@@ -214,16 +223,11 @@ class FreeNilpotentSuperalgebra:
         """Global basis index of generator t (degree-1 words are the generators)."""
         return self._index[(1, t)]
 
-    def gamma(self, d: int) -> GradedSubspace:
+    def gamma(self, d: int) -> Subspace:
         """Degree filtration: span of basis elements of degree >= d."""
-        def block(entries):
-            # unit rows in increasing index order are already reduced row-echelon
-            rows = tuple({i: _ONE} for i, (deg, _, _) in enumerate(entries) if deg >= d)
-            return Subspace(len(entries), rows)
-
-        return GradedSubspace(
-            block(self._basis[: self.n_even]), block(self._basis[self.n_even:])
-        )
+        # unit rows in increasing index order are already reduced row-echelon
+        rows = tuple({i: _ONE} for i, (deg, _, _) in enumerate(self._basis) if deg >= d)
+        return Subspace(self.dim, rows)
 
     # -- assembled algebra -------------------------------------------------------
 

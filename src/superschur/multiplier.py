@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .exactla import (
     SparseEchelon,
+    Subspace,
     Vector,
     axpy,
     complement_rows,
@@ -31,6 +32,8 @@ from .exactla import (
     quotient_dim,
     rref,
     sparse,
+    subspace_intersect,
+    subspace_sum,
     unit_vector,
     vector,
 )
@@ -47,12 +50,9 @@ from .superalg import (
     EVEN,
     ODD,
     AlgebraError,
-    GradedSubspace,
     LieSuperalgebra,
     SuperDim,
     graded_sign,
-    gs_intersect,
-    gs_sum,
     left_normed,
     right_normed,
 )
@@ -84,7 +84,7 @@ class FreePresentation:
     target: LieSuperalgebra
     fbar: FreeNilpotentSuperalgebra
     pi: HomMap
-    relations: GradedSubspace
+    relations: Subspace
     lift_indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -109,16 +109,16 @@ class FreePresentation:
             raise AlgebraError("element does not lift into the requested filtration step")
         return dense(coeffs, f.dim)
 
-    def numerator_space(self, i: int) -> GradedSubspace:
+    def numerator_space(self, i: int) -> Subspace:
         """[gamma_i(F) + R, F] inside fbar."""
         key = ("num", i)
         if key not in self._cache:
             self._cache[key] = bracket_with_free(
-                self.fbar, gs_sum(self.fbar.gamma(i), self.relations)
+                self.fbar, subspace_sum(self.fbar.gamma(i), self.relations)
             )
         return self._cache[key]
 
-    def denominator_space(self, i: int) -> GradedSubspace:
+    def denominator_space(self, i: int) -> Subspace:
         """[R, F] at the top step i = c, else [gamma_{i+1}(F) + R, F]."""
         c = self.target.nilpotency_class()
         key = ("den", i)
@@ -126,12 +126,12 @@ class FreePresentation:
             if i == c:
                 base = self.relations
             else:
-                base = gs_sum(self.fbar.gamma(i + 1), self.relations)
+                base = subspace_sum(self.fbar.gamma(i + 1), self.relations)
             self._cache[key] = bracket_with_free(self.fbar, base)
         return self._cache[key]
 
 
-def bracket_with_free(f: FreeNilpotentSuperalgebra, ideal: GradedSubspace) -> GradedSubspace:
+def bracket_with_free(f: FreeNilpotentSuperalgebra, ideal: Subspace) -> Subspace:
     """[I, F] for a graded ideal I of F, as the product space [I, G] with
     G the span of the generators of F.
 
@@ -141,16 +141,19 @@ def bracket_with_free(f: FreeNilpotentSuperalgebra, ideal: GradedSubspace) -> Gr
     and [x, y], [x, z] lie in I; so they are all of F.
     """
     A = f.algebra
-    gens = A.graded_span({f.generator_basis_index(t): _ONE} for t in range(f.spec.num))
+    gens = Subspace.span(
+        ({f.generator_basis_index(t): _ONE} for t in range(f.spec.num)), A.dim
+    )
     return A.product_space(ideal, gens)
 
 
 def present(L: LieSuperalgebra, lift_order=None) -> FreePresentation:
     """Truncated free presentation of a nonzero nilpotent superalgebra.
 
-    Lifts are the coordinate vectors complementary to [L, L], taken per
-    parity block; `lift_order` optionally permutes them (the reported
-    dimensions must not depend on it).
+    Lifts are the coordinate vectors complementary to [L, L], evens
+    first; `lift_order` optionally permutes them within parities (the
+    reported dimensions must not depend on it).  pi keeps parity, so an
+    even and an odd column share no key and its kernel R is graded.
     """
     L.require_valid()
     c = L.nilpotency_class()
@@ -177,10 +180,7 @@ def present(L: LieSuperalgebra, lift_order=None) -> FreePresentation:
         raise AlgebraError(
             f"chosen lifts fail to generate {L.name} (closure has rank {rank})"
         )
-    relations = GradedSubspace(
-        kernel(pi.columns[: f.n_even]), kernel(pi.columns[f.n_even:])
-    )
-    pres = FreePresentation(L, f, pi, relations, tuple(lifts))
+    pres = FreePresentation(L, f, pi, kernel(pi.columns), tuple(lifts))
     for idx in range(f.dim):
         if f.basis_degree(idx) > c and pi.columns[idx]:
             raise AlgebraError("truncation step is not contained in the relations")
@@ -200,12 +200,11 @@ def schur_multiplier_hopf(L: LieSuperalgebra) -> MultiplierResult:
         return result
     pres = present(L)
     A = pres.algebra
-    f2 = pres.fbar.gamma(2)
-    num = gs_intersect(pres.relations, f2)
+    num = subspace_intersect(pres.relations, pres.fbar.gamma(2))
     den = pres.denominator_space(L.nilpotency_class())
-    even, odd = complement_rows(num.even, den.even), complement_rows(num.odd, den.odd)
-    witnesses = tuple(dense(v, A.dim) for v in A.embed(even, odd))
-    result = MultiplierResult(SuperDim(len(even), len(odd)), "hopf", witnesses)
+    # a subset of reduced row-echelon rows is itself in that form
+    comp = Subspace(A.dim, complement_rows(num, den))
+    result = MultiplierResult(A.superdim(comp), "hopf", comp.basis)
     L._cache["hopf"] = result
     return result
 
@@ -310,7 +309,7 @@ def bracket_quotient_dim(pres: FreePresentation, i: int) -> int:
         raise AlgebraError(f"index {i} outside [2, {c}]")
     num = pres.numerator_space(i)
     den = pres.denominator_space(i)
-    return quotient_dim(num.even, den.even) + quotient_dim(num.odd, den.odd)
+    return quotient_dim(num, den)
 
 
 def bracket_map_kernel_dim(L: LieSuperalgebra, i: int) -> int:
@@ -324,11 +323,8 @@ def bracket_map_kernel_dim(L: LieSuperalgebra, i: int) -> int:
     c = L.nilpotency_class()
     if not 2 <= i <= c:
         raise AlgebraError(f"index {i} outside [2, {c}]")
-    cogen = L.dim - L.gamma(2).total_dim
-    if i == c:
-        first = L.gamma(c).total_dim
-    else:
-        first = L.gamma(i).total_dim - L.gamma(i + 1).total_dim
+    cogen = L.dim - L.gamma(2).dim
+    first = L.gamma(i).dim - L.gamma(i + 1).dim
     kernel = first * cogen - bracket_quotient_dim(pres, i)
     if kernel < 0:
         raise AlgebraError("bracket quotient exceeds its tensor domain")
@@ -352,9 +348,7 @@ class WitnessTensor:
 def _leg1_rows(L: LieSuperalgebra, i: int) -> tuple[Vector, ...]:
     """Representatives spanning γ_i/γ_{i+1}: the rows of γ_i off the
     pivots of γ_{i+1}, which is zero at the top step i = c."""
-    gi, gnext = L.gamma(i), L.gamma(i + 1)
-    rows = L.embed(complement_rows(gi.even, gnext.even), complement_rows(gi.odd, gnext.odd))
-    return tuple(dense(v, L.dim) for v in rows)
+    return tuple(dense(v, L.dim) for v in complement_rows(L.gamma(i), L.gamma(i + 1)))
 
 
 def _leg1_coords(L: LieSuperalgebra, i: int, v) -> list[Fraction]:
@@ -365,20 +359,22 @@ def _leg1_coords(L: LieSuperalgebra, i: int, v) -> list[Fraction]:
     zero except at the representatives.
     """
     gi, gnext = L.gamma(i), L.gamma(i + 1)
-    out: list[Fraction] = []
-    for amb, den, vb in zip((gi.even, gi.odd), (gnext.even, gnext.odd), L.split(v)):
-        coords = amb.coords(den.reduce(vb))
-        if coords is None:
-            raise AlgebraError("element lies outside the filtration step")
-        skip = set(den.pivots)
-        out.extend(c for c, p in zip(coords, amb.pivots) if p not in skip)
-    return out
+    coords = gi.coords(gnext.reduce(v))
+    if coords is None:
+        raise AlgebraError("element lies outside the filtration step")
+    skip = set(gnext.pivots)
+    return [c for c, p in zip(coords, gi.pivots) if p not in skip]
 
 
 def witness_terms(L: LieSuperalgebra, xs, i: int) -> list[tuple[Fraction, Vector, int]]:
     """Signed (coefficient, bracket value, tuple position) triples of the
     witness tensor: the rewriting identity's terms with the outermost
-    bracket replaced by ⊗, brace term dropped."""
+    bracket replaced by ⊗, brace term dropped.
+
+    At i = 2 the brace term [x_1, [x_2, x_3]] is a multiple of the a = 2
+    term [[x_2, x_3], x_1]; folded in, it leaves that term the sign
+    (-1)^{|x_1||x_2|}, and the three terms are the graded Jacobi identity.
+    """
     parities = tuple(L.parity_of(x) for x in xs)
     terms = [(rewrite_head_sign(i, parities), left_normed(L, xs[:i]), i)]
     for a in range(i + 1, 1, -1):
@@ -387,7 +383,11 @@ def witness_terms(L: LieSuperalgebra, xs, i: int) -> list[tuple[Fraction, Vector
             inner = right
         else:
             inner = L.bracket(right, left_normed(L, xs[: a - 2]))
-        terms.append((rewrite_term_sign(i, a, parities), inner, a - 2))
+        if i == a == 2:
+            sign = graded_sign(parities[0], parities[1])
+        else:
+            sign = rewrite_term_sign(i, a, parities)
+        terms.append((sign, inner, a - 2))
     return terms
 
 
@@ -455,7 +455,7 @@ def bracket_map_residual(
         w_u = sparse(pres.lift_into_gamma(leg1_rows[a], i))
         w_y = {f.generator_basis_index(b): _ONE}
         axpy(total, coeff, A.sparse_bracket(w_u, w_y))
-    return A.gs_reduce(pres.denominator_space(i), total)
+    return pres.denominator_space(i).reduce(total)
 
 
 def witness_tuple_positions(L: LieSuperalgebra, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -466,10 +466,10 @@ def witness_tuple_positions(L: LieSuperalgebra, i: int) -> tuple[tuple[int, ...]
     if not 2 <= i <= c:
         raise AlgebraError(f"index {i} outside [2, {c}]")
     lifts = [unit_vector(L.dim, t) for t in pres.lift_indices]
-    gnext = L.gamma(i + 1) if i < c else L.graded_zero()
+    gnext = L.gamma(i + 1)
     for tup in itertools.product(range(len(lifts)), repeat=i):
         z = left_normed(L, [lifts[t] for t in tup])
-        if not L.gs_contains(gnext, z):
+        if not gnext.contains(z):
             used = set(tup)
             rest = tuple(t for t in range(len(lifts)) if t not in used)
             return tup, rest
@@ -500,7 +500,7 @@ def verify_top_step_identity(L: LieSuperalgebra) -> IdentityReport:
     if c < 2:
         raise AlgebraError("identity needs nilpotency class at least 2")
     pres = present(L)
-    gc = L.gamma(c).total_dim
+    gc = L.gamma(c).dim
     m_l = schur_multiplier_hopf(L).dims.total
     q, _ = L.quotient(L.gamma(c), name=f"{L.name}/g{c}")
     m_q = schur_multiplier_hopf(q).dims.total
@@ -525,7 +525,7 @@ def verify_telescoped_identity(L: LieSuperalgebra) -> IdentityReport:
     if c < 2:
         raise AlgebraError("identity needs nilpotency class at least 2")
     m_l = schur_multiplier_hopf(L).dims.total
-    g2 = L.gamma(2).total_dim
+    g2 = L.gamma(2).dim
     cogen = L.dim - g2
     q, _ = L.quotient(L.gamma(2), name=f"{L.name}/g2")
     m_ab = schur_multiplier_hopf(q).dims.total

@@ -5,6 +5,11 @@ brackets [b_i, b_j] for i <= j; the other half of the table follows from
 graded skew-symmetry.  Validation checks the grading of every table
 entry, consistency of redundantly supplied entries, and the graded
 Jacobi identity on all basis triples.
+
+A graded subspace W = W_0 + W_1 is a plain `Subspace` of the full
+coordinate space.  Even coordinates come first, so W's reduced
+row-echelon rows are W_0's rows followed by W_1's: each is homogeneous,
+and `superdim` reads the (even | odd) dimensions off the pivots.
 """
 
 from __future__ import annotations
@@ -13,18 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import (
-    Matrix,
-    Subspace,
-    Vector,
-    axpy,
-    dense,
-    kernel,
-    sparse,
-    subspace_intersect,
-    subspace_sum,
-    vector,
-)
+from .exactla import Matrix, Subspace, Vector, axpy, dense, kernel, sparse, vector
 
 EVEN = 0
 ODD = 1
@@ -57,35 +51,6 @@ class SuperDim:
 
     def __str__(self) -> str:
         return f"({self.even}|{self.odd})"
-
-
-@dataclass(frozen=True)
-class GradedSubspace:
-    """A graded subspace, stored as one canonical Subspace per parity block."""
-
-    even: Subspace
-    odd: Subspace
-
-    @property
-    def sdim(self) -> SuperDim:
-        return SuperDim(self.even.dim, self.odd.dim)
-
-    @property
-    def total_dim(self) -> int:
-        return self.even.dim + self.odd.dim
-
-    def is_zero(self) -> bool:
-        return self.total_dim == 0
-
-
-def gs_sum(u: GradedSubspace, w: GradedSubspace) -> GradedSubspace:
-    return GradedSubspace(subspace_sum(u.even, w.even), subspace_sum(u.odd, w.odd))
-
-
-def gs_intersect(u: GradedSubspace, w: GradedSubspace) -> GradedSubspace:
-    return GradedSubspace(
-        subspace_intersect(u.even, w.even), subspace_intersect(u.odd, w.odd)
-    )
 
 
 @dataclass
@@ -153,6 +118,12 @@ class LieSuperalgebra:
     @property
     def sdim(self) -> SuperDim:
         return SuperDim(self.n_even, self.n_odd)
+
+    def superdim(self, S: Subspace) -> SuperDim:
+        """(even | odd) dimensions of a graded subspace: its rows with a
+        pivot below n_even are even, the rest odd."""
+        even = sum(1 for p in S.pivots if p < self.n_even)
+        return SuperDim(even, S.dim - even)
 
     def parity(self, i: int) -> Parity:
         return self.parities[i]
@@ -224,8 +195,8 @@ class LieSuperalgebra:
     # -- homogeneity helpers ----------------------------------------------
 
     def split(self, v) -> tuple[dict, dict]:
-        """The even and odd blocks of a full-coordinate vector, dense or
-        sparse, as sparse vectors in block coordinates."""
+        """The even and odd parts of a coordinate vector, dense or sparse,
+        as sparse vectors."""
         if not isinstance(v, dict):
             if len(v) != self.dim:
                 raise AlgebraError(f"coordinate vectors must have length {self.dim}")
@@ -233,13 +204,8 @@ class LieSuperalgebra:
         ne = self.n_even
         return (
             {k: c for k, c in v.items() if k < ne},
-            {k - ne: c for k, c in v.items() if k >= ne},
+            {k: c for k, c in v.items() if k >= ne},
         )
-
-    def embed(self, even_rows, odd_rows) -> list[dict]:
-        """Full-coordinate sparse vectors from block rows, even rows first."""
-        ne = self.n_even
-        return list(even_rows) + [{k + ne: c for k, c in r.items()} for r in odd_rows]
 
     def is_homogeneous(self, v) -> bool:
         ve, vo = self.split(v)
@@ -334,56 +300,26 @@ class LieSuperalgebra:
         if not report.ok:
             raise AlgebraError(f"{self.name} is not a Lie superalgebra: {report.summary()}")
 
-    # -- graded subspaces ----------------------------------------------------
-
-    def graded_zero(self) -> GradedSubspace:
-        return GradedSubspace(Subspace.zero(self.n_even), Subspace.zero(self.n_odd))
-
-    def graded_full(self) -> GradedSubspace:
-        return GradedSubspace(Subspace.full(self.n_even), Subspace.full(self.n_odd))
-
-    def graded_span(self, vectors) -> GradedSubspace:
-        """Span of the parity blocks of full-coordinate vectors, dense or sparse."""
-        evens, odds = [], []
-        for v in vectors:
-            ve, vo = self.split(v)
-            if ve:
-                evens.append(ve)
-            if vo:
-                odds.append(vo)
-        return GradedSubspace(
-            Subspace.span(evens, self.n_even), Subspace.span(odds, self.n_odd)
-        )
-
-    def members(self, gs: GradedSubspace) -> list[dict]:
-        """Homogeneous basis of gs as full-coordinate sparse vectors, even rows first."""
-        return self.embed(gs.even.rows, gs.odd.rows)
-
-    def gs_members(self, gs: GradedSubspace) -> list[Vector]:
-        """`members` as dense vectors."""
-        return [dense(v, self.dim) for v in self.members(gs)]
-
-    def gs_contains(self, gs: GradedSubspace, v) -> bool:
-        ve, vo = self.split(v)
-        return gs.even.contains(ve) and gs.odd.contains(vo)
-
-    def gs_reduce(self, gs: GradedSubspace, v) -> dict:
-        """v with gs's pivot coordinates eliminated per block, as a sparse vector."""
-        ve, vo = self.split(v)
-        out = gs.even.reduce(ve)
-        out.update((k + self.n_even, c) for k, c in gs.odd.reduce(vo).items())
-        return out
-
     # -- structural invariants ----------------------------------------------
 
-    def product_space(self, u: GradedSubspace, w: GradedSubspace) -> GradedSubspace:
-        """Span of all brackets of homogeneous basis members of u and w."""
-        ws = self.members(w)
-        return self.graded_span(
-            self.sparse_bracket(x, y) for x in self.members(u) for y in ws
+    def graded_span(self, vectors) -> Subspace:
+        """Span of the even and odd parts of vectors, dense or sparse."""
+        return Subspace.span(
+            (part for v in vectors for part in self.split(v) if part), self.dim
         )
 
-    def lower_central_series(self) -> list[GradedSubspace]:
+    def product_space(self, u: Subspace, w: Subspace) -> Subspace:
+        """Span of all brackets of rows of graded u and w.
+
+        The rows are homogeneous, so their brackets are; zero products
+        are dropped before they reach the echelon.
+        """
+        return Subspace.span(
+            (z for x in u.rows for y in w.rows if (z := self.sparse_bracket(x, y))),
+            self.dim,
+        )
+
+    def lower_central_series(self) -> list[Subspace]:
         """Chain gamma_1 = L, gamma_{k+1} = [gamma_k, L] until it stabilizes.
 
         For nilpotent algebras the returned chain ends with the zero
@@ -391,63 +327,61 @@ class LieSuperalgebra:
         """
         if "series" in self._cache:
             return self._cache["series"]
-        full = self.graded_full()
+        full = Subspace.full(self.dim)
         chain = [full]
         while True:
             nxt = self.product_space(chain[-1], full)
             if nxt == chain[-1]:
                 break
             chain.append(nxt)
-            if nxt.is_zero():
+            if nxt.dim == 0:
                 break
         self._cache["series"] = chain
         return chain
 
     def is_nilpotent(self) -> bool:
-        return self.lower_central_series()[-1].is_zero()
+        return self.lower_central_series()[-1].dim == 0
 
     def nilpotency_class(self) -> int:
         chain = self.lower_central_series()
-        if not chain[-1].is_zero():
+        if chain[-1].dim:
             raise AlgebraError(
                 f"{self.name} is not nilpotent: series stabilizes at "
-                f"dimension {chain[-1].sdim}"
+                f"dimension {self.superdim(chain[-1])}"
             )
         return len(chain) - 1
 
-    def gamma(self, i: int) -> GradedSubspace:
+    def gamma(self, i: int) -> Subspace:
         """i-th term of the descending central sequence (1-based)."""
         if i < 1:
             raise AlgebraError("series index starts at 1")
         chain = self.lower_central_series()
         return chain[min(i, len(chain)) - 1]
 
-    def center(self) -> GradedSubspace:
-        """{z : [z, x] = 0 for all x}, computed blockwise from adjoint maps."""
+    def center(self) -> Subspace:
+        """{z : [z, x] = 0 for all x}, the kernel of the adjoint columns.
+
+        Column i holds the coordinates t of [b_i, b_j], keyed (j, t).  An
+        even column's keys have |t| = |j| and an odd column's |t| != |j|,
+        so the two share no key and the kernel is graded.
+        """
         if "center" in self._cache:
             return self._cache["center"]
-
-        def block_kernel(indices):
-            # column i holds the coordinates t of [b_i, b_j], keyed (j, t)
-            return kernel([
-                {(j, t): c for j in range(self.dim)
-                 for t, c in self.bracket_basis(i, j).items()}
-                for i in indices
-            ])
-
-        result = GradedSubspace(
-            block_kernel(range(self.n_even)),
-            block_kernel(range(self.n_even, self.dim)),
-        )
+        result = kernel([
+            {(j, t): c for j in range(self.dim) for t, c in self.bracket_basis(i, j).items()}
+            for i in range(self.dim)
+        ])
         self._cache["center"] = result
         return result
 
     # -- quotients and generators --------------------------------------------
 
-    def is_graded_ideal(self, gs: GradedSubspace) -> tuple[bool, str | None]:
-        for x in self.members(gs):
+    def is_graded_ideal(self, S: Subspace) -> tuple[bool, str | None]:
+        for x in S.rows:
+            if not self.is_homogeneous(x):
+                return False, f"{self._describe(x)} is not homogeneous"
             for j in range(self.dim):
-                if not self.gs_contains(gs, self.sparse_bracket(x, {j: _ONE})):
+                if not S.contains(self.sparse_bracket(x, {j: _ONE})):
                     witness = (
                         f"[{self._describe(x)}, {self.label_of(j)}] escapes the subspace"
                     )
@@ -460,42 +394,32 @@ class LieSuperalgebra:
         ]
         return " + ".join(terms) if terms else "0"
 
-    def complement_indices(self, gs: GradedSubspace) -> list[int]:
-        """Full-coordinate indices (evens first) complementary to gs."""
-        ev = [i for i in range(self.n_even) if i not in set(gs.even.pivots)]
-        od = [
-            self.n_even + i
-            for i in range(self.n_odd)
-            if i not in set(gs.odd.pivots)
-        ]
-        return ev + od
-
-    def quotient(self, ideal: GradedSubspace, name: str | None = None):
+    def quotient(self, ideal: Subspace, name: str | None = None):
         """Quotient algebra by a graded ideal, plus the projection matrix.
 
         The complement basis is the set of non-pivot coordinates of the
-        ideal per parity block, so the induced table is deterministic.
-        Column s of the projection is b_s reduced by the ideal, read at
-        those coordinates, and the table is [b_a, b_b] projected for
-        complement indices a <= b.
+        ideal, so the induced table is deterministic.  Column s of the
+        projection is b_s reduced by the ideal, read at those coordinates,
+        and the table is [b_a, b_b] projected for complement indices a <= b.
 
         The projection is then a homomorphism of even degree, with no
         check needed: b_s minus its reduction c_s lies in the ideal I, so
         [b_i, b_j] - [c_i, c_j] = [b_i - c_i, b_j] + [c_i, b_j - c_j] lies
         in I, which `is_graded_ideal` has checked; the projection of
         [c_i, c_j] is the table's bracket of the projections, by
-        bilinearity, and reduction keeps parity blocks apart.
+        bilinearity, and the ideal's homogeneous rows keep reduction
+        within a parity.
         """
         ok, witness = self.is_graded_ideal(ideal)
         if not ok:
             raise AlgebraError(f"not an ideal of {self.name}: {witness}")
-        comp = self.complement_indices(ideal)
+        comp = ideal.non_pivots
         pos = {s: t for t, s in enumerate(comp)}
         labels = [self.basis_labels[i] for i in comp]
         pars = [self.parities[i] for i in comp]
         # column s is the image of b_s; reduction leaves only complement keys
         cols = [
-            {pos[k]: c for k, c in self.gs_reduce(ideal, {s: _ONE}).items()}
+            {pos[k]: c for k, c in ideal.reduce({s: _ONE}).items()}
             for s in range(self.dim)
         ]
         table = {}
@@ -517,13 +441,13 @@ class LieSuperalgebra:
     def minimal_generator_dims(self) -> SuperDim:
         """Superdimension of L / [L, L] for nilpotent L."""
         self.nilpotency_class()  # raises on non-nilpotent input
-        g2 = self.gamma(2)
-        return SuperDim(self.n_even - g2.even.dim, self.n_odd - g2.odd.dim)
+        g2 = self.superdim(self.gamma(2))
+        return SuperDim(self.n_even - g2.even, self.n_odd - g2.odd)
 
     def generator_lift_indices(self) -> list[int]:
         """Coordinates of homogeneous lifts of a basis of L / [L, L]."""
         self.nilpotency_class()
-        return self.complement_indices(self.gamma(2))
+        return list(self.gamma(2).non_pivots)
 
 
 def direct_sum(a: LieSuperalgebra, b: LieSuperalgebra, name: str | None = None) -> LieSuperalgebra:

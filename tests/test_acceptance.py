@@ -19,7 +19,7 @@ from superschur.bounds import (
     rai_bound,
 )
 from superschur.catalog import abelian, builtin_algebras, heisenberg3
-from superschur.exactla import SparseEchelon, unit_vector
+from superschur.exactla import SparseEchelon, Subspace, subspace_sum, unit_vector
 from superschur.freenilp import (
     GeneratorSpec,
     build_free_nilpotent,
@@ -36,7 +36,7 @@ from superschur.multiplier import (
     verify_top_step_identity,
     verify_telescoped_identity,
 )
-from superschur.superalg import SuperDim, gs_sum
+from superschur.superalg import SuperDim
 
 
 def _report(num, desc):
@@ -78,7 +78,7 @@ def _random_quotients(count):
         f = build_free_nilpotent(GeneratorSpec(p, q, k))
         A = f.algebra
         g2 = A.gamma(2)
-        members = A.gs_members(g2)
+        members = g2.basis
         picks = []
         for _ in range(rng.randint(0, 2)):
             if not members:
@@ -94,12 +94,12 @@ def _random_quotients(count):
             picks.append(tuple(v))
         ideal = A.graded_span(picks)
         while True:
-            grown = gs_sum(ideal, A.product_space(ideal, A.graded_full()))
+            grown = subspace_sum(ideal, A.product_space(ideal, Subspace.full(A.dim)))
             if grown == ideal:
                 break
             ideal = grown
         j = rng.randint(3, k + 1)
-        ideal = gs_sum(ideal, f.gamma(j))
+        ideal = subspace_sum(ideal, f.gamma(j))
         quotient, _ = A.quotient(ideal, name=f"rq{len(out)}[{p}|{q},c{k}]")
         out.append(quotient)
     return out
@@ -155,7 +155,7 @@ def test_criterion_4_identity_suite(nilpotent_catalog):
 def test_criterion_5_main_theorem_soundness(nilpotent_catalog):
     by_name = {}
     for L in nilpotent_catalog:
-        b_in = L.gamma(2).total_dim
+        b_in = L.gamma(2).dim
         if b_in == 0:
             continue  # abelian: outside the theorem hypotheses
         rep = check_bound(L)  # raises BoundViolation if any bound is exceeded

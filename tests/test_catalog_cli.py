@@ -6,9 +6,11 @@ from superschur.catalog import (
     CatalogError,
     builtin_algebras,
     parse_catalog,
+    relabel_canonical,
     render_catalog,
 )
 from superschur.cli import main
+from superschur.freenilp import GeneratorSpec, build_free_nilpotent
 from superschur.superalg import SuperDim
 
 HEIS3_RECORD = textwrap.dedent(
@@ -245,6 +247,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "status: ok" in out
+
+    def test_verify_free_odd_class_two(self, tmp_path, capsys):
+        # the i = 2 witnesses on odd generators are graded Jacobi identities
+        f = build_free_nilpotent(GeneratorSpec(0, 2, 2)).algebra
+        path = tmp_path / "free02c2.cat"
+        path.write_text(render_catalog([relabel_canonical(f, "free02c2")]))
+        code = main(["verify", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "witnesses_ok = True" in out
 
     def test_verify_reports_witness_tensor_count(self, capsys):
         import json

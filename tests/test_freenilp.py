@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from superschur.catalog import heisenberg3, special_heisenberg_odd
-from superschur.exactla import rref, unit_vector
+from superschur.exactla import SparseEchelon, rref, unit_vector
 from superschur.freenilp import (
     GeneratorSpec,
     build_free_nilpotent,
@@ -99,6 +99,24 @@ class TestBuild:
         f = build_free_nilpotent(spec)
         for d, words in enumerate(f.degree_words, start=1):
             assert f._echelons[d - 1].rank == len(words)
+
+    @pytest.mark.parametrize(
+        "p,q,k", [(1, 0, 4), (0, 1, 5), (2, 0, 4), (1, 1, 4), (0, 2, 4), (2, 1, 4), (1, 2, 3)]
+    )
+    def test_keeps_the_words_of_the_all_tuples_selection(self, p, q, k):
+        # the reference selection: the left-normed words of all index tuples
+        # in lexicographic order, each kept when its expansion is independent
+        spec = GeneratorSpec(p, q, k)
+        reference = []
+        for d in range(1, k + 1):
+            ech, words = SparseEchelon(), []
+            for tup in itertools.product(range(spec.num), repeat=d):
+                w = left_normed_word(tup)
+                e = expand(w, spec.parities)
+                if e and ech.insert(e, tag=len(words)):
+                    words.append(w)
+            reference.append(words)
+        assert build_free_nilpotent(spec).degree_words == reference
 
     def test_gamma_filtration_matches_degrees(self):
         f = build_free_nilpotent(GeneratorSpec(2, 0, 3))
@@ -277,6 +295,6 @@ class TestEvalHom:
         hom = eval_hom(f, [unit_vector(3, 0), unit_vector(3, 1)], h)
         for d in (1, 2, 3):
             image = h.graded_span(
-                [hom.apply(v) for v in f.algebra.gs_members(f.gamma(d))]
+                [hom.apply(v) for v in f.gamma(d).basis]
             )
             assert image == h.gamma(d)

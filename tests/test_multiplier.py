@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,8 +12,16 @@ from superschur.catalog import (
     heisenberg3,
     special_heisenberg_odd,
 )
-from superschur.exactla import is_zero_vector, unit_vector, vadd, vscale
-from superschur.freenilp import GeneratorSpec
+from superschur.exactla import (
+    Subspace,
+    axpy,
+    is_zero_vector,
+    subspace_sum,
+    unit_vector,
+    vadd,
+    vscale,
+)
+from superschur.freenilp import GeneratorSpec, build_free_nilpotent, expand
 from superschur.multiplier import (
     bracket_quotient_dim,
     compare_methods,
@@ -25,11 +35,17 @@ from superschur.multiplier import (
     schur_multiplier_hopf,
     verify_top_step_identity,
     verify_telescoped_identity,
+    witness_terms,
     _leg1_rows,
 )
-from superschur.superalg import AlgebraError, SuperDim, change_basis, direct_sum, gs_sum
+from superschur.superalg import AlgebraError, SuperDim, change_basis, direct_sum
 
 F = Fraction
+
+
+@functools.cache
+def _free33c3():
+    return build_free_nilpotent(GeneratorSpec(3, 3, 3))
 
 
 def heis_plus_line():
@@ -41,19 +57,19 @@ class TestPresent:
         p = present(heisenberg3())
         assert p.fbar.spec == GeneratorSpec(2, 0, 3)
         assert p.fbar.total_dims == SuperDim(5, 0)
-        assert p.relations.sdim == SuperDim(2, 0)
+        assert p.algebra.superdim(p.relations) == SuperDim(2, 0)
         # R is exactly the degree->=3 filtration step here
         assert p.relations == p.fbar.gamma(3)
 
     def test_abelian_line(self):
         p = present(abelian(1, 0))
         assert p.fbar.spec == GeneratorSpec(1, 0, 2)
-        assert p.relations.total_dim == 0
+        assert p.relations.dim == 0
 
     def test_sh01_presented_by_itself(self):
         p = present(special_heisenberg_odd(1))
         assert p.fbar.total_dims == SuperDim(1, 1)
-        assert p.relations.total_dim == 0
+        assert p.relations.dim == 0
 
     def test_non_nilpotent_rejected(self):
         from superschur.superalg import EVEN, LieSuperalgebra
@@ -69,10 +85,8 @@ class TestPresent:
             p = present(L)
             c = L.nilpotency_class()
             top = p.fbar.gamma(c + 1)
-            for v in p.algebra.gs_members(top):
-                assert p.algebra.gs_contains(
-                    gs=p.relations, v=v
-                ) or is_zero_vector(v)
+            for v in top.basis:
+                assert p.relations.contains(v) or is_zero_vector(v)
 
 
 class TestHopf:
@@ -174,13 +188,11 @@ class TestLambdaKernel:
         base = bracket_map_residual(p, c, tensor, rows)
         A = p.algebra
         den = p.denominator_space(c)
-        from superschur.superalg import gs_sum
-
-        y_freedom = gs_sum(p.fbar.gamma(2), p.relations)
+        y_freedom = subspace_sum(p.fbar.gamma(2), p.relations)
 
         def perturb(v, freedom):
             out = v
-            for member in A.gs_members(freedom):
+            for member in freedom.basis:
                 out = vadd(out, vscale(rng.randint(-2, 2), member))
             return out
 
@@ -189,7 +201,7 @@ class TestLambdaKernel:
             w_y = perturb(
                 unit_vector(A.dim, p.fbar.generator_basis_index(2)), y_freedom
             )
-            moved = A.gs_reduce(den, A.bracket(w_u, w_y))
+            moved = den.reduce(A.bracket(w_u, w_y))
             assert moved == base
 
 
@@ -226,6 +238,21 @@ class TestWitnessTensor:
         mixed = (F(1), F(1), F(0))
         with pytest.raises(AlgebraError, match="homogeneous"):
             witness_tensor(L, 2, [mixed, mixed, mixed])
+
+    @pytest.mark.parametrize("pars", list(itertools.product((0, 1), repeat=3)))
+    def test_arity_two_terms_expand_to_zero(self, pars):
+        # each term bracketed with its tuple entry, expanded in the free
+        # associative superalgebra on three generators of these parities
+        f = _free33c3()
+        A = f.algebra
+        gens = {0: iter(range(3)), 1: iter(range(3, 6))}
+        xs = [unit_vector(A.dim, f.generator_basis_index(next(gens[p]))) for p in pars]
+        residual: dict = {}
+        for coeff, val, pos in witness_terms(A, xs, 2):
+            for idx, c in enumerate(A.bracket(val, xs[pos])):
+                if c:
+                    axpy(residual, coeff * c, expand(f.basis_word(idx), f.spec.parities))
+        assert residual == {}
 
     def test_all_proof_tuples_land_in_kernel(self):
         for L in (heisenberg3(), filiform4(), heis_plus_line(),
@@ -314,11 +341,11 @@ class TestBracketWithFree:
         A = p.algebra
         c = L.nilpotency_class()
         ideals = [p.relations] + [
-            gs_sum(p.fbar.gamma(i), p.relations) for i in range(2, c + 1)
+            subspace_sum(p.fbar.gamma(i), p.relations) for i in range(2, c + 1)
         ]
         for ideal in ideals:
             assert bracket_with_free(p.fbar, ideal) == A.product_space(
-                ideal, A.graded_full()
+                ideal, Subspace.full(A.dim)
             )
 
 
@@ -329,13 +356,13 @@ class TestPresentationInvariance:
         c = L.nilpotency_class()
         for order in ((1, 0, 2), (2, 0, 1), (0, 2, 1)):
             p = present(L, lift_order=order)
-            from superschur.exactla import quotient_dim
-            from superschur.superalg import gs_intersect
+            from superschur.exactla import quotient_dim, subspace_intersect
 
-            num = gs_intersect(p.relations, p.fbar.gamma(2))
-            den = p.algebra.product_space(p.relations, p.algebra.graded_full())
-            dims = SuperDim(
-                quotient_dim(num.even, den.even), quotient_dim(num.odd, den.odd)
-            )
+            A = p.algebra
+            num = subspace_intersect(p.relations, p.fbar.gamma(2))
+            den = A.product_space(p.relations, Subspace.full(A.dim))
+            sn, sd = A.superdim(num), A.superdim(den)
+            assert quotient_dim(num, den) == sn.total - sd.total
+            dims = SuperDim(sn.even - sd.even, sn.odd - sd.odd)
             assert dims == base
             assert bracket_quotient_dim(p, c) == 2

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superschur.catalog import (
     abelian,
@@ -10,7 +12,17 @@ from superschur.catalog import (
     heisenberg3,
     special_heisenberg_odd,
 )
-from superschur.exactla import Matrix, dense, is_zero_vector, rref, sparse, unit_vector, vector
+from superschur.exactla import (
+    Matrix,
+    Subspace,
+    dense,
+    is_zero_vector,
+    rref,
+    sparse,
+    unit_vector,
+    vector,
+)
+from superschur.multiplier import present
 from superschur.superalg import (
     EVEN,
     ODD,
@@ -38,6 +50,38 @@ def _basis_changed(L, seed):
     rng.shuffle(od)
     scales = [F(rng.choice([1, 2, -1, F(1, 2)])) for _ in range(L.dim)]
     return change_basis(L, ev + od, scales)
+
+
+def _block_rank(rows, keys) -> int:
+    return rref(Matrix.from_rows([[v.get(k, 0) for k in keys] for v in rows], cols=len(keys)))[1]
+
+
+def _assert_graded(L, S):
+    """S's rows are homogeneous with the even rows first, and `superdim`
+    equals the ranks of the rows' even and odd parts, counted block by block."""
+    parities = [L.parity_of(row) for row in S.rows]  # raises on a mixed row
+    assert parities == sorted(parities)
+    even = _block_rank(S.rows, range(L.n_even))
+    odd = _block_rank(S.rows, range(L.n_even, L.dim))
+    assert L.superdim(S) == SuperDim(even, odd)
+    assert even + odd == S.dim
+
+
+class TestGradedSubspace:
+    @given(st.integers(0, 3), st.integers(0, 3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_graded_span_rows_are_homogeneous_even_first(self, m, n, data):
+        coords = st.lists(st.integers(-2, 2), min_size=m + n, max_size=m + n)
+        vecs = data.draw(st.lists(coords, max_size=5))
+        L = abelian(m, n)
+        S = L.graded_span(vecs)
+        _assert_graded(L, S)
+        parts = [dict(enumerate(v)) for v in vecs]
+        assert L.superdim(S) == SuperDim(
+            _block_rank(parts, range(m)), _block_rank(parts, range(m, m + n))
+        )
+        for v in vecs:
+            assert all(S.contains(part) for part in L.split(v))
 
 
 class TestValidate:
@@ -146,29 +190,29 @@ class TestSeries:
     def test_heis3(self):
         h = heisenberg3()
         chain = h.lower_central_series()
-        assert [gs.sdim for gs in chain] == [SuperDim(3, 0), SuperDim(1, 0), SuperDim(0, 0)]
-        assert chain[1].even.basis == (unit_vector(3, 2),)
+        assert [h.superdim(gs) for gs in chain] == [SuperDim(3, 0), SuperDim(1, 0), SuperDim(0, 0)]
+        assert chain[1].basis == (unit_vector(3, 2),)
         assert h.nilpotency_class() == 2
 
     def test_abelian(self):
         a = abelian(2, 1)
         chain = a.lower_central_series()
-        assert [gs.sdim for gs in chain] == [SuperDim(2, 1), SuperDim(0, 0)]
+        assert [a.superdim(gs) for gs in chain] == [SuperDim(2, 1), SuperDim(0, 0)]
         assert a.nilpotency_class() == 1
 
     def test_filiform4_closure(self):
         f = filiform4()
         chain = f.lower_central_series()
-        assert [gs.sdim for gs in chain] == [
+        assert [f.superdim(gs) for gs in chain] == [
             SuperDim(4, 0),
             SuperDim(2, 0),
             SuperDim(1, 0),
             SuperDim(0, 0),
         ]
-        assert chain[1].even == type(chain[1].even).span(
+        assert chain[1] == Subspace.span(
             [unit_vector(4, 2), unit_vector(4, 3)], 4
         )
-        assert chain[2].even.basis == (unit_vector(4, 3),)
+        assert chain[2].basis == (unit_vector(4, 3),)
         assert f.nilpotency_class() == 3
 
     def test_non_nilpotent_flagged(self):
@@ -181,11 +225,25 @@ class TestSeries:
         with pytest.raises(AlgebraError, match="not nilpotent"):
             solvable.nilpotency_class()
 
+    @pytest.mark.parametrize(
+        "L",
+        [L for base in builtin_algebras() for L in (base, _basis_changed(base, 3))],
+        ids=lambda L: L.name,
+    )
+    def test_series_center_relations_and_free_filtration_are_graded(self, L):
+        for S in L.lower_central_series() + [L.center()]:
+            _assert_graded(L, S)
+        if L.dim and L.is_nilpotent():
+            p = present(L)
+            _assert_graded(p.algebra, p.relations)
+            for d in range(1, p.fbar.spec.class_bound + 2):
+                _assert_graded(p.algebra, p.fbar.gamma(d))
+
     def test_graded_quotient_dims_sum_to_total(self):
         for L in (heisenberg3(), filiform4(), sh01(), special_heisenberg_odd(2)):
             chain = L.lower_central_series()
             steps = [
-                chain[i].total_dim - chain[i + 1].total_dim
+                chain[i].dim - chain[i + 1].dim
                 for i in range(len(chain) - 1)
             ]
             assert sum(steps) == L.dim
@@ -193,19 +251,21 @@ class TestSeries:
 
 class TestCenter:
     def test_heis3(self):
-        z = heisenberg3().center()
-        assert z.even.basis == (unit_vector(3, 2),)
-        assert z.odd.dim == 0
+        h = heisenberg3()
+        z = h.center()
+        assert z.basis == (unit_vector(3, 2),)
+        assert h.superdim(z).odd == 0
 
     def test_abelian(self):
         a = abelian(2, 2)
-        assert a.center() == a.graded_full()
+        assert a.center() == Subspace.full(a.dim)
 
     def test_sh01(self):
         # solve [v, f] = 0 and [v, z] = 0 by hand: v = z
-        z = sh01().center()
-        assert z.sdim == SuperDim(1, 0)
-        assert z.even.basis == (unit_vector(1, 0),)
+        L = sh01()
+        z = L.center()
+        assert L.superdim(z) == SuperDim(1, 0)
+        assert z.basis == (unit_vector(L.dim, 0),)
 
     @pytest.mark.parametrize(
         "L",
@@ -214,7 +274,7 @@ class TestCenter:
     )
     def test_members_commute_and_dimension_is_corank_of_ad(self, L):
         z = L.center()
-        for v in L.gs_members(z):
+        for v in z.basis:
             for j in range(L.dim):
                 assert is_zero_vector(L.bracket(v, unit_vector(L.dim, j)))
         # rows (j, t), columns i: the stacked matrices of ad(b_j)
@@ -227,7 +287,7 @@ class TestCenter:
             cols=L.dim,
         )
         _, rank = rref(ad)
-        assert z.total_dim == L.dim - rank
+        assert z.dim == L.dim - rank
 
 
 class TestQuotient:
@@ -240,7 +300,7 @@ class TestQuotient:
 
     def test_mod_self_is_zero(self):
         h = heisenberg3()
-        q, _ = h.quotient(h.graded_full())
+        q, _ = h.quotient(Subspace.full(h.dim))
         assert q.dim == 0
 
     def test_filiform4_mod_gamma3_is_heis3(self):
@@ -259,6 +319,10 @@ class TestQuotient:
         assert str(err.value) == (
             "not an ideal of heis3: [e1 + 1/2*e3, e2] escapes the subspace"
         )
+        L = sh01()
+        with pytest.raises(AlgebraError) as err:
+            L.quotient(Subspace.span([(1, 1)], L.dim))
+        assert str(err.value) == "not an ideal of sh(0|1): z + f1 is not homogeneous"
 
     def test_projection_is_a_homomorphism(self, monkeypatch):
         # every quotient the package builds: the catalog's free (2|1)
@@ -282,8 +346,8 @@ class TestQuotient:
                 M.quotient(M.gamma(2))
         assert len(deep) == 10 and len(built) == 4 + 4 * len(deep)
         for L, ideal, q, proj in built:
-            assert all(is_zero_vector(proj.mul_vec(v)) for v in L.gs_members(ideal))
-            assert q.dim == L.dim - ideal.total_dim
+            assert all(is_zero_vector(proj.mul_vec(v)) for v in ideal.basis)
+            assert q.dim == L.dim - ideal.dim
             e = [unit_vector(L.dim, i) for i in range(L.dim)]
             im = [proj.mul_vec(v) for v in e]
             for i in range(L.dim):
@@ -311,17 +375,17 @@ class TestGenerators:
             span = L.graded_span(lifts)
             while True:
                 grown = L.graded_span(
-                    L.gs_members(span)
+                    list(span.basis)
                     + [
                         L.bracket(x, y)
-                        for x in L.gs_members(span)
-                        for y in L.gs_members(span)
+                        for x in span.basis
+                        for y in span.basis
                     ]
                 )
                 if grown == span:
                     break
                 span = grown
-            assert span == L.graded_full()
+            assert span == Subspace.full(L.dim)
 
 
 class TestDirectSum:
@@ -341,9 +405,9 @@ class TestDirectSum:
         )
         depth = max(len(ca), len(cb))
         for i in range(depth):
-            ga = ca[min(i, len(ca) - 1)].sdim
-            gb = cb[min(i, len(cb) - 1)].sdim
-            gs = cs[min(i, len(cs) - 1)].sdim
+            ga = a.superdim(ca[min(i, len(ca) - 1)])
+            gb = b.superdim(cb[min(i, len(cb) - 1)])
+            gs = s.superdim(cs[min(i, len(cs) - 1)])
             assert gs == SuperDim(ga.even + gb.even, ga.odd + gb.odd)
 
     def test_mixed_parities_reordered(self):
@@ -357,8 +421,8 @@ class TestBasisInvariance:
         rng = random.Random(7)
         for L in (heisenberg3(), filiform4(), special_heisenberg_odd(2)):
             base = (
-                [gs.sdim for gs in L.lower_central_series()],
-                L.center().sdim,
+                [L.superdim(gs) for gs in L.lower_central_series()],
+                L.superdim(L.center()),
                 L.minimal_generator_dims(),
             )
             for _ in range(5):
@@ -370,8 +434,8 @@ class TestBasisInvariance:
                 scales = [F(rng.choice([1, 2, 3, -1, -2])) for _ in range(L.dim)]
                 moved = change_basis(L, perm, scales)
                 assert moved.validate().ok
-                assert [gs.sdim for gs in moved.lower_central_series()] == base[0]
-                assert moved.center().sdim == base[1]
+                assert [moved.superdim(gs) for gs in moved.lower_central_series()] == base[0]
+                assert moved.superdim(moved.center()) == base[1]
                 assert moved.minimal_generator_dims() == base[2]
 
 
