@@ -177,6 +177,10 @@ def _parse_terms(expr: str, line_no: int):
             raise CatalogError(
                 f"coefficient {m.group(1)} has a zero denominator", line_no
             ) from None
+        except ValueError:  # more digits than int() converts
+            raise CatalogError(
+                f"coefficient of {len(m.group(1))} characters is too long", line_no
+            ) from None
         pieces.append((sign * coeff, m.group(2)))
         rest = rest[m.end():].lstrip()
         first = False

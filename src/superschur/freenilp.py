@@ -81,11 +81,18 @@ def _concat(a: dict, b: dict) -> dict:
     for wa, ca in a.items():
         for wb, cb in b.items():
             key = wa + wb
-            val = out.get(key, Fraction(0)) + ca * cb
+            val = out.get(key, _ZERO) + ca * cb
             if val:
                 out[key] = val
             else:
                 out.pop(key, None)
+    return out
+
+
+def _commutator(ea: dict, pa: int, eb: dict, pb: int) -> dict:
+    """ab - (-1)^{|a||b|} ba for expansions ea, eb of parities pa, pb."""
+    out = _concat(ea, eb)
+    axpy(out, -graded_sign(pa, pb), _concat(eb, ea))
     return out
 
 
@@ -96,13 +103,11 @@ def expand(w, parities) -> dict[tuple[int, ...], Fraction]:
     indices) to coefficients; [a, b] contributes ab - (-1)^{|a||b|} ba.
     """
     if isinstance(w, int):
-        return {(w,): Fraction(1)}
-    ea = expand(w[0], parities)
-    eb = expand(w[1], parities)
-    sign = graded_sign(word_parity(w[0], parities), word_parity(w[1], parities))
-    out = _concat(ea, eb)
-    axpy(out, -sign, _concat(eb, ea))
-    return out
+        return {(w,): _ONE}
+    return _commutator(
+        expand(w[0], parities), word_parity(w[0], parities),
+        expand(w[1], parities), word_parity(w[1], parities),
+    )
 
 
 @dataclass(frozen=True)
@@ -182,7 +187,7 @@ class FreeNilpotentSuperalgebra:
 
     def _candidates(self, d: int):
         """The degree-d candidate words with their expansions, lazily; the
-        expansion of [w, g] is e g - (-1)^{|w||g|} g e for e that of w."""
+        expansion of [w, g] is the commutator of w's stored expansion with g."""
         pars = self.spec.parities
         if d == 1:
             for g in range(self.spec.num):
@@ -191,9 +196,7 @@ class FreeNilpotentSuperalgebra:
         for w, pw in zip(self.degree_words[d - 2], self.degree_parities[d - 2]):
             e = self._expansions[w]
             for g in range(self.spec.num):
-                z = _concat(e, {(g,): _ONE})
-                axpy(z, -graded_sign(pw, pars[g]), _concat({(g,): _ONE}, e))
-                yield (w, g), z
+                yield (w, g), _commutator(e, pw, {(g,): _ONE}, pars[g])
 
     # -- counting ------------------------------------------------------------
 
@@ -250,11 +253,7 @@ class FreeNilpotentSuperalgebra:
                 dd = di + dj
                 if dd > k:
                     continue
-                pj = word_parity(wj, pars)
-                sign = graded_sign(pi, pj)
-                ej = self._expansions[wj]
-                z = _concat(ei, ej)
-                axpy(z, -sign, _concat(ej, ei))
+                z = _commutator(ei, pi, self._expansions[wj], word_parity(wj, pars))
                 if not z:
                     continue
                 coeffs = self._echelons[dd - 1].express(z)
@@ -386,16 +385,17 @@ def rewrite_brace_coeff(i: int, parities) -> Fraction:
 
 
 def rewrite_identity_terms(i: int, parities) -> list[tuple[Fraction, object]]:
-    """Signed bracket words of the degree-(i+1) rewriting identity.
+    """Signed bracket words of the degree-(i+1) rewriting identity, i >= 2.
 
     The identity re-expresses nested brackets of i+1 homogeneous
     elements as a signed combination of terms [[right-normed tail,
     left-normed head], single factor], closing with a brace term on
     [x_i, x_{i+1}]; the full signed sum vanishes in any Lie superalgebra.
-    Indices are 1-based.
+    Indices are 1-based; leaf t of a word stands for x_{t+1}.  At i = 2
+    it is the graded Jacobi identity on x_1, x_2, x_3.
     """
-    if i < 3:
-        raise AlgebraError("the identity needs i >= 3")
+    if i < 2:
+        raise AlgebraError("the identity needs i >= 2")
     parities = tuple(int(p) % 2 for p in parities)
     if len(parities) != i + 1:
         raise AlgebraError(f"need {i + 1} parities, got {len(parities)}")
@@ -419,6 +419,25 @@ def rewrite_identity_terms(i: int, parities) -> list[tuple[Fraction, object]]:
     return terms
 
 
+def rewrite_tensor_terms(i: int, parities) -> list[tuple[Fraction, object, int]]:
+    """The rewriting identity as (coefficient, word u, leaf k) triples, each
+    standing for [u, x_{k+1}]; their signed sum vanishes.
+
+    The brace term [u, [a, b]] is folded by graded Jacobi into
+    [[u, a], b] - (-1)^{|a||b|} [[u, b], a], so every u has degree i.
+    """
+    parities = tuple(int(p) % 2 for p in parities)
+    terms: list[tuple[Fraction, object, int]] = []
+    for coeff, (u, v) in rewrite_identity_terms(i, parities):
+        if isinstance(v, int):
+            terms.append((coeff, u, v))
+        else:
+            a, b = v
+            terms.append((coeff, node(u, a), b))
+            terms.append((-coeff * graded_sign(parities[a], parities[b]), node(u, b), a))
+    return terms
+
+
 def rewrite_identity_residual(i: int, parities) -> dict:
     """Residual of the rewriting identity, expanded in the free associative
     superalgebra on i+1 generators with the given parities.  Empty dict
@@ -431,6 +450,21 @@ def rewrite_identity_residual(i: int, parities) -> dict:
 
 
 # -- evaluation homomorphisms ---------------------------------------------------
+
+
+def evaluate_word(L: LieSuperalgebra, w, images, memo: dict) -> Vector:
+    """The bracket word w evaluated in L with leaf t sent to images[t].
+
+    `memo` caches the values of inner nodes by word, so it may be shared
+    only between calls with the same images.
+    """
+    if isinstance(w, int):
+        return images[w]
+    if w not in memo:
+        memo[w] = L.bracket(
+            evaluate_word(L, w[0], images, memo), evaluate_word(L, w[1], images, memo)
+        )
+    return memo[w]
 
 
 @dataclass
@@ -479,17 +513,9 @@ def eval_hom(
                 f"generator {f.spec.labels[t]} is mapped to an element of the wrong parity"
             )
     memo: dict = {}
-
-    def ev(w) -> Vector:
-        if isinstance(w, int):
-            return images[w]
-        key = w
-        if key not in memo:
-            memo[key] = target.bracket(ev(w[0]), ev(w[1]))
-        return memo[key]
-
-    cols = [ev(f.basis_word(idx)) for idx in range(f.dim)]
-    columns = [sparse(col) for col in cols]
+    columns = [
+        sparse(evaluate_word(target, f.basis_word(idx), images, memo)) for idx in range(f.dim)
+    ]
     A = f.algebra
     for x in range(f.dim):
         for t in range(f.spec.num):

@@ -43,8 +43,9 @@ from .freenilp import (
     HomMap,
     build_free_nilpotent,
     eval_hom,
-    rewrite_head_sign,
-    rewrite_term_sign,
+    evaluate_word,
+    left_normed_word,
+    rewrite_tensor_terms,
 )
 from .superalg import (
     EVEN,
@@ -53,8 +54,6 @@ from .superalg import (
     LieSuperalgebra,
     SuperDim,
     graded_sign,
-    left_normed,
-    right_normed,
 )
 
 
@@ -368,27 +367,18 @@ def _leg1_coords(L: LieSuperalgebra, i: int, v) -> list[Fraction]:
 
 def witness_terms(L: LieSuperalgebra, xs, i: int) -> list[tuple[Fraction, Vector, int]]:
     """Signed (coefficient, bracket value, tuple position) triples of the
-    witness tensor: the rewriting identity's terms with the outermost
-    bracket replaced by ⊗, brace term dropped.
+    witness tensor: the rewriting identity's image at xs.
 
-    At i = 2 the brace term [x_1, [x_2, x_3]] is a multiple of the a = 2
-    term [[x_2, x_3], x_1]; folded in, it leaves that term the sign
-    (-1)^{|x_1||x_2|}, and the three terms are the graded Jacobi identity.
+    Each term [u, x_k] of `rewrite_tensor_terms` (brace term folded) gives
+    u evaluated at xs and position k; read as u ⊗ x_k, λ_i sends their
+    signed sum to the identity, which vanishes.
     """
     parities = tuple(L.parity_of(x) for x in xs)
-    terms = [(rewrite_head_sign(i, parities), left_normed(L, xs[:i]), i)]
-    for a in range(i + 1, 1, -1):
-        right = right_normed(L, xs[a - 1: i + 1])
-        if a == 2:
-            inner = right
-        else:
-            inner = L.bracket(right, left_normed(L, xs[: a - 2]))
-        if i == a == 2:
-            sign = graded_sign(parities[0], parities[1])
-        else:
-            sign = rewrite_term_sign(i, a, parities)
-        terms.append((sign, inner, a - 2))
-    return terms
+    memo: dict = {}
+    return [
+        (coeff, evaluate_word(L, u, xs, memo), k)
+        for coeff, u, k in rewrite_tensor_terms(i, parities)
+    ]
 
 
 def witness_tensor(L: LieSuperalgebra, i: int, tuple_elems) -> WitnessTensor:
@@ -467,8 +457,9 @@ def witness_tuple_positions(L: LieSuperalgebra, i: int) -> tuple[tuple[int, ...]
         raise AlgebraError(f"index {i} outside [2, {c}]")
     lifts = [unit_vector(L.dim, t) for t in pres.lift_indices]
     gnext = L.gamma(i + 1)
+    memo: dict = {}
     for tup in itertools.product(range(len(lifts)), repeat=i):
-        z = left_normed(L, [lifts[t] for t in tup])
+        z = evaluate_word(L, left_normed_word(tup), lifts, memo)
         if not gnext.contains(z):
             used = set(tup)
             rest = tuple(t for t in range(len(lifts)) if t not in used)

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import Matrix, Subspace, Vector, axpy, dense, kernel, sparse, vector
+from .exactla import Matrix, Subspace, Vector, axpy, dense, kernel, sparse
 
 EVEN = 0
 ODD = 1
@@ -510,25 +510,3 @@ def change_basis(L: LieSuperalgebra, perm, scales, name: str | None = None) -> L
                 table[(i, j)] = terms
     labels = [f"c{i+1}" for i in range(L.dim)]
     return LieSuperalgebra(name if name is not None else f"{L.name}~", labels, L.parities, table)
-
-
-def left_normed(L: LieSuperalgebra, xs) -> Vector:
-    """[[...[x1, x2], x3], ..., xn] evaluated in L."""
-    xs = [vector(x) for x in xs]
-    if not xs:
-        raise AlgebraError("left_normed needs at least one element")
-    acc = xs[0]
-    for x in xs[1:]:
-        acc = L.bracket(acc, x)
-    return acc
-
-
-def right_normed(L: LieSuperalgebra, xs) -> Vector:
-    """[x1, [x2, [..., [x_{n-1}, xn]...]]] evaluated in L."""
-    xs = [vector(x) for x in xs]
-    if not xs:
-        raise AlgebraError("right_normed needs at least one element")
-    acc = xs[-1]
-    for x in reversed(xs[:-1]):
-        acc = L.bracket(x, acc)
-    return acc

@@ -6,7 +6,7 @@ tests/test_acceptance.py` doubles as the acceptance report.
 
 import functools
 import itertools
-import random
+import json
 import sys
 
 import pytest
@@ -14,12 +14,21 @@ import pytest
 from superschur.bounds import (
     BoundInput,
     check_bound,
+    extract_input,
     main_bound,
+    main_bound_penultimate,
     nayak_bound,
     rai_bound,
 )
-from superschur.catalog import abelian, builtin_algebras, heisenberg3
-from superschur.exactla import SparseEchelon, Subspace, subspace_sum, unit_vector
+from superschur.catalog import (
+    abelian,
+    builtin_algebras,
+    heisenberg3,
+    relabel_canonical,
+    render_catalog,
+)
+from superschur.cli import main
+from superschur.exactla import SparseEchelon, unit_vector
 from superschur.freenilp import (
     GeneratorSpec,
     build_free_nilpotent,
@@ -37,6 +46,7 @@ from superschur.multiplier import (
     verify_telescoped_identity,
 )
 from superschur.superalg import SuperDim
+from support import basis_changed, random_quotients
 
 
 def _report(num, desc):
@@ -66,45 +76,6 @@ def nilpotent_catalog(catalog):
     return [a for a in catalog if a.is_nilpotent()]
 
 
-def _random_quotients(count):
-    """Deterministic random quotients of free nilpotent superalgebras with
-    p+q <= 3 and class <= 4 (class 4 kept to p+q <= 2 for runtime)."""
-    rng = random.Random(20250810)
-    shapes = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)]
-    out = []
-    while len(out) < count:
-        p, q = rng.choice(shapes)
-        k = rng.randint(2, 4 if p + q <= 2 else 3)
-        f = build_free_nilpotent(GeneratorSpec(p, q, k))
-        A = f.algebra
-        g2 = A.gamma(2)
-        members = g2.basis
-        picks = []
-        for _ in range(rng.randint(0, 2)):
-            if not members:
-                break
-            v = [0] * A.dim
-            base = rng.choice(members)
-            parity_block = A.parity_of(base)
-            for member in members:
-                if A.parity_of(member) == parity_block:
-                    c = rng.randint(-2, 2)
-                    for t, x in enumerate(member):
-                        v[t] += c * x
-            picks.append(tuple(v))
-        ideal = A.graded_span(picks)
-        while True:
-            grown = subspace_sum(ideal, A.product_space(ideal, Subspace.full(A.dim)))
-            if grown == ideal:
-                break
-            ideal = grown
-        j = rng.randint(3, k + 1)
-        ideal = subspace_sum(ideal, f.gamma(j))
-        quotient, _ = A.quotient(ideal, name=f"rq{len(out)}[{p}|{q},c{k}]")
-        out.append(quotient)
-    return out
-
-
 @_report(1, "abelian closed form, 25 exact cases")
 def test_criterion_1_abelian_closed_form():
     for m in range(5):
@@ -120,7 +91,7 @@ def test_criterion_2_oracle_agreement(nilpotent_catalog):
         h = schur_multiplier_hopf(L).dims
         c = schur_multiplier_cohomology(L).dims
         assert h == c, (L.name, h, c)
-    for L in _random_quotients(50):
+    for L in random_quotients(50):
         h = schur_multiplier_hopf(L).dims
         c = schur_multiplier_cohomology(L).dims
         assert h == c, (L.name, h, c)
@@ -224,3 +195,30 @@ def test_criterion_8_free_algebra_cross_check():
     assert f20.total_dims == h.sdim
     assert f20.algebra.parities == h.parities
     assert f20.algebra._canon() == h._canon()
+
+
+@_report(9, "verify green on 50 random quotients and a change_basis copy of each")
+def test_criterion_9_verify_random_quotients(tmp_path, capsys):
+    algebras = []
+    for t, L in enumerate(random_quotients(50)):
+        algebras.append(relabel_canonical(L, f"rq{t}"))
+        algebras.append(relabel_canonical(basis_changed(L, t), f"rq{t}cb"))
+    path = tmp_path / "rq.cat"
+    path.write_text(render_catalog(algebras))
+    code = main(["--format", "json", "verify", str(path)])
+    records = json.loads(capsys.readouterr().out)["results"]
+    assert [rec["algebra"] for rec in records] == [L.name for L in algebras]
+    checked = 0
+    for L, rec in zip(algebras, records):
+        if rec["status"] == "skipped (class < 2)":
+            assert L.nilpotency_class() < 2, L.name
+            continue
+        checked += 1
+        assert rec["top_step_identity_ok"] and rec["telescoped_identity_ok"], rec
+        assert rec["kernel_bounds_ok"] and rec["witnesses_ok"], rec
+        assert rec["status"] == "ok", rec
+        b = extract_input(L)
+        assert main_bound(b) == main_bound_penultimate(b), L.name
+        check_bound(L)  # raises BoundViolation if any bound is exceeded
+    assert code == 0
+    assert checked == 76

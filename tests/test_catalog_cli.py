@@ -1,6 +1,8 @@
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superschur.catalog import (
     CatalogError,
@@ -115,6 +117,33 @@ class TestParse:
     def test_empty_record_is_zero_algebra(self):
         (alg,) = parse_catalog("algebra nil\nend\n")
         assert alg.dim == 0
+
+
+# characters of the grammar, so fuzzed text often gets past the first check
+_GRAMMAR_TEXT = st.text(alphabet="[],=+-*/#0123456789 efz12_'\nalgebraendvo", max_size=80)
+
+
+class TestParseFuzz:
+    @given(st.one_of(st.text(max_size=80), _GRAMMAR_TEXT))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_text_raises_only_catalog_error(self, text):
+        try:
+            parse_catalog(text)
+        except CatalogError:
+            pass
+
+    @given(st.one_of(st.text(max_size=80), _GRAMMAR_TEXT))
+    @settings(max_examples=300, deadline=None)
+    def test_record_body_raises_only_catalog_error(self, body):
+        try:
+            parse_catalog(f"algebra fuzz\neven e1 e2\nodd f1 f2\n{body}\nend\n")
+        except CatalogError:
+            pass
+
+    def test_overlong_coefficient_is_catalog_error(self):
+        text = f"algebra a\neven e1 e2 e3\n[e1,e2] = {'1' * 5000}*e3\nend\n"
+        with pytest.raises(CatalogError, match="line 3: coefficient of 5000 characters"):
+            parse_catalog(text)
 
 
 class TestRoundTrip:
@@ -253,6 +282,17 @@ class TestCli:
         f = build_free_nilpotent(GeneratorSpec(0, 2, 2)).algebra
         path = tmp_path / "free02c2.cat"
         path.write_text(render_catalog([relabel_canonical(f, "free02c2")]))
+        code = main(["verify", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "witnesses_ok = True" in out
+
+    def test_verify_free_mixed_class_three(self, tmp_path, capsys):
+        # at parities (0, 1, 0, 1) the i = 3 identity has a brace term with
+        # coefficient 2; the witness tensors carry it folded in
+        f = build_free_nilpotent(GeneratorSpec(1, 2, 3)).algebra
+        path = tmp_path / "free12c3.cat"
+        path.write_text(render_catalog([relabel_canonical(f, "free12c3")]))
         code = main(["verify", str(path)])
         out = capsys.readouterr().out
         assert code == 0

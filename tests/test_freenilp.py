@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from superschur.catalog import heisenberg3, special_heisenberg_odd
-from superschur.exactla import SparseEchelon, rref, unit_vector
+from superschur.exactla import SparseEchelon, axpy, unit_vector
 from superschur.freenilp import (
     GeneratorSpec,
     build_free_nilpotent,
@@ -13,14 +13,18 @@ from superschur.freenilp import (
     expand,
     free_superalgebra_degree_dims,
     hilbert_check,
+    leaf,
     left_normed_word,
+    node,
     rewrite_identity_terms,
     right_normed_word,
     rewrite_identity_residual,
+    rewrite_tensor_terms,
     word_degree,
     word_parity,
 )
 from superschur.superalg import AlgebraError, SuperDim
+from support import matrix_rank
 
 F = Fraction
 
@@ -196,7 +200,7 @@ class TestLemma31:
     def test_mixed_arity_four(self):
         assert rewrite_identity_residual(4, (0, 1, 0, 1, 0)) == {}
 
-    @pytest.mark.parametrize("i", [3, 4, 5])
+    @pytest.mark.parametrize("i", [2, 3, 4, 5])
     def test_full_parity_sweep(self, i):
         for parities in itertools.product((0, 1), repeat=i + 1):
             assert rewrite_identity_residual(i, parities) == {}, (i, parities)
@@ -233,7 +237,28 @@ class TestLemma31:
 
     def test_low_arity_rejected(self):
         with pytest.raises(AlgebraError):
-            rewrite_identity_residual(2, (0, 0, 0))
+            rewrite_identity_residual(1, (0, 0))
+
+
+class TestTensorTerms:
+    @pytest.mark.parametrize("i", [2, 3, 4, 5])
+    def test_folded_terms_expand_to_zero(self, i):
+        # every term is [u, x_k] with u of degree i, and the sum still vanishes
+        for parities in itertools.product((0, 1), repeat=i + 1):
+            residual: dict = {}
+            for coeff, u, k in rewrite_tensor_terms(i, parities):
+                assert word_degree(u) == i
+                axpy(residual, coeff, expand(node(u, leaf(k)), parities))
+            assert residual == {}, (i, parities)
+
+    def test_brace_term_folds_into_two_terms(self):
+        # at (0, 1, 0, 1) the brace term of the i = 3 identity is
+        # 2 [[x1, x2], [x3, x4]] = 2 [[[x1, x2], x3], x4] - 2 [[[x1, x2], x4], x3]
+        par = (0, 1, 0, 1)
+        assert rewrite_identity_terms(3, par)[-1] == (F(2), ((0, 1), (2, 3)))
+        terms = rewrite_tensor_terms(3, par)
+        assert terms[-2:] == [(F(2), ((0, 1), 2), 3), (F(-2), ((0, 1), 3), 2)]
+        assert len(terms) == len(rewrite_identity_terms(3, par)) + 1
 
 
 class TestEvalHom:
@@ -249,14 +274,14 @@ class TestEvalHom:
         f = build_free_nilpotent(GeneratorSpec(2, 0, 2))
         h = heisenberg3()
         hom = eval_hom(f, [unit_vector(3, 0), unit_vector(3, 1)], h)
-        _, rank = rref(hom.matrix)
+        rank = matrix_rank(hom.matrix)
         assert rank == 3 == f.dim
 
     def test_free_odd_class_two_onto_sh01_is_iso(self):
         f = build_free_nilpotent(GeneratorSpec(0, 1, 2))
         sh = special_heisenberg_odd(1)
         hom = eval_hom(f, [unit_vector(2, 1)], sh)
-        _, rank = rref(hom.matrix)
+        rank = matrix_rank(hom.matrix)
         assert rank == 2 == f.dim
 
     def test_parity_mismatch_rejected(self):

@@ -21,7 +21,12 @@ from superschur.exactla import (
     vadd,
     vscale,
 )
-from superschur.freenilp import GeneratorSpec, build_free_nilpotent, expand
+from superschur.freenilp import (
+    GeneratorSpec,
+    build_free_nilpotent,
+    expand,
+    free_superalgebra_degree_dims,
+)
 from superschur.multiplier import (
     bracket_quotient_dim,
     compare_methods,
@@ -38,7 +43,8 @@ from superschur.multiplier import (
     witness_terms,
     _leg1_rows,
 )
-from superschur.superalg import AlgebraError, SuperDim, change_basis, direct_sum
+from superschur.superalg import AlgebraError, SuperDim, direct_sum
+from support import basis_changed
 
 F = Fraction
 
@@ -137,6 +143,25 @@ class TestMethodAgreement:
         L = {a.name: a for a in builtin_algebras()}[name]
         h, c = compare_methods(L)
         assert h.dims == c.dims
+
+
+class TestFreeMultiplierClosedForm:
+    @pytest.mark.parametrize(
+        "p,q,c",
+        [(1, 0, 2), (0, 1, 3), (2, 0, 3), (1, 1, 3), (1, 1, 4), (0, 2, 3), (0, 2, 4),
+         (1, 2, 2), (1, 2, 3), (0, 3, 2), (2, 1, 3), (2, 1, 4)],
+    )
+    def test_both_routes_give_the_next_free_degree(self, p, q, c):
+        """For F = Φ/γ_{c+1}(Φ), Φ free on (p|q), M(F) ≅ γ_{c+1}(Φ)/γ_{c+2}(Φ).
+
+        F = Φ/R with R = γ_{c+1}(Φ) ⊆ Φ², so the Hopf formula gives
+        M(F) = (R ∩ Φ²)/[R, Φ] = γ_{c+1}(Φ)/γ_{c+2}(Φ), the degree-(c+1)
+        component of Φ, whose graded dimension the counting oracle gives.
+        """
+        free = build_free_nilpotent(GeneratorSpec(p, q, c)).algebra
+        want = free_superalgebra_degree_dims(p, q, c + 1)[c]
+        h, co = compare_methods(free)
+        assert h.dims == co.dims == want
 
 
 class TestBracketQuotient:
@@ -315,16 +340,6 @@ class TestIdentities:
             verify_top_step_identity(abelian(2, 0))
 
 
-def _basis_changed(L, seed):
-    rng = random.Random(seed)
-    ev = list(range(L.n_even))
-    od = list(range(L.n_even, L.dim))
-    rng.shuffle(ev)
-    rng.shuffle(od)
-    scales = [F(rng.choice([1, 2, -1, F(1, 2)])) for _ in range(L.dim)]
-    return change_basis(L, ev + od, scales)
-
-
 class TestBracketWithFree:
     @pytest.mark.parametrize(
         "L",
@@ -332,7 +347,7 @@ class TestBracketWithFree:
             L
             for base in builtin_algebras()
             if base.dim and base.is_nilpotent()
-            for L in (base, _basis_changed(base, 5))
+            for L in (base, basis_changed(base, 5))
         ],
         ids=lambda L: L.name,
     )

@@ -13,15 +13,14 @@ from superschur.catalog import (
     special_heisenberg_odd,
 )
 from superschur.exactla import (
-    Matrix,
     Subspace,
     dense,
     is_zero_vector,
-    rref,
     sparse,
     unit_vector,
     vector,
 )
+from superschur.freenilp import evaluate_word, left_normed_word, right_normed_word
 from superschur.multiplier import present
 from superschur.superalg import (
     EVEN,
@@ -31,9 +30,8 @@ from superschur.superalg import (
     SuperDim,
     change_basis,
     direct_sum,
-    left_normed,
-    right_normed,
 )
+from support import basis_changed, dense_rank
 
 F = Fraction
 
@@ -42,18 +40,8 @@ def sh01():
     return special_heisenberg_odd(1)
 
 
-def _basis_changed(L, seed):
-    rng = random.Random(seed)
-    ev = list(range(L.n_even))
-    od = list(range(L.n_even, L.dim))
-    rng.shuffle(ev)
-    rng.shuffle(od)
-    scales = [F(rng.choice([1, 2, -1, F(1, 2)])) for _ in range(L.dim)]
-    return change_basis(L, ev + od, scales)
-
-
 def _block_rank(rows, keys) -> int:
-    return rref(Matrix.from_rows([[v.get(k, 0) for k in keys] for v in rows], cols=len(keys)))[1]
+    return dense_rank([[v.get(k, 0) for k in keys] for v in rows])
 
 
 def _assert_graded(L, S):
@@ -227,7 +215,7 @@ class TestSeries:
 
     @pytest.mark.parametrize(
         "L",
-        [L for base in builtin_algebras() for L in (base, _basis_changed(base, 3))],
+        [L for base in builtin_algebras() for L in (base, basis_changed(base, 3))],
         ids=lambda L: L.name,
     )
     def test_series_center_relations_and_free_filtration_are_graded(self, L):
@@ -269,7 +257,7 @@ class TestCenter:
 
     @pytest.mark.parametrize(
         "L",
-        [L for base in builtin_algebras() for L in (base, _basis_changed(base, 11))],
+        [L for base in builtin_algebras() for L in (base, basis_changed(base, 11))],
         ids=lambda L: L.name,
     )
     def test_members_commute_and_dimension_is_corank_of_ad(self, L):
@@ -278,16 +266,12 @@ class TestCenter:
             for j in range(L.dim):
                 assert is_zero_vector(L.bracket(v, unit_vector(L.dim, j)))
         # rows (j, t), columns i: the stacked matrices of ad(b_j)
-        ad = Matrix.from_rows(
-            [
-                [L.bracket_basis(i, j).get(t, 0) for i in range(L.dim)]
-                for j in range(L.dim)
-                for t in range(L.dim)
-            ],
-            cols=L.dim,
-        )
-        _, rank = rref(ad)
-        assert z.dim == L.dim - rank
+        ad = [
+            [L.bracket_basis(i, j).get(t, 0) for i in range(L.dim)]
+            for j in range(L.dim)
+            for t in range(L.dim)
+        ]
+        assert z.dim == L.dim - dense_rank(ad)
 
 
 class TestQuotient:
@@ -341,7 +325,7 @@ class TestQuotient:
         assert len(built) == 4
         deep = [L for L in shipped if L.is_nilpotent() and L.nilpotency_class() >= 2]
         for seed, L in enumerate(deep):
-            for M in (L, _basis_changed(L, seed)):
+            for M in (L, basis_changed(L, seed)):
                 M.quotient(M.gamma(M.nilpotency_class()))
                 M.quotient(M.gamma(2))
         assert len(deep) == 10 and len(built) == 4 + 4 * len(deep)
@@ -443,14 +427,18 @@ class TestNormedBrackets:
     def test_left_normed_base_case(self):
         h = heisenberg3()
         e1, e2 = unit_vector(3, 0), unit_vector(3, 1)
-        assert left_normed(h, [e1, e2]) == h.bracket(e1, e2)
+        assert evaluate_word(h, left_normed_word([0, 1]), [e1, e2], {}) == h.bracket(e1, e2)
 
     def test_left_normed_three(self):
         f = filiform4()
         e1, e2, e3 = (unit_vector(4, i) for i in range(3))
-        assert left_normed(f, [e1, e2, e3]) == f.bracket(f.bracket(e1, e2), e3)
+        assert evaluate_word(f, left_normed_word([0, 1, 2]), [e1, e2, e3], {}) == f.bracket(
+            f.bracket(e1, e2), e3
+        )
 
     def test_right_normed_three(self):
         f = filiform4()
         e1, e2, e3 = (unit_vector(4, i) for i in range(3))
-        assert right_normed(f, [e1, e2, e3]) == f.bracket(e1, f.bracket(e2, e3))
+        assert evaluate_word(f, right_normed_word([0, 1, 2]), [e1, e2, e3], {}) == f.bracket(
+            e1, f.bracket(e2, e3)
+        )
