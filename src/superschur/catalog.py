@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .exactla import axpy
 from .freenilp import GeneratorSpec, build_free_nilpotent
 from .superalg import EVEN, ODD, LieSuperalgebra, direct_sum, graded_sign
 
@@ -112,23 +113,17 @@ def _free21_quotients() -> list[LieSuperalgebra]:
     out.append(relabel_canonical(q2, "free21c2"))
     i_x1, i_x2, i_f1 = q2.index_of("x1"), q2.index_of("x2"), q2.index_of("f1")
     # cut one even central line of the class-2 quotient: [x1,x2] - [f1,f1]
-    cut = [Fraction(0)] * q2.dim
-    for t, c in q2.bracket_basis(i_x1, i_x2).items():
-        cut[t] += c
-    for t, c in q2.bracket_basis(i_f1, i_f1).items():
-        cut[t] -= c
-    q2a, _ = q2.quotient(q2.graded_span([tuple(cut)]))
+    cut: dict = {}
+    axpy(cut, 1, q2.bracket_basis(i_x1, i_x2))
+    axpy(cut, -1, q2.bracket_basis(i_f1, i_f1))
+    q2a, _ = q2.quotient(q2.graded_span([cut]))
     out.append(relabel_canonical(q2a, "free21c2cut"))
     # cut one odd central line of the class-2 quotient: [x1,f1]
-    x1f1 = q2.bracket(
-        tuple(Fraction(1 if t == i_x1 else 0) for t in range(q2.dim)),
-        tuple(Fraction(1 if t == i_f1 else 0) for t in range(q2.dim)),
-    )
-    q2b, _ = q2.quotient(q2.graded_span([x1f1]))
+    q2b, _ = q2.quotient(q2.graded_span([q2.bracket_basis(i_x1, i_f1)]))
     out.append(relabel_canonical(q2b, "free21c2oddcut"))
     # class-3 quotient by one degree-3 line (degree-3 elements are central)
     g3 = a3.gamma(3)
-    line = a3.graded_span([g3.basis[0]])
+    line = a3.graded_span([g3.rows[0]])
     q3, _ = a3.quotient(line)
     out.append(relabel_canonical(q3, "free21c3cut"))
     return out
@@ -342,7 +337,3 @@ def render_catalog(algebras) -> str:
         lines.append("end")
         chunks.append("\n".join(lines))
     return "\n\n".join(chunks) + "\n"
-
-
-def builtin_catalog_text() -> str:
-    return render_catalog(builtin_algebras())

@@ -7,8 +7,8 @@ and intersections are all read off it.  No floating point anywhere.
 Sparse dicts {index: nonzero Fraction} are the one vector type: a
 `Subspace` keeps the engine's reduced row-echelon rows as they are, so
 two objects describe the same subspace exactly when their rows compare
-equal.  Dense Fraction tuples appear only at the API boundary; `Matrix`
-only holds linear maps.
+equal.  Every function takes and returns sparse vectors; dense Fraction
+tuples appear only in `Subspace.basis` and in `Matrix` and `rref`.
 """
 
 from __future__ import annotations
@@ -26,11 +26,6 @@ _ONE = Fraction(1)
 
 class SubspaceError(ValueError):
     """Ambient-dimension mismatch or failed containment."""
-
-
-def vector(entries: Iterable) -> Vector:
-    """Coerce an iterable of rational-like entries into a Vector."""
-    return tuple(Fraction(x) for x in entries)
 
 
 def sparse(v: Sequence) -> dict[int, Fraction]:
@@ -53,25 +48,6 @@ def axpy(y: dict, a, x: dict) -> None:
             y.pop(k, None)
 
 
-def unit_vector(n: int, i: int) -> Vector:
-    if not 0 <= i < n:
-        raise IndexError(f"unit vector index {i} out of range for dimension {n}")
-    return tuple(_ONE if j == i else _ZERO for j in range(n))
-
-
-def vadd(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vscale(c, v: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in v)
-
-
-def is_zero_vector(v: Sequence) -> bool:
-    return all(a == 0 for a in v)
-
-
 @dataclass(frozen=True)
 class Matrix:
     """Immutable rational matrix, stored row-major."""
@@ -87,35 +63,10 @@ class Matrix:
                 f"{self.rows * self.cols} entries, got {len(self.entries)}"
             )
 
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence], cols: int | None = None) -> "Matrix":
-        vecs = [vector(r) for r in rows]
-        if vecs:
-            width = len(vecs[0])
-            if any(len(r) != width for r in vecs):
-                raise ValueError("ragged rows")
-            if cols is not None and width != cols:
-                raise ValueError(f"rows of width {width} but cols={cols} requested")
-        else:
-            width = 0 if cols is None else cols
-        return Matrix(len(vecs), width, tuple(x for r in vecs for x in r))
-
-    @staticmethod
-    def identity(n: int) -> "Matrix":
-        return Matrix.from_rows([unit_vector(n, i) for i in range(n)], cols=n)
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, (_ZERO,) * (rows * cols))
-
     def row(self, i: int) -> Vector:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def col(self, j: int) -> Vector:
-        return self.entries[j::self.cols]
-
     def mul_vec(self, v: Sequence) -> Vector:
-        v = vector(v)
         if len(v) != self.cols:
             raise ValueError(f"vector of length {len(v)} against {self.cols} columns")
         return tuple(
@@ -192,18 +143,9 @@ class SparseEchelon:
         return tuple(self._rows[self._pivots[p]][1] for p in sorted(self._pivots))
 
 
-def _as_sparse(v, n: int) -> dict:
-    """v as a sparse vector: dicts pass through, dense sequences need length n."""
-    if isinstance(v, dict):
-        return v
-    if len(v) != n:
-        raise SubspaceError(f"vector of length {len(v)} in ambient dimension {n}")
-    return sparse(v)
-
-
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Reduced row-echelon form of m and its rank."""
-    rows = Subspace.span((m.row(i) for i in range(m.rows)), m.cols).basis
+    rows = Subspace.span((sparse(m.row(i)) for i in range(m.rows)), m.cols).basis
     pad = (_ZERO,) * ((m.rows - len(rows)) * m.cols)
     return Matrix(m.rows, m.cols, tuple(x for row in rows for x in row) + pad), len(rows)
 
@@ -226,28 +168,6 @@ def kernel(columns: Sequence[dict]) -> "Subspace":
     return Subspace.span(basis, len(columns))
 
 
-def nullspace(m: Matrix) -> "Subspace":
-    """The solution space {v : m v = 0}, canonicalized."""
-    return kernel([sparse(m.col(j)) for j in range(m.cols)])
-
-
-def solve(m: Matrix, b: Sequence) -> Vector | None:
-    """One solution x of m x = b, or None when the system is inconsistent.
-
-    b is expressed over the columns of m that the columns before them do
-    not span, so x is zero off the pivot columns.
-    """
-    if len(b) != m.rows:
-        raise ValueError(f"rhs of length {len(b)} against {m.rows} rows")
-    ech = SparseEchelon()
-    for j in range(m.cols):
-        ech.insert(sparse(m.col(j)), tag=j)
-    coeffs = ech.express(sparse(b))
-    if coeffs is None:
-        return None
-    return tuple(coeffs.get(j, _ZERO) for j in range(m.cols))
-
-
 @dataclass(frozen=True)
 class Subspace:
     """Subspace of Q^n stored as its reduced row-echelon rows.
@@ -267,10 +187,10 @@ class Subspace:
 
     @staticmethod
     def span(vectors: Iterable, ambient_dim: int) -> "Subspace":
-        """The span of sparse vectors (integer keys below n) or dense length-n ones."""
+        """The span of sparse vectors with integer keys below ambient_dim."""
         ech = SparseEchelon()
         for t, v in enumerate(vectors):
-            ech.insert(_as_sparse(v, ambient_dim), tag=t)
+            ech.insert(v, tag=t)
         return Subspace(ambient_dim, ech.rows())
 
     @staticmethod
@@ -301,26 +221,25 @@ class Subspace:
         taken = set(self.pivots)
         return tuple(i for i in range(self.ambient_dim) if i not in taken)
 
-    def reduce(self, v) -> dict:
+    def reduce(self, v: dict) -> dict:
         """v minus v[p] times the row of each pivot p, as a sparse vector.
 
         Every row is 0 at the other rows' pivots, so one pass clears every
         pivot coordinate; the result is empty exactly when v lies in the
-        subspace.  v is sparse or dense.
+        subspace.
         """
-        v = dict(_as_sparse(v, self.ambient_dim))
+        v = dict(v)
         for row, p in zip(self.rows, self.pivots):
             f = v.get(p)
             if f:
                 axpy(v, -f, row)
         return v
 
-    def contains(self, v) -> bool:
+    def contains(self, v: dict) -> bool:
         return not self.reduce(v)
 
-    def coords(self, v) -> Vector | None:
+    def coords(self, v: dict) -> tuple[Fraction, ...] | None:
         """Coefficients of v over the rows (its pivot entries), or None if outside."""
-        v = _as_sparse(v, self.ambient_dim)
         if self.reduce(v):
             return None
         return tuple(Fraction(v.get(p, 0)) for p in self.pivots)

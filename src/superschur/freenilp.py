@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from .exactla import Matrix, SparseEchelon, Subspace, Vector, axpy, sparse, vector
+from .exactla import Matrix, SparseEchelon, Subspace, axpy
 from .superalg import EVEN, ODD, AlgebraError, LieSuperalgebra, SuperDim, graded_sign
 
 _ZERO = Fraction(0)
@@ -452,8 +452,8 @@ def rewrite_identity_residual(i: int, parities) -> dict:
 # -- evaluation homomorphisms ---------------------------------------------------
 
 
-def evaluate_word(L: LieSuperalgebra, w, images, memo: dict) -> Vector:
-    """The bracket word w evaluated in L with leaf t sent to images[t].
+def evaluate_word(L: LieSuperalgebra, w, images, memo: dict) -> dict:
+    """The bracket word w evaluated in L with leaf t sent to the sparse images[t].
 
     `memo` caches the values of inner nodes by word, so it may be shared
     only between calls with the same images.
@@ -481,46 +481,40 @@ class HomMap:
         n, cols = self.target.dim, self.columns
         return Matrix(n, len(cols), tuple(c.get(i, _ZERO) for i in range(n) for c in cols))
 
-    def apply(self, v) -> Vector:
-        return self.matrix.mul_vec(v)
-
 
 def eval_hom(
     f: FreeNilpotentSuperalgebra, images, target: LieSuperalgebra
 ) -> HomMap:
     """The homomorphism extending generator -> image, checked on generator pairs.
 
-    Images must be homogeneous with the generators' parities, and the
-    target's class may not exceed the truncation class (a violation
-    surfaces as a failed homomorphism check).  The target must be a Lie
-    superalgebra (`require_valid` is called first, and cached): the check
-    then covers only the pairs (basis word x, generator g).  That suffices
-    by the graded Jacobi identity in source and target: the set of y with
-    φ[x, y] = [φx, φy] for every x is a subspace, it contains the
-    generators, and it is closed under brackets, so it is all of F.
+    Images are sparse vectors of the target, homogeneous with the
+    generators' parities, and the target's class may not exceed the
+    truncation class (a violation surfaces as a failed homomorphism
+    check).  The target must be a Lie superalgebra (`require_valid` is
+    called first, and cached): the check then covers only the pairs
+    (basis word x, generator g).  That suffices by the graded Jacobi
+    identity in source and target: the set of y with φ[x, y] = [φx, φy]
+    for every x is a subspace, it contains the generators, and it is
+    closed under brackets, so it is all of F.
     """
     target.require_valid()
-    images = [vector(x) for x in images]
+    images = list(images)
     if len(images) != f.spec.num:
         raise AlgebraError(f"need {f.spec.num} images, got {len(images)}")
     for t, img in enumerate(images):
-        if len(img) != target.dim:
-            raise AlgebraError("image has wrong coordinate length")
-        if target.parity_of(img) != f.spec.parities[t] and not all(
-            c == 0 for c in img
-        ):
+        if any(not 0 <= k < target.dim for k in img):
+            raise AlgebraError("image has a coordinate outside the target")
+        if img and target.parity_of(img) != f.spec.parities[t]:
             raise AlgebraError(
                 f"generator {f.spec.labels[t]} is mapped to an element of the wrong parity"
             )
     memo: dict = {}
-    columns = [
-        sparse(evaluate_word(target, f.basis_word(idx), images, memo)) for idx in range(f.dim)
-    ]
+    columns = [evaluate_word(target, f.basis_word(idx), images, memo) for idx in range(f.dim)]
     A = f.algebra
     for x in range(f.dim):
         for t in range(f.spec.num):
             g = f.generator_basis_index(t)
-            if A.bracket_image(x, g, columns) != target.sparse_bracket(columns[x], columns[g]):
+            if A.bracket_image(x, g, columns) != target.bracket(columns[x], columns[g]):
                 raise AlgebraError(
                     "generator images do not extend to a homomorphism "
                     f"(fails at basis pair {x},{g}; is the target's class within "

@@ -23,19 +23,13 @@ from fractions import Fraction
 from .exactla import (
     SparseEchelon,
     Subspace,
-    Vector,
     axpy,
     complement_rows,
-    dense,
-    is_zero_vector,
     kernel,
     quotient_dim,
     rref,
-    sparse,
     subspace_intersect,
     subspace_sum,
-    unit_vector,
-    vector,
 )
 from .freenilp import (
     FreeNilpotentSuperalgebra,
@@ -68,7 +62,7 @@ class OracleDisagreement(RuntimeError):
 class MultiplierResult:
     dims: SuperDim
     method: str
-    witnesses: tuple[Vector, ...] | None = None
+    witnesses: tuple[dict, ...] | None = None
 
 
 @dataclass
@@ -93,7 +87,7 @@ class FreePresentation:
     def algebra(self) -> LieSuperalgebra:
         return self.fbar.algebra
 
-    def lift_into_gamma(self, v, i: int) -> Vector:
+    def lift_into_gamma(self, v: dict, i: int) -> dict:
         """Some w in gamma_i(fbar) with pi(w) = v; v must lie in gamma_i(target)."""
         f = self.fbar
         key = ("lift", i)
@@ -103,10 +97,10 @@ class FreePresentation:
                 if f.basis_degree(idx) >= i:
                     ech.insert(self.pi.columns[idx], tag=idx)
             self._cache[key] = ech
-        coeffs = self._cache[key].express(sparse(v))
+        coeffs = self._cache[key].express(v)
         if coeffs is None:
             raise AlgebraError("element does not lift into the requested filtration step")
-        return dense(coeffs, f.dim)
+        return coeffs
 
     def numerator_space(self, i: int) -> Subspace:
         """[gamma_i(F) + R, F] inside fbar."""
@@ -172,7 +166,7 @@ def present(L: LieSuperalgebra, lift_order=None) -> FreePresentation:
         if sorted(order) != list(range(len(lifts))) or len(ev) != gens.even:
             raise AlgebraError("lift_order must permute lifts within parity blocks")
         lifts = ev + od
-    images = [unit_vector(L.dim, t) for t in lifts]
+    images = [{t: _ONE} for t in lifts]
     pi = eval_hom(f, images, L)
     _, rank = rref(pi.matrix)
     if rank != L.dim:
@@ -203,7 +197,7 @@ def schur_multiplier_hopf(L: LieSuperalgebra) -> MultiplierResult:
     den = pres.denominator_space(L.nilpotency_class())
     # a subset of reduced row-echelon rows is itself in that form
     comp = Subspace(A.dim, complement_rows(num, den))
-    result = MultiplierResult(A.superdim(comp), "hopf", comp.basis)
+    result = MultiplierResult(A.superdim(comp), "hopf", comp.rows)
     L._cache["hopf"] = result
     return result
 
@@ -230,7 +224,6 @@ def schur_multiplier_cohomology(L: LieSuperalgebra) -> MultiplierResult:
             if a == b and p[a] == EVEN:
                 continue  # forced zero by graded skew-symmetry
             coords[(p[a] + p[b]) % 2].append((a, b))
-    positions = {key: i for sigma in (EVEN, ODD) for i, key in enumerate(coords[sigma])}
 
     def coord_of(a: int, b: int):
         if a == b:
@@ -277,14 +270,6 @@ def schur_multiplier_cohomology(L: LieSuperalgebra) -> MultiplierResult:
     result = MultiplierResult(dims, "cohomology")
     L._cache["cohomology"] = result
     return result
-
-
-def schur_multiplier(L: LieSuperalgebra, method: str = "hopf") -> MultiplierResult:
-    if method == "hopf":
-        return schur_multiplier_hopf(L)
-    if method == "cohomology":
-        return schur_multiplier_cohomology(L)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def compare_methods(L: LieSuperalgebra) -> tuple[MultiplierResult, MultiplierResult]:
@@ -341,16 +326,16 @@ class WitnessTensor:
     tensor: dict[tuple[int, int], Fraction]
     nonzero: bool
     in_kernel: bool
-    leg1_rows: tuple[Vector, ...]
+    leg1_rows: tuple[dict, ...]
 
 
-def _leg1_rows(L: LieSuperalgebra, i: int) -> tuple[Vector, ...]:
+def _leg1_rows(L: LieSuperalgebra, i: int) -> tuple[dict, ...]:
     """Representatives spanning γ_i/γ_{i+1}: the rows of γ_i off the
     pivots of γ_{i+1}, which is zero at the top step i = c."""
-    return tuple(dense(v, L.dim) for v in complement_rows(L.gamma(i), L.gamma(i + 1)))
+    return complement_rows(L.gamma(i), L.gamma(i + 1))
 
 
-def _leg1_coords(L: LieSuperalgebra, i: int, v) -> list[Fraction]:
+def _leg1_coords(L: LieSuperalgebra, i: int, v: dict) -> list[Fraction]:
     """Coordinates of v's class over the _leg1_rows representatives.
 
     γ_{i+1}.reduce(v) is v modulo γ_{i+1} with γ_{i+1}'s pivot entries
@@ -365,7 +350,7 @@ def _leg1_coords(L: LieSuperalgebra, i: int, v) -> list[Fraction]:
     return [c for c, p in zip(coords, gi.pivots) if p not in skip]
 
 
-def witness_terms(L: LieSuperalgebra, xs, i: int) -> list[tuple[Fraction, Vector, int]]:
+def witness_terms(L: LieSuperalgebra, xs, i: int) -> list[tuple[Fraction, dict, int]]:
     """Signed (coefficient, bracket value, tuple position) triples of the
     witness tensor: the rewriting identity's image at xs.
 
@@ -388,16 +373,16 @@ def witness_tensor(L: LieSuperalgebra, i: int, tuple_elems) -> WitnessTensor:
     First legs live in γ_i(L) coordinates at the top step and in
     γ_i/γ_{i+1} coordinates below it; second legs live in L/γ₂(L)
     coordinates.  Tuple entries must be homogeneous and drawn from the
-    chosen minimal generating lifts.
+    chosen minimal generating lifts, as sparse vectors.
     """
     pres = present(L)
     c = L.nilpotency_class()
     if not 2 <= i <= c:
         raise AlgebraError(f"index {i} outside [2, {c}]")
-    xs = [vector(x) for x in tuple_elems]
+    xs = list(tuple_elems)
     if len(xs) != i + 1:
         raise AlgebraError(f"need {i + 1} tuple entries, got {len(xs)}")
-    lifts = [unit_vector(L.dim, t) for t in pres.lift_indices]
+    lifts = [{t: _ONE} for t in pres.lift_indices]
     gen_pos = []
     for x in xs:
         if not L.is_homogeneous(x):
@@ -411,7 +396,7 @@ def witness_tensor(L: LieSuperalgebra, i: int, tuple_elems) -> WitnessTensor:
     rows = _leg1_rows(L, i)
     tensor: dict[tuple[int, int], Fraction] = {}
     for coeff, val, pos in witness_terms(L, xs, i):
-        if is_zero_vector(val):
+        if not val:
             continue
         for a, ca in enumerate(_leg1_coords(L, i, val)):
             if ca == 0:
@@ -442,9 +427,9 @@ def bracket_map_residual(
     f = pres.fbar
     total: dict = {}
     for (a, b), coeff in tensor.items():
-        w_u = sparse(pres.lift_into_gamma(leg1_rows[a], i))
+        w_u = pres.lift_into_gamma(leg1_rows[a], i)
         w_y = {f.generator_basis_index(b): _ONE}
-        axpy(total, coeff, A.sparse_bracket(w_u, w_y))
+        axpy(total, coeff, A.bracket(w_u, w_y))
     return pres.denominator_space(i).reduce(total)
 
 
@@ -455,7 +440,7 @@ def witness_tuple_positions(L: LieSuperalgebra, i: int) -> tuple[tuple[int, ...]
     c = L.nilpotency_class()
     if not 2 <= i <= c:
         raise AlgebraError(f"index {i} outside [2, {c}]")
-    lifts = [unit_vector(L.dim, t) for t in pres.lift_indices]
+    lifts = [{t: _ONE} for t in pres.lift_indices]
     gnext = L.gamma(i + 1)
     memo: dict = {}
     for tup in itertools.product(range(len(lifts)), repeat=i):

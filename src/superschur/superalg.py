@@ -18,13 +18,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import Matrix, Subspace, Vector, axpy, dense, kernel, sparse
+from .exactla import Subspace, axpy, kernel
 
 EVEN = 0
 ODD = 1
 Parity = int
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 _MINUS_ONE = Fraction(-1)
 
@@ -174,7 +173,7 @@ class LieSuperalgebra:
             axpy(acc, c, cols[k])
         return acc
 
-    def sparse_bracket(self, x: dict, y: dict) -> dict:
+    def bracket(self, x: dict, y: dict) -> dict:
         """Bilinear extension of the table to sparse coordinate vectors."""
         acc: dict = {}
         for i, xi in x.items():
@@ -182,36 +181,21 @@ class LieSuperalgebra:
                 axpy(acc, xi * yj, self.bracket_basis(i, j))
         return acc
 
-    def bracket(self, x, y) -> Vector:
-        """`sparse_bracket` on dense coordinate sequences.
-
-        Entries may be ints or Fractions; the result is a tuple of
-        Fractions.
-        """
-        if len(x) != self.dim or len(y) != self.dim:
-            raise AlgebraError(f"coordinate vectors must have length {self.dim}")
-        return dense(self.sparse_bracket(sparse(x), sparse(y)), self.dim)
-
     # -- homogeneity helpers ----------------------------------------------
 
-    def split(self, v) -> tuple[dict, dict]:
-        """The even and odd parts of a coordinate vector, dense or sparse,
-        as sparse vectors."""
-        if not isinstance(v, dict):
-            if len(v) != self.dim:
-                raise AlgebraError(f"coordinate vectors must have length {self.dim}")
-            v = sparse(v)
+    def split(self, v: dict) -> tuple[dict, dict]:
+        """The even and odd parts of a sparse coordinate vector."""
         ne = self.n_even
         return (
             {k: c for k, c in v.items() if k < ne},
             {k: c for k, c in v.items() if k >= ne},
         )
 
-    def is_homogeneous(self, v) -> bool:
+    def is_homogeneous(self, v: dict) -> bool:
         ve, vo = self.split(v)
         return not ve or not vo
 
-    def parity_of(self, v) -> Parity:
+    def parity_of(self, v: dict) -> Parity:
         """Parity of a homogeneous vector; zero counts as even."""
         ve, vo = self.split(v)
         if not vo:
@@ -303,7 +287,7 @@ class LieSuperalgebra:
     # -- structural invariants ----------------------------------------------
 
     def graded_span(self, vectors) -> Subspace:
-        """Span of the even and odd parts of vectors, dense or sparse."""
+        """Span of the even and odd parts of sparse vectors."""
         return Subspace.span(
             (part for v in vectors for part in self.split(v) if part), self.dim
         )
@@ -315,7 +299,7 @@ class LieSuperalgebra:
         are dropped before they reach the echelon.
         """
         return Subspace.span(
-            (z for x in u.rows for y in w.rows if (z := self.sparse_bracket(x, y))),
+            (z for x in u.rows for y in w.rows if (z := self.bracket(x, y))),
             self.dim,
         )
 
@@ -381,7 +365,7 @@ class LieSuperalgebra:
             if not self.is_homogeneous(x):
                 return False, f"{self._describe(x)} is not homogeneous"
             for j in range(self.dim):
-                if not S.contains(self.sparse_bracket(x, {j: _ONE})):
+                if not S.contains(self.bracket(x, {j: _ONE})):
                     witness = (
                         f"[{self._describe(x)}, {self.label_of(j)}] escapes the subspace"
                     )
@@ -395,12 +379,13 @@ class LieSuperalgebra:
         return " + ".join(terms) if terms else "0"
 
     def quotient(self, ideal: Subspace, name: str | None = None):
-        """Quotient algebra by a graded ideal, plus the projection matrix.
+        """Quotient algebra by a graded ideal, plus the projection's columns.
 
         The complement basis is the set of non-pivot coordinates of the
         ideal, so the induced table is deterministic.  Column s of the
         projection is b_s reduced by the ideal, read at those coordinates,
-        and the table is [b_a, b_b] projected for complement indices a <= b.
+        as a sparse vector, and the table is [b_a, b_b] projected for
+        complement indices a <= b.
 
         The projection is then a homomorphism of even degree, with no
         check needed: b_s minus its reduction c_s lies in the ideal I, so
@@ -431,12 +416,7 @@ class LieSuperalgebra:
         q = LieSuperalgebra(
             name if name is not None else f"{self.name}/I", labels, pars, table
         )
-        proj = Matrix(
-            len(comp),
-            self.dim,
-            tuple(col.get(t, _ZERO) for t in range(len(comp)) for col in cols),
-        )
-        return q, proj
+        return q, cols
 
     def minimal_generator_dims(self) -> SuperDim:
         """Superdimension of L / [L, L] for nilpotent L."""

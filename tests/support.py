@@ -8,7 +8,7 @@ that use it as an oracle check that engine rather than restate it.
 import random
 from fractions import Fraction
 
-from superschur.exactla import Subspace, subspace_sum
+from superschur.exactla import Subspace, axpy, subspace_sum
 from superschur.freenilp import GeneratorSpec, build_free_nilpotent
 from superschur.superalg import change_basis
 
@@ -60,20 +60,18 @@ def random_quotients(count):
         f = build_free_nilpotent(GeneratorSpec(p, q, k))
         A = f.algebra
         g2 = A.gamma(2)
-        members = g2.basis
+        members = g2.rows
         picks = []
         for _ in range(rng.randint(0, 2)):
             if not members:
                 break
-            v = [0] * A.dim
+            v: dict = {}
             base = rng.choice(members)
             parity_block = A.parity_of(base)
             for member in members:
                 if A.parity_of(member) == parity_block:
-                    c = rng.randint(-2, 2)
-                    for t, x in enumerate(member):
-                        v[t] += c * x
-            picks.append(tuple(v))
+                    axpy(v, rng.randint(-2, 2), member)
+            picks.append(v)
         ideal = A.graded_span(picks)
         while True:
             grown = subspace_sum(ideal, A.product_space(ideal, Subspace.full(A.dim)))

@@ -8,6 +8,7 @@ import functools
 import itertools
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -24,11 +25,12 @@ from superschur.catalog import (
     abelian,
     builtin_algebras,
     heisenberg3,
+    parse_catalog,
     relabel_canonical,
     render_catalog,
 )
 from superschur.cli import main
-from superschur.exactla import SparseEchelon, unit_vector
+from superschur.exactla import SparseEchelon
 from superschur.freenilp import (
     GeneratorSpec,
     build_free_nilpotent,
@@ -76,6 +78,12 @@ def nilpotent_catalog(catalog):
     return [a for a in catalog if a.is_nilpotent()]
 
 
+@pytest.fixture(scope="module")
+def quotient_pairs():
+    """The 50 random quotients, each with its seeded change_basis copy."""
+    return [(L, basis_changed(L, t)) for t, L in enumerate(random_quotients(50))]
+
+
 @_report(1, "abelian closed form, 25 exact cases")
 def test_criterion_1_abelian_closed_form():
     for m in range(5):
@@ -85,13 +93,9 @@ def test_criterion_1_abelian_closed_form():
             assert got == want, (m, n, got, want)
 
 
-@_report(2, "hopf and cohomology agree on catalog + 50 random quotients")
-def test_criterion_2_oracle_agreement(nilpotent_catalog):
-    for L in nilpotent_catalog:
-        h = schur_multiplier_hopf(L).dims
-        c = schur_multiplier_cohomology(L).dims
-        assert h == c, (L.name, h, c)
-    for L in random_quotients(50):
+@_report(2, "hopf and cohomology agree on catalog + 50 random quotients and their copies")
+def test_criterion_2_oracle_agreement(nilpotent_catalog, quotient_pairs):
+    for L in nilpotent_catalog + [M for pair in quotient_pairs for M in pair]:
         h = schur_multiplier_hopf(L).dims
         c = schur_multiplier_cohomology(L).dims
         assert h == c, (L.name, h, c)
@@ -162,7 +166,7 @@ def test_criterion_7_witness_tensors(nilpotent_catalog):
         if L.nilpotency_class() < 2:
             continue
         pres = present(L)
-        lifts = [unit_vector(L.dim, t) for t in pres.lift_indices]
+        lifts = [{t: Fraction(1)} for t in pres.lift_indices]
         gens = len(lifts)
         for i in range(2, min(L.nilpotency_class(), gens) + 1):
             z_pos, y_pos = witness_tuple_positions(L, i)
@@ -198,11 +202,11 @@ def test_criterion_8_free_algebra_cross_check():
 
 
 @_report(9, "verify green on 50 random quotients and a change_basis copy of each")
-def test_criterion_9_verify_random_quotients(tmp_path, capsys):
+def test_criterion_9_verify_random_quotients(quotient_pairs, tmp_path, capsys):
     algebras = []
-    for t, L in enumerate(random_quotients(50)):
+    for t, (L, moved) in enumerate(quotient_pairs):
         algebras.append(relabel_canonical(L, f"rq{t}"))
-        algebras.append(relabel_canonical(basis_changed(L, t), f"rq{t}cb"))
+        algebras.append(relabel_canonical(moved, f"rq{t}cb"))
     path = tmp_path / "rq.cat"
     path.write_text(render_catalog(algebras))
     code = main(["--format", "json", "verify", str(path)])
@@ -222,3 +226,31 @@ def test_criterion_9_verify_random_quotients(tmp_path, capsys):
         check_bound(L)  # raises BoundViolation if any bound is exceeded
     assert code == 0
     assert checked == 76
+
+
+def _invariants(L):
+    return (
+        [L.superdim(S) for S in L.lower_central_series()],
+        L.superdim(L.center()),
+        L.nilpotency_class(),
+        L.minimal_generator_dims(),
+        schur_multiplier_hopf(L).dims,
+    )
+
+
+@_report(10, "basis-free invariants equal on 50 random quotients and their change_basis copies")
+def test_criterion_10_random_quotient_invariants_are_basis_free(quotient_pairs):
+    for L, moved in quotient_pairs:
+        assert _invariants(moved) == _invariants(L), L.name
+
+
+@_report(11, "catalog round trip keeps labels, parities and tables of 50 random quotients and copies")
+def test_criterion_11_random_quotient_catalog_round_trip(quotient_pairs):
+    for t, pair in enumerate(quotient_pairs):
+        for L in pair:
+            named = relabel_canonical(L, f"rq{t}")
+            (back,) = parse_catalog(render_catalog([named]))
+            assert back.name == named.name
+            assert back.basis_labels == named.basis_labels, L.name
+            assert back.parities == L.parities, L.name
+            assert back._canon() == L._canon(), L.name

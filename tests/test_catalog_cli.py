@@ -184,6 +184,31 @@ class TestCli:
         assert "parity_cases = 16" in out and "parity_cases = 32" in out
         assert "nonzero_residuals = 0" in out
 
+    def test_identity_arity_above_the_limit_is_refused(self, capsys, monkeypatch):
+        from superschur import cli as cli_mod
+
+        def never(i, parities):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(cli_mod, "rewrite_identity_residual", never)
+        code = main(["identity", "--arity-max", str(cli_mod.IDENTITY_ARITY_MAX + 1)])
+        captured = capsys.readouterr()
+        assert cli_mod.IDENTITY_ARITY_MAX == 10
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: --arity-max 11 exceeds the limit of 10\n"
+
+    def test_identity_arity_at_the_limit_is_accepted(self, capsys, monkeypatch):
+        from superschur import cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(
+            cli_mod, "rewrite_identity_residual", lambda i, parities: calls.append(i) or {}
+        )
+        code = main(["--format", "json", "identity", "--arity-max", "10"])
+        assert code == 0
+        assert len(calls) == sum(2 ** (i + 1) for i in range(3, 11))
+        assert '"arity": 10' in capsys.readouterr().out
+
     def test_unknown_algebra_is_usage_error(self, capsys):
         code = main(["multiplier", "--algebra", "nope"])
         assert code == 1

@@ -11,21 +11,40 @@ from superschur.exactla import (
     SubspaceError,
     complement_rows,
     dense,
-    is_zero_vector,
-    nullspace,
+    kernel,
     quotient_dim,
     rref,
-    solve,
+    sparse,
     subspace_intersect,
     subspace_sum,
-    unit_vector,
-    vadd,
-    vector,
 )
 
 from support import dense_rank, matrix_rank
 
 F = Fraction
+
+
+def matrix(rows) -> Matrix:
+    """The Matrix with these nonempty equal-length rows of rational-like entries."""
+    return Matrix(len(rows), len(rows[0]), tuple(F(x) for row in rows for x in row))
+
+
+def identity(n: int) -> Matrix:
+    return matrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def columns(m: Matrix) -> list[dict]:
+    """The columns of m as sparse vectors."""
+    return [sparse(m.entries[j::m.cols]) for j in range(m.cols)]
+
+
+def column_echelon(m: Matrix) -> SparseEchelon:
+    """The columns of m inserted into an echelon, tagged by column index."""
+    ech = SparseEchelon()
+    for j, col in enumerate(columns(m)):
+        ech.insert(col, tag=j)
+    return ech
+
 
 entries = st.integers(-4, 4).map(F) | st.fractions(
     min_value=-3, max_value=3, max_denominator=4
@@ -37,30 +56,30 @@ def small_matrices(max_dim=5):
         lambda r: st.integers(1, max_dim).flatmap(
             lambda c: st.lists(
                 st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r
-            ).map(lambda rows: Matrix.from_rows(rows))
+            ).map(matrix)
         )
     )
 
 
 class TestRref:
     def test_identity(self):
-        m = Matrix.identity(3)
+        m = identity(3)
         red, rank = rref(m)
         assert red == m
         assert rank == 3
 
     def test_zero(self):
-        m = Matrix.zero(2, 2)
+        m = matrix([[0, 0], [0, 0]])
         red, rank = rref(m)
         assert red == m
         assert rank == 0
 
     def test_dependent_rows(self):
-        m = Matrix.from_rows([[1, 2], [2, 4]])
+        m = matrix([[1, 2], [2, 4]])
         red, rank = rref(m)
         assert rank == 1
-        assert red.row(0) == vector([1, 2])
-        assert red.row(1) == vector([0, 0])
+        assert red.row(0) == (F(1), F(2))
+        assert red.row(1) == (F(0), F(0))
 
     @given(small_matrices())
     @settings(max_examples=60, deadline=None)
@@ -69,12 +88,12 @@ class TestRref:
         assert rank == matrix_rank(m)
         rows = [red.row(i) for i in range(red.rows)]
         assert (red.rows, red.cols) == (m.rows, m.cols)
-        assert all(is_zero_vector(row) for row in rows[rank:])
+        assert not any(x for row in rows[rank:] for x in row)
         pivots = [next(j for j, x in enumerate(row) if x != 0) for row in rows[:rank]]
         assert pivots == sorted(set(pivots))
         for i, p in enumerate(pivots):
             assert [row[p] for row in rows] == [F(int(k == i)) for k in range(m.rows)]
-        span = Subspace.span([m.row(i) for i in range(m.rows)], m.cols)
+        span = Subspace.span([sparse(m.row(i)) for i in range(m.rows)], m.cols)
         assert tuple(rows[:rank]) == span.basis
 
 
@@ -84,58 +103,60 @@ class TestDenseRankOracle:
         assert dense_rank([[0, 0], [0, 0]]) == 0
         assert dense_rank([[1, 2], [2, 4]]) == 1
         assert dense_rank([[0, 1, 1], [1, 0, 1], [1, 1, 2]]) == 2
-        assert matrix_rank(Matrix.identity(3)) == 3
+        assert matrix_rank(identity(3)) == 3
 
 
 class TestNullspace:
+    """{v : m v = 0} as the kernel of m's sparse columns."""
+
     def test_identity_has_trivial_kernel(self):
-        assert nullspace(Matrix.identity(2)).dim == 0
+        assert kernel(columns(identity(2))).dim == 0
 
     def test_difference_functional(self):
-        ns = nullspace(Matrix.from_rows([[1, -1]]))
-        assert ns.basis == (vector([1, 1]),)
+        ns = kernel(columns(matrix([[1, -1]])))
+        assert ns.basis == ((F(1), F(1)),)
 
     def test_rank_one(self):
-        ns = nullspace(Matrix.from_rows([[1, 2], [2, 4]]))
+        ns = kernel(columns(matrix([[1, 2], [2, 4]])))
         assert ns.dim == 1
-        assert ns == Subspace.span([[-2, 1]], 2)
+        assert ns == Subspace.span([sparse([-2, 1])], 2)
 
     @given(small_matrices())
     @settings(max_examples=60, deadline=None)
     def test_rank_nullity(self, m):
         _, rank = rref(m)
-        assert rank + nullspace(m).dim == m.cols
+        assert rank + kernel(columns(m)).dim == m.cols
 
     @given(small_matrices())
     @settings(max_examples=60, deadline=None)
     def test_kernel_vectors_annihilate(self, m):
-        ns = nullspace(m)
+        ns = kernel(columns(m))
         for row in ns.basis:
             assert all(x == 0 for x in m.mul_vec(row))
 
 
 class TestSubspace:
     def test_sum_of_lines(self):
-        u = Subspace.span([[1, 0, 0]], 3)
-        w = Subspace.span([[0, 1, 0]], 3)
+        u = Subspace.span([sparse([1, 0, 0])], 3)
+        w = Subspace.span([sparse([0, 1, 0])], 3)
         assert subspace_sum(u, w).dim == 2
 
     def test_sum_idempotent(self):
-        u = Subspace.span([[1, 2, 3], [0, 1, 1]], 3)
+        u = Subspace.span([sparse([1, 2, 3]), sparse([0, 1, 1])], 3)
         assert subspace_sum(u, u) == u
 
     def test_sum_reaches_full_space(self):
-        u = Subspace.span([[1, 0, 0], [0, 1, 0]], 3)
-        w = Subspace.span([[0, 1, 0], [0, 0, 1]], 3)
+        u = Subspace.span([sparse([1, 0, 0]), sparse([0, 1, 0])], 3)
+        w = Subspace.span([sparse([0, 1, 0]), sparse([0, 0, 1])], 3)
         assert subspace_sum(u, w) == Subspace.full(3)
 
     def test_intersection_of_planes(self):
-        u = Subspace.span([[1, 0, 0], [0, 1, 0]], 3)
-        w = Subspace.span([[0, 1, 0], [0, 0, 1]], 3)
-        assert subspace_intersect(u, w) == Subspace.span([[0, 1, 0]], 3)
+        u = Subspace.span([sparse([1, 0, 0]), sparse([0, 1, 0])], 3)
+        w = Subspace.span([sparse([0, 1, 0]), sparse([0, 0, 1])], 3)
+        assert subspace_intersect(u, w) == Subspace.span([sparse([0, 1, 0])], 3)
 
     def test_intersection_with_full_and_zero(self):
-        u = Subspace.span([[1, 1, 0]], 3)
+        u = Subspace.span([sparse([1, 1, 0])], 3)
         assert subspace_intersect(u, Subspace.full(3)) == u
         assert subspace_intersect(u, Subspace.zero(3)).dim == 0
 
@@ -145,21 +166,21 @@ class TestSubspace:
 
     def test_quotient_dim(self):
         u = Subspace.full(3)
-        w = Subspace.span([[0, 0, 1]], 3)
+        w = Subspace.span([sparse([0, 0, 1])], 3)
         assert quotient_dim(u, w) == 2
         assert quotient_dim(u, u) == 0
-        assert quotient_dim(Subspace.span([unit_vector(5, i) for i in range(5)], 5),
+        assert quotient_dim(Subspace.span([{i: F(1)} for i in range(5)], 5),
                             Subspace.zero(5)) == 5
 
     def test_quotient_containment_failure_carries_witness(self):
-        u = Subspace.span([[1, 0, 0]], 3)
-        w = Subspace.span([[0, 1, 0]], 3)
+        u = Subspace.span([sparse([1, 0, 0])], 3)
+        w = Subspace.span([sparse([0, 1, 0])], 3)
         with pytest.raises(SubspaceError, match="witness"):
             quotient_dim(u, w)
 
     def test_complement_rows(self):
         u = Subspace.full(3)
-        w = Subspace.span([[0, 1, 0]], 3)
+        w = Subspace.span([sparse([0, 1, 0])], 3)
         comp = complement_rows(u, w)
         assert subspace_sum(Subspace.span(comp, 3), w) == u
         assert len(comp) == 2
@@ -169,10 +190,13 @@ class TestSubspace:
 def subspace_pairs(draw):
     n = draw(st.integers(1, 5))
     mk = lambda: Subspace.span(
-        draw(
-            st.lists(
-                st.lists(entries, min_size=n, max_size=n), min_size=0, max_size=n
-            )
+        map(
+            sparse,
+            draw(
+                st.lists(
+                    st.lists(entries, min_size=n, max_size=n), min_size=0, max_size=n
+                )
+            ),
         ),
         n,
     )
@@ -197,24 +221,26 @@ def _rank_contains(u, v):
 @settings(max_examples=40, deadline=None)
 def test_intersection_members_lie_in_both(pair):
     u, w = pair
-    for row in subspace_intersect(u, w).basis:
+    for row in subspace_intersect(u, w).rows:
         assert u.contains(row) and w.contains(row)
     # reduce, contains and coords on the sparse rows against the rank oracle
-    probes = list(w.basis) + [vadd(a, b) for a, b in zip(u.basis, w.basis)]
+    probes = list(w.basis) + [
+        tuple(a + b for a, b in zip(x, y)) for x, y in zip(u.basis, w.basis)
+    ]
     for v in probes:
         inside = _rank_contains(u, v)
-        sv = {i: c for i, c in enumerate(v) if c}
+        sv = sparse(v)
         red = u.reduce(sv)
-        assert u.reduce(v) == red
+        assert sv == sparse(v)  # reduce works on a copy
         assert not any(p in red for p in u.pivots)
         assert _rank_contains(u, [a - b for a, b in zip(v, dense(red, u.ambient_dim))])
-        assert u.contains(v) == u.contains(sv) == (not red) == inside
-        coords = u.coords(v)
+        assert u.contains(sv) == (not red) == inside
+        coords = u.coords(sv)
         if inside:
             combo = [F(0)] * u.ambient_dim
             for c, row in zip(coords, u.basis):
                 combo = [x + c * y for x, y in zip(combo, row)]
-            assert tuple(combo) == vector(v)
+            assert tuple(combo) == v
         else:
             assert coords is None
     # complement_rows: dim u - dim w rows when w ⊆ u, a witness otherwise
@@ -243,7 +269,7 @@ def test_intersection_members_lie_in_both(pair):
 def test_canonical_basis_is_spanning_set_independent(data):
     vecs, mixes = data
     n = len(vecs[0])
-    u = Subspace.span(vecs, n)
+    u = Subspace.span(map(sparse, vecs), n)
     recombined = []
     for mix in mixes:
         v = [F(0)] * n
@@ -251,12 +277,12 @@ def test_canonical_basis_is_spanning_set_independent(data):
             for t in range(n):
                 v[t] += c * row[t]
         recombined.append(v)
-    w = Subspace.span(list(vecs) + recombined, n)
+    w = Subspace.span(map(sparse, list(vecs) + recombined), n)
     assert w == u  # bit-identical canonical bases
     assert hash(w) == hash(u)
     flipped = Subspace.span([dict(reversed(row.items())) for row in u.rows], n)
     assert flipped == u and hash(flipped) == hash(u)  # key order is not data
-    assert Subspace.span(reversed(recombined + list(vecs)), n) == u
+    assert Subspace.span(map(sparse, reversed(recombined + list(vecs))), n) == u
     # the rows are canonical: each pivot is its row's smallest key, it is
     # 1, every other row is 0 there, and pivots increase along the rows
     assert list(u.pivots) == sorted(set(u.pivots))
@@ -267,11 +293,12 @@ def test_canonical_basis_is_spanning_set_independent(data):
 
 
 def test_solve_consistent_and_inconsistent():
-    m = Matrix.from_rows([[1, 2], [3, 4]])
-    x = solve(m, [5, 6])
-    assert x is not None and m.mul_vec(x) == vector([5, 6])
-    singular = Matrix.from_rows([[1, 1], [1, 1]])
-    assert solve(singular, [0, 1]) is None
+    """m x = b solved by expressing b over m's columns."""
+    m = matrix([[1, 2], [3, 4]])
+    x = column_echelon(m).express(sparse([5, 6]))
+    assert x is not None and m.mul_vec(dense(x, m.cols)) == (F(5), F(6))
+    singular = matrix([[1, 1], [1, 1]])
+    assert column_echelon(singular).express(sparse([0, 1])) is None
 
 
 @given(
@@ -285,8 +312,8 @@ def test_solve_consistent_and_inconsistent():
 def test_solve_finds_a_preimage(data):
     m, x = data
     b = m.mul_vec(x)
-    y = solve(m, b)
-    assert y is not None and m.mul_vec(y) == b
+    y = column_echelon(m).express(sparse(b))
+    assert y is not None and m.mul_vec(dense(y, m.cols)) == b
 
 
 class TestSparseEchelon:

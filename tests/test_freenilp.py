@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from superschur.catalog import heisenberg3, special_heisenberg_odd
-from superschur.exactla import SparseEchelon, axpy, unit_vector
+from superschur.exactla import SparseEchelon, axpy
 from superschur.freenilp import (
     GeneratorSpec,
     build_free_nilpotent,
@@ -27,6 +27,10 @@ from superschur.superalg import AlgebraError, SuperDim
 from support import matrix_rank
 
 F = Fraction
+
+
+def unit(i: int) -> dict:
+    return {i: F(1)}
 
 
 class TestExpand:
@@ -135,14 +139,13 @@ class TestBuild:
         A = f.algebra
         for i in range(f.dim):
             for j in range(f.dim):
-                z = A.bracket(unit_vector(f.dim, i), unit_vector(f.dim, j))
+                z = A.bracket(unit(i), unit(j))
                 dd = f.basis_degree(i) + f.basis_degree(j)
                 if dd > 4:
-                    assert all(c == 0 for c in z)
+                    assert not z
                 else:
-                    for t, c in enumerate(z):
-                        if c != 0:
-                            assert f.basis_degree(t) == dd
+                    for t, c in z.items():
+                        assert c != 0 and f.basis_degree(t) == dd
 
 
 class TestValidateSweep:
@@ -265,22 +268,22 @@ class TestEvalHom:
     def test_identity_map(self):
         f = build_free_nilpotent(GeneratorSpec(2, 0, 2))
         A = f.algebra
-        images = [unit_vector(f.dim, f.generator_basis_index(t)) for t in range(2)]
+        images = [unit(f.generator_basis_index(t)) for t in range(2)]
         hom = eval_hom(f, images, A)
         for i in range(f.dim):
-            assert hom.apply(unit_vector(f.dim, i)) == unit_vector(f.dim, i)
+            assert hom.columns[i] == unit(i)
 
     def test_free_class_two_onto_heis3_is_iso(self):
         f = build_free_nilpotent(GeneratorSpec(2, 0, 2))
         h = heisenberg3()
-        hom = eval_hom(f, [unit_vector(3, 0), unit_vector(3, 1)], h)
+        hom = eval_hom(f, [unit(0), unit(1)], h)
         rank = matrix_rank(hom.matrix)
         assert rank == 3 == f.dim
 
     def test_free_odd_class_two_onto_sh01_is_iso(self):
         f = build_free_nilpotent(GeneratorSpec(0, 1, 2))
         sh = special_heisenberg_odd(1)
-        hom = eval_hom(f, [unit_vector(2, 1)], sh)
+        hom = eval_hom(f, [unit(1)], sh)
         rank = matrix_rank(hom.matrix)
         assert rank == 2 == f.dim
 
@@ -288,7 +291,15 @@ class TestEvalHom:
         f = build_free_nilpotent(GeneratorSpec(0, 1, 2))
         h = heisenberg3()
         with pytest.raises(AlgebraError, match="parity"):
-            eval_hom(f, [unit_vector(3, 0)], h)
+            eval_hom(f, [unit(0)], h)
+
+    def test_image_outside_the_target_rejected(self):
+        f = build_free_nilpotent(GeneratorSpec(2, 0, 2))
+        h = heisenberg3()
+        with pytest.raises(AlgebraError, match="outside the target"):
+            eval_hom(f, [unit(0), unit(3)], h)
+        with pytest.raises(AlgebraError, match="outside the target"):
+            eval_hom(f, [unit(0), unit(-1)], h)
 
     def test_class_violation_rejected(self):
         # a class-3 target cannot factor through a class-2 truncation
@@ -296,7 +307,7 @@ class TestEvalHom:
 
         f = build_free_nilpotent(GeneratorSpec(2, 0, 2))
         with pytest.raises(AlgebraError, match="homomorphism"):
-            eval_hom(f, [unit_vector(4, 0), unit_vector(4, 1)], filiform4())
+            eval_hom(f, [unit(0), unit(1)], filiform4())
 
     def test_failure_at_word_and_odd_generator_detected(self):
         # every generator is odd, so each pair the truncation breaks is
@@ -306,7 +317,7 @@ class TestEvalHom:
 
         f = build_free_nilpotent(GeneratorSpec(0, 2, 2))
         g = build_free_nilpotent(GeneratorSpec(0, 2, 3))
-        images = [unit_vector(g.dim, g.generator_basis_index(t)) for t in range(2)]
+        images = [unit(g.generator_basis_index(t)) for t in range(2)]
         with pytest.raises(AlgebraError, match="homomorphism") as err:
             eval_hom(f, images, g.algebra)
         x, gen = map(int, re.search(r"basis pair (\d+),(\d+)", str(err.value)).groups())
@@ -317,9 +328,9 @@ class TestEvalHom:
     def test_surjection_image_of_filtration_is_filtration(self):
         f = build_free_nilpotent(GeneratorSpec(2, 0, 3))
         h = heisenberg3()
-        hom = eval_hom(f, [unit_vector(3, 0), unit_vector(3, 1)], h)
+        hom = eval_hom(f, [unit(0), unit(1)], h)
         for d in (1, 2, 3):
-            image = h.graded_span(
-                [hom.apply(v) for v in f.gamma(d).basis]
-            )
+            rows = f.gamma(d).rows
+            assert all(row == unit(min(row)) for row in rows)  # images are columns
+            image = h.graded_span([hom.columns[min(row)] for row in rows])
             assert image == h.gamma(d)
