@@ -312,7 +312,8 @@ def render_catalog(algebras) -> str:
                 raise CatalogError(
                     f"label {lbl!r} of {alg.name} is not grammar-safe"
                 )
-        if " " in alg.name or not alg.name:
+        # '#' starts a comment and whitespace splits the header line
+        if not alg.name or "#" in alg.name or any(ch.isspace() for ch in alg.name):
             raise CatalogError(f"algebra name {alg.name!r} is not grammar-safe")
         if ev:
             lines.append("even " + " ".join(ev))

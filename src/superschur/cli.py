@@ -260,13 +260,11 @@ def cmd_verify(args) -> Report:
         rec["kernel_bounds_ok"] = kernel_bounds_ok
         witnesses_ok = True
         checked = 0
-        lifts = [{t: Fraction(1)} for t in pres.lift_indices]
         for i in range(2, min(c, gens) + 1):
             z_pos, y_pos = witness_tuple_positions(alg, i)
             tensors = []
             for y in y_pos:
-                xs = [lifts[t] for t in z_pos] + [lifts[y]]
-                wit = witness_tensor(alg, i, xs)
+                wit = witness_tensor(alg, i, z_pos + (y,))
                 witnesses_ok = witnesses_ok and wit.in_kernel and wit.nonzero
                 tensors.append(wit.tensor)
                 checked += 1
@@ -386,13 +384,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         report = args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (CatalogError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (AlgebraError, BoundError, SubspaceError) as exc:
+    except (UsageError, CatalogError, OSError, AlgebraError, BoundError, SubspaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(report.render(args.format))

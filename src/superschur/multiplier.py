@@ -4,9 +4,10 @@ The primary route realizes the multiplier as (R ∩ F²)/[R, F] over a free
 presentation truncated one class above the target: writing c for the
 target's class, the free algebra is cut at class c+1.  This loses
 nothing, because γ_{c+1}(F) ⊆ R forces γ_{c+2}(F) ⊆ [R, F], so every
-quotient appearing here - the multiplier itself, the bracket quotients
-[γ_i(F)+R, F]/[γ_{i+1}(F)+R, F] and their class-c variant - is untouched
-by dividing out γ_{c+2}(F).
+quotient appearing here - the multiplier itself and the bracket quotients
+[γ_i(F)+R, F]/[γ_{i+1}(F)+R, F] - is untouched by dividing out
+γ_{c+2}(F).  The same containment makes [γ_{c+1}(F)+R, F] = [R, F], so
+the top step i = c is the general step.
 
 The cross-check route counts graded-skew 2-cochains that extend the
 algebra by a one-dimensional center (even or odd), modulo the cochains
@@ -102,24 +103,19 @@ class FreePresentation:
             raise AlgebraError("element does not lift into the requested filtration step")
         return coeffs
 
-    def numerator_space(self, i: int) -> Subspace:
-        """[gamma_i(F) + R, F] inside fbar."""
-        key = ("num", i)
-        if key not in self._cache:
-            self._cache[key] = bracket_with_free(
-                self.fbar, subspace_sum(self.fbar.gamma(i), self.relations)
-            )
-        return self._cache[key]
+    def bracket_ideal(self, i: int) -> Subspace:
+        """[γ_i(F) + R, F] inside fbar, for 2 <= i <= c+1.
 
-    def denominator_space(self, i: int) -> Subspace:
-        """[R, F] at the top step i = c, else [gamma_{i+1}(F) + R, F]."""
-        c = self.target.nilpotency_class()
-        key = ("den", i)
+        At i = c+1 this is [R, F], since `present` checks γ_{c+1}(F) ⊆ R;
+        R is taken as the base there, rather than re-eliminating its rows
+        in a sum with γ_{c+1}(F).
+        """
+        key = ("ideal", i)
         if key not in self._cache:
-            if i == c:
+            if i > self.target.nilpotency_class():
                 base = self.relations
             else:
-                base = subspace_sum(self.fbar.gamma(i + 1), self.relations)
+                base = subspace_sum(self.fbar.gamma(i), self.relations)
             self._cache[key] = bracket_with_free(self.fbar, base)
         return self._cache[key]
 
@@ -140,32 +136,23 @@ def bracket_with_free(f: FreeNilpotentSuperalgebra, ideal: Subspace) -> Subspace
     return A.product_space(ideal, gens)
 
 
-def present(L: LieSuperalgebra, lift_order=None) -> FreePresentation:
+def present(L: LieSuperalgebra) -> FreePresentation:
     """Truncated free presentation of a nonzero nilpotent superalgebra.
 
     Lifts are the coordinate vectors complementary to [L, L], evens
-    first; `lift_order` optionally permutes them within parities (the
-    reported dimensions must not depend on it).  pi keeps parity, so an
-    even and an odd column share no key and its kernel R is graded.
+    first.  pi keeps parity, so an even and an odd column share no key
+    and its kernel R is graded.
     """
     L.require_valid()
     c = L.nilpotency_class()
     if L.dim == 0:
         raise AlgebraError("the zero algebra has no generators to present")
-    cache_key = ("presentation", tuple(lift_order) if lift_order is not None else None)
-    if cache_key in L._cache:
-        return L._cache[cache_key]
+    if "presentation" in L._cache:
+        return L._cache["presentation"]
     gens = L.minimal_generator_dims()
     spec = GeneratorSpec(gens.even, gens.odd, c + 1)
     f = build_free_nilpotent(spec)
-    lifts = list(L.generator_lift_indices())
-    if lift_order is not None:
-        order = list(lift_order)
-        ev = [lifts[t] for t in order if t < gens.even]
-        od = [lifts[t] for t in order if t >= gens.even]
-        if sorted(order) != list(range(len(lifts))) or len(ev) != gens.even:
-            raise AlgebraError("lift_order must permute lifts within parity blocks")
-        lifts = ev + od
+    lifts = L.generator_lift_indices()
     images = [{t: _ONE} for t in lifts]
     pi = eval_hom(f, images, L)
     _, rank = rref(pi.matrix)
@@ -177,7 +164,7 @@ def present(L: LieSuperalgebra, lift_order=None) -> FreePresentation:
     for idx in range(f.dim):
         if f.basis_degree(idx) > c and pi.columns[idx]:
             raise AlgebraError("truncation step is not contained in the relations")
-    L._cache[cache_key] = pres
+    L._cache["presentation"] = pres
     return pres
 
 
@@ -194,7 +181,7 @@ def schur_multiplier_hopf(L: LieSuperalgebra) -> MultiplierResult:
     pres = present(L)
     A = pres.algebra
     num = subspace_intersect(pres.relations, pres.fbar.gamma(2))
-    den = pres.denominator_space(L.nilpotency_class())
+    den = pres.bracket_ideal(L.nilpotency_class() + 1)
     # a subset of reduced row-echelon rows is itself in that form
     comp = Subspace(A.dim, complement_rows(num, den))
     result = MultiplierResult(A.superdim(comp), "hopf", comp.rows)
@@ -225,14 +212,13 @@ def schur_multiplier_cohomology(L: LieSuperalgebra) -> MultiplierResult:
                 continue  # forced zero by graded skew-symmetry
             coords[(p[a] + p[b]) % 2].append((a, b))
 
-    def coord_of(a: int, b: int):
-        if a == b:
-            if p[a] == EVEN:
-                return None
-            return (a, a), Fraction(1)
-        if a < b:
-            return (a, b), Fraction(1)
-        return (b, a), -graded_sign(p[a], p[b])
+    def coord(a: int, b: int) -> dict:
+        """Coordinate row of c(b_a, b_b)."""
+        if a == b and p[a] == EVEN:
+            return {}  # forced zero by graded skew-symmetry
+        if a <= b:
+            return {(a, b): _ONE}
+        return {(b, a): -graded_sign(p[a], p[b])}
 
     cocycle_rank = {EVEN: SparseEchelon(), ODD: SparseEchelon()}
     for i, j, k in itertools.combinations_with_replacement(range(n), 3):
@@ -241,15 +227,7 @@ def schur_multiplier_cohomology(L: LieSuperalgebra) -> MultiplierResult:
         for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
             sign = graded_sign(p[x], p[z])
             for t, c in L.bracket_basis(y, z).items():
-                co = coord_of(x, t)
-                if co is None or c == 0:
-                    continue
-                key, cosign = co
-                val = row.get(key, Fraction(0)) + sign * cosign * c
-                if val:
-                    row[key] = val
-                else:
-                    row.pop(key, None)
+                axpy(row, sign * c, coord(x, t))
         if row:
             cocycle_rank[sigma].insert(row, tag=(i, j, k))
     cob_rank = {EVEN: SparseEchelon(), ODD: SparseEchelon()}
@@ -286,14 +264,16 @@ def compare_methods(L: LieSuperalgebra) -> tuple[MultiplierResult, MultiplierRes
 # -- bracket quotients and the lambda maps -------------------------------------
 
 
-def bracket_quotient_dim(pres: FreePresentation, i: int) -> int:
-    """dim [γ_i(F)+R, F] / [R, F] at i = c, else over [γ_{i+1}(F)+R, F]."""
-    c = pres.target.nilpotency_class()
+def _check_step(L: LieSuperalgebra, i: int) -> None:
+    c = L.nilpotency_class()
     if not 2 <= i <= c:
         raise AlgebraError(f"index {i} outside [2, {c}]")
-    num = pres.numerator_space(i)
-    den = pres.denominator_space(i)
-    return quotient_dim(num, den)
+
+
+def bracket_quotient_dim(pres: FreePresentation, i: int) -> int:
+    """dim [γ_i(F)+R, F] / [γ_{i+1}(F)+R, F]; at i = c the denominator is [R, F]."""
+    _check_step(pres.target, i)
+    return quotient_dim(pres.bracket_ideal(i), pres.bracket_ideal(i + 1))
 
 
 def bracket_map_kernel_dim(L: LieSuperalgebra, i: int) -> int:
@@ -304,9 +284,7 @@ def bracket_map_kernel_dim(L: LieSuperalgebra, i: int) -> int:
     of total dimensions.
     """
     pres = present(L)
-    c = L.nilpotency_class()
-    if not 2 <= i <= c:
-        raise AlgebraError(f"index {i} outside [2, {c}]")
+    _check_step(L, i)
     cogen = L.dim - L.gamma(2).dim
     first = L.gamma(i).dim - L.gamma(i + 1).dim
     kernel = first * cogen - bracket_quotient_dim(pres, i)
@@ -326,17 +304,11 @@ class WitnessTensor:
     tensor: dict[tuple[int, int], Fraction]
     nonzero: bool
     in_kernel: bool
-    leg1_rows: tuple[dict, ...]
-
-
-def _leg1_rows(L: LieSuperalgebra, i: int) -> tuple[dict, ...]:
-    """Representatives spanning γ_i/γ_{i+1}: the rows of γ_i off the
-    pivots of γ_{i+1}, which is zero at the top step i = c."""
-    return complement_rows(L.gamma(i), L.gamma(i + 1))
 
 
 def _leg1_coords(L: LieSuperalgebra, i: int, v: dict) -> list[Fraction]:
-    """Coordinates of v's class over the _leg1_rows representatives.
+    """Coordinates of v's class over the representatives of γ_i/γ_{i+1}
+    that `complement_rows(γ_i, γ_{i+1})` returns (γ_{c+1} is zero).
 
     γ_{i+1}.reduce(v) is v modulo γ_{i+1} with γ_{i+1}'s pivot entries
     cleared, so over γ_i's rows its coordinates (its pivot entries) are
@@ -366,62 +338,38 @@ def witness_terms(L: LieSuperalgebra, xs, i: int) -> list[tuple[Fraction, dict, 
     ]
 
 
-def witness_tensor(L: LieSuperalgebra, i: int, tuple_elems) -> WitnessTensor:
-    """Build the signed witness tensor for i+1 generator lifts and check that
-    its image under the concrete lambda map vanishes.
+def witness_tensor(L: LieSuperalgebra, i: int, positions) -> WitnessTensor:
+    """Build the signed witness tensor on the generator lifts at `positions`
+    (i+1 indices into the presentation's lifts) and check that its image
+    under the concrete lambda map vanishes.
 
     First legs live in γ_i(L) coordinates at the top step and in
     γ_i/γ_{i+1} coordinates below it; second legs live in L/γ₂(L)
-    coordinates.  Tuple entries must be homogeneous and drawn from the
-    chosen minimal generating lifts, as sparse vectors.
+    coordinates, indexed by generator position.
     """
     pres = present(L)
-    c = L.nilpotency_class()
-    if not 2 <= i <= c:
-        raise AlgebraError(f"index {i} outside [2, {c}]")
-    xs = list(tuple_elems)
-    if len(xs) != i + 1:
-        raise AlgebraError(f"need {i + 1} tuple entries, got {len(xs)}")
-    lifts = [{t: _ONE} for t in pres.lift_indices]
-    gen_pos = []
-    for x in xs:
-        if not L.is_homogeneous(x):
-            raise AlgebraError("tuple entries must be homogeneous")
-        try:
-            gen_pos.append(lifts.index(x))
-        except ValueError:
-            raise AlgebraError(
-                "tuple entries must be among the chosen generating lifts"
-            ) from None
-    rows = _leg1_rows(L, i)
+    _check_step(L, i)
+    pos = tuple(positions)
+    if len(pos) != i + 1:
+        raise AlgebraError(f"need {i + 1} tuple entries, got {len(pos)}")
+    gens = len(pres.lift_indices)
+    if not all(0 <= t < gens for t in pos):
+        raise AlgebraError(f"generator positions must lie in range({gens})")
+    xs = [{pres.lift_indices[t]: _ONE} for t in pos]
     tensor: dict[tuple[int, int], Fraction] = {}
-    for coeff, val, pos in witness_terms(L, xs, i):
-        if not val:
-            continue
-        for a, ca in enumerate(_leg1_coords(L, i, val)):
-            if ca == 0:
-                continue
-            key = (a, gen_pos[pos])
-            acc = tensor.get(key, Fraction(0)) + coeff * ca
-            if acc:
-                tensor[key] = acc
-            else:
-                tensor.pop(key, None)
+    for coeff, val, k in witness_terms(L, xs, i):
+        coords = _leg1_coords(L, i, val)
+        axpy(tensor, coeff, {(a, pos[k]): ca for a, ca in enumerate(coords)})
+    rows = complement_rows(L.gamma(i), L.gamma(i + 1))
     residual = bracket_map_residual(pres, i, tensor, rows)
-    return WitnessTensor(
-        i=i,
-        tensor=tensor,
-        nonzero=bool(tensor),
-        in_kernel=not residual,
-        leg1_rows=rows,
-    )
+    return WitnessTensor(i=i, tensor=tensor, nonzero=bool(tensor), in_kernel=not residual)
 
 
 def bracket_map_residual(
     pres: FreePresentation, i: int, tensor, leg1_rows
 ) -> dict:
-    """Image of a tensor under the concrete lambda map, reduced modulo the
-    denominator subspace, as a sparse vector; an empty residual certifies
+    """Image of a tensor under the concrete lambda map, reduced modulo
+    [γ_{i+1}(F)+R, F], as a sparse vector; an empty residual certifies
     kernel membership."""
     A = pres.algebra
     f = pres.fbar
@@ -430,16 +378,14 @@ def bracket_map_residual(
         w_u = pres.lift_into_gamma(leg1_rows[a], i)
         w_y = {f.generator_basis_index(b): _ONE}
         axpy(total, coeff, A.bracket(w_u, w_y))
-    return pres.denominator_space(i).reduce(total)
+    return pres.bracket_ideal(i + 1).reduce(total)
 
 
 def witness_tuple_positions(L: LieSuperalgebra, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Generator positions (z_1..z_i) with [z_1..z_i] nonzero modulo
     γ_{i+1}(L), plus the positions of all remaining generators."""
     pres = present(L)
-    c = L.nilpotency_class()
-    if not 2 <= i <= c:
-        raise AlgebraError(f"index {i} outside [2, {c}]")
+    _check_step(L, i)
     lifts = [{t: _ONE} for t in pres.lift_indices]
     gnext = L.gamma(i + 1)
     memo: dict = {}

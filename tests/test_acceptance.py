@@ -8,7 +8,6 @@ import functools
 import itertools
 import json
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -165,15 +164,12 @@ def test_criterion_7_witness_tensors(nilpotent_catalog):
     for L in nilpotent_catalog:
         if L.nilpotency_class() < 2:
             continue
-        pres = present(L)
-        lifts = [{t: Fraction(1)} for t in pres.lift_indices]
-        gens = len(lifts)
+        gens = len(present(L).lift_indices)
         for i in range(2, min(L.nilpotency_class(), gens) + 1):
             z_pos, y_pos = witness_tuple_positions(L, i)
             tensors = []
             for y in y_pos:
-                xs = [lifts[t] for t in z_pos] + [lifts[y]]
-                w = witness_tensor(L, i, xs)
+                w = witness_tensor(L, i, z_pos + (y,))
                 assert w.in_kernel, (L.name, i, y)
                 assert w.nonzero, (L.name, i, y)
                 tensors.append(w.tensor)

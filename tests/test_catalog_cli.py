@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from superschur.catalog import (
     CatalogError,
     builtin_algebras,
+    heisenberg3,
     parse_catalog,
     relabel_canonical,
     render_catalog,
@@ -162,6 +163,18 @@ class TestRoundTrip:
         algs = builtin_algebras()
         text = render_catalog(algs)
         assert render_catalog(parse_catalog(text)) == text
+
+    @pytest.mark.parametrize("name", ["h#1", "h\t1", "h\n1"])
+    def test_render_rejects_names_that_do_not_parse_back(self, name):
+        # '#' would start a comment (h#1 parsed back as h); whitespace splits
+        # the header line
+        with pytest.raises(CatalogError, match="not grammar-safe"):
+            render_catalog([relabel_canonical(heisenberg3(), name)])
+
+    @pytest.mark.parametrize("name", ["sh(0|4)", "free(0|3,c4)", "heis3+A(1|0)"])
+    def test_used_names_round_trip(self, name):
+        text = render_catalog([relabel_canonical(heisenberg3(), name)])
+        assert [a.name for a in parse_catalog(text)] == [name]
 
 
 class TestCli:

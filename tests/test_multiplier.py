@@ -12,7 +12,14 @@ from superschur.catalog import (
     heisenberg3,
     special_heisenberg_odd,
 )
-from superschur.exactla import Subspace, axpy, subspace_sum
+from superschur.exactla import (
+    Subspace,
+    axpy,
+    complement_rows,
+    quotient_dim,
+    subspace_intersect,
+    subspace_sum,
+)
 from superschur.freenilp import (
     GeneratorSpec,
     build_free_nilpotent,
@@ -33,9 +40,8 @@ from superschur.multiplier import (
     verify_top_step_identity,
     verify_telescoped_identity,
     witness_terms,
-    _leg1_rows,
 )
-from superschur.superalg import AlgebraError, SuperDim, direct_sum
+from superschur.superalg import AlgebraError, SuperDim, change_basis, direct_sum
 from support import basis_changed
 
 F = Fraction
@@ -156,6 +162,25 @@ class TestFreeMultiplierClosedForm:
         assert h.dims == co.dims == want
 
 
+class TestSpecialHeisenbergClosedForm:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_both_routes(self, n):
+        """M(sh(0|n)) = (n(n+1)/2 - 1 | 0), with z even and [f_i, f_j] = δ_ij z.
+
+        Even 2-cochains live on the pairs (f_i, f_j), which are
+        graded-symmetric, so there are n(n+1)/2 coordinates.  The only
+        nonzero bracket is [f_i, f_i] = z, and an even cochain's c(x, z)
+        needs x = z; c(z, z) is forced to 0, so every even cochain is a
+        cocycle.  The even coboundaries φ([x, y]) = δ_ij φ(z) span one
+        dimension.  Odd cochains live on the pairs (z, f_k).  For k ≠ i
+        the cocycle condition on (f_i, f_i, f_k) has the single term
+        ±c(f_k, z); for n = 1 the condition on (f_1, f_1, f_1) is
+        -3c(f_1, z).  Either way c(f_k, z) = 0, so there is no odd part.
+        """
+        h, co = compare_methods(special_heisenberg_odd(n))
+        assert h.dims == co.dims == SuperDim(n * (n + 1) // 2 - 1, 0)
+
+
 class TestBracketQuotient:
     def test_heis3_top(self):
         p = present(heisenberg3())
@@ -200,11 +225,11 @@ class TestLambdaKernel:
         L = heis_plus_line()
         p = present(L)
         c = L.nilpotency_class()
-        rows = _leg1_rows(L, c)
+        rows = complement_rows(L.gamma(c), L.gamma(c + 1))
         tensor = {(0, 2): F(1)}
         base = bracket_map_residual(p, c, tensor, rows)
         A = p.algebra
-        den = p.denominator_space(c)
+        den = p.bracket_ideal(c + 1)
         y_freedom = subspace_sum(p.fbar.gamma(2), p.relations)
 
         def perturb(v, freedom):
@@ -223,36 +248,25 @@ class TestLambdaKernel:
 class TestWitnessTensor:
     def test_heis_plus_line_proof_tuple(self):
         L = heis_plus_line()
-        p = present(L)
-        lifts = [{t: F(1)} for t in p.lift_indices]
         # generators are e1, e2, e4; witness on (e1, e2, e4)
-        w = witness_tensor(L, 2, [lifts[0], lifts[1], lifts[2]])
+        w = witness_tensor(L, 2, (0, 1, 2))
         assert w.tensor == {(0, 2): F(1)}  # e3 (x) class of e4
         assert w.nonzero and w.in_kernel
 
     def test_heis3_repeated_generator_collapses(self):
-        L = heisenberg3()
-        p = present(L)
-        lifts = [{t: F(1)} for t in p.lift_indices]
-        w = witness_tensor(L, 2, [lifts[0], lifts[1], lifts[0]])
+        w = witness_tensor(heisenberg3(), 2, (0, 1, 0))
         assert w.tensor == {}  # the signed terms cancel exactly
         assert w.in_kernel
 
     def test_abelian_has_no_valid_index(self):
         with pytest.raises(AlgebraError, match="outside"):
-            witness_tensor(abelian(2, 0), 2, [{0: F(1)}] * 3)
+            witness_tensor(abelian(2, 0), 2, (0, 0, 0))
 
-    def test_rejects_non_lift_entries(self):
-        L = heisenberg3()
-        bad = {0: F(1), 1: F(1)}
-        with pytest.raises(AlgebraError, match="lifts"):
-            witness_tensor(L, 2, [bad, bad, bad])
-
-    def test_rejects_inhomogeneous_entries(self):
-        L = special_heisenberg_odd(2)
-        mixed = {0: F(1), 1: F(1)}
-        with pytest.raises(AlgebraError, match="homogeneous"):
-            witness_tensor(L, 2, [mixed, mixed, mixed])
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_rejects_positions_out_of_range(self, bad):
+        # heis3 has two generators; -1 must not silently pick the last lift
+        with pytest.raises(AlgebraError, match="range"):
+            witness_tensor(heisenberg3(), 2, (0, 1, bad))
 
     @pytest.mark.parametrize("pars", list(itertools.product((0, 1), repeat=3)))
     def test_arity_two_terms_expand_to_zero(self, pars):
@@ -271,15 +285,12 @@ class TestWitnessTensor:
     def test_all_proof_tuples_land_in_kernel(self):
         for L in (heisenberg3(), filiform4(), heis_plus_line(),
                   special_heisenberg_odd(2)):
-            p = present(L)
-            lifts = [{t: F(1)} for t in p.lift_indices]
             c = L.nilpotency_class()
-            gens = len(lifts)
+            gens = len(present(L).lift_indices)
             for i in range(2, min(c, gens) + 1):
                 z_pos, y_pos = witness_tuple_positions(L, i)
                 for y in y_pos:
-                    xs = [lifts[t] for t in z_pos] + [lifts[y]]
-                    w = witness_tensor(L, i, xs)
+                    w = witness_tensor(L, i, z_pos + (y,))
                     assert w.in_kernel
                     assert w.nonzero
 
@@ -351,17 +362,20 @@ class TestBracketWithFree:
             assert bracket_with_free(p.fbar, ideal) == A.product_space(
                 ideal, Subspace.full(A.dim)
             )
+        # the presentation's chain: base_i = γ_i(F)+R, and base_{c+1} = R
+        for i, base in enumerate(ideals[1:] + [p.relations], start=2):
+            assert p.bracket_ideal(i) == A.product_space(base, Subspace.full(A.dim))
 
 
 class TestPresentationInvariance:
     def test_lift_permutations_do_not_change_dimensions(self):
-        L = heis_plus_line()
-        base = schur_multiplier_hopf(L).dims
-        c = L.nilpotency_class()
-        for order in ((1, 0, 2), (2, 0, 1), (0, 2, 1)):
-            p = present(L, lift_order=order)
-            from superschur.exactla import quotient_dim, subspace_intersect
-
+        # heis3+A(1|0) has basis e1 e2 e3 e4 and generators e1 e2 e4; each
+        # permutation presents the generators in another order
+        base = schur_multiplier_hopf(heis_plus_line()).dims
+        for perm in ((1, 0, 2, 3), (3, 0, 2, 1), (0, 3, 2, 1)):
+            L = change_basis(heis_plus_line(), perm, [1] * 4)
+            c = L.nilpotency_class()
+            p = present(L)
             A = p.algebra
             num = subspace_intersect(p.relations, p.fbar.gamma(2))
             den = A.product_space(p.relations, Subspace.full(A.dim))
