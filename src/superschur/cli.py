@@ -39,8 +39,8 @@ FORMAT_ENV = "SUPERSCHUR_FORMAT"
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_ASSERTION = 2
-# each arity of the identity sweep costs about 4.5 times the one before:
-# arity 8 takes about 30 s, so 10 takes about 10 min and 12 hours
+# each arity of the identity sweep costs about 3.5 times the one before:
+# the sweep to arity 8 takes about 2 s, so 10 should take about half a minute
 IDENTITY_ARITY_MAX = 10
 
 

@@ -39,13 +39,17 @@ def dense(v: dict, n: int) -> Vector:
 
 
 def axpy(y: dict, a, x: dict) -> None:
-    """y += a * x in place, dropping the entries that cancel."""
+    """y += a * x in place, dropping the entries that cancel.
+
+    A new key stores a * c as it is, so int data stays int.
+    """
     for k, c in x.items():
-        nv = y.get(k, _ZERO) + a * c
+        old = y.get(k)
+        nv = a * c if old is None else old + a * c
         if nv:
             y[k] = nv
-        else:
-            y.pop(k, None)
+        elif old is not None:
+            del y[k]
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,11 @@ brackets [w, g] of the kept degree-(d-1) words w with the generators g
 (left-normed words span every graded component), structure constants
 are solved from the same expansions, and an independent word-counting
 oracle cross-checks the resulting dimensions.
+
+Every coefficient of an expansion is a sum of signs ±1, so expansions,
+and the rewriting identity's coefficients, are Python ints.
+`SparseEchelon` turns them into Fractions as it reduces, so bases,
+structure constants and subspaces stay exact rationals.
 """
 
 from __future__ import annotations
@@ -77,16 +82,10 @@ def word_label(w, labels) -> str:
 
 
 def _concat(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            key = wa + wb
-            val = out.get(key, _ZERO) + ca * cb
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
-    return out
+    """The product of two expansions.  Each one's words share one length
+    (bracket words are homogeneous), so distinct pairs give distinct
+    words and no coefficient collects or cancels."""
+    return {wa + wb: ca * cb for wa, ca in a.items() for wb, cb in b.items()}
 
 
 def _commutator(ea: dict, pa: int, eb: dict, pb: int) -> dict:
@@ -96,18 +95,28 @@ def _commutator(ea: dict, pa: int, eb: dict, pb: int) -> dict:
     return out
 
 
-def expand(w, parities) -> dict[tuple[int, ...], Fraction]:
+def _expansion(w, parities, memo: dict) -> tuple[dict, int]:
+    """The expansion of w and its parity, memoised by subword in `memo`."""
+    hit = memo.get(w)
+    if hit is None:
+        if isinstance(w, int):
+            hit = ({(w,): 1}, parities[w])
+        else:
+            ea, pa = _expansion(w[0], parities, memo)
+            eb, pb = _expansion(w[1], parities, memo)
+            hit = (_commutator(ea, pa, eb, pb), (pa + pb) % 2)
+        memo[w] = hit
+    return hit
+
+
+def expand(w, parities) -> dict[tuple[int, ...], int]:
     """Expansion of a bracket word in the free associative superalgebra.
 
     Returns a sparse map from associative words (tuples of generator
-    indices) to coefficients; [a, b] contributes ab - (-1)^{|a||b|} ba.
+    indices) to integer coefficients; [a, b] contributes
+    ab - (-1)^{|a||b|} ba.
     """
-    if isinstance(w, int):
-        return {(w,): _ONE}
-    return _commutator(
-        expand(w[0], parities), word_parity(w[0], parities),
-        expand(w[1], parities), word_parity(w[1], parities),
-    )
+    return _expansion(w, parities, {})[0]
 
 
 @dataclass(frozen=True)
@@ -119,7 +128,9 @@ class GeneratorSpec:
     class_bound: int
 
     def __post_init__(self) -> None:
-        if self.even < 0 or self.odd < 0 or self.even + self.odd < 1:
+        if self.even < 0 or self.odd < 0:
+            raise AlgebraError("generator counts must be nonnegative")
+        if self.even + self.odd < 1:
             raise AlgebraError("need at least one generator")
         if self.class_bound < 1:
             raise AlgebraError("class bound must be at least 1")
@@ -191,12 +202,12 @@ class FreeNilpotentSuperalgebra:
         pars = self.spec.parities
         if d == 1:
             for g in range(self.spec.num):
-                yield g, {(g,): _ONE}
+                yield g, {(g,): 1}
             return
         for w, pw in zip(self.degree_words[d - 2], self.degree_parities[d - 2]):
             e = self._expansions[w]
             for g in range(self.spec.num):
-                yield (w, g), _commutator(e, pw, {(g,): _ONE}, pars[g])
+                yield (w, g), _commutator(e, pw, {(g,): 1}, pars[g])
 
     # -- counting ------------------------------------------------------------
 
@@ -352,12 +363,12 @@ def _psum(parities, a: int, b: int) -> int:
     return sum(parities[t - 1] for t in range(a, b + 1))
 
 
-def rewrite_head_sign(i: int, parities) -> Fraction:
+def rewrite_head_sign(i: int, parities) -> int:
     """Sign of the head term [[x_1..x_i]_l, x_{i+1}] of the rewriting identity."""
     return graded_sign(_psum(parities, 1, i - 1), parities[i])
 
 
-def rewrite_term_sign(i: int, a: int, parities) -> Fraction:
+def rewrite_term_sign(i: int, a: int, parities) -> int:
     """Sign of the term [[[x_a..x_{i+1}]_r, [x_1..x_{a-2}]_l], x_{a-1}].
 
     Valid for 2 <= a <= i+1; the two terms nearest the head carry their
@@ -375,8 +386,8 @@ def rewrite_term_sign(i: int, a: int, parities) -> Fraction:
     )
 
 
-def rewrite_brace_coeff(i: int, parities) -> Fraction:
-    """Coefficient of the closing term [[x_1..x_{i-1}]_l, [x_i, x_{i+1}]]."""
+def rewrite_brace_coeff(i: int, parities) -> int:
+    """Coefficient of the closing term [[x_1..x_{i-1}]_l, [x_i, x_{i+1}]]: 0 or ±2."""
     p = lambda t: parities[t - 1]  # noqa: E731 - local shorthand
     head = _psum(parities, 1, i - 2)
     return (graded_sign(head, p(i)) - graded_sign(p(i - 1), p(i + 1))) * graded_sign(
@@ -384,7 +395,7 @@ def rewrite_brace_coeff(i: int, parities) -> Fraction:
     )
 
 
-def rewrite_identity_terms(i: int, parities) -> list[tuple[Fraction, object]]:
+def rewrite_identity_terms(i: int, parities) -> list[tuple[int, object]]:
     """Signed bracket words of the degree-(i+1) rewriting identity, i >= 2.
 
     The identity re-expresses nested brackets of i+1 homogeneous
@@ -400,7 +411,7 @@ def rewrite_identity_terms(i: int, parities) -> list[tuple[Fraction, object]]:
     if len(parities) != i + 1:
         raise AlgebraError(f"need {i + 1} parities, got {len(parities)}")
 
-    terms: list[tuple[Fraction, object]] = []
+    terms: list[tuple[int, object]] = []
     terms.append(
         (rewrite_head_sign(i, parities), node(left_normed_word(range(0, i)), leaf(i)))
     )
@@ -419,7 +430,7 @@ def rewrite_identity_terms(i: int, parities) -> list[tuple[Fraction, object]]:
     return terms
 
 
-def rewrite_tensor_terms(i: int, parities) -> list[tuple[Fraction, object, int]]:
+def rewrite_tensor_terms(i: int, parities) -> list[tuple[int, object, int]]:
     """The rewriting identity as (coefficient, word u, leaf k) triples, each
     standing for [u, x_{k+1}]; their signed sum vanishes.
 
@@ -427,7 +438,7 @@ def rewrite_tensor_terms(i: int, parities) -> list[tuple[Fraction, object, int]]
     [[u, a], b] - (-1)^{|a||b|} [[u, b], a], so every u has degree i.
     """
     parities = tuple(int(p) % 2 for p in parities)
-    terms: list[tuple[Fraction, object, int]] = []
+    terms: list[tuple[int, object, int]] = []
     for coeff, (u, v) in rewrite_identity_terms(i, parities):
         if isinstance(v, int):
             terms.append((coeff, u, v))
@@ -441,11 +452,13 @@ def rewrite_tensor_terms(i: int, parities) -> list[tuple[Fraction, object, int]]
 def rewrite_identity_residual(i: int, parities) -> dict:
     """Residual of the rewriting identity, expanded in the free associative
     superalgebra on i+1 generators with the given parities.  Empty dict
-    means the identity holds exactly."""
+    means the identity holds exactly.  The terms share their left-normed
+    heads and right-normed tails, so one memo serves them all."""
     parities = tuple(int(p) % 2 for p in parities)
     residual: dict = {}
+    memo: dict = {}
     for coeff, word in rewrite_identity_terms(i, parities):
-        axpy(residual, coeff, expand(word, parities))
+        axpy(residual, coeff, _expansion(word, parities, memo)[0])
     return residual
 
 

@@ -25,12 +25,14 @@ ODD = 1
 Parity = int
 
 _ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
 
 
-def graded_sign(p: int, q: int) -> Fraction:
-    """(-1)^{pq}: the sign of moving an element of parity p past one of parity q."""
-    return _MINUS_ONE if p * q % 2 else _ONE
+def graded_sign(p: int, q: int) -> int:
+    """(-1)^{pq}: the sign of moving an element of parity p past one of parity q.
+
+    An int, so that integer coefficients times signs stay ints.
+    """
+    return -1 if p * q % 2 else 1
 
 
 class AlgebraError(ValueError):

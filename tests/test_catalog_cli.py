@@ -354,6 +354,19 @@ class TestCli:
     def test_usage_error_is_exit_one(self, capsys):
         assert main(["free", "--even", "2"]) == 1
 
+    @pytest.mark.parametrize(
+        "even, odd, message",
+        [
+            ("-1", "2", "error: generator counts must be nonnegative\n"),
+            ("2", "-1", "error: generator counts must be nonnegative\n"),
+            ("0", "0", "error: need at least one generator\n"),
+        ],
+    )
+    def test_bad_generator_counts_are_usage_errors(self, capsys, even, odd, message):
+        code = main(["free", "--even", even, "--odd", odd, "--class", "2"])
+        assert code == 1
+        assert capsys.readouterr().err == message
+
     def test_json_format_on_bounds(self, capsys):
         import json
 

@@ -9,6 +9,7 @@ from superschur.exactla import (
     SparseEchelon,
     Subspace,
     SubspaceError,
+    axpy,
     complement_rows,
     dense,
     kernel,
@@ -316,7 +317,38 @@ def test_solve_finds_a_preimage(data):
     assert y is not None and m.mul_vec(dense(y, m.cols)) == b
 
 
+class TestAxpy:
+    def test_int_data_stays_int(self):
+        y = {0: 1, 1: 2}
+        axpy(y, -1, {1: 2, 2: 3})
+        assert y == {0: 1, 2: -3}
+        assert all(type(c) is int for c in y.values())
+
+    def test_fraction_data_stays_fraction(self):
+        y = {0: F(1, 2)}
+        axpy(y, 2, {0: F(-1, 4), 1: F(1, 3)})
+        assert y == {1: F(2, 3)}
+        assert all(type(c) is Fraction for c in y.values())
+
+    def test_zero_products_are_not_stored(self):
+        y: dict = {}
+        axpy(y, 0, {0: 1, 1: F(1)})
+        assert y == {}
+
+
 class TestSparseEchelon:
+    def test_int_rows_become_fractions(self):
+        # the free associative layer inserts int expansions; the engine's
+        # rows, ledgers and expressions are Fractions all the same
+        ech = SparseEchelon()
+        assert ech.insert({0: 2, 1: 4}, tag=0)
+        assert ech.insert({1: 3, 2: -3}, tag=1)
+        assert ech.rows() == ({0: 1, 2: 2}, {1: 1, 2: -1})
+        coeffs = ech.express({0: 2, 1: 7, 2: -3})
+        assert coeffs == {0: 1, 1: 1}
+        values = [c for row in ech.rows() for c in row.values()] + list(coeffs.values())
+        assert all(type(c) is Fraction for c in values)
+
     def test_rank_and_rejection(self):
         ech = SparseEchelon()
         assert ech.insert({("a",): F(1), ("b",): F(2)}, tag=0)

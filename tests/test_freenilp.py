@@ -243,6 +243,59 @@ class TestLemma31:
             rewrite_identity_residual(1, (0, 0))
 
 
+def _ints(coeffs) -> bool:
+    return all(type(c) is int for c in coeffs)
+
+
+class TestIntegerCoefficients:
+    """The free associative layer computes in int; the engine's rows stay Fractions."""
+
+    def test_candidate_expansions_are_int(self):
+        f = build_free_nilpotent(GeneratorSpec(1, 2, 4))
+        pars = f.spec.parities
+        for d in range(1, 5):
+            for w, e in f._candidates(d):
+                got = expand(w, pars)
+                assert got == e and _ints(got.values()) and _ints(e.values()), w
+
+    def test_engine_rows_and_subspaces_stay_fractions(self):
+        f = build_free_nilpotent(GeneratorSpec(1, 2, 4))
+        values = []
+        for ech, words in zip(f._echelons, f.degree_words):
+            values += [c for row in ech.rows() for c in row.values()]
+            for w in words:
+                values += ech.express(f._expansions[w]).values()
+        A = f.algebra
+        for S in (f.gamma(2), A.gamma(2), A.gamma(3), A.center()):
+            values += [c for row in S.rows for c in row.values()]
+        values += [c for i in range(A.dim) for j in range(A.dim)
+                   for c in A.bracket_basis(i, j).values()]
+        assert values and all(type(c) is Fraction for c in values)
+
+    @pytest.mark.parametrize("i", [2, 3, 4, 5])
+    def test_identity_terms_are_int(self, i):
+        for parities in itertools.product((0, 1), repeat=i + 1):
+            terms = rewrite_identity_terms(i, parities)
+            assert _ints(c for c, _ in terms), parities
+            assert _ints(c for c, _, _ in rewrite_tensor_terms(i, parities)), parities
+            for _, word in terms:
+                assert _ints(expand(word, parities).values()), (parities, word)
+
+    @pytest.mark.parametrize("i", [2, 3, 4, 5])
+    def test_flipped_head_sign_leaves_an_int_residual(self, i, monkeypatch):
+        # the residual is then -2 * (head sign) * (head term), nonzero and int
+        from superschur import freenilp
+
+        sign = freenilp.rewrite_head_sign
+        monkeypatch.setattr(freenilp, "rewrite_head_sign", lambda i, p: -sign(i, p))
+        for parities in itertools.product((0, 1), repeat=i + 1):
+            head = node(left_normed_word(range(i)), leaf(i))
+            want = {k: -2 * sign(i, parities) * c for k, c in expand(head, parities).items()}
+            residual = rewrite_identity_residual(i, parities)
+            assert residual and residual == want, parities
+            assert _ints(residual.values()), parities
+
+
 class TestTensorTerms:
     @pytest.mark.parametrize("i", [2, 3, 4, 5])
     def test_folded_terms_expand_to_zero(self, i):

@@ -23,6 +23,7 @@ from superschur.superalg import (
     SuperDim,
     change_basis,
     direct_sum,
+    graded_sign,
 )
 from support import basis_changed, dense_rank
 
@@ -50,6 +51,14 @@ def _assert_graded(L, S):
     odd = _block_rank(S.rows, range(L.n_even, L.dim))
     assert L.superdim(S) == SuperDim(even, odd)
     assert even + odd == S.dim
+
+
+class TestGradedSign:
+    @pytest.mark.parametrize("p, q, want", [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, -1)])
+    def test_is_the_int_sign(self, p, q, want):
+        # an int, so that the free associative layer's coefficients stay ints
+        sign = graded_sign(p, q)
+        assert type(sign) is int and sign == want
 
 
 class TestGradedSubspace:
