@@ -94,12 +94,9 @@ def relabel_canonical(L: LieSuperalgebra, name: str) -> LieSuperalgebra:
     labels = [f"e{i+1}" for i in range(L.n_even)] + [
         f"f{i+1}" for i in range(L.n_odd)
     ]
-    table = {}
-    for i in range(L.dim):
-        for j in range(i, L.dim):
-            terms = L.bracket_basis(i, j)
-            if terms:
-                table[(i, j)] = tuple(sorted(terms.items()))
+    table = {
+        (i, j): tuple(sorted(L.bracket_basis(i, j).items())) for i, j in L.nonzero_pairs()
+    }
     return LieSuperalgebra(name, labels, L.parities, table)
 
 
@@ -319,22 +316,18 @@ def render_catalog(algebras) -> str:
             lines.append("even " + " ".join(ev))
         if od:
             lines.append("odd " + " ".join(od))
-        for i in range(alg.dim):
-            for j in range(i, alg.dim):
-                terms = alg.bracket_basis(i, j)
-                if not terms:
-                    continue
-                parts = []
-                for k, c in sorted(terms.items()):
-                    mag = f"{abs(c)}*" if abs(c) != 1 else ""
-                    term = f"{mag}{alg.label_of(k)}"
-                    if not parts:
-                        parts.append(("-" if c < 0 else "") + term)
-                    else:
-                        parts.append(("- " if c < 0 else "+ ") + term)
-                lines.append(
-                    f"[{alg.label_of(i)},{alg.label_of(j)}] = " + " ".join(parts)
-                )
+        for i, j in alg.nonzero_pairs():
+            parts = []
+            for k, c in sorted(alg.bracket_basis(i, j).items()):
+                mag = f"{abs(c)}*" if abs(c) != 1 else ""
+                term = f"{mag}{alg.label_of(k)}"
+                if not parts:
+                    parts.append(("-" if c < 0 else "") + term)
+                else:
+                    parts.append(("- " if c < 0 else "+ ") + term)
+            lines.append(
+                f"[{alg.label_of(i)},{alg.label_of(j)}] = " + " ".join(parts)
+            )
         lines.append("end")
         chunks.append("\n".join(lines))
     return "\n\n".join(chunks) + "\n"

@@ -196,21 +196,21 @@ def schur_multiplier_cohomology(L: LieSuperalgebra) -> MultiplierResult:
     with |x| + |y| = sigma) extends L by a central line of parity sigma
     exactly when the graded Jacobi identity of the extension holds,
     i.e. the cyclic sum (-1)^{|x||z|} c(x, [y, z]) vanishes on all basis
-    triples.  Cochains of the form f([x, y]) for a linear functional f
-    are split extensions; the quotient count per parity is reported.
+    triples.  Only the triples that touch a nonzero bracket give a row:
+    on any other triple every term evaluates c on a zero inner bracket.
+    Cochains of the form f([x, y]) for a linear functional f are split
+    extensions; the quotient count per parity is reported, and their
+    rows are read off the nonzero brackets in one pass.
     """
     if "cohomology" in L._cache:
         return L._cache["cohomology"]
     L.require_valid()
     L.nilpotency_class()
     p = L.parities
-    n = L.dim
-    coords: dict[int, list[tuple[int, int]]] = {EVEN: [], ODD: []}
-    for a in range(n):
-        for b in range(a, n):
-            if a == b and p[a] == EVEN:
-                continue  # forced zero by graded skew-symmetry
-            coords[(p[a] + p[b]) % 2].append((a, b))
+    e, o = L.n_even, L.n_odd
+    # the pairs a <= b of each parity, less the even diagonals that graded
+    # skew-symmetry forces to zero
+    coords = {EVEN: e * (e - 1) // 2 + o * (o + 1) // 2, ODD: e * o}
 
     def coord(a: int, b: int) -> dict:
         """Coordinate row of c(b_a, b_b)."""
@@ -221,7 +221,7 @@ def schur_multiplier_cohomology(L: LieSuperalgebra) -> MultiplierResult:
         return {(b, a): -graded_sign(p[a], p[b])}
 
     cocycle_rank = {EVEN: SparseEchelon(), ODD: SparseEchelon()}
-    for i, j, k in itertools.combinations_with_replacement(range(n), 3):
+    for i, j, k in L.touching_triples():
         sigma = (p[i] + p[j] + p[k]) % 2
         row: dict = {}
         for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
@@ -230,20 +230,18 @@ def schur_multiplier_cohomology(L: LieSuperalgebra) -> MultiplierResult:
                 axpy(row, sign * c, coord(x, t))
         if row:
             cocycle_rank[sigma].insert(row, tag=(i, j, k))
+    # row t holds the b_t-coefficients of the brackets; a valid table
+    # gives b_t's parity to every pair it appears in
+    cob_rows: dict[int, dict] = {}
+    for a, b in L.nonzero_pairs():
+        for t, c in L.bracket_basis(a, b).items():
+            cob_rows.setdefault(t, {})[(a, b)] = c
     cob_rank = {EVEN: SparseEchelon(), ODD: SparseEchelon()}
-    for t in range(n):
-        sigma = p[t]
-        row = {}
-        for key in coords[sigma]:
-            a, b = key
-            c = L.bracket_basis(a, b).get(t, Fraction(0))
-            if c:
-                row[key] = c
-        if row:
-            cob_rank[sigma].insert(row, tag=t)
+    for t, row in sorted(cob_rows.items()):
+        cob_rank[p[t]].insert(row, tag=t)
     dims = SuperDim(
-        len(coords[EVEN]) - cocycle_rank[EVEN].rank - cob_rank[EVEN].rank,
-        len(coords[ODD]) - cocycle_rank[ODD].rank - cob_rank[ODD].rank,
+        coords[EVEN] - cocycle_rank[EVEN].rank - cob_rank[EVEN].rank,
+        coords[ODD] - cocycle_rank[ODD].rank - cob_rank[ODD].rank,
     )
     result = MultiplierResult(dims, "cohomology")
     L._cache["cohomology"] = result

@@ -4,7 +4,11 @@ An algebra is a Z2-graded basis (even vectors first) plus a table of
 brackets [b_i, b_j] for i <= j; the other half of the table follows from
 graded skew-symmetry.  Validation checks the grading of every table
 entry, consistency of redundantly supplied entries, and the graded
-Jacobi identity on all basis triples.
+Jacobi identity on all basis triples.  Only the triples that touch a
+nonzero bracket are evaluated: on any other triple every term of the
+Jacobi sum brackets with a zero inner bracket.  `ad_support` indexes the
+nonzero brackets, so products, ideals, the center and quotients also
+bracket only pairs that can be nonzero.
 
 A graded subspace W = W_0 + W_1 is a plain `Subspace` of the full
 coordinate space.  Even coordinates come first, so W's reduced
@@ -14,7 +18,6 @@ and `superdim` reads the (even | odd) dimensions off the pivots.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -92,11 +95,7 @@ class LieSuperalgebra:
             raise AlgebraError("basis labels and parities differ in length")
         if any(p not in (EVEN, ODD) for p in parities):
             raise AlgebraError("parities must be 0 (even) or 1 (odd)")
-        if any(
-            parities[i] == ODD and parities[j] == EVEN
-            for i in range(len(parities))
-            for j in range(i + 1, len(parities))
-        ):
+        if list(parities) != sorted(parities):
             raise AlgebraError("even basis vectors must be listed before odd ones")
         if len(set(basis_labels)) != len(basis_labels):
             raise AlgebraError("duplicate basis labels")
@@ -167,6 +166,46 @@ class LieSuperalgebra:
             return {}
         sign = -graded_sign(self.parities[i], self.parities[j])
         return {k: sign * c for k, c in base.items()}
+
+    def ad_support(self) -> tuple[tuple[int, ...], ...]:
+        """For each basis index i, the sorted j with [b_i, b_j] != 0.
+
+        Read once from the completed table; symmetric, because the two
+        halves of the table differ by a sign.
+        """
+        if "ad_support" not in self._cache:
+            support: list[set[int]] = [set() for _ in range(self.dim)]
+            for (i, j), terms in self._canon().items():
+                if terms:
+                    support[i].add(j)
+                    support[j].add(i)
+            self._cache["ad_support"] = tuple(tuple(sorted(s)) for s in support)
+        return self._cache["ad_support"]
+
+    def nonzero_pairs(self) -> list[tuple[int, int]]:
+        """The pairs i <= j with [b_i, b_j] != 0, in increasing order."""
+        return [
+            (i, j) for i, sup in enumerate(self.ad_support()) for j in sup if i <= j
+        ]
+
+    def touching_triples(self) -> list[tuple[int, int, int]]:
+        """The triples i <= j <= k with a nonzero bracket among their three
+        pairs, in increasing order."""
+        found = set()
+        for i, j in self.nonzero_pairs():
+            for k in range(self.dim):
+                if k < i:
+                    found.add((k, i, j))
+                elif k < j:
+                    found.add((i, k, j))
+                else:
+                    found.add((i, j, k))
+        return sorted(found)
+
+    def _reach(self, v: dict) -> set[int]:
+        """The basis indices j that some key of v brackets nontrivially."""
+        support = self.ad_support()
+        return set().union(*(support[k] for k in v))
 
     def bracket_image(self, i: int, j: int, cols) -> dict:
         """Image of [b_i, b_j] under the linear map sending b_k to the sparse cols[k]."""
@@ -259,7 +298,8 @@ class LieSuperalgebra:
                             f"{self.label_of(i)}] = 0 for even {self.label_of(i)}"
                         )
         if not malformed:
-            for i, j, k in itertools.combinations_with_replacement(range(self.dim), 3):
+            # a triple touching no nonzero pair has a zero residual
+            for i, j, k in self.touching_triples():
                 if self._jacobi_residual(i, j, k):
                     violations.append(
                         f"graded Jacobi identity fails on "
@@ -298,12 +338,17 @@ class LieSuperalgebra:
         """Span of all brackets of rows of graded u and w.
 
         The rows are homogeneous, so their brackets are; zero products
-        are dropped before they reach the echelon.
+        are dropped before they reach the echelon, and a pair is skipped
+        unbracketed when y's keys miss the ad-support of x's.
         """
-        return Subspace.span(
-            (z for x in u.rows for y in w.rows if (z := self.bracket(x, y))),
-            self.dim,
-        )
+        def products():
+            for x in u.rows:
+                reach = self._reach(x)
+                for y in w.rows:
+                    if not reach.isdisjoint(y) and (z := self.bracket(x, y)):
+                        yield z
+
+        return Subspace.span(products(), self.dim)
 
     def lower_central_series(self) -> list[Subspace]:
         """Chain gamma_1 = L, gamma_{k+1} = [gamma_k, L] until it stabilizes.
@@ -347,15 +392,16 @@ class LieSuperalgebra:
     def center(self) -> Subspace:
         """{z : [z, x] = 0 for all x}, the kernel of the adjoint columns.
 
-        Column i holds the coordinates t of [b_i, b_j], keyed (j, t).  An
-        even column's keys have |t| = |j| and an odd column's |t| != |j|,
-        so the two share no key and the kernel is graded.
+        Column i holds the coordinates t of [b_i, b_j], keyed (j, t), for
+        the j in the ad-support of i.  An even column's keys have
+        |t| = |j| and an odd column's |t| != |j|, so the two share no key
+        and the kernel is graded.
         """
         if "center" in self._cache:
             return self._cache["center"]
         result = kernel([
-            {(j, t): c for j in range(self.dim) for t, c in self.bracket_basis(i, j).items()}
-            for i in range(self.dim)
+            {(j, t): c for j in sup for t, c in self.bracket_basis(i, j).items()}
+            for i, sup in enumerate(self.ad_support())
         ])
         self._cache["center"] = result
         return result
@@ -363,10 +409,16 @@ class LieSuperalgebra:
     # -- quotients and generators --------------------------------------------
 
     def is_graded_ideal(self, S: Subspace) -> tuple[bool, str | None]:
+        """Whether S is spanned by homogeneous rows with [x, b_j] in S for
+        every row x and basis index j, with the first failure described.
+
+        Only the j in the ad-support of x's keys are bracketed: [x, b_j]
+        is zero for the others, and S contains it.
+        """
         for x in S.rows:
             if not self.is_homogeneous(x):
                 return False, f"{self._describe(x)} is not homogeneous"
-            for j in range(self.dim):
+            for j in sorted(self._reach(x)):
                 if not S.contains(self.bracket(x, {j: _ONE})):
                     witness = (
                         f"[{self._describe(x)}, {self.label_of(j)}] escapes the subspace"
@@ -410,11 +462,13 @@ class LieSuperalgebra:
             for s in range(self.dim)
         ]
         table = {}
-        for a in range(len(comp)):
-            for b in range(a, len(comp)):
-                z = self.bracket_image(comp[a], comp[b], cols)
-                if z:
-                    table[(a, b)] = tuple(sorted(z.items()))
+        support = self.ad_support()
+        for a, i in enumerate(comp):
+            for j in support[i]:
+                if j >= i and j in pos:
+                    z = self.bracket_image(i, j, cols)
+                    if z:
+                        table[(a, pos[j])] = tuple(sorted(z.items()))
         q = LieSuperalgebra(
             name if name is not None else f"{self.name}/I", labels, pars, table
         )
@@ -453,13 +507,10 @@ def direct_sum(a: LieSuperalgebra, b: LieSuperalgebra, name: str | None = None) 
 
     table = {}
     for alg, mapper in ((a, map_a), (b, map_b)):
-        for i in range(alg.dim):
-            for j in range(i, alg.dim):
-                terms = alg.bracket_basis(i, j)
-                if terms:
-                    table[(mapper(i), mapper(j))] = tuple(
-                        (mapper(k), c) for k, c in sorted(terms.items())
-                    )
+        for i, j in alg.nonzero_pairs():
+            table[(mapper(i), mapper(j))] = tuple(
+                (mapper(k), c) for k, c in sorted(alg.bracket_basis(i, j).items())
+            )
     return LieSuperalgebra(
         name if name is not None else f"{a.name}+{b.name}", labels, pars, table
     )
@@ -481,14 +532,14 @@ def change_basis(L: LieSuperalgebra, perm, scales, name: str | None = None) -> L
         raise AlgebraError("permutation must preserve parity")
     inv = {perm[i]: i for i in range(L.dim)}
     table = {}
+    support = L.ad_support()
     for i in range(L.dim):
-        for j in range(i, L.dim):
-            raw = L.bracket_basis(perm[i], perm[j])
-            terms = tuple(
-                (inv[k], scales[i] * scales[j] * c / scales[inv[k]])
-                for k, c in sorted(raw.items())
-            )
-            if terms:
-                table[(i, j)] = terms
+        for j in sorted(inv[m] for m in support[perm[i]]):
+            if j >= i:
+                raw = L.bracket_basis(perm[i], perm[j])
+                table[(i, j)] = tuple(
+                    (inv[k], scales[i] * scales[j] * c / scales[inv[k]])
+                    for k, c in sorted(raw.items())
+                )
     labels = [f"c{i+1}" for i in range(L.dim)]
     return LieSuperalgebra(name if name is not None else f"{L.name}~", labels, L.parities, table)

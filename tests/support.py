@@ -1,16 +1,22 @@
-"""Shared test helpers: random algebras and a rank oracle.
+"""Shared test helpers: random algebras, a rank oracle and all-triples references.
 
 `dense_rank` is a plain dense Gauss-Jordan over Fractions.  It shares no
 code with the package's elimination engine (`SparseEchelon`), so tests
 that use it as an oracle check that engine rather than restate it.
+
+`reference_validation` and `reference_cohomology_dims` visit every basis
+pair and triple, without `LieSuperalgebra.ad_support`, so tests that
+compare them with `validate` and `schur_multiplier_cohomology` check
+that the sparse loops skip only zero work.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 from superschur.exactla import Subspace, axpy, subspace_sum
 from superschur.freenilp import GeneratorSpec, build_free_nilpotent
-from superschur.superalg import change_basis
+from superschur.superalg import SuperDim, change_basis, graded_sign
 
 
 def dense_rank(rows) -> int:
@@ -83,3 +89,101 @@ def random_quotients(count):
         quotient, _ = A.quotient(ideal, name=f"rq{len(out)}[{p}|{q},c{k}]")
         out.append(quotient)
     return out
+
+
+def _jacobi_residual(L, i, j, k) -> dict:
+    """(-1)^{|i||k|}[b_i,[b_j,b_k]] + cyclic, from the table alone."""
+    p = L.parities
+    acc: dict = {}
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        for t, ct in L.bracket_basis(b, c).items():
+            axpy(acc, graded_sign(p[a], p[c]) * ct, L.bracket_basis(a, t))
+    return acc
+
+
+def reference_validation(L) -> tuple[list[str], list[str]]:
+    """`validate`'s (malformed, violations) lists, with the graded Jacobi
+    identity evaluated on every basis triple i <= j <= k."""
+    n, p, lab = L.dim, L.parities, L.basis_labels
+    malformed: list[str] = []
+    violations: list[str] = []
+    entries = sorted(L._raw.items())
+    for (i, j), terms in entries:
+        if not (0 <= i < n and 0 <= j < n):
+            malformed.append(f"bracket entry ({i},{j}) has an index out of range")
+            continue
+        for k, c in terms:
+            if not 0 <= k < n:
+                malformed.append(f"bracket [{lab[i]},{lab[j]}] targets index {k} out of range")
+            elif c != 0 and p[k] != (p[i] + p[j]) % 2:
+                malformed.append(f"bracket [{lab[i]},{lab[j]}] targets {lab[k]} of the wrong parity")
+    if malformed:
+        return malformed, violations
+    for (i, j), terms in entries:
+        if i > j and (j, i) in L._raw:
+            want: dict = {}
+            axpy(want, -graded_sign(p[i], p[j]), _summed(L._raw[(j, i)]))
+            if want != _summed(terms):
+                violations.append(f"graded skew-symmetry violated at ({lab[j]},{lab[i]})")
+        elif i == j and p[i] == 0 and any(c != 0 for _, c in terms):
+            violations.append(
+                f"graded skew-symmetry forces [{lab[i]},{lab[i]}] = 0 for even {lab[i]}"
+            )
+    for i, j, k in itertools.combinations_with_replacement(range(n), 3):
+        if _jacobi_residual(L, i, j, k):
+            violations.append(f"graded Jacobi identity fails on ({lab[i]},{lab[j]},{lab[k]})")
+    return malformed, violations
+
+
+def _summed(terms) -> dict:
+    """Raw (target, coefficient) terms as a sparse vector, repeats added."""
+    v: dict = {}
+    for k, c in terms:
+        axpy(v, 1, {k: c})
+    return v
+
+
+def _sparse_rank(rows) -> int:
+    """dense_rank of sparse rows, over the keys that occur."""
+    keys = sorted({k for r in rows for k in r})
+    return dense_rank([[r.get(k, 0) for k in keys] for r in rows if r])
+
+
+def reference_cohomology_dims(L) -> SuperDim:
+    """The cochain route's multiplier dimensions from a cocycle row for
+    every basis triple and a coboundary row scanning every pair, ranked
+    by `dense_rank`."""
+    n, p = L.dim, L.parities
+    coords: dict[int, list] = {0: [], 1: []}
+    for a in range(n):
+        for b in range(a, n):
+            if a != b or p[a] == 1:
+                coords[(p[a] + p[b]) % 2].append((a, b))
+
+    def coord(a, b) -> dict:
+        if a == b and p[a] == 0:
+            return {}
+        if a <= b:
+            return {(a, b): 1}
+        return {(b, a): -graded_sign(p[a], p[b])}
+
+    cocycles: dict[int, list] = {0: [], 1: []}
+    for i, j, k in itertools.combinations_with_replacement(range(n), 3):
+        row: dict = {}
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            for t, c in L.bracket_basis(y, z).items():
+                axpy(row, graded_sign(p[x], p[z]) * c, coord(x, t))
+        cocycles[(p[i] + p[j] + p[k]) % 2].append(row)
+    coboundaries: dict[int, list] = {0: [], 1: []}
+    for t in range(n):
+        row = {}
+        for a, b in coords[p[t]]:
+            c = L.bracket_basis(a, b).get(t, 0)
+            if c:
+                row[(a, b)] = c
+        coboundaries[p[t]].append(row)
+    even, odd = (
+        len(coords[s]) - _sparse_rank(cocycles[s]) - _sparse_rank(coboundaries[s])
+        for s in (0, 1)
+    )
+    return SuperDim(even, odd)

@@ -25,7 +25,7 @@ from superschur.superalg import (
     direct_sum,
     graded_sign,
 )
-from support import basis_changed, dense_rank
+from support import basis_changed, dense_rank, reference_validation
 
 F = Fraction
 
@@ -120,6 +120,8 @@ class TestValidate:
         )
         report = bad.validate()
         assert any("Jacobi" in v for v in report.violations)
+        # every failing triple is named, in order
+        assert (report.malformed, report.violations) == reference_validation(bad)
 
     def test_even_diagonal_must_vanish(self):
         bad = LieSuperalgebra("bad", ["e1", "e2"], [EVEN] * 2, {(0, 0): [(1, 1)]})
