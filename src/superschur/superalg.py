@@ -144,7 +144,10 @@ class LieSuperalgebra:
             for (i, j), terms in self._raw.items():
                 if not (0 <= i < self.dim and 0 <= j < self.dim):
                     continue
-                clean = {k: c for k, c in terms if 0 <= k < self.dim and c != 0}
+                clean: dict = {}
+                for k, c in terms:
+                    if 0 <= k < self.dim:
+                        axpy(clean, 1, {k: c})  # repeated targets add up
                 if i <= j:
                     canon[(i, j)] = clean
                 else:

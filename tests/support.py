@@ -101,6 +101,14 @@ def _jacobi_residual(L, i, j, k) -> dict:
     return acc
 
 
+def _summed(terms) -> dict:
+    """Raw (target, coefficient) terms as a sparse vector, repeats added."""
+    v: dict = {}
+    for k, c in terms:
+        axpy(v, 1, {k: c})
+    return v
+
+
 def reference_validation(L) -> tuple[list[str], list[str]]:
     """`validate`'s (malformed, violations) lists, with the graded Jacobi
     identity evaluated on every basis triple i <= j <= k."""
@@ -133,14 +141,6 @@ def reference_validation(L) -> tuple[list[str], list[str]]:
         if _jacobi_residual(L, i, j, k):
             violations.append(f"graded Jacobi identity fails on ({lab[i]},{lab[j]},{lab[k]})")
     return malformed, violations
-
-
-def _summed(terms) -> dict:
-    """Raw (target, coefficient) terms as a sparse vector, repeats added."""
-    v: dict = {}
-    for k, c in terms:
-        axpy(v, 1, {k: c})
-    return v
 
 
 def _sparse_rank(rows) -> int:

@@ -13,7 +13,7 @@ from math import comb
 
 import pytest
 
-from superschur.catalog import builtin_algebras
+from superschur.catalog import builtin_algebras, parse_catalog, render_catalog
 from superschur.exactla import Subspace
 from superschur.freenilp import GeneratorSpec, build_free_nilpotent
 from superschur.multiplier import schur_multiplier_cohomology
@@ -168,6 +168,18 @@ class TestAdSupport:
         assert L.ad_support() == ((), (), (), (3,))
         assert L.nonzero_pairs() == [(3, 3)]
         assert _report_lists(L) == reference_validation(L)
+
+    def test_repeated_targets_add_up(self):
+        # z - z cancels and z + z doubles, as the catalog line reads
+        L = LieSuperalgebra(
+            "rep", ["x", "y", "z", "w"], [0] * 4, {(0, 1): [(2, 1), (2, -1)], (0, 2): [(3, 1), (3, 1)]}
+        )
+        assert L.ad_support() == ((2,), (), (0,), ())
+        assert L.bracket_basis(0, 1) == {}
+        assert L.bracket_basis(0, 2) == {3: 2}
+        assert L.validate().ok and L.nilpotency_class() == 2
+        text = "algebra rep\neven x y z\n[x,y] = z - z\n[x,z] = y + y\nend\n"
+        assert render_catalog(parse_catalog(text)) == "algebra rep\neven x y z\n[x,z] = 2*y\nend\n"
 
     def test_mirror_only_entries_are_indexed(self):
         L = LieSuperalgebra("m", ["e1", "e2", "e3"], [0] * 3, {(1, 0): [(2, 1)]})
