@@ -42,6 +42,11 @@ EXIT_ASSERTION = 2
 # each arity of the identity sweep costs about 3.5 times the one before:
 # the sweep to arity 8 takes about 2 s, so 10 should take about half a minute
 IDENTITY_ARITY_MAX = 10
+# the cochain route eliminates one row per triple that touches a nonzero
+# bracket: free (2|1) class 6 has 67,581 such triples and takes about 4 s,
+# free (3|3) class 4 has 266,285, and free (2|1) class 7 has 491,585 and
+# takes nearly two minutes
+COCHAIN_TRIPLES_MAX = 100_000
 
 
 class UsageError(Exception):
@@ -178,7 +183,16 @@ def cmd_invariants(args) -> Report:
 def cmd_multiplier(args) -> Report:
     records = []
     ok = True
-    for alg in _load_algebras(args):
+    algebras = _load_algebras(args)
+    if args.method in ("cohomology", "both"):
+        for alg in algebras:
+            count = len(alg.touching_triples())
+            if count > COCHAIN_TRIPLES_MAX:
+                raise UsageError(
+                    f"{alg.name} has {count} triples for the cochain route, over the "
+                    f"limit of {COCHAIN_TRIPLES_MAX}; use --method hopf"
+                )
+    for alg in algebras:
         rec = {"algebra": alg.name, "dim": alg.sdim}
         if not alg.is_nilpotent():
             rec["status"] = "skipped (not nilpotent)"

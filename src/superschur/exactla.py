@@ -1,14 +1,18 @@
 """Exact linear algebra over the rationals.
 
 The substrate for every dimension computation in this package.  One
-elimination engine, `SparseEchelon`, reduces sparse keyed vectors with
-Fraction entries; spans, reduced row-echelon forms, kernels, solutions
-and intersections are all read off it.  No floating point anywhere.
-Sparse dicts {index: nonzero Fraction} are the one vector type: a
-`Subspace` keeps the engine's reduced row-echelon rows as they are, so
-two objects describe the same subspace exactly when their rows compare
-equal.  Every function takes and returns sparse vectors; dense Fraction
-tuples appear only in `Subspace.basis` and in `Matrix` and `rref`.
+elimination engine, `SparseEchelon`, reduces sparse keyed vectors in
+integers: an input is scaled by the lcm of its denominators, and a
+stored row is a primitive integer vector, reduced only against rows of
+smaller pivot and never rewritten afterwards.  Its reduced row-echelon
+form is back-substituted once, into Fractions, when it is read.  Spans,
+reduced row-echelon forms, kernels, solutions and intersections are all
+read off it.  No floating point anywhere.  Sparse dicts {index: nonzero
+Fraction} are the one vector type: a `Subspace` keeps the engine's
+reduced row-echelon rows as they are, so two objects describe the same
+subspace exactly when their rows compare equal.  Every function takes
+and returns sparse vectors; dense Fraction tuples appear only in
+`Subspace.basis` and in `Matrix` and `rref`.
 """
 
 from __future__ import annotations
@@ -16,12 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Hashable, Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+_TARGET = object()  # express's ledger key for the vector being expressed
 
 
 class SubspaceError(ValueError):
@@ -52,6 +61,17 @@ def axpy(y: dict, a, x: dict) -> None:
             del y[k]
 
 
+def _integral(v: dict) -> tuple[dict, int]:
+    """v times the lcm d of its denominators, as a dict of nonzero ints, and d.
+
+    The entries are ints or Fractions.
+    """
+    d = lcm(*(c.denominator for c in v.values()))
+    if d == 1:
+        return {k: c.numerator for k, c in v.items() if c}, 1
+    return {k: c.numerator * (d // c.denominator) for k, c in v.items() if c}, d
+
+
 @dataclass(frozen=True)
 class Matrix:
     """Immutable rational matrix, stored row-major."""
@@ -80,71 +100,122 @@ class Matrix:
 
 
 class SparseEchelon:
-    """Incrementally reduced echelon rows over sparse keyed vectors.
+    """Echelon rows of sparse keyed vectors, kept in integers.
 
     Keys must be mutually comparable; the pivot of a row is its smallest
-    key.  Rows are kept fully reduced against one another.  Every
-    accepted row carries the combination of inserted originals that
-    produced it, so `express` can rewrite any member of the row space in
-    terms of the accepted insertions.
+    key.  An inserted vector is scaled to integers by the lcm of its
+    denominators and reduced against the stored rows, smallest pivot
+    first (reducing by a row adds only keys above its pivot).  What is
+    left, if anything, is divided by the gcd of its entries and ledger
+    and stored with a positive pivot; a stored row is never touched
+    again.  Each row carries an integer ledger, the combination of
+    inserted originals it equals, so `express` can rewrite any member of
+    the row space over the accepted insertions.  `rows()` back-substitutes
+    once into the reduced row-echelon form and keeps it until the next
+    accepted insertion.
     """
 
     def __init__(self) -> None:
-        self._pivots: dict[Hashable, int] = {}
-        self._rows: list[tuple[Hashable, dict, dict]] = []
+        self._rows: dict[Hashable, tuple[dict, dict]] = {}  # pivot -> (row, ledger)
+        self._rref: tuple[dict, ...] | None = None
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, v: dict, ledger: dict) -> tuple[dict, dict]:
-        v = {k: Fraction(c) for k, c in v.items() if c != 0}
-        ledger = {k: Fraction(c) for k, c in ledger.items() if c != 0}
-        # every row is 0 at the other rows' pivots, so clearing one pivot
-        # leaves v's other pivot entries alone: one pass clears them all
-        for k in [k for k in v if k in self._pivots]:
-            f = v[k]
-            _, row, led = self._rows[self._pivots[k]]
-            axpy(v, -f, row)
-            axpy(ledger, -f, led)
-        return v, ledger
+    def _reduce(self, v: dict, ledger: dict) -> None:
+        """Clear v's entries at stored pivots, in place and smallest first,
+        keeping v = sum ledger[t] * (inserted original t)."""
+        rows = self._rows
+        heap = [k for k in v if k in rows]
+        heapify(heap)
+        while heap:
+            p = heappop(heap)
+            b = v.get(p)
+            if b is None:
+                continue  # cleared since it was pushed
+            row, led = rows[p]
+            a = row[p]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                for k in v:
+                    v[k] *= a
+                for k in ledger:
+                    ledger[k] *= a
+            for k, c in row.items():
+                old = v.get(k)
+                if old is None:
+                    v[k] = -b * c
+                    if k in rows:
+                        heappush(heap, k)
+                elif nv := old - b * c:
+                    v[k] = nv
+                else:
+                    del v[k]
+            axpy(ledger, -b, led)
 
     def insert(self, v: dict, tag: Hashable) -> bool:
         """Add v (tagged) if it enlarges the row space; returns acceptance."""
-        rv, rl = self._reduce(v, {tag: _ONE})
-        if not rv:
+        v, d = _integral(v)
+        ledger = {tag: d}
+        self._reduce(v, ledger)
+        if not v:
             return False
-        pivot = min(rv)
-        inv = 1 / rv[pivot]
-        rv = {k: c * inv for k, c in rv.items()}
-        rl = {k: c * inv for k, c in rl.items()}
-        for idx, (p, row, led) in enumerate(self._rows):
-            if pivot in row:
-                f = row[pivot]
-                row = dict(row)
-                led = dict(led)
-                axpy(row, -f, rv)
-                axpy(led, -f, rl)
-                self._rows[idx] = (p, row, led)
-        self._pivots[pivot] = len(self._rows)
-        self._rows.append((pivot, rv, rl))
+        pivot = min(v)
+        g = gcd(*v.values(), *ledger.values())
+        if v[pivot] < 0:
+            g = -g
+        if g != 1:
+            v = {k: c // g for k, c in v.items()}
+            ledger = {k: c // g for k, c in ledger.items()}
+        self._rows[pivot] = (v, ledger)
+        self._rref = None
         return True
 
     def express(self, v: dict) -> dict | None:
-        """Coefficients c with v = sum c[tag] * inserted[tag], or None."""
-        rv, rl = self._reduce(v, {})
-        if rv:
+        """Coefficients c with v = sum c[tag] * inserted[tag], or None.
+
+        v enters the ledger under a private key; once v is reduced to
+        zero, that key's coefficient is the common denominator.
+        """
+        v, d = _integral(v)
+        ledger = {_TARGET: d}
+        self._reduce(v, ledger)
+        if v:
             return None
-        return {k: -c for k, c in rl.items() if c != 0}
+        den = -ledger.pop(_TARGET)
+        return {t: Fraction(c, den) for t, c in ledger.items()}
 
     def rows(self) -> tuple[dict, ...]:
-        """The rows in pivot order.
+        """The reduced row-echelon basis of the row space, in pivot order:
+        each pivot is its row's smallest key, it is 1, and every other row
+        is 0 there.
 
-        For integer keys this is the reduced row-echelon basis of the row
-        space: each pivot is its row's smallest key, it is 1, and every
-        other row is 0 there.
+        Back-substitution runs from the largest pivot down, in integers:
+        a finished row is kept as a numerator n with denominator n[pivot],
+        0 at every other pivot, so one pass clears a new row's pivots.
         """
-        return tuple(self._rows[self._pivots[p]][1] for p in sorted(self._pivots))
+        if self._rref is None:
+            done: dict[Hashable, dict] = {}
+            for p in sorted(self._rows, reverse=True):
+                row = dict(self._rows[p][0])
+                for q in [k for k in row if k in done]:
+                    num = done[q]
+                    a, b = num[q], row[q]
+                    g = gcd(a, b)
+                    a, b = a // g, b // g
+                    if a != 1:
+                        for k in row:
+                            row[k] *= a
+                    axpy(row, -b, num)
+                g = gcd(*row.values())
+                done[p] = {k: c // g for k, c in row.items()} if g != 1 else row
+            self._rref = tuple(
+                {k: Fraction(c, done[p][p]) for k, c in done[p].items()}
+                for p in sorted(done)
+            )
+        return self._rref
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:

@@ -10,8 +10,10 @@ oracle cross-checks the resulting dimensions.
 
 Every coefficient of an expansion is a sum of signs ±1, so expansions,
 and the rewriting identity's coefficients, are Python ints.
-`SparseEchelon` turns them into Fractions as it reduces, so bases,
-structure constants and subspaces stay exact rationals.
+`SparseEchelon` eliminates them in integers too; only what it hands
+back, structure constants from `express` and reduced row-echelon rows,
+is in Fractions, so bases, structure constants and subspaces stay exact
+rationals.
 """
 
 from __future__ import annotations

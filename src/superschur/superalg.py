@@ -160,28 +160,38 @@ class LieSuperalgebra:
             self._canonical = canon
         return self._canonical
 
+    def _table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+        """The nonzero brackets [b_i, b_j] for all i and j, built once:
+        the canonical half and its mirror by graded skew-symmetry.  Two
+        odd indices have sign 1, so their mirror shares the entry."""
+        if "table" not in self._cache:
+            table = {}
+            for (i, j), terms in self._canon().items():
+                if not terms:
+                    continue
+                table[(i, j)] = terms
+                if i != j:
+                    odd = self.parities[i] == self.parities[j] == ODD
+                    table[(j, i)] = terms if odd else {k: -c for k, c in terms.items()}
+            self._cache["table"] = table
+        return self._cache["table"]
+
     def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
-        """[b_i, b_j] as a sparse coordinate dict, completed by skew-symmetry."""
-        if i <= j:
-            return self._canon().get((i, j), {})
-        base = self._canon().get((j, i), {})
-        if not base:
-            return {}
-        sign = -graded_sign(self.parities[i], self.parities[j])
-        return {k: sign * c for k, c in base.items()}
+        """[b_i, b_j] as a sparse coordinate dict from the completed table.
+
+        The dict is shared, not copied: callers must not mutate it.
+        """
+        return self._table().get((i, j), {})
 
     def ad_support(self) -> tuple[tuple[int, ...], ...]:
         """For each basis index i, the sorted j with [b_i, b_j] != 0.
 
-        Read once from the completed table; symmetric, because the two
-        halves of the table differ by a sign.
+        Read once from the completed table, so it is symmetric.
         """
         if "ad_support" not in self._cache:
-            support: list[set[int]] = [set() for _ in range(self.dim)]
-            for (i, j), terms in self._canon().items():
-                if terms:
-                    support[i].add(j)
-                    support[j].add(i)
+            support: list[list[int]] = [[] for _ in range(self.dim)]
+            for i, j in self._table():
+                support[i].append(j)
             self._cache["ad_support"] = tuple(tuple(sorted(s)) for s in support)
         return self._cache["ad_support"]
 

@@ -1,8 +1,13 @@
-"""Shared test helpers: random algebras, a rank oracle and all-triples references.
+"""Shared test helpers: random algebras, rank and echelon oracles, all-triples references.
 
 `dense_rank` is a plain dense Gauss-Jordan over Fractions.  It shares no
 code with the package's elimination engine (`SparseEchelon`), so tests
 that use it as an oracle check that engine rather than restate it.
+
+`ReferenceEchelon` is the engine as it was before it moved to integers:
+Fraction rows kept fully reduced against one another on every insert.
+Tests hold `SparseEchelon`'s acceptances, ranks, expressions and rows to
+it.
 
 `reference_validation` and `reference_cohomology_dims` visit every basis
 pair and triple, without `LieSuperalgebra.ad_support`, so tests that
@@ -36,6 +41,63 @@ def dense_rank(rows) -> int:
                 m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+class ReferenceEchelon:
+    """Fraction echelon rows, each reduced against all the others on insert.
+
+    The same API as `SparseEchelon`: keys are mutually comparable, a
+    row's pivot is its smallest key, and every accepted row carries the
+    combination of inserted originals that produced it.
+    """
+
+    def __init__(self) -> None:
+        self._pivots: dict = {}
+        self._rows: list[tuple] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def _reduce(self, v: dict, ledger: dict) -> tuple[dict, dict]:
+        v = {k: Fraction(c) for k, c in v.items() if c != 0}
+        ledger = {k: Fraction(c) for k, c in ledger.items() if c != 0}
+        # every row is 0 at the other rows' pivots: one pass clears them all
+        for k in [k for k in v if k in self._pivots]:
+            f = v[k]
+            _, row, led = self._rows[self._pivots[k]]
+            axpy(v, -f, row)
+            axpy(ledger, -f, led)
+        return v, ledger
+
+    def insert(self, v: dict, tag) -> bool:
+        rv, rl = self._reduce(v, {tag: Fraction(1)})
+        if not rv:
+            return False
+        pivot = min(rv)
+        inv = 1 / rv[pivot]
+        rv = {k: c * inv for k, c in rv.items()}
+        rl = {k: c * inv for k, c in rl.items()}
+        for idx, (p, row, led) in enumerate(self._rows):
+            if pivot in row:
+                f = row[pivot]
+                row = dict(row)
+                led = dict(led)
+                axpy(row, -f, rv)
+                axpy(led, -f, rl)
+                self._rows[idx] = (p, row, led)
+        self._pivots[pivot] = len(self._rows)
+        self._rows.append((pivot, rv, rl))
+        return True
+
+    def express(self, v: dict) -> dict | None:
+        rv, rl = self._reduce(v, {})
+        if rv:
+            return None
+        return {k: -c for k, c in rl.items() if c != 0}
+
+    def rows(self) -> tuple[dict, ...]:
+        return tuple(self._rows[self._pivots[p]][1] for p in sorted(self._pivots))
 
 
 def matrix_rank(m) -> int:

@@ -187,6 +187,36 @@ class TestAdSupport:
         assert L.bracket_basis(0, 1) == {2: -1}
 
 
+class TestCompletedTable:
+    def test_mirror_half_by_graded_skew_symmetry(self, catalog, quotients, mirrors):
+        for L in catalog + quotients + mirrors:
+            p = L.parities
+            for i in range(L.dim):
+                for j in range(L.dim):
+                    sign = -graded_sign(p[i], p[j])
+                    want = {k: sign * c for k, c in L.bracket_basis(i, j).items()}
+                    assert L.bracket_basis(j, i) == want, (L.name, i, j)
+
+    def test_repeated_calls_share_one_entry(self, catalog, quotients):
+        for L in catalog + quotients:
+            for i, j in L.nonzero_pairs():
+                for a, b in ((i, j), (j, i)):
+                    first = L.bracket_basis(a, b)
+                    assert first and L.bracket_basis(a, b) is first, (L.name, a, b)
+                    assert all(type(c) is F for c in first.values())
+
+    def test_diagonal_entries_are_kept_as_supplied(self):
+        # an even diagonal breaks skew-symmetry; validate reports it, and
+        # the table keeps it unmirrored
+        L = LieSuperalgebra(
+            "diag", ["e1", "e2", "f1", "f2"], [0, 0, 1, 1],
+            {(0, 0): [(1, 1)], (2, 2): [(0, 1)], (2, 3): [(1, 1)], (0, 2): [(3, 1)]},
+        )
+        assert L.bracket_basis(0, 0) == {1: 1} and L.bracket_basis(2, 2) == {0: 1}
+        assert L.bracket_basis(3, 2) == {1: 1} and L.bracket_basis(2, 0) == {3: -1}
+        assert L.validate().violations[0] == "graded skew-symmetry forces [e1,e1] = 0 for even e1"
+
+
 def reference_ideal_witness(L, S):
     """`is_graded_ideal` with every basis index bracketed against every row."""
     for x in S.rows:

@@ -14,6 +14,7 @@ from superschur.catalog import (
 )
 from superschur.cli import main
 from superschur.freenilp import GeneratorSpec, build_free_nilpotent
+from superschur.multiplier import MultiplierResult
 from superschur.superalg import SuperDim
 
 HEIS3_RECORD = textwrap.dedent(
@@ -221,6 +222,47 @@ class TestCli:
         assert code == 0
         assert len(calls) == sum(2 ** (i + 1) for i in range(3, 11))
         assert '"arity": 10' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method", ["cohomology", "both"])
+    def test_cochain_triples_above_the_limit_are_refused(self, capsys, monkeypatch, method):
+        from superschur import cli as cli_mod
+
+        def never(L):
+            raise AssertionError("a multiplier route started")
+
+        count = len(heisenberg3().touching_triples())
+        assert cli_mod.COCHAIN_TRIPLES_MAX == 100_000
+        monkeypatch.setattr(cli_mod, "COCHAIN_TRIPLES_MAX", count - 1)
+        monkeypatch.setattr(cli_mod, "schur_multiplier_cohomology", never)
+        monkeypatch.setattr(cli_mod, "schur_multiplier_hopf", never)
+        code = main(["multiplier", "--algebra", "A(2|1)", "--algebra", "heis3", "--method", method])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            f"error: heis3 has {count} triples for the cochain route, over the "
+            f"limit of {count - 1}; use --method hopf\n"
+        )
+
+    def test_cochain_triples_at_the_limit_are_accepted(self, capsys, monkeypatch):
+        from superschur import cli as cli_mod
+
+        count = len(heisenberg3().touching_triples())
+        calls = []
+        monkeypatch.setattr(cli_mod, "COCHAIN_TRIPLES_MAX", count)
+        monkeypatch.setattr(
+            cli_mod, "schur_multiplier_cohomology", lambda L: calls.append(L.name) or MultiplierResult(SuperDim(2, 0), "cohomology")
+        )
+        code = main(["multiplier", "--algebra", "heis3", "--method", "cohomology"])
+        assert code == 0 and calls == ["heis3"]
+        assert "(2|0)" in capsys.readouterr().out
+
+    def test_hopf_route_ignores_the_cochain_limit(self, capsys, monkeypatch):
+        from superschur import cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "COCHAIN_TRIPLES_MAX", 0)
+        code = main(["multiplier", "--algebra", "heis3", "--method", "hopf"])
+        assert code == 0
+        assert "(2|0)" in capsys.readouterr().out
 
     def test_unknown_algebra_is_usage_error(self, capsys):
         code = main(["multiplier", "--algebra", "nope"])
