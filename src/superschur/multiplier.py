@@ -200,7 +200,8 @@ def schur_multiplier_cohomology(L: LieSuperalgebra) -> MultiplierResult:
     on any other triple every term evaluates c on a zero inner bracket.
     Cochains of the form f([x, y]) for a linear functional f are split
     extensions; the quotient count per parity is reported, and their
-    rows are read off the nonzero brackets in one pass.
+    rows are read off the nonzero brackets in one pass.  Both kinds of
+    row read the integral table, whose common scale changes no rank.
     """
     if "cohomology" in L._cache:
         return L._cache["cohomology"]
@@ -217,16 +218,17 @@ def schur_multiplier_cohomology(L: LieSuperalgebra) -> MultiplierResult:
         if a == b and p[a] == EVEN:
             return {}  # forced zero by graded skew-symmetry
         if a <= b:
-            return {(a, b): _ONE}
+            return {(a, b): 1}
         return {(b, a): -graded_sign(p[a], p[b])}
 
+    table = L.integral_table()
     cocycle_rank = {EVEN: SparseEchelon(), ODD: SparseEchelon()}
     for i, j, k in L.touching_triples():
         sigma = (p[i] + p[j] + p[k]) % 2
         row: dict = {}
         for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
             sign = graded_sign(p[x], p[z])
-            for t, c in L.bracket_basis(y, z).items():
+            for t, c in table.get((y, z), {}).items():
                 axpy(row, sign * c, coord(x, t))
         if row:
             cocycle_rank[sigma].insert(row, tag=(i, j, k))
@@ -234,7 +236,7 @@ def schur_multiplier_cohomology(L: LieSuperalgebra) -> MultiplierResult:
     # gives b_t's parity to every pair it appears in
     cob_rows: dict[int, dict] = {}
     for a, b in L.nonzero_pairs():
-        for t, c in L.bracket_basis(a, b).items():
+        for t, c in table[(a, b)].items():
             cob_rows.setdefault(t, {})[(a, b)] = c
     cob_rank = {EVEN: SparseEchelon(), ODD: SparseEchelon()}
     for t, row in sorted(cob_rows.items()):

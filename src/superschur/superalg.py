@@ -4,11 +4,17 @@ An algebra is a Z2-graded basis (even vectors first) plus a table of
 brackets [b_i, b_j] for i <= j; the other half of the table follows from
 graded skew-symmetry.  Validation checks the grading of every table
 entry, consistency of redundantly supplied entries, and the graded
-Jacobi identity on all basis triples.  Only the triples that touch a
-nonzero bracket are evaluated: on any other triple every term of the
-Jacobi sum brackets with a zero inner bracket.  `ad_support` indexes the
-nonzero brackets, so products, ideals, the center and quotients also
-bracket only pairs that can be nonzero.
+Jacobi identity on all basis triples.  Only the triples with a nonzero
+nested bracket [b_a, [b_b, b_c]] are evaluated: on any other triple
+every term of the Jacobi sum is zero.  `ad_support` indexes the nonzero
+brackets, so products, ideals, the center and quotients also bracket
+only pairs that can be nonzero; the cochain route's rows come from the
+wider set of `touching_triples`, those with one nonzero pair.
+
+`integral_table` is the completed table times the lcm of its
+denominators, in ints.  A common positive scale changes no zero test,
+rank or kernel, so the Jacobi residual, the center and the cochain
+route read it; `bracket_basis` and `bracket` keep returning Fractions.
 
 A graded subspace W = W_0 + W_1 is a plain `Subspace` of the full
 coordinate space.  Even coordinates come first, so W's reduced
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .exactla import Subspace, axpy, kernel
 
@@ -195,6 +202,21 @@ class LieSuperalgebra:
             self._cache["ad_support"] = tuple(tuple(sorted(s)) for s in support)
         return self._cache["ad_support"]
 
+    def integral_table(self) -> dict[tuple[int, int], dict[int, int]]:
+        """The completed table times D, the lcm of all its denominators,
+        with int coefficients and the same keys, built once.
+
+        Its entries are shared: callers must not mutate them.
+        """
+        if "integral_table" not in self._cache:
+            table = self._table()
+            d = lcm(*(c.denominator for terms in table.values() for c in terms.values()))
+            self._cache["integral_table"] = {
+                key: {k: c.numerator * (d // c.denominator) for k, c in terms.items()}
+                for key, terms in table.items()
+            }
+        return self._cache["integral_table"]
+
     def nonzero_pairs(self) -> list[tuple[int, int]]:
         """The pairs i <= j with [b_i, b_j] != 0, in increasing order."""
         return [
@@ -203,16 +225,33 @@ class LieSuperalgebra:
 
     def touching_triples(self) -> list[tuple[int, int, int]]:
         """The triples i <= j <= k with a nonzero bracket among their three
-        pairs, in increasing order."""
+        pairs, in increasing order, built once.
+
+        The list is shared: callers must not mutate it.
+        """
+        if "touching_triples" not in self._cache:
+            found = set()
+            for i, j in self.nonzero_pairs():
+                for k in range(self.dim):
+                    if k < i:
+                        found.add((k, i, j))
+                    elif k < j:
+                        found.add((i, k, j))
+                    else:
+                        found.add((i, j, k))
+            self._cache["touching_triples"] = sorted(found)
+        return self._cache["touching_triples"]
+
+    def _nested_triples(self) -> list[tuple[int, int, int]]:
+        """The triples i <= j <= k, in increasing order, with some nonzero
+        nested bracket [b_a, [b_b, b_c]] among their orderings: [b_b, b_c]
+        has a target t and a lies in t's ad-support."""
+        support = self.ad_support()
         found = set()
-        for i, j in self.nonzero_pairs():
-            for k in range(self.dim):
-                if k < i:
-                    found.add((k, i, j))
-                elif k < j:
-                    found.add((i, k, j))
-                else:
-                    found.add((i, j, k))
+        for (b, c), terms in self._table().items():
+            for t in terms:
+                for a in support[t]:
+                    found.add(tuple(sorted((a, b, c))))
         return sorted(found)
 
     def _reach(self, v: dict) -> set[int]:
@@ -311,8 +350,8 @@ class LieSuperalgebra:
                             f"{self.label_of(i)}] = 0 for even {self.label_of(i)}"
                         )
         if not malformed:
-            # a triple touching no nonzero pair has a zero residual
-            for i, j, k in self.touching_triples():
+            # a triple with no nonzero nested bracket has a zero residual
+            for i, j, k in self._nested_triples():
                 if self._jacobi_residual(i, j, k):
                     violations.append(
                         f"graded Jacobi identity fails on "
@@ -323,15 +362,17 @@ class LieSuperalgebra:
         return report
 
     def _jacobi_residual(self, i: int, j: int, k: int) -> dict:
-        # (-1)^{|i||k|}[b_i,[b_j,b_k]] + cyclic; vanishing on i<=j<=k triples
-        # suffices because the expression is graded-symmetric under the
-        # bracket's skew-symmetry alone.
+        # (-1)^{|i||k|}[b_i,[b_j,b_k]] + cyclic, times D^2 from the integral
+        # table; vanishing on i<=j<=k triples suffices because the
+        # expression is graded-symmetric under the bracket's
+        # skew-symmetry alone.
         p = self.parities
+        table = self.integral_table()
         acc: dict = {}
         for (a, b, c_) in ((i, j, k), (j, k, i), (k, i, j)):
             sign = graded_sign(p[a], p[c_])
-            for t, ct in self.bracket_basis(b, c_).items():
-                axpy(acc, sign * ct, self.bracket_basis(a, t))
+            for t, ct in table.get((b, c_), {}).items():
+                axpy(acc, sign * ct, table.get((a, t), {}))
         return acc
 
     def require_valid(self) -> None:
@@ -406,14 +447,16 @@ class LieSuperalgebra:
         """{z : [z, x] = 0 for all x}, the kernel of the adjoint columns.
 
         Column i holds the coordinates t of [b_i, b_j], keyed (j, t), for
-        the j in the ad-support of i.  An even column's keys have
+        the j in the ad-support of i, from the integral table: a common
+        scale leaves the kernel unchanged.  An even column's keys have
         |t| = |j| and an odd column's |t| != |j|, so the two share no key
         and the kernel is graded.
         """
         if "center" in self._cache:
             return self._cache["center"]
+        table = self.integral_table()
         result = kernel([
-            {(j, t): c for j in sup for t, c in self.bracket_basis(i, j).items()}
+            {(j, t): c for j in sup for t, c in table[(i, j)].items()}
             for i, sup in enumerate(self.ad_support())
         ])
         self._cache["center"] = result

@@ -1,15 +1,18 @@
-"""The nonzero-pair index and the loops that use it.
+"""The nonzero-pair index, the integral table and the loops that use them.
 
 `LieSuperalgebra.ad_support` lets validation, products, ideals, the
-center, quotients and the cochain route skip brackets that are zero.
-These tests hold each of them to an all-pairs or all-triples reference
-from `support`, on the shipped catalog, the 50 random quotients, a
-change-of-basis copy of each, and broken tables built from them.
+center, quotients and the cochain route skip brackets that are zero,
+and `integral_table` lets the Jacobi residual, the center and the
+cochain route compute in ints.  These tests hold each of them to an
+all-pairs or all-triples reference from `support`, on the shipped
+catalog, the 50 random quotients, a change-of-basis copy of each, and
+broken tables built from them.
 """
 
+import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -17,8 +20,9 @@ from superschur.catalog import builtin_algebras, parse_catalog, render_catalog
 from superschur.exactla import Subspace
 from superschur.freenilp import GeneratorSpec, build_free_nilpotent
 from superschur.multiplier import schur_multiplier_cohomology
-from superschur.superalg import AlgebraError, LieSuperalgebra, graded_sign
+from superschur.superalg import AlgebraError, LieSuperalgebra, change_basis, graded_sign
 from support import (
+    _jacobi_residual,
     basis_changed,
     random_quotients,
     reference_cohomology_dims,
@@ -61,6 +65,13 @@ def mirrored(L) -> LieSuperalgebra:
             sign = -graded_sign(p[i], p[j])
             table[(j, i)] = tuple((k, sign * c) for k, c in terms)
     return LieSuperalgebra(f"{L.name}^", L.basis_labels, L.parities, table)
+
+
+def halved(L, seed) -> LieSuperalgebra:
+    """L on a basis rescaled by seeded factors of ±1 and ±1/2."""
+    rng = random.Random(seed)
+    scales = [rng.choice([1, -1, F(1, 2), F(-1, 2)]) for _ in range(L.dim)]
+    return change_basis(L, range(L.dim), scales, name=f"{L.name}/2")
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +121,15 @@ class TestValidationOracle:
         failing = [L for L in perturbations if any("Jacobi" in v for v in L.validate().violations)]
         assert len(failing) >= 5
         assert all(L.validate().ok for L in mirrors)
+
+    def test_skipped_triples_have_zero_residual(self, catalog, quotients, perturbations, mirrors):
+        # the tests above compare the reports; this holds the smaller set
+        # itself to the all-triples residual
+        for L in catalog + quotients + perturbations + mirrors:
+            nested = set(L._nested_triples())
+            for i, j, k in itertools.combinations_with_replacement(range(L.dim), 3):
+                if (i, j, k) not in nested:
+                    assert not _jacobi_residual(L, i, j, k), (L.name, i, j, k)
 
 
 class TestCohomologyOracle:
@@ -181,6 +201,11 @@ class TestAdSupport:
         text = "algebra rep\neven x y z\n[x,y] = z - z\n[x,z] = y + y\nend\n"
         assert render_catalog(parse_catalog(text)) == "algebra rep\neven x y z\n[x,z] = 2*y\nend\n"
 
+    def test_touching_triples_are_built_once(self, quotients):
+        for L in quotients[:10]:
+            first = L.touching_triples()
+            assert L.touching_triples() is first
+
     def test_mirror_only_entries_are_indexed(self):
         L = LieSuperalgebra("m", ["e1", "e2", "e3"], [0] * 3, {(1, 0): [(2, 1)]})
         assert L.ad_support() == ((1,), (0,), ())
@@ -217,6 +242,33 @@ class TestCompletedTable:
         assert L.validate().violations[0] == "graded skew-symmetry forces [e1,e1] = 0 for even e1"
 
 
+class TestIntegralTable:
+    def test_is_the_table_times_the_common_denominator(
+        self, catalog, quotients, perturbations, mirrors
+    ):
+        for L in catalog + quotients + perturbations + mirrors:
+            pairs = [(i, j) for i in range(L.dim) for j in range(L.dim) if L.bracket_basis(i, j)]
+            d = lcm(*(c.denominator for i, j in pairs for c in L.bracket_basis(i, j).values()))
+            table = L.integral_table()
+            assert table.keys() == L._table().keys() and sorted(table) == pairs, L.name
+            for i, j in pairs:
+                entry = table[(i, j)]
+                assert all(type(c) is int for c in entry.values()), (L.name, i, j)
+                assert entry == {k: d * c for k, c in L.bracket_basis(i, j).items()}, (L.name, i, j)
+
+    def test_cohomology_of_halved_copies(self, catalog, quotients):
+        sources = [L for L in catalog if L.is_nilpotent()] + quotients[::2]
+        scaled = 0
+        for t, L in enumerate(sources):
+            M = halved(L, t)
+            if L.nonzero_pairs():
+                d = lcm(*(c.denominator for e in M._table().values() for c in e.values()))
+                scaled += d > 1
+            assert schur_multiplier_cohomology(M).dims == reference_cohomology_dims(M), M.name
+        # 36 of the 48 nonabelian sources get a denominator
+        assert scaled >= 30
+
+
 def reference_ideal_witness(L, S):
     """`is_graded_ideal` with every basis index bracketed against every row."""
     for x in S.rows:
@@ -247,9 +299,10 @@ class TestIsGradedIdeal:
         assert seen_false > 100
 
 
-def test_validate_evaluates_only_touching_triples(monkeypatch):
+def test_validate_evaluates_only_nested_triples(monkeypatch):
     """Free (2|1) class 5: 139 nonzero pairs of 3,486, and Jacobi residuals
-    at 9,497 of the 98,770 triples i <= j <= k."""
+    at the 107 triples i <= j <= k of 98,770 with a nonzero nested
+    bracket; 9,497 touch a nonzero pair."""
     A = build_free_nilpotent(GeneratorSpec(2, 1, 5)).algebra
     L = LieSuperalgebra(A.name, A.basis_labels, A.parities, _table(A))
     calls = []
@@ -263,5 +316,15 @@ def test_validate_evaluates_only_touching_triples(monkeypatch):
     assert L.validate().ok
     assert L.dim == 83 and comb(L.dim + 2, 3) == 98_770
     assert len(L.nonzero_pairs()) == 139
-    assert len(calls) == 9_497
-    assert calls == L.touching_triples()
+    assert len(L.touching_triples()) == 9_497
+    nested = [
+        (i, j, k)
+        for i, j, k in L.touching_triples()
+        if any(
+            L.bracket_basis(a, t)
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+            for t in L.bracket_basis(b, c)
+        )
+    ]
+    assert len(calls) == 107
+    assert calls == nested
