@@ -39,8 +39,9 @@ FORMAT_ENV = "SUPERSCHUR_FORMAT"
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_ASSERTION = 2
-# each arity of the identity sweep costs about 3.5 times the one before:
-# the sweep to arity 8 takes about 2 s, so 10 should take about half a minute
+# the sweeps to arity 8, 9 and 10 took 1.8, 9.7 and 53 s (whole command,
+# Python 3.11, one core of an Intel Xeon): each arity costs about five
+# times the one before
 IDENTITY_ARITY_MAX = 10
 # the cochain route eliminates one row per triple that touches a nonzero
 # bracket: free (2|1) class 6 has 67,581 such triples and takes about 4 s,
@@ -186,7 +187,11 @@ def cmd_multiplier(args) -> Report:
     algebras = _load_algebras(args)
     if args.method in ("cohomology", "both"):
         for alg in algebras:
-            count = len(alg.touching_triples())
+            # each touching triple is a nonzero pair plus one more index, so
+            # the triples are counted only when that bound exceeds the limit
+            if len(alg.nonzero_pairs()) * alg.dim <= COCHAIN_TRIPLES_MAX:
+                continue
+            count = sum(1 for _ in alg.touching_triples())
             if count > COCHAIN_TRIPLES_MAX:
                 raise UsageError(
                     f"{alg.name} has {count} triples for the cochain route, over the "

@@ -2,17 +2,19 @@
 
 The primary route realizes the multiplier as (R ∩ F²)/[R, F] over a free
 presentation truncated one class above the target: writing c for the
-target's class, the free algebra is cut at class c+1.  This loses
-nothing, because γ_{c+1}(F) ⊆ R forces γ_{c+2}(F) ⊆ [R, F], so every
-quotient appearing here - the multiplier itself and the bracket quotients
-[γ_i(F)+R, F]/[γ_{i+1}(F)+R, F] - is untouched by dividing out
-γ_{c+2}(F).  The same containment makes [γ_{c+1}(F)+R, F] = [R, F], so
-the top step i = c is the general step.
+target's class, the free algebra is cut at class c+1.  The presentation
+is minimal, so R ⊆ F² and the numerator is R itself (proof in
+`present`).  The truncation loses nothing, because γ_{c+1}(F) ⊆ R forces
+γ_{c+2}(F) ⊆ [R, F], so every quotient appearing here - the multiplier
+itself and the bracket quotients [γ_i(F)+R, F]/[γ_{i+1}(F)+R, F] - is
+untouched by dividing out γ_{c+2}(F).  The same containment makes
+[γ_{c+1}(F)+R, F] = [R, F], so the top step i = c is the general step.
 
 The cross-check route counts graded-skew 2-cochains that extend the
 algebra by a one-dimensional center (even or odd), modulo the cochains
-induced by linear functionals.  Any disagreement between the two routes
-is surfaced as a hard error, never resolved silently.
+induced by linear functionals.  The two routes are computed
+independently; the CLI's `multiplier --method both` compares them and
+exits 2 when they disagree.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .exactla import (
     kernel,
     quotient_dim,
     rref,
-    subspace_intersect,
     subspace_sum,
 )
 from .freenilp import (
@@ -55,10 +56,6 @@ from .superalg import (
 _ONE = Fraction(1)
 
 
-class OracleDisagreement(RuntimeError):
-    """The Hopf-style and cohomological multiplier computations differ."""
-
-
 @dataclass
 class MultiplierResult:
     dims: SuperDim
@@ -72,7 +69,8 @@ class FreePresentation:
 
     `fbar` is free nilpotent of class c+1 on the target's minimal
     generator counts, `pi` evaluates generators on the chosen
-    homogeneous lifts, and `relations` is the graded kernel of `pi`.
+    homogeneous lifts, and `relations` is the graded kernel R of `pi`,
+    which lies in γ₂(F) and contains γ_{c+1}(F) (see `present`).
     """
 
     target: LieSuperalgebra
@@ -106,9 +104,10 @@ class FreePresentation:
     def bracket_ideal(self, i: int) -> Subspace:
         """[γ_i(F) + R, F] inside fbar, for 2 <= i <= c+1.
 
-        At i = c+1 this is [R, F], since `present` checks γ_{c+1}(F) ⊆ R;
-        R is taken as the base there, rather than re-eliminating its rows
-        in a sum with γ_{c+1}(F).
+        At i = c+1 this is [R, F], since γ_{c+1}(F) ⊆ R: π is a
+        homomorphism and γ_{c+1}(L) = 0 (see `present`).  R is taken as
+        the base there, rather than re-eliminating its rows in a sum with
+        γ_{c+1}(F).
         """
         key = ("ideal", i)
         if key not in self._cache:
@@ -141,7 +140,15 @@ def present(L: LieSuperalgebra) -> FreePresentation:
 
     Lifts are the coordinate vectors complementary to [L, L], evens
     first.  pi keeps parity, so an even and an odd column share no key
-    and its kernel R is graded.
+    and its kernel R is graded.  Two containments hold by construction
+    and are not rechecked:
+
+    * R ⊆ γ₂(F).  Write r = r₁ + r₂ with r₁ in the generators' span and
+      r₂ in γ₂(F).  Then π(r₁) = −π(r₂) lies in γ₂(L).  The lifts are
+      unit vectors off γ₂(L)'s pivots, so they are independent modulo
+      γ₂(L), and r₁ = 0.
+    * γ_{c+1}(F) ⊆ R.  `eval_hom` has checked that π is a homomorphism,
+      so π(γ_{c+1}(F)) ⊆ γ_{c+1}(L) = 0.
     """
     L.require_valid()
     c = L.nilpotency_class()
@@ -161,15 +168,16 @@ def present(L: LieSuperalgebra) -> FreePresentation:
             f"chosen lifts fail to generate {L.name} (closure has rank {rank})"
         )
     pres = FreePresentation(L, f, pi, kernel(pi.columns), tuple(lifts))
-    for idx in range(f.dim):
-        if f.basis_degree(idx) > c and pi.columns[idx]:
-            raise AlgebraError("truncation step is not contained in the relations")
     L._cache["presentation"] = pres
     return pres
 
 
 def schur_multiplier_hopf(L: LieSuperalgebra) -> MultiplierResult:
-    """(R ∩ F²)/[R, F] over the truncated free presentation, graded."""
+    """(R ∩ F²)/[R, F] over the truncated free presentation, graded.
+
+    The presentation is minimal, so R ⊆ F² (proof in `present`) and the
+    numerator is R.
+    """
     if "hopf" in L._cache:
         return L._cache["hopf"]
     L.require_valid()
@@ -180,10 +188,9 @@ def schur_multiplier_hopf(L: LieSuperalgebra) -> MultiplierResult:
         return result
     pres = present(L)
     A = pres.algebra
-    num = subspace_intersect(pres.relations, pres.fbar.gamma(2))
     den = pres.bracket_ideal(L.nilpotency_class() + 1)
     # a subset of reduced row-echelon rows is itself in that form
-    comp = Subspace(A.dim, complement_rows(num, den))
+    comp = Subspace(A.dim, complement_rows(pres.relations, den))
     result = MultiplierResult(A.superdim(comp), "hopf", comp.rows)
     L._cache["hopf"] = result
     return result
@@ -248,17 +255,6 @@ def schur_multiplier_cohomology(L: LieSuperalgebra) -> MultiplierResult:
     result = MultiplierResult(dims, "cohomology")
     L._cache["cohomology"] = result
     return result
-
-
-def compare_methods(L: LieSuperalgebra) -> tuple[MultiplierResult, MultiplierResult]:
-    """Run both routes; raise OracleDisagreement if their dimensions differ."""
-    h = schur_multiplier_hopf(L)
-    c = schur_multiplier_cohomology(L)
-    if h.dims != c.dims:
-        raise OracleDisagreement(
-            f"{L.name}: hopf gives {h.dims}, cohomology gives {c.dims}"
-        )
-    return h, c
 
 
 # -- bracket quotients and the lambda maps -------------------------------------

@@ -9,7 +9,8 @@ nested bracket [b_a, [b_b, b_c]] are evaluated: on any other triple
 every term of the Jacobi sum is zero.  `ad_support` indexes the nonzero
 brackets, so products, ideals, the center and quotients also bracket
 only pairs that can be nonzero; the cochain route's rows come from the
-wider set of `touching_triples`, those with one nonzero pair.
+wider set of `touching_triples`, those with one nonzero pair, yielded
+one at a time.
 
 `integral_table` is the completed table times the lcm of its
 denominators, in ints.  A common positive scale changes no zero test,
@@ -24,8 +25,11 @@ and `superdim` reads the (even | odd) dimensions off the pivots.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import merge
 from math import lcm
 
 from .exactla import Subspace, axpy, kernel
@@ -117,7 +121,6 @@ class LieSuperalgebra:
             i, j = int(key[0]), int(key[1])
             raw[(i, j)] = tuple((int(k), Fraction(c)) for k, c in terms)
         self._raw = raw
-        self._canonical: dict[tuple[int, int], dict[int, Fraction]] | None = None
         self._cache: dict = {}
 
     # -- basic structure ---------------------------------------------------
@@ -144,42 +147,35 @@ class LieSuperalgebra:
         except ValueError:
             raise AlgebraError(f"unknown basis label {label!r} in {self.name}") from None
 
-    def _canon(self) -> dict[tuple[int, int], dict[int, Fraction]]:
-        if self._canonical is None:
-            canon: dict[tuple[int, int], dict[int, Fraction]] = {}
-            deferred = []
+    def _summed(self, terms) -> dict[int, Fraction]:
+        """One raw entry as a sparse dict: its in-range targets, with
+        repeated targets added up and zeros dropped."""
+        acc: dict = {}
+        for k, c in terms:
+            if 0 <= k < self.dim:
+                axpy(acc, 1, {k: c})
+        return acc
+
+    def _table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+        """The nonzero brackets [b_i, b_j] for all i and j, built once in
+        one pass over the raw entries: each in-range entry and its mirror
+        by graded skew-symmetry.  An i > j entry whose mirror is supplied
+        is skipped; `validate` checks that the two agree.  Two odd indices
+        have sign 1, so their mirror shares the entry."""
+        if "table" not in self._cache:
+            table = {}
             for (i, j), terms in self._raw.items():
                 if not (0 <= i < self.dim and 0 <= j < self.dim):
                     continue
-                clean: dict = {}
-                for k, c in terms:
-                    if 0 <= k < self.dim:
-                        axpy(clean, 1, {k: c})  # repeated targets add up
-                if i <= j:
-                    canon[(i, j)] = clean
-                else:
-                    deferred.append((i, j, clean))
-            for i, j, clean in deferred:
-                if (j, i) in canon:
-                    continue  # mirror supplied directly; validate checks consistency
-                sign = -graded_sign(self.parities[i], self.parities[j])
-                canon[(j, i)] = {k: sign * c for k, c in clean.items()}
-            self._canonical = canon
-        return self._canonical
-
-    def _table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
-        """The nonzero brackets [b_i, b_j] for all i and j, built once:
-        the canonical half and its mirror by graded skew-symmetry.  Two
-        odd indices have sign 1, so their mirror shares the entry."""
-        if "table" not in self._cache:
-            table = {}
-            for (i, j), terms in self._canon().items():
-                if not terms:
+                if i > j and (j, i) in self._raw:
                     continue
-                table[(i, j)] = terms
+                entry = self._summed(terms)
+                if not entry:
+                    continue
+                table[(i, j)] = entry
                 if i != j:
                     odd = self.parities[i] == self.parities[j] == ODD
-                    table[(j, i)] = terms if odd else {k: -c for k, c in terms.items()}
+                    table[(j, i)] = entry if odd else {k: -c for k, c in entry.items()}
             self._cache["table"] = table
         return self._cache["table"]
 
@@ -223,24 +219,29 @@ class LieSuperalgebra:
             (i, j) for i, sup in enumerate(self.ad_support()) for j in sup if i <= j
         ]
 
-    def touching_triples(self) -> list[tuple[int, int, int]]:
+    def touching_triples(self) -> Iterator[tuple[int, int, int]]:
         """The triples i <= j <= k with a nonzero bracket among their three
-        pairs, in increasing order, built once.
+        pairs, yielded in increasing order.
 
-        The list is shared: callers must not mutate it.
+        A nonzero pair (i, j) takes every k >= j; any other pair takes the
+        k >= j that bracket b_i or b_j nontrivially, from their sorted
+        ad-supports, merged only when both are nonempty.
         """
-        if "touching_triples" not in self._cache:
-            found = set()
-            for i, j in self.nonzero_pairs():
-                for k in range(self.dim):
-                    if k < i:
-                        found.add((k, i, j))
-                    elif k < j:
-                        found.add((i, k, j))
-                    else:
-                        found.add((i, j, k))
-            self._cache["touching_triples"] = sorted(found)
-        return self._cache["touching_triples"]
+        table = self._table()
+        support = self.ad_support()
+        tails = [s[bisect_left(s, j):] for j, s in enumerate(support)]
+        for i, si in enumerate(support):
+            for j in range(i, self.dim):
+                if (i, j) in table:
+                    ks = range(j, self.dim)
+                else:
+                    a, b = si[bisect_left(si, j):], tails[j]
+                    ks = merge(a, b) if a and b else a or b
+                last = -1
+                for k in ks:
+                    if k != last:  # a k in both supports comes twice
+                        yield (i, j, k)
+                        last = k
 
     def _nested_triples(self) -> list[tuple[int, int, int]]:
         """The triples i <= j <= k, in increasing order, with some nonzero
@@ -321,24 +322,11 @@ class LieSuperalgebra:
                         f"{self.label_of(k)} of the wrong parity"
                     )
         if not malformed:
-            # skew-symmetry of redundantly supplied pairs and even diagonals
+            # skew-symmetry of redundantly supplied pairs and even diagonals;
+            # the table holds the mirror of each supplied i < j entry
             for (i, j), terms in sorted(self._raw.items()):
                 if i > j:
-                    mirror = self._raw.get((j, i))
-                    if mirror is None:
-                        continue
-                    sign = -graded_sign(self.parities[i], self.parities[j])
-                    want = {}
-                    for k, c in mirror:
-                        if c != 0:
-                            want[k] = want.get(k, Fraction(0)) + sign * c
-                    got = {}
-                    for k, c in terms:
-                        if c != 0:
-                            got[k] = got.get(k, Fraction(0)) + c
-                    if {k: c for k, c in want.items() if c} != {
-                        k: c for k, c in got.items() if c
-                    }:
+                    if (j, i) in self._raw and self._summed(terms) != self.bracket_basis(i, j):
                         violations.append(
                             f"graded skew-symmetry violated at "
                             f"({self.label_of(j)},{self.label_of(i)})"

@@ -105,6 +105,11 @@ def matrix_rank(m) -> int:
     return dense_rank([m.row(i) for i in range(m.rows)])
 
 
+def canonical_table(L):
+    """L's nonzero brackets [b_i, b_j] for i <= j, keyed by pair."""
+    return {(i, j): L.bracket_basis(i, j) for i, j in L.nonzero_pairs()}
+
+
 def basis_changed(L, seed):
     """A seeded change_basis copy of L: basis permuted within parities, rescaled."""
     rng = random.Random(seed)

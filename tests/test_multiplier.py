@@ -16,6 +16,7 @@ from superschur.exactla import (
     Subspace,
     axpy,
     complement_rows,
+    kernel,
     quotient_dim,
     subspace_intersect,
     subspace_sum,
@@ -23,12 +24,12 @@ from superschur.exactla import (
 from superschur.freenilp import (
     GeneratorSpec,
     build_free_nilpotent,
+    eval_hom,
     expand,
     free_superalgebra_degree_dims,
 )
 from superschur.multiplier import (
     bracket_quotient_dim,
-    compare_methods,
     bracket_map_residual,
     bracket_map_kernel_dim,
     bracket_with_free,
@@ -42,7 +43,7 @@ from superschur.multiplier import (
     witness_terms,
 )
 from superschur.superalg import AlgebraError, SuperDim, change_basis, direct_sum
-from support import basis_changed
+from support import basis_changed, random_quotients
 
 F = Fraction
 
@@ -50,6 +51,15 @@ F = Fraction
 @functools.cache
 def _free33c3():
     return build_free_nilpotent(GeneratorSpec(3, 3, 3))
+
+
+@pytest.fixture(scope="module")
+def presented():
+    """The shipped catalog's nonzero nilpotent algebras and the 50 random
+    quotients, each with a seeded change_basis copy."""
+    bases = [L for L in builtin_algebras() if L.dim and L.is_nilpotent()]
+    bases += [L for L in random_quotients(50) if L.dim]
+    return [M for t, L in enumerate(bases) for M in (L, basis_changed(L, t))]
 
 
 def heis_plus_line():
@@ -84,13 +94,28 @@ class TestPresent:
         with pytest.raises(AlgebraError, match="not nilpotent"):
             present(solvable)
 
-    def test_truncation_step_inside_relations(self):
-        for L in (heisenberg3(), filiform4(), special_heisenberg_odd(2)):
+    def test_truncation_step_inside_relations(self, presented):
+        for L in presented:
             p = present(L)
             c = L.nilpotency_class()
             top = p.fbar.gamma(c + 1)
             for v in top.rows:
-                assert p.relations.contains(v)
+                assert p.relations.contains(v), L.name
+
+    def test_relations_inside_the_derived_algebra(self, presented):
+        for L in presented:
+            p = present(L)
+            assert subspace_intersect(p.relations, p.fbar.gamma(2)) == p.relations, L.name
+
+    def test_non_minimal_generators_leave_relations_outside_the_derived_algebra(self):
+        # heis3 generated by e1, e2 and also e3 = [e1, e2]: x3 - [x1, x2]
+        # lies in the kernel but not in γ₂(F)
+        h = heisenberg3()
+        f = build_free_nilpotent(GeneratorSpec(3, 0, 3))
+        pi = eval_hom(f, [{0: F(1)}, {1: F(1)}, {2: F(1)}], h)
+        R = kernel(pi.columns)
+        assert any(not f.gamma(2).contains(r) for r in R.rows)
+        assert subspace_intersect(R, f.gamma(2)) != R
 
 
 class TestHopf:
@@ -139,7 +164,7 @@ class TestMethodAgreement:
     @pytest.mark.parametrize("name", [a.name for a in builtin_algebras()])
     def test_catalog(self, name):
         L = {a.name: a for a in builtin_algebras()}[name]
-        h, c = compare_methods(L)
+        h, c = schur_multiplier_hopf(L), schur_multiplier_cohomology(L)
         assert h.dims == c.dims
 
 
@@ -158,7 +183,7 @@ class TestFreeMultiplierClosedForm:
         """
         free = build_free_nilpotent(GeneratorSpec(p, q, c)).algebra
         want = free_superalgebra_degree_dims(p, q, c + 1)[c]
-        h, co = compare_methods(free)
+        h, co = schur_multiplier_hopf(free), schur_multiplier_cohomology(free)
         assert h.dims == co.dims == want
 
 
@@ -177,7 +202,8 @@ class TestSpecialHeisenbergClosedForm:
         ±c(f_k, z); for n = 1 the condition on (f_1, f_1, f_1) is
         -3c(f_1, z).  Either way c(f_k, z) = 0, so there is no odd part.
         """
-        h, co = compare_methods(special_heisenberg_odd(n))
+        L = special_heisenberg_odd(n)
+        h, co = schur_multiplier_hopf(L), schur_multiplier_cohomology(L)
         assert h.dims == co.dims == SuperDim(n * (n + 1) // 2 - 1, 0)
 
 
