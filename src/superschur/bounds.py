@@ -129,11 +129,10 @@ class BoundCheck:
     main: int
     nayak: Fraction
     rai: int | None
-    skipped: bool = False
 
     @property
     def tight_main(self) -> bool:
-        return not self.skipped and self.actual.total == self.main
+        return self.actual.total == self.main
 
     @property
     def slack_main(self) -> int:
@@ -141,8 +140,6 @@ class BoundCheck:
 
     @property
     def violation(self) -> bool:
-        if self.skipped:
-            return False
         if self.actual.total > self.main or self.actual.total > self.nayak:
             return True
         return self.rai is not None and self.actual.total > self.rai

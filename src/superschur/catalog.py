@@ -9,9 +9,10 @@ Grammar (UTF-8, '#' starts a comment, blank lines ignored):
     end
 
 Coefficients are integers or p/q; "1*" may be omitted.  Unspecified
-brackets are zero.  Entries are normalized to basis order i <= j via
-graded skew-symmetry; supplying the same unordered pair twice is an
-error.  Every parsed record must validate as a Lie superalgebra.
+brackets are zero.  An entry [b,a] is kept as written, and
+`LieSuperalgebra` mirrors it to [a,b] by graded skew-symmetry; supplying
+the same unordered pair twice is an error.  Every parsed record must
+validate as a Lie superalgebra.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from .exactla import axpy
 from .freenilp import GeneratorSpec, build_free_nilpotent
-from .superalg import EVEN, ODD, LieSuperalgebra, direct_sum, graded_sign
+from .superalg import EVEN, ODD, LieSuperalgebra, direct_sum
 
 _LABEL = r"[A-Za-z_][A-Za-z0-9_']*"
 _COEFF = r"-?\d+(?:/\d+)?"
@@ -232,11 +233,7 @@ def parse_catalog(text: str) -> list[LieSuperalgebra]:
                         line_no2,
                     )
                 resolved.append((k, coeff))
-            if i <= j:
-                table[(i, j)] = resolved
-            else:
-                sign = -graded_sign(parities[i], parities[j])
-                table[(j, i)] = [(k, sign * c) for k, c in resolved]
+            table[(i, j)] = resolved
         alg = LieSuperalgebra(name, labels, parities, table)
         report = alg.validate()
         if not report.ok:

@@ -244,11 +244,9 @@ def cmd_bounds(args) -> Report:
 
 def _tensor_rank(tensors) -> int:
     ech = SparseEchelon()
-    count = 0
-    for t in tensors:
-        if ech.insert(dict(t), tag=count):
-            count += 1
-    return count
+    for tag, t in enumerate(tensors):
+        ech.insert(t, tag=tag)
+    return ech.rank
 
 
 def cmd_verify(args) -> Report:

@@ -12,7 +12,7 @@ Fraction} are the one vector type: a `Subspace` keeps the engine's
 reduced row-echelon rows as they are, so two objects describe the same
 subspace exactly when their rows compare equal.  Every function takes
 and returns sparse vectors; dense Fraction tuples appear only in
-`Subspace.basis` and in `Matrix` and `rref`.
+`Matrix` and `rref`.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Hashable, Iterable, Sequence
 
-Vector = tuple[Fraction, ...]
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -35,16 +33,6 @@ _TARGET = object()  # express's ledger key for the vector being expressed
 
 class SubspaceError(ValueError):
     """Ambient-dimension mismatch or failed containment."""
-
-
-def sparse(v: Sequence) -> dict[int, Fraction]:
-    """The nonzero entries of a dense vector, keyed by position."""
-    return {i: c for i, c in enumerate(v) if c}
-
-
-def dense(v: dict, n: int) -> Vector:
-    """The length-n tuple of a sparse vector with integer keys below n."""
-    return tuple(v.get(i, _ZERO) for i in range(n))
 
 
 def axpy(y: dict, a, x: dict) -> None:
@@ -87,10 +75,10 @@ class Matrix:
                 f"{self.rows * self.cols} entries, got {len(self.entries)}"
             )
 
-    def row(self, i: int) -> Vector:
+    def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def mul_vec(self, v: Sequence) -> Vector:
+    def mul_vec(self, v: Sequence) -> tuple[Fraction, ...]:
         if len(v) != self.cols:
             raise ValueError(f"vector of length {len(v)} against {self.cols} columns")
         return tuple(
@@ -220,9 +208,12 @@ class SparseEchelon:
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Reduced row-echelon form of m and its rank."""
-    rows = Subspace.span((sparse(m.row(i)) for i in range(m.rows)), m.cols).basis
+    rows = Subspace.span(
+        ({j: c for j, c in enumerate(m.row(i)) if c} for i in range(m.rows)), m.cols
+    ).rows
+    dense = tuple(row.get(j, _ZERO) for row in rows for j in range(m.cols))
     pad = (_ZERO,) * ((m.rows - len(rows)) * m.cols)
-    return Matrix(m.rows, m.cols, tuple(x for row in rows for x in row) + pad), len(rows)
+    return Matrix(m.rows, m.cols, dense + pad), len(rows)
 
 
 def kernel(columns: Sequence[dict]) -> "Subspace":
@@ -279,11 +270,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    @cached_property
-    def basis(self) -> tuple[Vector, ...]:
-        """The rows as dense vectors."""
-        return tuple(dense(r, self.ambient_dim) for r in self.rows)
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
@@ -365,7 +351,7 @@ def complement_rows(u: Subspace, w: Subspace) -> tuple[dict, ...]:
     _same_ambient(u, w)
     for row in w.rows:
         if u.reduce(row):
-            witness = tuple(map(str, dense(row, w.ambient_dim)))
+            witness = tuple(str(row.get(k, _ZERO)) for k in range(w.ambient_dim))
             raise SubspaceError(
                 f"quotient undefined: witness {witness} lies outside the numerator"
             )

@@ -20,13 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import comb
 
-from .exactla import Matrix, SparseEchelon, Subspace, axpy
+from .exactla import SparseEchelon, Subspace, axpy
 from .superalg import EVEN, ODD, AlgebraError, LieSuperalgebra, SuperDim, graded_sign
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 # A bracket word is a full binary tree: a leaf is a generator index,
@@ -254,19 +252,18 @@ class FreeNilpotentSuperalgebra:
         return self._algebra
 
     def _assemble(self) -> LieSuperalgebra:
-        pars = self.spec.parities
         k = self.spec.class_bound
         table = {}
         for i in range(self.dim):
             di, si, wi = self._basis[i]
-            pi = word_parity(wi, pars)
+            pi = i >= self.n_even  # the basis lists the even words first
             ei = self._expansions[wi]
             for j in range(i, self.dim):
                 dj, sj, wj = self._basis[j]
                 dd = di + dj
                 if dd > k:
                     continue
-                z = _commutator(ei, pi, self._expansions[wj], word_parity(wj, pars))
+                z = _commutator(ei, pi, self._expansions[wj], j >= self.n_even)
                 if not z:
                     continue
                 coeffs = self._echelons[dd - 1].express(z)
@@ -482,25 +479,11 @@ def evaluate_word(L: LieSuperalgebra, w, images, memo: dict) -> dict:
     return memo[w]
 
 
-@dataclass
-class HomMap:
-    """Linear map from a free nilpotent superalgebra into a target algebra."""
-
-    source: FreeNilpotentSuperalgebra
-    target: LieSuperalgebra
-    columns: list[dict[int, Fraction]]  # images of the source basis, sparse
-
-    @cached_property
-    def matrix(self) -> Matrix:
-        """target.dim x source.dim, the columns densely."""
-        n, cols = self.target.dim, self.columns
-        return Matrix(n, len(cols), tuple(c.get(i, _ZERO) for i in range(n) for c in cols))
-
-
 def eval_hom(
     f: FreeNilpotentSuperalgebra, images, target: LieSuperalgebra
-) -> HomMap:
-    """The homomorphism extending generator -> image, checked on generator pairs.
+) -> list[dict]:
+    """The homomorphism extending generator -> image, checked on generator
+    pairs, as its columns: the sparse images of f's basis, in basis order.
 
     Images are sparse vectors of the target, homogeneous with the
     generators' parities, and the target's class may not exceed the
@@ -535,4 +518,4 @@ def eval_hom(
                     f"(fails at basis pair {x},{g}; is the target's class within "
                     f"the truncation class {f.spec.class_bound}?)"
                 )
-    return HomMap(f, target, columns)
+    return columns

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactla import (
+    Matrix,
     SparseEchelon,
     Subspace,
     axpy,
@@ -36,7 +37,6 @@ from .exactla import (
 from .freenilp import (
     FreeNilpotentSuperalgebra,
     GeneratorSpec,
-    HomMap,
     build_free_nilpotent,
     eval_hom,
     evaluate_word,
@@ -59,7 +59,6 @@ _ONE = Fraction(1)
 @dataclass
 class MultiplierResult:
     dims: SuperDim
-    method: str
     witnesses: tuple[dict, ...] | None = None
 
 
@@ -68,14 +67,15 @@ class FreePresentation:
     """A surjection from a truncated free superalgebra onto the target.
 
     `fbar` is free nilpotent of class c+1 on the target's minimal
-    generator counts, `pi` evaluates generators on the chosen
-    homogeneous lifts, and `relations` is the graded kernel R of `pi`,
-    which lies in γ₂(F) and contains γ_{c+1}(F) (see `present`).
+    generator counts, `pi` is the list of columns of the evaluation on
+    the chosen homogeneous lifts (`eval_hom`), and `relations` is the
+    graded kernel R of `pi`, which lies in γ₂(F) and contains
+    γ_{c+1}(F) (see `present`).
     """
 
     target: LieSuperalgebra
     fbar: FreeNilpotentSuperalgebra
-    pi: HomMap
+    pi: list[dict]
     relations: Subspace
     lift_indices: tuple[int, ...]
 
@@ -87,17 +87,25 @@ class FreePresentation:
         return self.fbar.algebra
 
     def lift_into_gamma(self, v: dict, i: int) -> dict:
-        """Some w in gamma_i(fbar) with pi(w) = v; v must lie in gamma_i(target)."""
+        """Some w in γ_i(fbar) with π(w) = v, as coefficients over fbar's
+        basis; raises unless v lies in γ_i(target).
+
+        One echelon serves every i: π's columns go in by decreasing
+        degree (a stable sort).  π(γ_i(F)) = γ_i(L) and the columns of
+        degree >= i go in first, so the accepted ones among them span
+        γ_i(L).  Accepted columns are independent, so v in γ_i(L) has
+        exactly one expression over them, and it uses only those columns.
+        Two lifts differ by some r in R ∩ γ_i(F), and [r, g] lies in
+        [R, F] ⊆ [γ_{i+1}(F)+R, F], so no reduced residual depends on
+        which lift is taken.
+        """
         f = self.fbar
-        key = ("lift", i)
-        if key not in self._cache:
-            ech = SparseEchelon()
-            for idx in range(f.dim):
-                if f.basis_degree(idx) >= i:
-                    ech.insert(self.pi.columns[idx], tag=idx)
-            self._cache[key] = ech
-        coeffs = self._cache[key].express(v)
-        if coeffs is None:
+        if "lift" not in self._cache:
+            ech = self._cache["lift"] = SparseEchelon()
+            for idx in sorted(range(f.dim), key=f.basis_degree, reverse=True):
+                ech.insert(self.pi[idx], tag=idx)
+        coeffs = self._cache["lift"].express(v)
+        if coeffs is None or any(f.basis_degree(t) < i for t in coeffs):
             raise AlgebraError("element does not lift into the requested filtration step")
         return coeffs
 
@@ -162,12 +170,14 @@ def present(L: LieSuperalgebra) -> FreePresentation:
     lifts = L.generator_lift_indices()
     images = [{t: _ONE} for t in lifts]
     pi = eval_hom(f, images, L)
-    _, rank = rref(pi.matrix)
+    # the one dense Matrix left; it goes with `rref` (ROADMAP item 2)
+    dense = Matrix(L.dim, f.dim, tuple(c.get(r, 0) for r in range(L.dim) for c in pi))
+    _, rank = rref(dense)
     if rank != L.dim:
         raise AlgebraError(
             f"chosen lifts fail to generate {L.name} (closure has rank {rank})"
         )
-    pres = FreePresentation(L, f, pi, kernel(pi.columns), tuple(lifts))
+    pres = FreePresentation(L, f, pi, kernel(pi), tuple(lifts))
     L._cache["presentation"] = pres
     return pres
 
@@ -183,7 +193,7 @@ def schur_multiplier_hopf(L: LieSuperalgebra) -> MultiplierResult:
     L.require_valid()
     L.nilpotency_class()
     if L.dim == 0:
-        result = MultiplierResult(SuperDim(0, 0), "hopf", ())
+        result = MultiplierResult(SuperDim(0, 0), ())
         L._cache["hopf"] = result
         return result
     pres = present(L)
@@ -191,7 +201,7 @@ def schur_multiplier_hopf(L: LieSuperalgebra) -> MultiplierResult:
     den = pres.bracket_ideal(L.nilpotency_class() + 1)
     # a subset of reduced row-echelon rows is itself in that form
     comp = Subspace(A.dim, complement_rows(pres.relations, den))
-    result = MultiplierResult(A.superdim(comp), "hopf", comp.rows)
+    result = MultiplierResult(A.superdim(comp), comp.rows)
     L._cache["hopf"] = result
     return result
 
@@ -252,7 +262,7 @@ def schur_multiplier_cohomology(L: LieSuperalgebra) -> MultiplierResult:
         coords[EVEN] - cocycle_rank[EVEN].rank - cob_rank[EVEN].rank,
         coords[ODD] - cocycle_rank[ODD].rank - cob_rank[ODD].rank,
     )
-    result = MultiplierResult(dims, "cohomology")
+    result = MultiplierResult(dims)
     L._cache["cohomology"] = result
     return result
 
@@ -296,7 +306,6 @@ def bracket_map_kernel_dim(L: LieSuperalgebra, i: int) -> int:
 class WitnessTensor:
     """A signed tensor built from generators, plus its kernel verdict."""
 
-    i: int
     tensor: dict[tuple[int, int], Fraction]
     nonzero: bool
     in_kernel: bool
@@ -358,7 +367,7 @@ def witness_tensor(L: LieSuperalgebra, i: int, positions) -> WitnessTensor:
         axpy(tensor, coeff, {(a, pos[k]): ca for a, ca in enumerate(coords)})
     rows = complement_rows(L.gamma(i), L.gamma(i + 1))
     residual = bracket_map_residual(pres, i, tensor, rows)
-    return WitnessTensor(i=i, tensor=tensor, nonzero=bool(tensor), in_kernel=not residual)
+    return WitnessTensor(tensor=tensor, nonzero=bool(tensor), in_kernel=not residual)
 
 
 def bracket_map_residual(
@@ -401,8 +410,6 @@ def witness_tuple_positions(L: LieSuperalgebra, i: int) -> tuple[tuple[int, ...]
 
 @dataclass
 class IdentityReport:
-    algebra: str
-    identity: str
     lhs: int
     rhs: int
     parts: dict[str, int]
@@ -424,8 +431,6 @@ def verify_top_step_identity(L: LieSuperalgebra) -> IdentityReport:
     m_q = schur_multiplier_hopf(q).dims.total
     bq = bracket_quotient_dim(pres, c)
     return IdentityReport(
-        algebra=L.name,
-        identity="top-step dimension identity",
         lhs=gc + m_l,
         rhs=m_q + bq,
         parts={
@@ -449,8 +454,6 @@ def verify_telescoped_identity(L: LieSuperalgebra) -> IdentityReport:
     m_ab = schur_multiplier_hopf(q).dims.total
     kernels = {i: bracket_map_kernel_dim(L, i) for i in range(2, c + 1)}
     return IdentityReport(
-        algebra=L.name,
-        identity="telescoped dimension identity",
         lhs=m_l,
         rhs=m_ab + g2 * (cogen - 1) - sum(kernels.values()),
         parts={

@@ -100,6 +100,21 @@ class ReferenceEchelon:
         return tuple(self._rows[self._pivots[p]][1] for p in sorted(self._pivots))
 
 
+def sparse(v) -> dict:
+    """The nonzero entries of a dense vector, keyed by position."""
+    return {i: c for i, c in enumerate(v) if c}
+
+
+def dense(v: dict, n: int) -> tuple:
+    """The length-n tuple of a sparse vector with integer keys below n."""
+    return tuple(v.get(i, Fraction(0)) for i in range(n))
+
+
+def basis(S) -> tuple:
+    """The rows of a Subspace as dense vectors."""
+    return tuple(dense(r, S.ambient_dim) for r in S.rows)
+
+
 def matrix_rank(m) -> int:
     """dense_rank of an exactla.Matrix."""
     return dense_rank([m.row(i) for i in range(m.rows)])

@@ -74,17 +74,20 @@ class TestParse:
             parse_catalog(text)
 
     def test_reversed_entry_normalized_by_skew(self):
-        text = textwrap.dedent(
-            """\
-            algebra rev
-            even e1 e2 e3
-            [e2,e1] = -e3
-            end
-            """
-        )
-        (alg,) = parse_catalog(text)
-        ref = parse_catalog(HEIS3_RECORD)[0]
-        assert canonical_table(alg) == canonical_table(ref)
+        # [b,a] = -(-1)^{|a||b|} [a,b]: sign -1 for even x even and for even
+        # x odd, +1 for odd x odd
+        cases = [
+            ("even e1 e2 e3", "[e2,e1] = -e3", None),
+            ("even z\nodd f1 f2", "[f2,f1] = z", "[f1,f2] = z"),
+            ("even e1\nodd f1 f2", "[f1,e1] = -f2", "[e1,f1] = f2"),
+        ]
+        for basis, reversed_entry, entry in cases:
+            (alg,) = parse_catalog(f"algebra rev\n{basis}\n{reversed_entry}\nend\n")
+            if entry is None:
+                ref = parse_catalog(HEIS3_RECORD)[0]
+            else:
+                ref = parse_catalog(f"algebra ref\n{basis}\n{entry}\nend\n")[0]
+            assert canonical_table(alg) == canonical_table(ref), reversed_entry
 
     def test_invalid_algebra_rejected_at_parse(self):
         text = textwrap.dedent(
@@ -251,7 +254,7 @@ class TestCli:
         calls = []
         monkeypatch.setattr(cli_mod, "COCHAIN_TRIPLES_MAX", count)
         monkeypatch.setattr(
-            cli_mod, "schur_multiplier_cohomology", lambda L: calls.append(L.name) or MultiplierResult(SuperDim(2, 0), "cohomology")
+            cli_mod, "schur_multiplier_cohomology", lambda L: calls.append(L.name) or MultiplierResult(SuperDim(2, 0))
         )
         code = main(["multiplier", "--algebra", "heis3", "--method", "cohomology"])
         assert code == 0 and calls == ["heis3"]
@@ -426,7 +429,7 @@ class TestCli:
         monkeypatch.setattr(
             cli_mod,
             "schur_multiplier_cohomology",
-            lambda L: MultiplierResult(SuperDim(9, 9), "cohomology"),
+            lambda L: MultiplierResult(SuperDim(9, 9)),
         )
         code = main(["multiplier", "--algebra", "heis3", "--method", "both"])
         out = capsys.readouterr().out

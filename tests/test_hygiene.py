@@ -1,9 +1,11 @@
 """Source hygiene: every name a package module imports, and every private
-module-level constant it defines, is used in it.
+module-level constant it defines, is used in it, and every dataclass
+field it declares is read somewhere in the package or its tests.
 
 Deletions tend to leave names behind (a helper's last caller goes, its
-import or its cached constant stays).  This parses each module with the
-stdlib `ast`, so it needs no linter.
+import or its cached constant stays; a field's last reader goes, the
+field stays).  This parses each module with the stdlib `ast`, so it
+needs no linter.
 """
 
 import ast
@@ -12,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "superschur"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "superschur"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -71,3 +74,53 @@ def test_no_unused_private_constants(path):
 def test_the_check_sees_an_unused_private_constant():
     source = "_USED = 1\n_UNUSED = _USED + 1\n"
     assert unused_private_constants(source) == ["_UNUSED (line 2)"]
+
+
+def dataclass_fields(source: str) -> list[tuple[str, str, int]]:
+    """(class, field, line) for each field of the `@dataclass` classes in `source`."""
+    fields = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for deco in node.decorator_list:
+            target = deco.func if isinstance(deco, ast.Call) else deco
+            if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+                break
+        else:
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                fields.append((node.name, stmt.target.id, stmt.lineno))
+    return fields
+
+
+def attribute_reads(source: str) -> set[str]:
+    """The attribute names that `source` reads, as in `x.name`."""
+    return {
+        n.attr
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def test_every_dataclass_field_is_read():
+    readers = MODULES + sorted(TESTS.glob("*.py"))
+    reads = set().union(*(attribute_reads(p.read_text(encoding="utf-8")) for p in readers))
+    unread = [
+        f"{path.name}: {cls}.{name} (line {line})"
+        for path in MODULES
+        for cls, name, line in dataclass_fields(path.read_text(encoding="utf-8"))
+        if name not in reads
+    ]
+    assert unread == []
+
+
+def test_the_check_sees_an_unread_field():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\nclass P:\n    x: int\n    y: int\n"
+        "class Q:\n    z: int\n"
+        "print(P(1, 2).x)\n"
+    )
+    reads = attribute_reads(source)
+    assert [f for f in dataclass_fields(source) if f[1] not in reads] == [("P", "y", 5)]

@@ -102,6 +102,25 @@ class TestPresent:
             for v in top.rows:
                 assert p.relations.contains(v), L.name
 
+    def test_lift_into_gamma_contract(self, presented):
+        # for 2 <= i <= c, a row v of γ_i(L) lifts to a combination of π's
+        # columns of degree >= i that sums to v; a row of γ_{i-1} outside
+        # γ_i is refused
+        for L in presented:
+            p = present(L)
+            for i in range(2, L.nilpotency_class() + 1):
+                for v in L.gamma(i).rows:
+                    w = p.lift_into_gamma(v, i)
+                    assert all(p.fbar.basis_degree(t) >= i for t in w), L.name
+                    image: dict = {}
+                    for t, c in w.items():
+                        axpy(image, c, p.pi[t])
+                    assert image == v, L.name
+                for v in L.gamma(i - 1).rows:
+                    if not L.gamma(i).contains(v):
+                        with pytest.raises(AlgebraError, match="does not lift"):
+                            p.lift_into_gamma(v, i)
+
     def test_relations_inside_the_derived_algebra(self, presented):
         for L in presented:
             p = present(L)
@@ -113,7 +132,7 @@ class TestPresent:
         h = heisenberg3()
         f = build_free_nilpotent(GeneratorSpec(3, 0, 3))
         pi = eval_hom(f, [{0: F(1)}, {1: F(1)}, {2: F(1)}], h)
-        R = kernel(pi.columns)
+        R = kernel(pi)
         assert any(not f.gamma(2).contains(r) for r in R.rows)
         assert subspace_intersect(R, f.gamma(2)) != R
 

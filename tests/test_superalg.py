@@ -12,7 +12,7 @@ from superschur.catalog import (
     heisenberg3,
     special_heisenberg_odd,
 )
-from superschur.exactla import Subspace, axpy, sparse
+from superschur.exactla import Subspace, axpy
 from superschur.freenilp import evaluate_word, left_normed_word, right_normed_word
 from superschur.multiplier import present
 from superschur.superalg import (
@@ -25,7 +25,7 @@ from superschur.superalg import (
     direct_sum,
     graded_sign,
 )
-from support import basis_changed, canonical_table, dense_rank, reference_validation
+from support import basis_changed, canonical_table, dense_rank, reference_validation, sparse
 
 F = Fraction
 
