@@ -200,7 +200,7 @@ def parse_catalog(text: str) -> list[LieSuperalgebra]:
     brackets: list[tuple[int, str, str, list]] = []
     seen_names: set[str] = set()
 
-    def finish(line_no: int) -> None:
+    def finish() -> None:
         nonlocal name, even_labels, odd_labels, brackets
         ev = even_labels or []
         od = odd_labels or []
@@ -276,7 +276,7 @@ def parse_catalog(text: str) -> list[LieSuperalgebra]:
                 raise CatalogError("repeated 'odd' line", line_no)
             odd_labels = _parse_labels(line, line_no)
         elif head == "end":
-            finish(line_no)
+            finish()
         elif line.startswith("["):
             m = _BRACKET_RE.match(line)
             if not m:

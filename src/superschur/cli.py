@@ -44,9 +44,9 @@ EXIT_ASSERTION = 2
 # times the one before
 IDENTITY_ARITY_MAX = 10
 # the cochain route eliminates one row per triple that touches a nonzero
-# bracket: free (2|1) class 6 has 67,581 such triples and takes about 4 s,
-# free (3|3) class 4 has 266,285, and free (2|1) class 7 has 491,585 and
-# takes nearly two minutes
+# bracket: free (2|1) class 6 has 67,581 such triples and class 7 has
+# 491,585, and the route takes 1.2-1.5 s and 33 s on them (Python 3.11, one
+# core of an Intel Xeon); free (3|3) class 4 has 266,285
 COCHAIN_TRIPLES_MAX = 100_000
 
 
@@ -244,8 +244,8 @@ def cmd_bounds(args) -> Report:
 
 def _tensor_rank(tensors) -> int:
     ech = SparseEchelon()
-    for tag, t in enumerate(tensors):
-        ech.insert(t, tag=tag)
+    for t in tensors:
+        ech.insert(t)
     return ech.rank
 
 

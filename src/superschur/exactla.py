@@ -4,16 +4,15 @@ The substrate for every dimension computation in this package.  One
 elimination engine, `SparseEchelon`, reduces sparse keyed vectors in
 integers: an input is scaled by the lcm of its denominators, and a
 stored row is a primitive integer vector, reduced only against rows of
-smaller pivot and never rewritten afterwards.  Its reduced row-echelon
-form is back-substituted once, into Fractions, when it is read.  Spans,
-reduced row-echelon forms, kernels, solutions and intersections are all
-read off it.  No floating point anywhere.  Sparse dicts {index: nonzero
-Fraction} are the one vector type: a `Subspace` keeps the engine's
-reduced row-echelon rows as they are, so two objects describe the same
-subspace exactly when their rows compare equal.  Every function takes
-and returns sparse vectors; dense Fraction tuples appear only in
-`Matrix` and `rref`.
-"""
+smaller pivot and never rewritten afterwards.  It only reduces: spans
+and ranks are its rows, and kernels, solutions and intersections are
+read off tag coordinates that the caller appends after its real keys,
+as in an augmented matrix.  No floating point anywhere.  Sparse dicts
+{index: nonzero Fraction} are the one vector type: a `Subspace` keeps
+the engine's reduced row-echelon rows, back-substituted once into
+Fractions, so two objects describe the same subspace exactly when
+their rows compare equal.  Dense Fraction tuples appear only in
+`Matrix` and `rref`."""
 
 from __future__ import annotations
 
@@ -26,9 +25,6 @@ from typing import Hashable, Iterable, Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-_TARGET = object()  # express's ledger key for the vector being expressed
 
 
 class SubspaceError(ValueError):
@@ -94,27 +90,28 @@ class SparseEchelon:
     key.  An inserted vector is scaled to integers by the lcm of its
     denominators and reduced against the stored rows, smallest pivot
     first (reducing by a row adds only keys above its pivot).  What is
-    left, if anything, is divided by the gcd of its entries and ledger
-    and stored with a positive pivot; a stored row is never touched
-    again.  Each row carries an integer ledger, the combination of
-    inserted originals it equals, so `express` can rewrite any member of
-    the row space over the accepted insertions.  `rows()` back-substitutes
-    once into the reduced row-echelon form and keeps it until the next
-    accepted insertion.
+    left, if anything, is divided by the gcd of its entries and stored
+    with a positive pivot; a stored row is never touched again.  The
+    engine records no dependencies: a caller that needs them appends
+    tag coordinates after its real keys, and `express` reads them back.
+    `rows()` back-substitutes once into the reduced row-echelon form and
+    keeps it until the next accepted insertion.
     """
 
     def __init__(self) -> None:
-        self._rows: dict[Hashable, tuple[dict, dict]] = {}  # pivot -> (row, ledger)
+        self._rows: dict[Hashable, dict] = {}  # pivot -> primitive int row
         self._rref: tuple[dict, ...] | None = None
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, v: dict, ledger: dict) -> None:
-        """Clear v's entries at stored pivots, in place and smallest first,
-        keeping v = sum ledger[t] * (inserted original t)."""
+    def _reduce(self, v: dict) -> int:
+        """Clear v's entries at stored pivots, in place and smallest first;
+        returns the positive integer s such that what is left of v is s
+        times v, less a member of the row space."""
         rows = self._rows
+        scale = 1
         heap = [k for k in v if k in rows]
         heapify(heap)
         while heap:
@@ -122,15 +119,14 @@ class SparseEchelon:
             b = v.get(p)
             if b is None:
                 continue  # cleared since it was pushed
-            row, led = rows[p]
+            row = rows[p]
             a = row[p]
             g = gcd(a, b)
             a, b = a // g, b // g
             if a != 1:
+                scale *= a
                 for k in v:
                     v[k] *= a
-                for k in ledger:
-                    ledger[k] *= a
             for k, c in row.items():
                 old = v.get(k)
                 if old is None:
@@ -141,39 +137,41 @@ class SparseEchelon:
                     v[k] = nv
                 else:
                     del v[k]
-            axpy(ledger, -b, led)
+        return scale
 
-    def insert(self, v: dict, tag: Hashable) -> bool:
-        """Add v (tagged) if it enlarges the row space; returns acceptance."""
-        v, d = _integral(v)
-        ledger = {tag: d}
-        self._reduce(v, ledger)
+    def insert(self, v: dict) -> bool:
+        """Add v if it enlarges the row space; returns acceptance."""
+        v, _ = _integral(v)
+        self._reduce(v)
         if not v:
             return False
         pivot = min(v)
-        g = gcd(*v.values(), *ledger.values())
+        g = gcd(*v.values())
         if v[pivot] < 0:
             g = -g
         if g != 1:
             v = {k: c // g for k, c in v.items()}
-            ledger = {k: c // g for k, c in ledger.items()}
-        self._rows[pivot] = (v, ledger)
+        self._rows[pivot] = v
         self._rref = None
         return True
 
-    def express(self, v: dict) -> dict | None:
-        """Coefficients c with v = sum c[tag] * inserted[tag], or None.
+    def express(self, v: dict, first_tag) -> dict | None:
+        """Coefficients c with v = sum c[t] * u_t, or None if v is outside
+        their span; each u_t went in with the tag coordinate {t: 1}
+        appended, and first_tag sorts after every real key and at or
+        before every tag.
 
-        v enters the ledger under a private key; once v is reduced to
-        zero, that key's coefficient is the common denominator.
+        A multiple s*v reduces to r, zero at every pivot.  Tag-only
+        vectors reduce to tag-only ones, so r is tag-only exactly when
+        v = sum d_t u_t, and then r = -s * sum d_t e_t.  With tags inserted
+        in decreasing order, a dependent u_t leaves a row with pivot t, so
+        only independent u_t appear and the expression is unique.
         """
         v, d = _integral(v)
-        ledger = {_TARGET: d}
-        self._reduce(v, ledger)
-        if v:
+        d *= self._reduce(v)
+        if v and min(v) < first_tag:
             return None
-        den = -ledger.pop(_TARGET)
-        return {t: Fraction(c, den) for t, c in ledger.items()}
+        return {t: Fraction(-c, d) for t, c in v.items()}
 
     def rows(self) -> tuple[dict, ...]:
         """The reduced row-echelon basis of the row space, in pivot order:
@@ -187,7 +185,7 @@ class SparseEchelon:
         if self._rref is None:
             done: dict[Hashable, dict] = {}
             for p in sorted(self._rows, reverse=True):
-                row = dict(self._rows[p][0])
+                row = dict(self._rows[p])
                 for q in [k for k in row if k in done]:
                     num = done[q]
                     a, b = num[q], row[q]
@@ -219,19 +217,19 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
 def kernel(columns: Sequence[dict]) -> "Subspace":
     """{a : sum_j a_j columns[j] = 0}, a canonical subspace of Q^len(columns).
 
-    Columns are sparse vectors with mutually comparable keys.  Each one
-    that the columns before it already span gives the kernel vector
-    e_j - sum_k c_k e_k, where sum_k c_k columns[k] is its expression
-    over them; these vectors are a basis of the kernel.
+    Columns are sparse vectors with mutually comparable keys.  Column j
+    goes in keyed (0, k), with the tag (1, j) appended, in one pass.  A
+    row whose pivot is a tag has no real key, so its tags are a kernel
+    vector; there is one such row per column that the others span, so
+    they are a basis of the kernel.
     """
     ech = SparseEchelon()
-    basis = []
     for j, col in enumerate(columns):
-        if not ech.insert(col, tag=j):
-            v = {k: -c for k, c in ech.express(col).items()}
-            v[j] = _ONE
-            basis.append(v)
-    return Subspace.span(basis, len(columns))
+        ech.insert({**{(0, k): c for k, c in col.items()}, (1, j): 1})
+    return Subspace.span(
+        ({j: c for (_, j), c in row.items()} for p, row in ech._rows.items() if p[0] == 1),
+        len(columns),
+    )
 
 
 @dataclass(frozen=True)
@@ -255,8 +253,8 @@ class Subspace:
     def span(vectors: Iterable, ambient_dim: int) -> "Subspace":
         """The span of sparse vectors with integer keys below ambient_dim."""
         ech = SparseEchelon()
-        for t, v in enumerate(vectors):
-            ech.insert(v, tag=t)
+        for v in vectors:
+            ech.insert(v)
         return Subspace(ambient_dim, ech.rows())
 
     @staticmethod
@@ -319,24 +317,20 @@ def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
 
 
 def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:
-    """Intersection from the dependencies of w's rows on u's.
+    """Intersection from the kernel of u's rows followed by w's.
 
-    With u's rows inserted first, each w row that is rejected satisfies
-    w_j - sum_k b_k w_k = sum_i a_i u_i over the rows accepted before it,
-    a member of both; there is one per dimension of the intersection.
+    A kernel vector (a, b) gives sum_i a_i u_i = -sum_j b_j w_j, a member
+    of both.  The rows of each are independent, so that member is zero
+    only when (a, b) is, and a kernel basis maps to a basis.
     """
     _same_ambient(u, w)
-    ech = SparseEchelon()
-    for i, row in enumerate(u.rows):
-        ech.insert(row, tag=i)
     shared = []
-    for j, row in enumerate(w.rows):
-        if not ech.insert(row, tag=u.dim + j):
-            v: dict = {}
-            for i, a in ech.express(row).items():
-                if i < u.dim:
-                    axpy(v, a, u.rows[i])
-            shared.append(v)
+    for rel in kernel(u.rows + w.rows).rows:
+        v: dict = {}
+        for i, a in rel.items():
+            if i < u.dim:
+                axpy(v, a, u.rows[i])
+        shared.append(v)
     return Subspace.span(shared, u.ambient_dim)
 
 

@@ -4,9 +4,10 @@ Bracket words embed into the free associative superalgebra through
 [a, b] = ab - (-1)^{|a||b|} ba.  Per-degree bases are picked by exact
 rank computation on those expansions: the degree-d candidates are the
 brackets [w, g] of the kept degree-(d-1) words w with the generators g
-(left-normed words span every graded component), structure constants
-are solved from the same expansions, and an independent word-counting
-oracle cross-checks the resulting dimensions.
+(left-normed words span every graded component), and an independent
+word-counting oracle cross-checks the resulting dimensions.  Structure
+constants are read by expressing each bracket's expansion over the kept
+words' expansions, which go in with tag coordinates for that purpose.
 
 Every coefficient of an expansion is a sum of signs ±1, so expansions,
 and the rewriting identity's coefficients, are Python ints.
@@ -169,31 +170,28 @@ class FreeNilpotentSuperalgebra:
         pars = spec.parities
         self.degree_words: list[list] = []
         self.degree_parities: list[list[int]] = []
-        self._echelons: list[SparseEchelon] = []
         self._expansions: dict = {}
         for d in range(1, spec.class_bound + 1):
             ech = SparseEchelon()
             words: list = []
             wpars: list[int] = []
             for w, e in self._candidates(d):
-                if e and ech.insert(e, tag=len(words)):
+                if e and ech.insert(e):
                     words.append(w)
                     wpars.append(word_parity(w, pars))
                     self._expansions[w] = e
             self.degree_words.append(words)
             self.degree_parities.append(wpars)
-            self._echelons.append(ech)
         # global basis ordering: all even words (by degree, then selection
         # order), then all odd words, matching the even-first convention.
         evens, odds = [], []
         for d0, (words, wpars) in enumerate(zip(self.degree_words, self.degree_parities)):
-            for slot, (w, p) in enumerate(zip(words, wpars)):
-                (evens if p == EVEN else odds).append((d0 + 1, slot, w))
+            for w, p in zip(words, wpars):
+                (evens if p == EVEN else odds).append((d0 + 1, w))
         self._basis = evens + odds
         self.n_even = len(evens)
         self.n_odd = len(odds)
         self.dim = len(self._basis)
-        self._index = {(d, slot): idx for idx, (d, slot, _) in enumerate(self._basis)}
         self._algebra: LieSuperalgebra | None = None
 
     def _candidates(self, d: int):
@@ -224,23 +222,23 @@ class FreeNilpotentSuperalgebra:
     # -- basis access ----------------------------------------------------------
 
     def basis_word(self, idx: int):
-        return self._basis[idx][2]
+        return self._basis[idx][1]
 
     def basis_degree(self, idx: int) -> int:
         return self._basis[idx][0]
 
     def basis_labels(self) -> tuple[str, ...]:
         labels = self.spec.labels
-        return tuple(word_label(w, labels) for _, _, w in self._basis)
+        return tuple(word_label(w, labels) for _, w in self._basis)
 
     def generator_basis_index(self, t: int) -> int:
-        """Global basis index of generator t (degree-1 words are the generators)."""
-        return self._index[(1, t)]
+        """Global basis index of generator t, the first words of each parity."""
+        return t if t < self.spec.even else self.n_even + t - self.spec.even
 
     def gamma(self, d: int) -> Subspace:
         """Degree filtration: span of basis elements of degree >= d."""
         # unit rows in increasing index order are already reduced row-echelon
-        rows = tuple({i: _ONE} for i, (deg, _, _) in enumerate(self._basis) if deg >= d)
+        rows = tuple({i: _ONE} for i, (deg, _) in enumerate(self._basis) if deg >= d)
         return Subspace(self.dim, rows)
 
     # -- assembled algebra -------------------------------------------------------
@@ -252,32 +250,39 @@ class FreeNilpotentSuperalgebra:
         return self._algebra
 
     def _assemble(self) -> LieSuperalgebra:
-        k = self.spec.class_bound
+        """A bracket [w, g] that the build kept is that basis element; any
+        other bracket's expansion is expressed over the kept words of its
+        degree, tagged (num, index) to sort after every associative word."""
+        k, num = self.spec.class_bound, self.spec.num
+        index = {w: idx for idx, (_, w) in enumerate(self._basis)}
+        echelons = [SparseEchelon() for _ in range(k)]
+        for idx, (d, w) in enumerate(self._basis):
+            echelons[d - 1].insert({**self._expansions[w], (num, idx): 1})
         table = {}
         for i in range(self.dim):
-            di, si, wi = self._basis[i]
+            di, wi = self._basis[i]
             pi = i >= self.n_even  # the basis lists the even words first
             ei = self._expansions[wi]
             for j in range(i, self.dim):
-                dj, sj, wj = self._basis[j]
+                dj, wj = self._basis[j]
                 dd = di + dj
                 if dd > k:
                     continue
-                z = _commutator(ei, pi, self._expansions[wj], j >= self.n_even)
+                pj = j >= self.n_even
+                if dj == 1 and (m := index.get((wi, wj))) is not None:
+                    table[(i, j)] = ((m, _ONE),)
+                    continue
+                if di == 1 and (m := index.get((wj, wi))) is not None:
+                    table[(i, j)] = ((m, -graded_sign(pi, pj) * _ONE),)
+                    continue
+                z = _commutator(ei, pi, self._expansions[wj], pj)
                 if not z:
                     continue
-                coeffs = self._echelons[dd - 1].express(z)
+                coeffs = echelons[dd - 1].express(z, (num,))
                 if coeffs is None:
-                    raise AlgebraError(
-                        "internal error: bracket expansion escapes the selected basis"
-                    )
-                terms = tuple(
-                    (self._index[(dd, slot)], c)
-                    for slot, c in sorted(coeffs.items())
-                    if c != 0
-                )
-                if terms:
-                    table[(i, j)] = terms
+                    raise AlgebraError("internal error: a bracket escapes the selected basis")
+                if coeffs:
+                    table[(i, j)] = tuple((idx, c) for (_, idx), c in sorted(coeffs.items()))
         name = f"free({self.spec.even}|{self.spec.odd},c{k})"
         parities = [EVEN] * self.n_even + [ODD] * self.n_odd
         return LieSuperalgebra(name, self.basis_labels(), parities, table)

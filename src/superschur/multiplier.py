@@ -91,23 +91,28 @@ class FreePresentation:
         basis; raises unless v lies in γ_i(target).
 
         One echelon serves every i: π's columns go in by decreasing
-        degree (a stable sort).  π(γ_i(F)) = γ_i(L) and the columns of
-        degree >= i go in first, so the accepted ones among them span
-        γ_i(L).  Accepted columns are independent, so v in γ_i(L) has
-        exactly one expression over them, and it uses only those columns.
-        Two lifts differ by some r in R ∩ γ_i(F), and [r, g] lies in
-        [R, F] ⊆ [γ_{i+1}(F)+R, F], so no reduced residual depends on
-        which lift is taken.
+        degree (a stable sort), tagged above the target's coordinates,
+        later columns taking smaller tags.  π(γ_i(F)) = γ_i(L), so the
+        independent columns of degree >= i span γ_i(L), and `express`
+        uses independent columns only: v in γ_i(L) has exactly one such
+        expression, and it uses only columns of degree >= i.  Two lifts
+        differ by some r in R ∩ γ_i(F), and [r, g] lies in [R, F] ⊆
+        [γ_{i+1}(F)+R, F], so no reduced residual depends on the lift.
         """
         f = self.fbar
+        top = self.target.dim + f.dim  # the tag of the column put in first
         if "lift" not in self._cache:
-            ech = self._cache["lift"] = SparseEchelon()
-            for idx in sorted(range(f.dim), key=f.basis_degree, reverse=True):
-                ech.insert(self.pi[idx], tag=idx)
-        coeffs = self._cache["lift"].express(v)
-        if coeffs is None or any(f.basis_degree(t) < i for t in coeffs):
+            order = sorted(range(f.dim), key=f.basis_degree, reverse=True)
+            ech = SparseEchelon()
+            for pos, idx in enumerate(order):
+                ech.insert({**self.pi[idx], top - pos: 1})
+            self._cache["lift"] = (ech, order)
+        ech, order = self._cache["lift"]
+        coeffs = ech.express(v, self.target.dim)
+        lift = {order[top - t]: c for t, c in (coeffs or {}).items()}
+        if coeffs is None or any(f.basis_degree(idx) < i for idx in lift):
             raise AlgebraError("element does not lift into the requested filtration step")
-        return coeffs
+        return lift
 
     def bracket_ideal(self, i: int) -> Subspace:
         """[γ_i(F) + R, F] inside fbar, for 2 <= i <= c+1.
@@ -229,15 +234,6 @@ def schur_multiplier_cohomology(L: LieSuperalgebra) -> MultiplierResult:
     # the pairs a <= b of each parity, less the even diagonals that graded
     # skew-symmetry forces to zero
     coords = {EVEN: e * (e - 1) // 2 + o * (o + 1) // 2, ODD: e * o}
-
-    def coord(a: int, b: int) -> dict:
-        """Coordinate row of c(b_a, b_b)."""
-        if a == b and p[a] == EVEN:
-            return {}  # forced zero by graded skew-symmetry
-        if a <= b:
-            return {(a, b): 1}
-        return {(b, a): -graded_sign(p[a], p[b])}
-
     table = L.integral_table()
     cocycle_rank = {EVEN: SparseEchelon(), ODD: SparseEchelon()}
     for i, j, k in L.touching_triples():
@@ -246,9 +242,13 @@ def schur_multiplier_cohomology(L: LieSuperalgebra) -> MultiplierResult:
         for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
             sign = graded_sign(p[x], p[z])
             for t, c in table.get((y, z), {}).items():
-                axpy(row, sign * c, coord(x, t))
-        if row:
-            cocycle_rank[sigma].insert(row, tag=(i, j, k))
+                # c(b_x, b_t) is (x, t) for x <= t, zero for x = t even, and
+                # -(-1)^{|x||t|}(t, x) for x > t; insert drops zero entries
+                if x < t or (x == t and p[x] == ODD):
+                    row[(x, t)] = row.get((x, t), 0) + sign * c
+                elif x > t:
+                    row[(t, x)] = row.get((t, x), 0) - sign * graded_sign(p[x], p[t]) * c
+        cocycle_rank[sigma].insert(row)
     # row t holds the b_t-coefficients of the brackets; a valid table
     # gives b_t's parity to every pair it appears in
     cob_rows: dict[int, dict] = {}
@@ -257,7 +257,7 @@ def schur_multiplier_cohomology(L: LieSuperalgebra) -> MultiplierResult:
             cob_rows.setdefault(t, {})[(a, b)] = c
     cob_rank = {EVEN: SparseEchelon(), ODD: SparseEchelon()}
     for t, row in sorted(cob_rows.items()):
-        cob_rank[p[t]].insert(row, tag=t)
+        cob_rank[p[t]].insert(row)
     dims = SuperDim(
         coords[EVEN] - cocycle_rank[EVEN].rank - cob_rank[EVEN].rank,
         coords[ODD] - cocycle_rank[ODD].rank - cob_rank[ODD].rank,

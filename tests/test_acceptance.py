@@ -174,7 +174,7 @@ def test_criterion_7_witness_tensors(nilpotent_catalog):
                 assert w.nonzero, (L.name, i, y)
                 tensors.append(w.tensor)
             ech = SparseEchelon()
-            accepted = sum(ech.insert(dict(t), tag=pos) for pos, t in enumerate(tensors))
+            accepted = sum(ech.insert(t) for t in tensors)
             assert accepted == len(tensors), (L.name, i)
     target = {a.name: a for a in nilpotent_catalog}["heis3+A(1|0)"]
     z_pos, y_pos = witness_tuple_positions(target, 2)

@@ -4,7 +4,9 @@ Inputs have tuple keys, integers up to 10^30 and fractions whose
 denominators reach 10^30, and half of them are combinations of earlier
 inputs, so rejections are exercised as often as acceptances.  Exact
 agreement on such inputs is what rules out lost precision or a wrong
-scale in the integer rows.
+scale in the integer rows.  `express` reads dependencies off tag
+coordinates appended to the inputs; the reference keeps a ledger per
+row, so it is an independent check of those readings.
 """
 
 from fractions import Fraction
@@ -64,19 +66,34 @@ def nonzero(v: dict) -> dict:
     return {k: c for k, c in v.items() if c}
 
 
+# real keys start with 0..3, so these tags sort after all of them
+FIRST_TAG = (4,)
+
+
+def tagged(v: dict, t: int) -> dict:
+    """v with the tag coordinate of input t; later inputs take smaller tags."""
+    return {**v, (4, -t): 1}
+
+
+def untag(coeffs: dict | None) -> dict | None:
+    """Tag-coordinate coefficients keyed by input position."""
+    return None if coeffs is None else {-t: c for (_, t), c in coeffs.items()}
+
+
 def stored(ech: SparseEchelon) -> dict:
-    """Each pivot's row and ledger objects, with copies of their contents."""
-    return {p: (row, led, dict(row), dict(led)) for p, (row, led) in ech._rows.items()}
+    """Each pivot's row object, with a copy of its contents."""
+    return {p: (row, dict(row)) for p, row in ech._rows.items()}
 
 
 @given(operations, vectors)
 @settings(max_examples=80, deadline=None)
 def test_matches_the_reference_engine_and_dense_rank(ops, stray):
     vs = resolve(ops)
-    ech, ref = SparseEchelon(), ReferenceEchelon()
+    ech, ref, aug = SparseEchelon(), ReferenceEchelon(), SparseEchelon()
     for t, v in enumerate(vs):
-        assert ech.insert(v, tag=t) == ref.insert(v, tag=t)
+        assert ech.insert(v) == ref.insert(v, tag=t)
         assert ech.rank == ref.rank == rank_of(vs[: t + 1])
+        assert aug.insert(tagged(v, t))
     rows = ech.rows()
     assert rows == ref.rows()
     assert len(rows) == rank_of(vs)
@@ -85,7 +102,7 @@ def test_matches_the_reference_engine_and_dense_rank(ops, stray):
     for t, v in enumerate(vs):
         axpy(mixed, F(t + 1, 3), v)
     for target in vs + [mixed, stray]:
-        got = ech.express(target)
+        got = untag(aug.express(target, FIRST_TAG))
         assert got == ref.express(target)
         if got is None:
             assert rank_of(vs + [target]) > rank_of(vs)
@@ -103,31 +120,28 @@ def test_insert_and_express_never_rewrite_a_stored_row(ops):
     ech = SparseEchelon()
     for t, v in enumerate(resolve(ops)):
         before = stored(ech)
-        ech.insert(v, tag=t)
-        ech.express(v)
-        for p, (row, led, row_copy, led_copy) in before.items():
-            now_row, now_led = ech._rows[p]
-            assert now_row is row and now_led is led
-            assert row == row_copy and led == led_copy
-    # each stored row is a primitive integer vector with an integer
-    # ledger and a positive pivot
-    for p, (row, led) in ech._rows.items():
+        ech.insert(tagged(v, t))
+        ech.express(v, FIRST_TAG)
+        for p, (row, row_copy) in before.items():
+            assert ech._rows[p] is row and row == row_copy
+    # each stored row is a primitive integer vector with a positive pivot
+    for p, row in ech._rows.items():
         assert p == min(row) and row[p] > 0
-        assert all(type(c) is int for c in (*row.values(), *led.values()))
-        assert gcd(*row.values(), *led.values()) == 1
+        assert all(type(c) is int for c in row.values())
+        assert gcd(*row.values()) == 1
 
 
 def test_rows_are_recomputed_after_an_accepted_insert():
     ech = SparseEchelon()
-    assert ech.insert({0: 2, 1: 4}, tag=0)
+    assert ech.insert({0: 2, 1: 4})
     first = ech.rows()
     assert first == ({0: 1, 1: 2},)
     assert ech.rows() is first
-    assert not ech.insert({0: F(1, 2), 1: 1}, tag=1)
+    assert not ech.insert({0: F(1, 2), 1: 1})
     assert ech.rows() is first
-    assert ech.insert({1: 3}, tag=2)
+    assert ech.insert({1: 3})
     assert ech.rows() == ({0: 1}, {1: 1})
-    assert ech.insert({2: 5, 0: 1}, tag=3)
+    assert ech.insert({2: 5, 0: 1})
     assert ech.rows() == ({0: 1}, {1: 1}, {2: 1})
 
 
@@ -135,13 +149,13 @@ def test_hilbert_rows():
     """The 8 x 8 Hilbert matrix, whose inverse has entries near 10^10."""
     n = 8
     vs = [{j: F(1, i + j + 1) for j in range(n)} for i in range(n)]
-    ech, ref = SparseEchelon(), ReferenceEchelon()
+    ech, ref, aug = SparseEchelon(), ReferenceEchelon(), SparseEchelon()
     for t, v in enumerate(vs):
-        assert ech.insert(v, tag=t) and ref.insert(v, tag=t)
+        assert ech.insert(v) and ref.insert(v, tag=t) and aug.insert({**v, n + t: 1})
     assert ech.rows() == ref.rows() == tuple({i: F(1)} for i in range(n))
     largest = 0
     for i in range(n):
-        got = ech.express({i: 1})
+        got = {t - n: c for t, c in aug.express({i: 1}, n).items()}
         largest = max(largest, *map(abs, got.values()))
         assert got == ref.express({i: 1})
         back: dict = {}

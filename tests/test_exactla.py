@@ -37,17 +37,42 @@ def columns(m: Matrix) -> list[dict]:
     return [sparse(m.entries[j::m.cols]) for j in range(m.cols)]
 
 
-def column_echelon(m: Matrix) -> SparseEchelon:
-    """The columns of m inserted into an echelon, tagged by column index."""
+def solve(m: Matrix, b) -> dict | None:
+    """Some x with m x = b, as a sparse vector, or None: b expressed over
+    m's columns, column j tagged m.rows + j."""
     ech = SparseEchelon()
     for j, col in enumerate(columns(m)):
-        ech.insert(col, tag=j)
-    return ech
+        ech.insert({**col, m.rows + j: 1})
+    x = ech.express(sparse(b), m.rows)
+    return None if x is None else {t - m.rows: c for t, c in x.items()}
 
 
 entries = st.integers(-4, 4).map(F) | st.fractions(
     min_value=-3, max_value=3, max_denominator=4
 )
+
+
+def _with_combinations(data) -> list[dict]:
+    """Columns followed by combinations of them; a combination reads its
+    indices modulo the number of columns."""
+    cols, combos = data
+    out = list(cols)
+    for terms in combos:
+        v: dict = {}
+        for idx, c in terms:
+            axpy(v, c, cols[idx % len(cols)])
+        out.append(v)
+    return out
+
+
+keyed_columns = st.tuples(
+    st.lists(
+        st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), entries, max_size=5),
+        min_size=1,
+        max_size=6,
+    ),
+    st.lists(st.lists(st.tuples(st.integers(0, 9), entries), min_size=1, max_size=3), max_size=4),
+).map(_with_combinations)
 
 
 def small_matrices(max_dim=5):
@@ -132,6 +157,20 @@ class TestNullspace:
         ns = kernel(columns(m))
         for row in basis(ns):
             assert all(x == 0 for x in m.mul_vec(row))
+
+    @given(keyed_columns)
+    @settings(max_examples=80, deadline=None)
+    def test_tuple_keyed_fraction_columns(self, cols):
+        # the center's column shape: keys (j, t), Fraction entries
+        ns = kernel(cols)
+        keys = sorted({k for col in cols for k in col})
+        assert ns.dim == len(cols) - dense_rank([[col.get(k, 0) for col in cols] for k in keys])
+        assert ns == Subspace.span(ns.rows, len(cols))
+        for row in ns.rows:
+            total: dict = {}
+            for j, c in row.items():
+                axpy(total, c, cols[j])
+            assert total == {}
 
 
 class TestSubspace:
@@ -293,10 +332,10 @@ def test_canonical_basis_is_spanning_set_independent(data):
 def test_solve_consistent_and_inconsistent():
     """m x = b solved by expressing b over m's columns."""
     m = matrix([[1, 2], [3, 4]])
-    x = column_echelon(m).express(sparse([5, 6]))
+    x = solve(m, [5, 6])
     assert x is not None and m.mul_vec(dense(x, m.cols)) == (F(5), F(6))
     singular = matrix([[1, 1], [1, 1]])
-    assert column_echelon(singular).express(sparse([0, 1])) is None
+    assert solve(singular, [0, 1]) is None
 
 
 @given(
@@ -310,7 +349,7 @@ def test_solve_consistent_and_inconsistent():
 def test_solve_finds_a_preimage(data):
     m, x = data
     b = m.mul_vec(x)
-    y = column_echelon(m).express(sparse(b))
+    y = solve(m, b)
     assert y is not None and m.mul_vec(dense(y, m.cols)) == b
 
 
@@ -336,30 +375,31 @@ class TestAxpy:
 class TestSparseEchelon:
     def test_int_rows_become_fractions(self):
         # the free associative layer inserts int expansions; the engine's
-        # rows, ledgers and expressions are Fractions all the same
-        ech = SparseEchelon()
-        assert ech.insert({0: 2, 1: 4}, tag=0)
-        assert ech.insert({1: 3, 2: -3}, tag=1)
+        # rows and expressions are Fractions all the same
+        ech, aug = SparseEchelon(), SparseEchelon()
+        assert ech.insert({0: 2, 1: 4}) and aug.insert({0: 2, 1: 4, 4: 1})
+        assert ech.insert({1: 3, 2: -3}) and aug.insert({1: 3, 2: -3, 3: 1})
         assert ech.rows() == ({0: 1, 2: 2}, {1: 1, 2: -1})
-        coeffs = ech.express({0: 2, 1: 7, 2: -3})
-        assert coeffs == {0: 1, 1: 1}
+        coeffs = aug.express({0: 2, 1: 7, 2: -3}, 3)
+        assert coeffs == {4: 1, 3: 1}
         values = [c for row in ech.rows() for c in row.values()] + list(coeffs.values())
         assert all(type(c) is Fraction for c in values)
 
     def test_rank_and_rejection(self):
         ech = SparseEchelon()
-        assert ech.insert({("a",): F(1), ("b",): F(2)}, tag=0)
-        assert not ech.insert({("a",): F(2), ("b",): F(4)}, tag=1)
-        assert ech.insert({("b",): F(1)}, tag=2)
+        assert ech.insert({("a",): F(1), ("b",): F(2)})
+        assert not ech.insert({("a",): F(2), ("b",): F(4)})
+        assert ech.insert({("b",): F(1)})
         assert ech.rank == 2
 
     def test_express_recovers_combination(self):
         ech = SparseEchelon()
         v0 = {("x",): F(1), ("y",): F(1)}
         v1 = {("y",): F(1), ("z",): F(3)}
-        ech.insert(v0, tag="first")
-        ech.insert(v1, tag="second")
+        # "~" sorts after every letter, so the tags follow the real keys
+        ech.insert({**v0, ("~", "first"): 1})
+        ech.insert({**v1, ("~", "second"): 1})
         target = {("x",): F(2), ("y",): F(5), ("z",): F(9)}
-        coeffs = ech.express(target)
-        assert coeffs == {"first": F(2), "second": F(3)}
-        assert ech.express({("w",): F(1)}) is None
+        coeffs = ech.express(target, ("~",))
+        assert coeffs == {("~", "first"): F(2), ("~", "second"): F(3)}
+        assert ech.express({("w",): F(1)}, ("~",)) is None

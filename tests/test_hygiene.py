@@ -1,10 +1,11 @@
-"""Source hygiene: every name a package module imports, and every private
-module-level constant it defines, is used in it, and every dataclass
-field it declares is read somewhere in the package or its tests.
+"""Source hygiene: every name a package module imports, every private
+module-level constant it defines and every parameter its functions take
+is used in it, and every dataclass field it declares is read somewhere
+in the package or its tests.
 
 Deletions tend to leave names behind (a helper's last caller goes, its
 import or its cached constant stays; a field's last reader goes, the
-field stays).  This parses each module with the stdlib `ast`, so it
+field stays; a parameter's last use goes, callers keep passing it).  This parses each module with the stdlib `ast`, so it
 needs no linter.
 """
 
@@ -53,6 +54,31 @@ def unused_private_constants(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in defined.items() if name not in read]
 
 
+def unused_parameters(source: str) -> list[str]:
+    """Parameters of the functions and lambdas in `source` that their
+    bodies never read; `self` and `cls` are exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "lambda")
+        found += [
+            f"{name}({p.arg}) (line {node.lineno})"
+            for p in params
+            if p.arg not in read and p.arg not in ("self", "cls")
+        ]
+    return found
+
+
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -74,6 +100,23 @@ def test_no_unused_private_constants(path):
 def test_the_check_sees_an_unused_private_constant():
     source = "_USED = 1\n_UNUSED = _USED + 1\n"
     assert unused_private_constants(source) == ["_UNUSED (line 2)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_an_unused_parameter():
+    source = (
+        "class C:\n    def m(self, a, b=0, *rest, key, **kw):\n        return a, key, kw\n"
+        "def outer(x, y):\n    def inner(z):\n        return x\n    return inner\n"
+        "f = lambda u, v: u\n"
+    )
+    assert sorted(unused_parameters(source)) == [
+        "inner(z) (line 5)", "lambda(v) (line 8)", "m(b) (line 2)", "m(rest) (line 2)",
+        "outer(y) (line 4)",
+    ]
 
 
 def dataclass_fields(source: str) -> list[tuple[str, str, int]]:

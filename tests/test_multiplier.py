@@ -43,7 +43,7 @@ from superschur.multiplier import (
     witness_terms,
 )
 from superschur.superalg import AlgebraError, SuperDim, change_basis, direct_sum
-from support import basis_changed, random_quotients
+from support import ReferenceEchelon, basis_changed, random_quotients
 
 F = Fraction
 
@@ -120,6 +120,22 @@ class TestPresent:
                     if not L.gamma(i).contains(v):
                         with pytest.raises(AlgebraError, match="does not lift"):
                             p.lift_into_gamma(v, i)
+
+    def test_lift_is_the_greedy_selections_expression(self, presented):
+        # π's columns taken by decreasing degree (a stable sort), each kept
+        # when independent of those kept before it: the lift uses only kept
+        # columns and is the reference engine's expression over them
+        for L in presented:
+            p = present(L)
+            f = p.fbar
+            ref, kept = ReferenceEchelon(), set()
+            for idx in sorted(range(f.dim), key=f.basis_degree, reverse=True):
+                if ref.insert(p.pi[idx], tag=idx):
+                    kept.add(idx)
+            for i in range(2, L.nilpotency_class() + 1):
+                for v in L.gamma(i).rows:
+                    w = p.lift_into_gamma(v, i)
+                    assert set(w) <= kept and w == ref.express(v), L.name
 
     def test_relations_inside_the_derived_algebra(self, presented):
         for L in presented:
