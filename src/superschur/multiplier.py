@@ -7,8 +7,9 @@ is minimal, so R ⊆ F² and the numerator is R itself (proof in
 `present`).  The truncation loses nothing, because γ_{c+1}(F) ⊆ R forces
 γ_{c+2}(F) ⊆ [R, F], so every quotient appearing here - the multiplier
 itself and the bracket quotients [γ_i(F)+R, F]/[γ_{i+1}(F)+R, F] - is
-untouched by dividing out γ_{c+2}(F).  The same containment makes
-[γ_{c+1}(F)+R, F] = [R, F], so the top step i = c is the general step.
+untouched by dividing out γ_{c+2}(F).  Each [γ_i(F)+R, F] is
+γ_{i+1}(F) + [R, F] (see `FreePresentation.bracket_ideal`), so one
+product, [R, F], serves the multiplier and every bracket quotient.
 
 The cross-check route counts graded-skew 2-cochains that extend the
 algebra by a one-dimensional center (even or odd), modulo the cochains
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .exactla import (
@@ -114,21 +116,18 @@ class FreePresentation:
             raise AlgebraError("element does not lift into the requested filtration step")
         return lift
 
-    def bracket_ideal(self, i: int) -> Subspace:
-        """[γ_i(F) + R, F] inside fbar, for 2 <= i <= c+1.
+    @cached_property
+    def relation_bracket(self) -> Subspace:
+        """[R, F], the one product with F that the presentation forms."""
+        return bracket_with_free(self.fbar, self.relations)
 
-        At i = c+1 this is [R, F], since γ_{c+1}(F) ⊆ R: π is a
-        homomorphism and γ_{c+1}(L) = 0 (see `present`).  R is taken as
-        the base there, rather than re-eliminating its rows in a sum with
-        γ_{c+1}(F).
-        """
+    def bracket_ideal(self, i: int) -> Subspace:
+        """[γ_i(F) + R, F] = γ_{i+1}(F) + [R, F] inside fbar, for 2 <= i <= c+1:
+        the bracket is bilinear and [γ_i(F), F] = γ_{i+1}(F) is the degree
+        filtration `FreeNilpotentSuperalgebra.gamma`, zero from c+2 on."""
         key = ("ideal", i)
         if key not in self._cache:
-            if i > self.target.nilpotency_class():
-                base = self.relations
-            else:
-                base = subspace_sum(self.fbar.gamma(i), self.relations)
-            self._cache[key] = bracket_with_free(self.fbar, base)
+            self._cache[key] = subspace_sum(self.fbar.gamma(i + 1), self.relation_bracket)
         return self._cache[key]
 
 
@@ -203,9 +202,8 @@ def schur_multiplier_hopf(L: LieSuperalgebra) -> MultiplierResult:
         return result
     pres = present(L)
     A = pres.algebra
-    den = pres.bracket_ideal(L.nilpotency_class() + 1)
     # a subset of reduced row-echelon rows is itself in that form
-    comp = Subspace(A.dim, complement_rows(pres.relations, den))
+    comp = Subspace(A.dim, complement_rows(pres.relations, pres.relation_bracket))
     result = MultiplierResult(A.superdim(comp), comp.rows)
     L._cache["hopf"] = result
     return result
@@ -290,7 +288,6 @@ def bracket_map_kernel_dim(L: LieSuperalgebra, i: int) -> int:
     of total dimensions.
     """
     pres = present(L)
-    _check_step(L, i)
     cogen = L.dim - L.gamma(2).dim
     first = L.gamma(i).dim - L.gamma(i + 1).dim
     kernel = first * cogen - bracket_quotient_dim(pres, i)

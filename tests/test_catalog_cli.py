@@ -1,4 +1,6 @@
+import json
 import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -227,6 +229,15 @@ class TestCli:
         assert len(calls) == sum(2 ** (i + 1) for i in range(3, 11))
         assert '"arity": 10' in capsys.readouterr().out
 
+    def test_readme_quotes_the_limits(self):
+        from superschur import cli as cli_mod
+
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        text = " ".join(readme.split())
+        assert f"refuses `N > {cli_mod.IDENTITY_ARITY_MAX}`" in text
+        assert f"(limit {cli_mod.IDENTITY_ARITY_MAX})" in text
+        assert f"more than {cli_mod.COCHAIN_TRIPLES_MAX:,} triples" in text
+
     @pytest.mark.parametrize("method", ["cohomology", "both"])
     def test_cochain_triples_above_the_limit_are_refused(self, capsys, monkeypatch, method):
         from superschur import cli as cli_mod
@@ -347,6 +358,34 @@ class TestCli:
         code = main(["multiplier", "--algebra", "heis3"])
         out2 = capsys.readouterr().out
         assert code == 0 and out2.splitlines()[0].startswith("algebra,")
+
+    @pytest.mark.parametrize("value", ["xml", "JSON"])
+    def test_unknown_format_env_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("SUPERSCHUR_FORMAT", value)
+        code = main(["check", "--algebra", "heis3"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            f"error: SUPERSCHUR_FORMAT={value!r} is not one of human, json, csv\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv", [["--format", "json", "check"], ["check", "--format", "json"]]
+    )
+    def test_format_flag_wins_over_unknown_env(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("SUPERSCHUR_FORMAT", "xml")
+        code = main([*argv, "--algebra", "heis3"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["command"] == "check"
+
+    def test_non_nilpotent_record_is_skipped_as_such(self, tmp_path, capsys):
+        path = tmp_path / "solvable.cat"
+        path.write_text("algebra solv2\neven e1 e2\n[e1,e2] = e2\nend\n", encoding="utf-8")
+        for command in ("multiplier", "bounds", "verify"):
+            code = main([command, str(path)])
+            out = capsys.readouterr().out
+            assert code == 0
+            assert "status = skipped (not nilpotent)" in out, command
 
     def test_free_with_hilbert(self, capsys):
         code = main(["free", "--even", "2", "--odd", "1", "--class", "3", "--hilbert"])

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from superschur import multiplier
 from superschur.catalog import (
     abelian,
     builtin_algebras,
@@ -12,6 +13,7 @@ from superschur.catalog import (
     heisenberg3,
     special_heisenberg_odd,
 )
+from superschur.cli import main
 from superschur.exactla import (
     Subspace,
     axpy,
@@ -53,13 +55,17 @@ def _free33c3():
     return build_free_nilpotent(GeneratorSpec(3, 3, 3))
 
 
-@pytest.fixture(scope="module")
-def presented():
+def presented_algebras():
     """The shipped catalog's nonzero nilpotent algebras and the 50 random
     quotients, each with a seeded change_basis copy."""
     bases = [L for L in builtin_algebras() if L.dim and L.is_nilpotent()]
     bases += [L for L in random_quotients(50) if L.dim]
     return [M for t, L in enumerate(bases) for M in (L, basis_changed(L, t))]
+
+
+@pytest.fixture(scope="module")
+def presented():
+    return presented_algebras()
 
 
 def heis_plus_line():
@@ -409,7 +415,9 @@ class TestBracketWithFree:
             for base in builtin_algebras()
             if base.dim and base.is_nilpotent()
             for L in (base, basis_changed(base, 5))
-        ],
+        ]
+        # the random quotients and their copies, as `presented` has them
+        + [L for L in presented_algebras() if L.name.startswith("rq")],
         ids=lambda L: L.name,
     )
     def test_matches_all_pairs_product_space(self, L):
@@ -426,6 +434,28 @@ class TestBracketWithFree:
         # the presentation's chain: base_i = γ_i(F)+R, and base_{c+1} = R
         for i, base in enumerate(ideals[1:] + [p.relations], start=2):
             assert p.bracket_ideal(i) == A.product_space(base, Subspace.full(A.dim))
+
+    def test_verify_brackets_once_per_presentation(self, monkeypatch, capsys):
+        """Every bracket ideal and the Hopf denominator read one product
+        [R, F] per presentation."""
+        fbars, calls = [], []
+        real_present, real_bracket = multiplier.present, multiplier.bracket_with_free
+
+        def recording_present(L):
+            pres = real_present(L)
+            fbars.append(pres.fbar)
+            return pres
+
+        def counting_bracket(f, ideal):
+            calls.append(f)
+            return real_bracket(f, ideal)
+
+        monkeypatch.setattr(multiplier, "present", recording_present)
+        monkeypatch.setattr(multiplier, "bracket_with_free", counting_bracket)
+        assert main(["verify"]) == 0
+        capsys.readouterr()
+        made = {id(f): f for f in fbars}
+        assert sorted(map(id, calls)) == sorted(made)
 
 
 class TestPresentationInvariance:
