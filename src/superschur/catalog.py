@@ -148,18 +148,19 @@ def builtin_algebras() -> list[LieSuperalgebra]:
 
 
 def _parse_terms(expr: str, line_no: int):
-    """Split a right-hand side into (coeff, label) pairs."""
+    """Split a right-hand side into (coeff, label) pairs.
+
+    `expr` is the bracket pattern's capture of a stripped line, so it
+    ends in a non-space character: the loop reads at least one term or
+    raises.
+    """
     pieces = []
     rest = expr.strip()
-    first = True
     while rest:
-        sign = 1
-        if rest[0] == "+":
+        sign = -1 if rest[0] == "-" else 1
+        if rest[0] in "+-":
             rest = rest[1:].lstrip()
-        elif rest[0] == "-":
-            sign = -1
-            rest = rest[1:].lstrip()
-        elif not first:
+        elif pieces:
             raise CatalogError(f"expected '+' or '-' before {rest!r}", line_no)
         m = _TERM_RE.match(rest)
         if not m:
@@ -176,9 +177,6 @@ def _parse_terms(expr: str, line_no: int):
             ) from None
         pieces.append((sign * coeff, m.group(2)))
         rest = rest[m.end():].lstrip()
-        first = False
-    if not pieces:
-        raise CatalogError("empty right-hand side", line_no)
     return pieces
 
 
@@ -190,93 +188,78 @@ def _parse_labels(line: str, line_no: int) -> list[str]:
     return labels
 
 
+def _build_record(record: dict) -> LieSuperalgebra:
+    """The validated algebra of a record closed by its `end` line.
+
+    `record` holds the `name` and the `line` of its `algebra` header, the
+    `even` and `odd` labels (None when the header line is absent) and the
+    `brackets` as (line, label, label, terms), in file order.
+    """
+    name, start_line = record["name"], record["line"]
+    ev, od = record["even"] or [], record["odd"] or []
+    labels = ev + od
+    if len(set(labels)) != len(labels):
+        raise CatalogError(f"duplicate basis label in {name!r}", start_line)
+    index = {lbl: i for i, lbl in enumerate(labels)}
+    parities = [EVEN] * len(ev) + [ODD] * len(od)
+    table: dict = {}
+    for line_no, la, lb, terms in record["brackets"]:
+        for lbl in (la, lb):
+            if lbl not in index:
+                raise CatalogError(f"unknown label {lbl!r}", line_no)
+        i, j = index[la], index[lb]
+        if (i, j) in table or (j, i) in table:
+            raise CatalogError(f"duplicate bracket entry for ({la},{lb})", line_no)
+        want = (parities[i] + parities[j]) % 2
+        resolved = []
+        for coeff, lbl in terms:
+            if lbl not in index:
+                raise CatalogError(f"unknown label {lbl!r}", line_no)
+            k = index[lbl]
+            if parities[k] != want:
+                raise CatalogError(
+                    f"bracket [{la},{lb}] targets {lbl} of the wrong parity", line_no
+                )
+            resolved.append((k, coeff))
+        table[(i, j)] = resolved
+    alg = LieSuperalgebra(name, labels, parities, table)
+    report = alg.validate()
+    if not report.ok:
+        raise CatalogError(
+            f"record {name!r} is not a Lie superalgebra: {report.summary()}", start_line
+        )
+    return alg
+
+
 def parse_catalog(text: str) -> list[LieSuperalgebra]:
     """Parse catalog text into validated algebras, in file order."""
     algebras: list[LieSuperalgebra] = []
-    name = None
-    start_line = 0
-    even_labels: list[str] | None = None
-    odd_labels: list[str] | None = None
-    brackets: list[tuple[int, str, str, list]] = []
+    record: dict | None = None
     seen_names: set[str] = set()
-
-    def finish() -> None:
-        nonlocal name, even_labels, odd_labels, brackets
-        ev = even_labels or []
-        od = odd_labels or []
-        labels = ev + od
-        if len(set(labels)) != len(labels):
-            raise CatalogError(f"duplicate basis label in {name!r}", start_line)
-        index = {lbl: i for i, lbl in enumerate(labels)}
-        parities = [EVEN] * len(ev) + [ODD] * len(od)
-        table: dict = {}
-        seen_pairs = set()
-        for line_no2, la, lb, terms in brackets:
-            for lbl in (la, lb):
-                if lbl not in index:
-                    raise CatalogError(f"unknown label {lbl!r}", line_no2)
-            i, j = index[la], index[lb]
-            if (min(i, j), max(i, j)) in seen_pairs:
-                raise CatalogError(
-                    f"duplicate bracket entry for ({la},{lb})", line_no2
-                )
-            seen_pairs.add((min(i, j), max(i, j)))
-            resolved = []
-            want = (parities[i] + parities[j]) % 2
-            for coeff, lbl in terms:
-                if lbl not in index:
-                    raise CatalogError(f"unknown label {lbl!r}", line_no2)
-                k = index[lbl]
-                if parities[k] != want:
-                    raise CatalogError(
-                        f"bracket [{la},{lb}] targets {lbl} of the wrong parity",
-                        line_no2,
-                    )
-                resolved.append((k, coeff))
-            table[(i, j)] = resolved
-        alg = LieSuperalgebra(name, labels, parities, table)
-        report = alg.validate()
-        if not report.ok:
-            raise CatalogError(
-                f"record {name!r} is not a Lie superalgebra: {report.summary()}",
-                start_line,
-            )
-        algebras.append(alg)
-        name = None
-        even_labels = None
-        odd_labels = None
-        brackets = []
-
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         head = line.split()[0]
         if head == "algebra":
-            if name is not None:
-                raise CatalogError(
-                    f"record {name!r} is missing its 'end'", line_no
-                )
+            if record is not None:
+                raise CatalogError(f"record {record['name']!r} is missing its 'end'", line_no)
             parts = line.split()
             if len(parts) != 2:
                 raise CatalogError("expected: algebra <name>", line_no)
-            name = parts[1]
-            if name in seen_names:
-                raise CatalogError(f"duplicate algebra name {name!r}", line_no)
-            seen_names.add(name)
-            start_line = line_no
-        elif name is None:
+            if parts[1] in seen_names:
+                raise CatalogError(f"duplicate algebra name {parts[1]!r}", line_no)
+            seen_names.add(parts[1])
+            record = {"name": parts[1], "line": line_no, "even": None, "odd": None, "brackets": []}
+        elif record is None:
             raise CatalogError(f"statement outside an algebra record: {line!r}", line_no)
-        elif head == "even":
-            if even_labels is not None:
-                raise CatalogError("repeated 'even' line", line_no)
-            even_labels = _parse_labels(line, line_no)
-        elif head == "odd":
-            if odd_labels is not None:
-                raise CatalogError("repeated 'odd' line", line_no)
-            odd_labels = _parse_labels(line, line_no)
+        elif head in ("even", "odd"):
+            if record[head] is not None:
+                raise CatalogError(f"repeated {head!r} line", line_no)
+            record[head] = _parse_labels(line, line_no)
         elif head == "end":
-            finish()
+            algebras.append(_build_record(record))
+            record = None
         elif line.startswith("["):
             m = _BRACKET_RE.match(line)
             if not m:
@@ -284,13 +267,13 @@ def parse_catalog(text: str) -> list[LieSuperalgebra]:
                     f"cannot parse bracket line {line!r}", line_no,
                     column=len(line) - len(line.lstrip()) + 1,
                 )
-            brackets.append(
+            record["brackets"].append(
                 (line_no, m.group(1), m.group(2), _parse_terms(m.group(3), line_no))
             )
         else:
             raise CatalogError(f"unrecognized statement {line!r}", line_no)
-    if name is not None:
-        raise CatalogError(f"record {name!r} is missing its 'end'", start_line)
+    if record is not None:
+        raise CatalogError(f"record {record['name']!r} is missing its 'end'", record["line"])
     return algebras
 
 

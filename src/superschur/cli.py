@@ -17,7 +17,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bounds import BoundError, BoundViolation, check_bound
 from .catalog import CatalogError, builtin_algebras, parse_catalog
@@ -111,14 +110,10 @@ class Report:
 def fmt_value(v):
     if isinstance(v, bool) or isinstance(v, int):
         return v
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     if isinstance(v, SuperDim):
         return str(v)
     if isinstance(v, (list, tuple)):
         return [fmt_value(x) for x in v]
-    if v is None:
-        return "-"
     return str(v)
 
 

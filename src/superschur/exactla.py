@@ -312,7 +312,12 @@ def _same_ambient(u: Subspace, w: Subspace) -> None:
 
 
 def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
+    """u + w; when one operand is zero, the other itself."""
     _same_ambient(u, w)
+    if not u.rows:
+        return w
+    if not w.rows:
+        return u
     return Subspace.span(u.rows + w.rows, u.ambient_dim)
 
 

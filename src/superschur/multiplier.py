@@ -219,12 +219,13 @@ def schur_multiplier_cohomology(L: LieSuperalgebra) -> MultiplierResult:
     triples.  Only the triples that touch a nonzero bracket give a row:
     on any other triple every term evaluates c on a zero inner bracket.
     Cochains of the form f([x, y]) for a linear functional f are split
-    extensions; the quotient count per parity is reported, and their
-    rows are read off the nonzero brackets in one pass.  Both kinds of
-    row read the integral table, whose common scale changes no rank.
+    extensions; the quotient count per parity is reported.  The
+    coboundary f -> f([x, y]) has rank dim span{[b_a, b_b]}, since its
+    matrix has the brackets' coordinates as columns; the brackets are
+    homogeneous, so the (even | odd) split of that span is the rank per
+    parity.  Both ranks read the integral table, whose common scale
+    changes no rank.
     """
-    if "cohomology" in L._cache:
-        return L._cache["cohomology"]
     L.require_valid()
     L.nilpotency_class()
     p = L.parities
@@ -247,22 +248,11 @@ def schur_multiplier_cohomology(L: LieSuperalgebra) -> MultiplierResult:
                 elif x > t:
                     row[(t, x)] = row.get((t, x), 0) - sign * graded_sign(p[x], p[t]) * c
         cocycle_rank[sigma].insert(row)
-    # row t holds the b_t-coefficients of the brackets; a valid table
-    # gives b_t's parity to every pair it appears in
-    cob_rows: dict[int, dict] = {}
-    for a, b in L.nonzero_pairs():
-        for t, c in table[(a, b)].items():
-            cob_rows.setdefault(t, {})[(a, b)] = c
-    cob_rank = {EVEN: SparseEchelon(), ODD: SparseEchelon()}
-    for t, row in sorted(cob_rows.items()):
-        cob_rank[p[t]].insert(row)
-    dims = SuperDim(
-        coords[EVEN] - cocycle_rank[EVEN].rank - cob_rank[EVEN].rank,
-        coords[ODD] - cocycle_rank[ODD].rank - cob_rank[ODD].rank,
-    )
-    result = MultiplierResult(dims)
-    L._cache["cohomology"] = result
-    return result
+    cob = L.superdim(Subspace.span((table[pair] for pair in L.nonzero_pairs()), L.dim))
+    return MultiplierResult(SuperDim(
+        coords[EVEN] - cocycle_rank[EVEN].rank - cob.even,
+        coords[ODD] - cocycle_rank[ODD].rank - cob.odd,
+    ))
 
 
 # -- bracket quotients and the lambda maps -------------------------------------

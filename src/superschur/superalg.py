@@ -440,15 +440,11 @@ class LieSuperalgebra:
         |t| = |j| and an odd column's |t| != |j|, so the two share no key
         and the kernel is graded.
         """
-        if "center" in self._cache:
-            return self._cache["center"]
         table = self.integral_table()
-        result = kernel([
+        return kernel([
             {(j, t): c for j in sup for t, c in table[(i, j)].items()}
             for i, sup in enumerate(self.ad_support())
         ])
-        self._cache["center"] = result
-        return result
 
     # -- quotients and generators --------------------------------------------
 

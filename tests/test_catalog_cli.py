@@ -17,7 +17,7 @@ from superschur.catalog import (
 from superschur.cli import main
 from superschur.freenilp import GeneratorSpec, build_free_nilpotent
 from superschur.multiplier import MultiplierResult
-from superschur.superalg import SuperDim
+from superschur.superalg import EVEN, LieSuperalgebra, SuperDim
 from support import canonical_table
 
 HEIS3_RECORD = textwrap.dedent(
@@ -126,6 +126,90 @@ class TestParse:
         (alg,) = parse_catalog("algebra nil\nend\n")
         assert alg.dim == 0
 
+
+
+def _record(body: str) -> str:
+    return f"algebra a\neven e1 e2 e3\n{body}\nend\n"
+
+
+class TestDiagnostics:
+    """The full text of every catalog diagnostic, with its line number."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (_record("[e1,e2] = e3 e3"), "line 3: expected '+' or '-' before 'e3'"),
+            (_record("[e1,e2] = 2*"), "line 3: cannot read term at '2*'"),
+            # the line is stripped before matching, so a blank right-hand
+            # side never reaches the term reader
+            (_record("[e1,e2] =   "), "line 3, column 1: cannot parse bracket line '[e1,e2] ='"),
+            (_record("[e1,e2] = 1/0*e3"), "line 3: coefficient 1/0 has a zero denominator"),
+            (
+                _record(f"[e1,e2] = {'1' * 5000}*e3"),
+                "line 3: coefficient of 5000 characters is too long",
+            ),
+            ("algebra a\neven e-1\nend\n", "line 2: 'e-1' is not a valid basis label"),
+            ("algebra a\neven e1 e2\nodd e1\nend\n", "line 1: duplicate basis label in 'a'"),
+            (_record("[e1,e2] = zz"), "line 3: unknown label 'zz'"),
+            (_record("[e1,e2] = e3\n[e2,e1] = e3"), "line 4: duplicate bracket entry for (e2,e1)"),
+            (
+                "algebra a\neven e1 e2\nodd f1\n[e1,e2] = f1\nend\n",
+                "line 4: bracket [e1,e2] targets f1 of the wrong parity",
+            ),
+            (
+                "algebra bad\neven e1 e2 e3 e4\n[e1,e2] = e3\n[e1,e3] = e1\nend\n",
+                "line 1: record 'bad' is not a Lie superalgebra: "
+                "graded Jacobi identity fails on (e1,e2,e3)",
+            ),
+            ("algebra a\neven e1\nalgebra b\nend\n", "line 3: record 'a' is missing its 'end'"),
+            ("algebra a\neven e1\n", "line 1: record 'a' is missing its 'end'"),
+            ("algebra\nend\n", "line 1: expected: algebra <name>"),
+            ("algebra a b\nend\n", "line 1: expected: algebra <name>"),
+            ("algebra a\nend\nalgebra a\nend\n", "line 3: duplicate algebra name 'a'"),
+            ("even e1\n", "line 1: statement outside an algebra record: 'even e1'"),
+            ("algebra a\neven e1\neven e2\nend\n", "line 3: repeated 'even' line"),
+            ("algebra a\nodd f1\nodd f2\nend\n", "line 3: repeated 'odd' line"),
+            ("algebra a\nfoo\nend\n", "line 2: unrecognized statement 'foo'"),
+        ],
+    )
+    def test_message(self, text, message):
+        with pytest.raises(CatalogError) as err:
+            parse_catalog(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # labels are checked before the brackets, at the record's line
+            ("algebra a\neven e1 e1\n[e1,e2] = zz\nend\n", "line 1: duplicate basis label in 'a'"),
+            # a bracket's own labels before the pair's duplicate, and the
+            # duplicate before its targets
+            (_record("[e1,zz] = e3\n[e1,zz] = e3"), "line 3: unknown label 'zz'"),
+            (_record("[e1,e2] = e3\n[e2,e1] = zz"), "line 4: duplicate bracket entry for (e2,e1)"),
+            # the brackets in file order
+            (
+                "algebra a\neven e1 e2\nodd f1\n[e1,e2] = zz\n[e1,e2] = f1\nend\n",
+                "line 4: unknown label 'zz'",
+            ),
+            # a record is built at its 'end', before the next record is read
+            (
+                "algebra a\neven e1\nodd f1\n[e1,f1] = e1\nend\nalgebra b\nfoo\nend\n",
+                "line 4: bracket [e1,f1] targets e1 of the wrong parity",
+            ),
+            # a line's syntax before the record's build
+            (_record("[e1,e2] = e3\n[e2,e1] = e3 e3"), "line 4: expected '+' or '-' before 'e3'"),
+        ],
+    )
+    def test_first_of_several_errors(self, text, message):
+        with pytest.raises(CatalogError) as err:
+            parse_catalog(text)
+        assert str(err.value) == message
+
+    def test_render_rejects_a_label_that_does_not_parse_back(self):
+        alg = LieSuperalgebra("h", ["e 1", "e2"], [EVEN, EVEN], {})
+        with pytest.raises(CatalogError) as err:
+            render_catalog([alg])
+        assert str(err.value) == "label 'e 1' of h is not grammar-safe"
 
 # characters of the grammar, so fuzzed text often gets past the first check
 _GRAMMAR_TEXT = st.text(alphabet="[],=+-*/#0123456789 efz12_'\nalgebraendvo", max_size=80)
@@ -460,6 +544,26 @@ class TestCli:
         assert code == 0
         payload = json.loads(out)
         assert payload["results"][0]["tight"] is True
+
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    def test_bound_violation_is_reported_and_exits_2(self, capsys, monkeypatch, fmt):
+        import superschur.bounds
+
+        # heis3's multiplier is (2|0) and its main bound 2
+        monkeypatch.setattr(
+            superschur.bounds, "schur_multiplier_hopf", lambda L: MultiplierResult(SuperDim(9, 0))
+        )
+        code = main(["--format", fmt, "bounds", "--algebra", "heis3"])
+        out = capsys.readouterr().out
+        assert code == 2
+        if fmt == "json":
+            payload = json.loads(out)
+            (rec,) = payload["results"]
+            assert rec["status"] == "BOUND VIOLATED" and rec["multiplier"] == "(9|0)"
+            assert payload["ok"] is False
+        else:
+            assert "  status = BOUND VIOLATED\n" in out and "  multiplier = (9|0)\n" in out
+            assert out.endswith("status: FAILED\n")
 
     def test_method_disagreement_prints_both_and_exits_2(self, capsys, monkeypatch):
         from superschur import cli as cli_mod

@@ -188,6 +188,13 @@ class TestSubspace:
         w = Subspace.span([sparse([0, 1, 0]), sparse([0, 0, 1])], 3)
         assert subspace_sum(u, w) == Subspace.full(3)
 
+    def test_sum_with_zero_is_the_other_operand(self):
+        u = Subspace.span([sparse([1, 2, 3])], 3)
+        assert subspace_sum(u, Subspace.zero(3)) is u
+        assert subspace_sum(Subspace.zero(3), u) is u
+        with pytest.raises(SubspaceError):
+            subspace_sum(Subspace.zero(2), u)
+
     def test_intersection_of_planes(self):
         u = Subspace.span([sparse([1, 0, 0]), sparse([0, 1, 0])], 3)
         w = Subspace.span([sparse([0, 1, 0]), sparse([0, 0, 1])], 3)

@@ -167,3 +167,35 @@ def test_the_check_sees_an_unread_field():
     )
     reads = attribute_reads(source)
     assert [f for f in dataclass_fields(source) if f[1] not in reads] == [("P", "y", 5)]
+
+
+def unquoted_catalog_errors(source: str, tests_text: str) -> list[str]:
+    """`CatalogError(...)` calls in `source` whose message's longest literal
+    fragment `tests_text` never contains, so no test pins that diagnostic."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CatalogError"):
+            continue
+        msg = node.args[0]
+        parts = msg.values if isinstance(msg, ast.JoinedStr) else [msg]
+        pieces = [p.value for p in parts if isinstance(p, ast.Constant)]
+        fragment = max(pieces, key=len) if pieces else ast.unparse(msg)
+        if fragment not in tests_text:
+            found.append(f"{fragment!r} (line {node.lineno})")
+    return found
+
+
+def test_every_catalog_diagnostic_is_quoted_by_a_test():
+    tests_text = "".join(p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py")))
+    source = (SRC / "catalog.py").read_text(encoding="utf-8")
+    assert unquoted_catalog_errors(source, tests_text) == []
+
+
+def test_the_check_sees_an_unquoted_catalog_error():
+    source = (
+        "def f(x):\n"
+        "    raise CatalogError(f'bad label {x!r} in record', 3)\n"
+        "    raise CatalogError('quoted message')\n"
+    )
+    tests_text = "assert str(err) == 'quoted message'"
+    assert unquoted_catalog_errors(source, tests_text) == ["'bad label ' (line 2)"]

@@ -15,6 +15,7 @@ from superschur.catalog import (
 )
 from superschur.cli import main
 from superschur.exactla import (
+    SparseEchelon,
     Subspace,
     axpy,
     complement_rows,
@@ -265,6 +266,35 @@ class TestBracketQuotient:
         r = verify_top_step_identity(L)
         assert r.parts["bracket_quotient"] == t
         assert r.ok
+
+    def test_top_ideal_is_the_relation_bracket(self):
+        L = filiform4()
+        p = present(L)
+        assert p.bracket_ideal(L.nilpotency_class() + 1) is p.relation_bracket
+
+    def test_verify_reinserts_no_operand_of_a_sum_with_zero(self, monkeypatch, capsys):
+        def inserts():
+            count = 0
+            original = SparseEchelon.insert
+
+            def counted(self, *args, **kwargs):
+                nonlocal count
+                count += 1
+                return original(self, *args, **kwargs)
+
+            with monkeypatch.context() as m:
+                m.setattr(SparseEchelon, "insert", counted)
+                assert main(["verify"]) == 0
+            capsys.readouterr()
+            return count
+
+        now = inserts()
+        monkeypatch.setattr(
+            multiplier, "subspace_sum", lambda u, w: Subspace.span(u.rows + w.rows, u.ambient_dim)
+        )
+        # on the shipped catalog, 19 rows of [R, F] summed with the zero
+        # γ_{c+2}(F) and 58 rows of γ_{i+1}(F) summed with a zero [R, F]
+        assert inserts() - now == 19 + 58
 
 
 class TestLambdaKernel:
