@@ -54,26 +54,22 @@ class BoundInput:
 
 
 def abelian_multiplier_dims(m: int, n: int) -> SuperDim:
-    """Closed-form multiplier of the abelian algebra A(m|n)."""
-    even2 = m * m + n * n + n - m
-    if even2 % 2:
-        raise BoundError("internal error: even part is not an integer")
-    return SuperDim(even2 // 2, m * n)
+    """Closed-form multiplier of the abelian algebra A(m|n); its even part
+    (m(m-1) + n(n+1)) / 2 is exact, as each product is of consecutive integers."""
+    return SuperDim((m * (m - 1) + n * (n + 1)) // 2, m * n)
 
 
 def main_bound(b: BoundInput) -> int:
     """1/2[(m+n-r-s)(m+n+r+s) + (n-m-r-3s)] - sum_{i=2}^{l} (m+n-r-s-i),
-    with l = min(c, m+n-r-s); the bracketed part is always even."""
+    with l = min(c, m+n-r-s).  The bracketed part is even: d = m+n-r-s and
+    t = m+n+r+s differ by 2(r+s), and n-m-r-3s ≡ t, so it is ≡ t(t+1) ≡ 0
+    (mod 2).  `BoundInput` already makes d >= 1 once r+s >= 1."""
     if b.r + b.s < 1:
         raise BoundError("requires a nonzero derived subalgebra (r+s >= 1)")
-    if b.codim < 1:
-        raise BoundError("requires m+n-r-s >= 1")
     if b.c < 2:
         raise BoundError("requires nilpotency class at least 2")
     d = b.codim
     twice = d * (b.m + b.n + b.r + b.s) + (b.n - b.m - b.r - 3 * b.s)
-    if twice % 2:
-        raise BoundError("internal error: bound numerator is odd")
     ell = min(b.c, d)
     return twice // 2 - sum(d - i for i in range(2, ell + 1))
 
@@ -99,7 +95,8 @@ def nayak_bound(m: int, n: int, r: int, s: int) -> Fraction:
 
 def rai_bound(big_n: int, big_m: int, c: int) -> int:
     """Ungraded bound 1/2 (N+M)(N-M-1) - sum_{i=2}^{min(c, N-M)} (N-M-i)
-    for dim L = N, dim [L,L] = M; the summation sits outside the 1/2."""
+    for dim L = N, dim [L,L] = M; the summation sits outside the 1/2, and
+    (N+M)(N-M-1) ≡ (N-M)(N-M-1) ≡ 0 (mod 2)."""
     if big_m < 1:
         raise BoundError("requires dim [L,L] >= 1")
     if big_n - big_m < 1:
@@ -108,8 +105,6 @@ def rai_bound(big_n: int, big_m: int, c: int) -> int:
         raise BoundError("requires nilpotency class at least 2")
     d = big_n - big_m
     twice = (big_n + big_m) * (d - 1)
-    if twice % 2:
-        raise BoundError("internal error: bound numerator is odd")
     return twice // 2 - sum(d - i for i in range(2, min(c, d) + 1))
 
 

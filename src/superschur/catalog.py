@@ -237,7 +237,8 @@ def parse_catalog(text: str) -> list[LieSuperalgebra]:
     record: dict | None = None
     seen_names: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
         head = line.split()[0]
@@ -265,7 +266,7 @@ def parse_catalog(text: str) -> list[LieSuperalgebra]:
             if not m:
                 raise CatalogError(
                     f"cannot parse bracket line {line!r}", line_no,
-                    column=len(line) - len(line.lstrip()) + 1,
+                    column=len(code) - len(code.lstrip()) + 1,
                 )
             record["brackets"].append(
                 (line_no, m.group(1), m.group(2), _parse_terms(m.group(3), line_no))

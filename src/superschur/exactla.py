@@ -5,9 +5,9 @@ elimination engine, `SparseEchelon`, reduces sparse keyed vectors in
 integers: an input is scaled by the lcm of its denominators, and a
 stored row is a primitive integer vector, reduced only against rows of
 smaller pivot and never rewritten afterwards.  It only reduces: spans
-and ranks are its rows, and kernels, solutions and intersections are
-read off tag coordinates that the caller appends after its real keys,
-as in an augmented matrix.  No floating point anywhere.  Sparse dicts
+and ranks are its rows, and kernels and solutions are read off tag
+coordinates that the caller appends after its real keys, as in an
+augmented matrix.  No floating point anywhere.  Sparse dicts
 {index: nonzero Fraction} are the one vector type: a `Subspace` keeps
 the engine's reduced row-echelon rows, back-substituted once into
 Fractions, so two objects describe the same subspace exactly when
@@ -258,10 +258,6 @@ class Subspace:
         return Subspace(ambient_dim, ech.rows())
 
     @staticmethod
-    def zero(n: int) -> "Subspace":
-        return Subspace(n, ())
-
-    @staticmethod
     def full(n: int) -> "Subspace":
         return Subspace(n, tuple({i: _ONE} for i in range(n)))
 
@@ -321,24 +317,6 @@ def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
     return Subspace.span(u.rows + w.rows, u.ambient_dim)
 
 
-def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:
-    """Intersection from the kernel of u's rows followed by w's.
-
-    A kernel vector (a, b) gives sum_i a_i u_i = -sum_j b_j w_j, a member
-    of both.  The rows of each are independent, so that member is zero
-    only when (a, b) is, and a kernel basis maps to a basis.
-    """
-    _same_ambient(u, w)
-    shared = []
-    for rel in kernel(u.rows + w.rows).rows:
-        v: dict = {}
-        for i, a in rel.items():
-            if i < u.dim:
-                axpy(v, a, u.rows[i])
-        shared.append(v)
-    return Subspace.span(shared, u.ambient_dim)
-
-
 def complement_rows(u: Subspace, w: Subspace) -> tuple[dict, ...]:
     """The rows of u off w's pivots: a basis of a complement of w in u.
 
@@ -350,9 +328,9 @@ def complement_rows(u: Subspace, w: Subspace) -> tuple[dict, ...]:
     _same_ambient(u, w)
     for row in w.rows:
         if u.reduce(row):
-            witness = tuple(str(row.get(k, _ZERO)) for k in range(w.ambient_dim))
+            witness = ", ".join(f"{k}: {c}" for k, c in sorted(row.items()))
             raise SubspaceError(
-                f"quotient undefined: witness {witness} lies outside the numerator"
+                f"quotient undefined: witness {{{witness}}} lies outside the numerator"
             )
     wp = set(w.pivots)
     return tuple(row for row, p in zip(u.rows, u.pivots) if p not in wp)

@@ -28,38 +28,13 @@ from .superalg import EVEN, ODD, AlgebraError, LieSuperalgebra, SuperDim, graded
 
 _ONE = Fraction(1)
 
-# A bracket word is a full binary tree: a leaf is a generator index,
-# an inner node is a pair (left subtree, right subtree).
-
-
-def leaf(i: int) -> int:
-    return i
-
-
-def node(u, v) -> tuple:
-    return (u, v)
-
-
-def word_degree(w) -> int:
-    if isinstance(w, int):
-        return 1
-    return word_degree(w[0]) + word_degree(w[1])
-
-
-def word_leaves(w) -> list[int]:
-    if isinstance(w, int):
-        return [w]
-    return word_leaves(w[0]) + word_leaves(w[1])
-
-
-def word_parity(w, parities) -> int:
-    return sum(parities[i] for i in word_leaves(w)) % 2
+# A bracket word is a full binary tree written with plain Python values:
+# a leaf is the int index of a generator, an inner node is the pair
+# (left subtree, right subtree).
 
 
 def left_normed_word(indices) -> int | tuple:
     indices = list(indices)
-    if not indices:
-        raise AlgebraError("a bracket word needs at least one leaf")
     w = indices[0]
     for i in indices[1:]:
         w = (w, i)
@@ -68,8 +43,6 @@ def left_normed_word(indices) -> int | tuple:
 
 def right_normed_word(indices) -> int | tuple:
     indices = list(indices)
-    if not indices:
-        raise AlgebraError("a bracket word needs at least one leaf")
     w = indices[-1]
     for i in reversed(indices[:-1]):
         w = (i, w)
@@ -167,7 +140,6 @@ class FreeNilpotentSuperalgebra:
 
     def __init__(self, spec: GeneratorSpec):
         self.spec = spec
-        pars = spec.parities
         self.degree_words: list[list] = []
         self.degree_parities: list[list[int]] = []
         self._expansions: dict = {}
@@ -175,10 +147,10 @@ class FreeNilpotentSuperalgebra:
             ech = SparseEchelon()
             words: list = []
             wpars: list[int] = []
-            for w, e in self._candidates(d):
+            for w, pw, e in self._candidates(d):
                 if e and ech.insert(e):
                     words.append(w)
-                    wpars.append(word_parity(w, pars))
+                    wpars.append(pw)
                     self._expansions[w] = e
             self.degree_words.append(words)
             self.degree_parities.append(wpars)
@@ -195,17 +167,18 @@ class FreeNilpotentSuperalgebra:
         self._algebra: LieSuperalgebra | None = None
 
     def _candidates(self, d: int):
-        """The degree-d candidate words with their expansions, lazily; the
-        expansion of [w, g] is the commutator of w's stored expansion with g."""
+        """The degree-d candidate words with their parities and expansions,
+        lazily; [w, g] has parity |w| + |g| and its expansion is the
+        commutator of w's stored expansion with g."""
         pars = self.spec.parities
         if d == 1:
             for g in range(self.spec.num):
-                yield g, {(g,): 1}
+                yield g, pars[g], {(g,): 1}
             return
         for w, pw in zip(self.degree_words[d - 2], self.degree_parities[d - 2]):
             e = self._expansions[w]
             for g in range(self.spec.num):
-                yield (w, g), _commutator(e, pw, {(g,): 1}, pars[g])
+                yield (w, g), (pw + pars[g]) % 2, _commutator(e, pw, {(g,): 1}, pars[g])
 
     # -- counting ------------------------------------------------------------
 
@@ -375,12 +348,10 @@ def rewrite_head_sign(i: int, parities) -> int:
 def rewrite_term_sign(i: int, a: int, parities) -> int:
     """Sign of the term [[[x_a..x_{i+1}]_r, [x_1..x_{a-2}]_l], x_{a-1}].
 
-    Valid for 2 <= a <= i+1; the two terms nearest the head carry their
-    own signs, the rest follow the general pattern.
+    Valid for 2 <= a <= i+1, the range its one caller passes; the two
+    terms nearest the head carry their own signs, the rest the general one.
     """
     p = lambda t: parities[t - 1]  # noqa: E731 - local shorthand
-    if not 2 <= a <= i + 1:
-        raise AlgebraError(f"term index {a} outside [2, {i + 1}]")
     if a == i + 1:
         return graded_sign(p(i + 1), p(i))
     if a == i:
@@ -416,21 +387,17 @@ def rewrite_identity_terms(i: int, parities) -> list[tuple[int, object]]:
         raise AlgebraError(f"need {i + 1} parities, got {len(parities)}")
 
     terms: list[tuple[int, object]] = []
-    terms.append(
-        (rewrite_head_sign(i, parities), node(left_normed_word(range(0, i)), leaf(i)))
-    )
+    terms.append((rewrite_head_sign(i, parities), (left_normed_word(range(0, i)), i)))
     for a in range(i + 1, 1, -1):
         right = right_normed_word(range(a - 1, i + 1))
         if a == 2:
             inner = right
         else:
-            inner = node(right, left_normed_word(range(0, a - 2)))
-        terms.append((rewrite_term_sign(i, a, parities), node(inner, leaf(a - 2))))
+            inner = (right, left_normed_word(range(0, a - 2)))
+        terms.append((rewrite_term_sign(i, a, parities), (inner, a - 2)))
     brace = rewrite_brace_coeff(i, parities)
     if brace:
-        terms.append(
-            (brace, node(left_normed_word(range(0, i - 1)), node(leaf(i - 1), leaf(i))))
-        )
+        terms.append((brace, (left_normed_word(range(0, i - 1)), (i - 1, i))))
     return terms
 
 
@@ -448,8 +415,8 @@ def rewrite_tensor_terms(i: int, parities) -> list[tuple[int, object, int]]:
             terms.append((coeff, u, v))
         else:
             a, b = v
-            terms.append((coeff, node(u, a), b))
-            terms.append((-coeff * graded_sign(parities[a], parities[b]), node(u, b), a))
+            terms.append((coeff, (u, a), b))
+            terms.append((-coeff * graded_sign(parities[a], parities[b]), (u, b), a))
     return terms
 
 

@@ -84,10 +84,6 @@ class FreePresentation:
     def __post_init__(self) -> None:
         self._cache: dict = {}
 
-    @property
-    def algebra(self) -> LieSuperalgebra:
-        return self.fbar.algebra
-
     def lift_into_gamma(self, v: dict, i: int) -> dict:
         """Some w in γ_i(fbar) with π(w) = v, as coefficients over fbar's
         basis; raises unless v lies in γ_i(target).
@@ -201,7 +197,7 @@ def schur_multiplier_hopf(L: LieSuperalgebra) -> MultiplierResult:
         L._cache["hopf"] = result
         return result
     pres = present(L)
-    A = pres.algebra
+    A = pres.fbar.algebra
     # a subset of reduced row-echelon rows is itself in that form
     comp = Subspace(A.dim, complement_rows(pres.relations, pres.relation_bracket))
     result = MultiplierResult(A.superdim(comp), comp.rows)
@@ -363,8 +359,8 @@ def bracket_map_residual(
     """Image of a tensor under the concrete lambda map, reduced modulo
     [γ_{i+1}(F)+R, F], as a sparse vector; an empty residual certifies
     kernel membership."""
-    A = pres.algebra
     f = pres.fbar
+    A = f.algebra
     total: dict = {}
     for (a, b), coeff in tensor.items():
         w_u = pres.lift_into_gamma(leg1_rows[a], i)

@@ -85,8 +85,6 @@ class ValidationReport:
         return not self.malformed and not self.violations
 
     def summary(self) -> str:
-        if self.ok:
-            return "ok"
         return "; ".join(self.malformed + self.violations)
 
 
@@ -134,9 +132,6 @@ class LieSuperalgebra:
         pivot below n_even are even, the rest odd."""
         even = sum(1 for p in S.pivots if p < self.n_even)
         return SuperDim(even, S.dim - even)
-
-    def parity(self, i: int) -> Parity:
-        return self.parities[i]
 
     def label_of(self, i: int) -> str:
         return self.basis_labels[i]

@@ -13,13 +13,16 @@ it.
 pair and triple, without `LieSuperalgebra.ad_support`, so tests that
 compare them with `validate` and `schur_multiplier_cohomology` check
 that the sparse loops skip only zero work.
+
+`subspace_intersect` gives the textbook numerator R ∩ F² of the Hopf
+formula, against which tests check that the package may take R itself.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
-from superschur.exactla import Subspace, axpy, subspace_sum
+from superschur.exactla import Subspace, axpy, kernel, subspace_sum
 from superschur.freenilp import GeneratorSpec, build_free_nilpotent
 from superschur.superalg import SuperDim, change_basis, graded_sign
 
@@ -118,6 +121,34 @@ def basis(S) -> tuple:
 def matrix_rank(m) -> int:
     """dense_rank of an exactla.Matrix."""
     return dense_rank([m.row(i) for i in range(m.rows)])
+
+
+def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:
+    """Intersection from the kernel of u's rows followed by w's.
+
+    A kernel vector (a, b) gives sum_i a_i u_i = -sum_j b_j w_j, a member
+    of both.  The rows of each are independent, so that member is zero
+    only when (a, b) is, and a kernel basis maps to a basis.
+    """
+    assert u.ambient_dim == w.ambient_dim
+    shared = []
+    for rel in kernel(u.rows + w.rows).rows:
+        v: dict = {}
+        for i, a in rel.items():
+            if i < u.dim:
+                axpy(v, a, u.rows[i])
+        shared.append(v)
+    return Subspace.span(shared, u.ambient_dim)
+
+
+def word_leaves(w) -> list[int]:
+    if isinstance(w, int):
+        return [w]
+    return word_leaves(w[0]) + word_leaves(w[1])
+
+
+def word_parity(w, parities) -> int:
+    return sum(parities[i] for i in word_leaves(w)) % 2
 
 
 def canonical_table(L):

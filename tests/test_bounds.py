@@ -25,6 +25,23 @@ def heis_plus_line():
     return direct_sum(heisenberg3(), abelian(1, 0, labels=["e4"]), name="heis3+A(1|0)")
 
 
+class TestInputGuards:
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ((1, 0, 0, 0, -1), "negative entry"),
+            ((1, 1, 2, 0, 2), "derived subalgebra larger than the algebra"),
+            ((0, 1, 0, 2, 2), "derived subalgebra larger than the algebra"),
+            ((2, 0, 2, 0, 2), "a nilpotent algebra needs a generator outside [L, L]"),
+            ((1, 1, 1, 1, 2), "a nilpotent algebra needs a generator outside [L, L]"),
+        ],
+    )
+    def test_bound_input_refuses(self, entries, message):
+        with pytest.raises(BoundError) as err:
+            BoundInput(*entries)
+        assert str(err.value) == message
+
+
 class TestAbelianClosedForm:
     def test_line(self):
         assert abelian_multiplier_dims(1, 0) == SuperDim(0, 0)

@@ -143,6 +143,15 @@ class TestDiagnostics:
             # the line is stripped before matching, so a blank right-hand
             # side never reaches the term reader
             (_record("[e1,e2] =   "), "line 3, column 1: cannot parse bracket line '[e1,e2] ='"),
+            # the column counts the raw line's indent, a tab as one character
+            (
+                "algebra a\neven e1\n      [e1 e1] = e1\nend\n",
+                "line 3, column 7: cannot parse bracket line '[e1 e1] = e1'",
+            ),
+            (
+                "algebra a\neven e1\n\t[e1 e1] = e1  # no comma\nend\n",
+                "line 3, column 2: cannot parse bracket line '[e1 e1] = e1'",
+            ),
             (_record("[e1,e2] = 1/0*e3"), "line 3: coefficient 1/0 has a zero denominator"),
             (
                 _record(f"[e1,e2] = {'1' * 5000}*e3"),
@@ -287,6 +296,23 @@ class TestCli:
         assert code == 0
         assert "parity_cases = 16" in out and "parity_cases = 32" in out
         assert "nonzero_residuals = 0" in out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["identity", "--arity-max", "2"], "error: --arity-max must be at least 3\n"),
+            (
+                ["free", "--even", "1", "--odd", "0", "--class", "0"],
+                "error: class bound must be at least 1\n",
+            ),
+        ],
+    )
+    def test_out_of_range_arguments_exit_1(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == message
 
     def test_identity_arity_above_the_limit_is_refused(self, capsys, monkeypatch):
         from superschur import cli as cli_mod

@@ -14,11 +14,10 @@ from superschur.exactla import (
     kernel,
     quotient_dim,
     rref,
-    subspace_intersect,
     subspace_sum,
 )
 
-from support import basis, dense, dense_rank, matrix_rank, sparse
+from support import basis, dense, dense_rank, matrix_rank, sparse, subspace_intersect
 
 F = Fraction
 
@@ -190,10 +189,10 @@ class TestSubspace:
 
     def test_sum_with_zero_is_the_other_operand(self):
         u = Subspace.span([sparse([1, 2, 3])], 3)
-        assert subspace_sum(u, Subspace.zero(3)) is u
-        assert subspace_sum(Subspace.zero(3), u) is u
+        assert subspace_sum(u, Subspace(3, ())) is u
+        assert subspace_sum(Subspace(3, ()), u) is u
         with pytest.raises(SubspaceError):
-            subspace_sum(Subspace.zero(2), u)
+            subspace_sum(Subspace(2, ()), u)
 
     def test_intersection_of_planes(self):
         u = Subspace.span([sparse([1, 0, 0]), sparse([0, 1, 0])], 3)
@@ -203,7 +202,7 @@ class TestSubspace:
     def test_intersection_with_full_and_zero(self):
         u = Subspace.span([sparse([1, 1, 0])], 3)
         assert subspace_intersect(u, Subspace.full(3)) == u
-        assert subspace_intersect(u, Subspace.zero(3)).dim == 0
+        assert subspace_intersect(u, Subspace(3, ())).dim == 0
 
     def test_ambient_mismatch(self):
         with pytest.raises(SubspaceError):
@@ -215,13 +214,22 @@ class TestSubspace:
         assert quotient_dim(u, w) == 2
         assert quotient_dim(u, u) == 0
         assert quotient_dim(Subspace.span([{i: F(1)} for i in range(5)], 5),
-                            Subspace.zero(5)) == 5
+                            Subspace(5, ())) == 5
 
     def test_quotient_containment_failure_carries_witness(self):
         u = Subspace.span([sparse([1, 0, 0])], 3)
         w = Subspace.span([sparse([0, 1, 0])], 3)
         with pytest.raises(SubspaceError, match="witness"):
             quotient_dim(u, w)
+
+    def test_witness_names_only_the_nonzero_entries(self):
+        u = Subspace.span([sparse([1, 0, 0, 0])], 4)
+        w = Subspace.span([sparse([0, 1, 0, F(-1, 2)])], 4)
+        with pytest.raises(SubspaceError) as err:
+            complement_rows(u, w)
+        assert str(err.value) == (
+            "quotient undefined: witness {1: 1, 3: -1/2} lies outside the numerator"
+        )
 
     def test_complement_rows(self):
         u = Subspace.full(3)

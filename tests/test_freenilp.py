@@ -13,18 +13,14 @@ from superschur.freenilp import (
     expand,
     free_superalgebra_degree_dims,
     hilbert_check,
-    leaf,
     left_normed_word,
-    node,
     rewrite_identity_terms,
     right_normed_word,
     rewrite_identity_residual,
     rewrite_tensor_terms,
-    word_degree,
-    word_parity,
 )
 from superschur.superalg import AlgebraError, SuperDim
-from support import dense, dense_rank
+from support import dense, dense_rank, word_leaves, word_parity
 
 F = Fraction
 
@@ -81,7 +77,7 @@ class TestWordConstructors:
         assert right_normed_word([0, 1, 2]) == (0, (1, 2))
 
     def test_degree_counts_leaves(self):
-        assert word_degree(((0, 1), (2, 3))) == 4
+        assert len(word_leaves(((0, 1), (2, 3)))) == 4
 
 
 class TestBuild:
@@ -255,7 +251,7 @@ class TestIntegerCoefficients:
         f = build_free_nilpotent(GeneratorSpec(1, 2, 4))
         pars = f.spec.parities
         for d in range(1, 5):
-            for w, e in f._candidates(d):
+            for w, _, e in f._candidates(d):
                 got = expand(w, pars)
                 assert got == e and _ints(got.values()) and _ints(e.values()), w
 
@@ -291,7 +287,7 @@ class TestIntegerCoefficients:
         sign = freenilp.rewrite_head_sign
         monkeypatch.setattr(freenilp, "rewrite_head_sign", lambda i, p: -sign(i, p))
         for parities in itertools.product((0, 1), repeat=i + 1):
-            head = node(left_normed_word(range(i)), leaf(i))
+            head = (left_normed_word(range(i)), i)
             want = {k: -2 * sign(i, parities) * c for k, c in expand(head, parities).items()}
             residual = rewrite_identity_residual(i, parities)
             assert residual and residual == want, parities
@@ -305,8 +301,8 @@ class TestTensorTerms:
         for parities in itertools.product((0, 1), repeat=i + 1):
             residual: dict = {}
             for coeff, u, k in rewrite_tensor_terms(i, parities):
-                assert word_degree(u) == i
-                axpy(residual, coeff, expand(node(u, leaf(k)), parities))
+                assert len(word_leaves(u)) == i
+                axpy(residual, coeff, expand((u, k), parities))
             assert residual == {}, (i, parities)
 
     def test_brace_term_folds_into_two_terms(self):
@@ -356,6 +352,12 @@ class TestEvalHom:
         with pytest.raises(AlgebraError, match="outside the target"):
             eval_hom(f, [unit(0), unit(-1)], h)
 
+    def test_wrong_number_of_images_rejected(self):
+        f = build_free_nilpotent(GeneratorSpec(2, 0, 2))
+        with pytest.raises(AlgebraError) as err:
+            eval_hom(f, [unit(0)], heisenberg3())
+        assert str(err.value) == "need 2 images, got 1"
+
     def test_class_violation_rejected(self):
         # a class-3 target cannot factor through a class-2 truncation
         from superschur.catalog import filiform4
@@ -378,7 +380,7 @@ class TestEvalHom:
         x, gen = map(int, re.search(r"basis pair (\d+),(\d+)", str(err.value)).groups())
         assert f.basis_degree(x) == 2
         assert gen in {f.generator_basis_index(t) for t in range(2)}
-        assert f.algebra.parity(gen) == 1
+        assert f.algebra.parities[gen] == 1
 
     def test_surjection_image_of_filtration_is_filtration(self):
         f = build_free_nilpotent(GeneratorSpec(2, 0, 3))

@@ -1,7 +1,8 @@
 """Source hygiene: every name a package module imports, every private
 module-level constant it defines and every parameter its functions take
-is used in it, and every dataclass field it declares is read somewhere
-in the package or its tests.
+is used in it, every dataclass field it declares is read somewhere in
+the package or its tests, and every function it defines is loaded by the
+package or the benchmark, not only by tests.
 
 Deletions tend to leave names behind (a helper's last caller goes, its
 import or its cached constant stays; a field's last reader goes, the
@@ -11,12 +12,14 @@ needs no linter.
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "superschur"
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -199,3 +202,80 @@ def test_the_check_sees_an_unquoted_catalog_error():
     )
     tests_text = "assert str(err) == 'quoted message'"
     assert unquoted_catalog_errors(source, tests_text) == ["'bad label ' (line 2)"]
+
+
+def loads(node: ast.AST) -> Counter:
+    """How often `node` loads each name, as `name` or as `x.name`."""
+    found: Counter = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            found[n.attr] += 1
+    return found
+
+
+def dotted_string_names(source: str) -> Counter:
+    """The parts of the dotted names that string constants in `source`
+    spell out, as in `"SparseEchelon.insert"`."""
+    found: Counter = Counter()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Constant) and isinstance(n.value, str):
+            if re.fullmatch(r"\w+(\.\w+)+", n.value):
+                found.update(n.value.split("."))
+    return found
+
+
+# Stated by PAPER.md (the abelian multiplier and the penultimate form of
+# the main bound), or the expansion the rewriting identity is checked against.
+KEPT_FOR_TESTS = {"expand", "abelian_multiplier_dims", "main_bound_penultimate"}
+
+
+def uncalled_definitions(source: str, loaded: Counter) -> list[str]:
+    """Functions, methods and properties in `source` that `loaded` holds
+    only as loads from their own bodies; dunders and KEPT_FOR_TESTS are exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        name = node.name
+        if re.fullmatch(r"__\w+__", name) or name in KEPT_FOR_TESTS:
+            continue
+        own = sum(loads(stmt)[name] for stmt in node.body)
+        if loaded[name] <= own:
+            found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def program_loads() -> Counter:
+    """Every load in the package and the benchmark, plus the dotted names
+    that the benchmark's span targets spell out."""
+    loaded: Counter = Counter()
+    for path in MODULES + sorted(PERFBENCH.glob("*.py")):
+        loaded.update(loads(ast.parse(path.read_text(encoding="utf-8"))))
+    loaded.update(dotted_string_names((PERFBENCH / "spans.py").read_text(encoding="utf-8")))
+    return loaded
+
+
+def test_every_definition_is_loaded_by_the_program():
+    loaded = program_loads()
+    found = [
+        f"{path.name}: {item}"
+        for path in MODULES
+        for item in uncalled_definitions(path.read_text(encoding="utf-8"), loaded)
+    ]
+    assert found == []
+
+
+def test_the_check_sees_an_uncalled_definition():
+    source = (
+        "def used():\n    return 1\n"
+        "def unused():\n    return used()\n"
+        "def depth(w):\n    return 1 if w is None else depth(w[0]) + 1\n"
+        "class C:\n    def __init__(self):\n        self.x = used()\n"
+        "    @property\n    def size(self):\n        return self.x\n"
+        "    def traced(self):\n        return 0\n"
+        "print(C().size)\n"
+    )
+    loaded = loads(ast.parse(source)) + dotted_string_names("T = ['C.traced']\n")
+    assert uncalled_definitions(source, loaded) == ["unused (line 3)", "depth (line 5)"]

@@ -21,7 +21,6 @@ from superschur.exactla import (
     complement_rows,
     kernel,
     quotient_dim,
-    subspace_intersect,
     subspace_sum,
 )
 from superschur.freenilp import (
@@ -46,7 +45,7 @@ from superschur.multiplier import (
     witness_terms,
 )
 from superschur.superalg import AlgebraError, SuperDim, change_basis, direct_sum
-from support import ReferenceEchelon, basis_changed, random_quotients
+from support import ReferenceEchelon, basis_changed, random_quotients, subspace_intersect
 
 F = Fraction
 
@@ -78,7 +77,7 @@ class TestPresent:
         p = present(heisenberg3())
         assert p.fbar.spec == GeneratorSpec(2, 0, 3)
         assert p.fbar.total_dims == SuperDim(5, 0)
-        assert p.algebra.superdim(p.relations) == SuperDim(2, 0)
+        assert p.fbar.algebra.superdim(p.relations) == SuperDim(2, 0)
         # R is exactly the degree->=3 filtration step here
         assert p.relations == p.fbar.gamma(3)
 
@@ -325,7 +324,7 @@ class TestLambdaKernel:
         rows = complement_rows(L.gamma(c), L.gamma(c + 1))
         tensor = {(0, 2): F(1)}
         base = bracket_map_residual(p, c, tensor, rows)
-        A = p.algebra
+        A = p.fbar.algebra
         den = p.bracket_ideal(c + 1)
         y_freedom = subspace_sum(p.fbar.gamma(2), p.relations)
 
@@ -452,7 +451,7 @@ class TestBracketWithFree:
     )
     def test_matches_all_pairs_product_space(self, L):
         p = present(L)
-        A = p.algebra
+        A = p.fbar.algebra
         c = L.nilpotency_class()
         ideals = [p.relations] + [
             subspace_sum(p.fbar.gamma(i), p.relations) for i in range(2, c + 1)
@@ -497,7 +496,7 @@ class TestPresentationInvariance:
             L = change_basis(heis_plus_line(), perm, [1] * 4)
             c = L.nilpotency_class()
             p = present(L)
-            A = p.algebra
+            A = p.fbar.algebra
             num = subspace_intersect(p.relations, p.fbar.gamma(2))
             den = A.product_space(p.relations, Subspace.full(A.dim))
             sn, sd = A.superdim(num), A.superdim(den)

@@ -78,6 +78,56 @@ class TestGradedSubspace:
             assert all(S.contains(part) for part in L.split(sparse(v)))
 
 
+class TestInputGuards:
+    @pytest.mark.parametrize(
+        "labels, parities, message",
+        [
+            (["e1", "e2"], [EVEN], "basis labels and parities differ in length"),
+            (["e1", "e2"], [EVEN, 2], "parities must be 0 (even) or 1 (odd)"),
+            (["e1", "e1"], [EVEN, ODD], "duplicate basis labels"),
+        ],
+    )
+    def test_constructor_refuses(self, labels, parities, message):
+        with pytest.raises(AlgebraError) as err:
+            LieSuperalgebra("bad", labels, parities, {})
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "perm, scales, message",
+        [
+            ((0, 0, 2), (1, 1, 1), "not a permutation"),
+            ((1, 0, 2), (1, 0, 1), "zero scale"),
+            ((0, 2, 1), (1, 1, 1), "permutation must preserve parity"),
+        ],
+    )
+    def test_change_basis_refuses(self, perm, scales, message):
+        L = LieSuperalgebra("m", ["e1", "e2", "f1"], [EVEN, EVEN, ODD], {})
+        with pytest.raises(AlgebraError) as err:
+            change_basis(L, perm, scales)
+        assert str(err.value) == message
+
+    def test_series_index_starts_at_1(self):
+        with pytest.raises(AlgebraError) as err:
+            heisenberg3().gamma(0)
+        assert str(err.value) == "series index starts at 1"
+
+    def test_parity_of_a_mixed_vector(self):
+        with pytest.raises(AlgebraError) as err:
+            sh01().parity_of({0: F(1), 1: F(1)})
+        assert str(err.value) == "vector is not homogeneous"
+
+    def test_index_of_an_unknown_label(self):
+        with pytest.raises(AlgebraError) as err:
+            heisenberg3().index_of("zz")
+        assert str(err.value) == "unknown basis label 'zz' in heis3"
+
+    def test_validate_flags_a_target_out_of_range(self):
+        bad = LieSuperalgebra("bad", ["e1", "e2", "e3"], [EVEN] * 3, {(0, 1): [(3, 1)]})
+        report = bad.validate()
+        assert report.malformed == ["bracket [e1,e2] targets index 3 out of range"]
+        assert report.violations == []
+
+
 class TestValidate:
     def test_heis3_is_valid(self):
         assert heisenberg3().validate().ok
@@ -228,9 +278,9 @@ class TestSeries:
             _assert_graded(L, S)
         if L.dim and L.is_nilpotent():
             p = present(L)
-            _assert_graded(p.algebra, p.relations)
+            _assert_graded(p.fbar.algebra, p.relations)
             for d in range(1, p.fbar.spec.class_bound + 2):
-                _assert_graded(p.algebra, p.fbar.gamma(d))
+                _assert_graded(p.fbar.algebra, p.fbar.gamma(d))
 
     def test_graded_quotient_dims_sum_to_total(self):
         for L in (heisenberg3(), filiform4(), sh01(), special_heisenberg_odd(2)):
@@ -348,7 +398,7 @@ class TestQuotient:
             e = [unit(i) for i in range(L.dim)]
             im = [project(proj, v) for v in e]
             for i in range(L.dim):
-                assert q.parity_of(im[i]) == L.parity(i) or not im[i]
+                assert q.parity_of(im[i]) == L.parities[i] or not im[i]
                 for j in range(L.dim):
                     assert project(proj, L.bracket(e[i], e[j])) == q.bracket(im[i], im[j]), (
                         f"{L.name} -> {q.name} at ({L.label_of(i)},{L.label_of(j)})"
