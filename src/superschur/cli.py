@@ -37,9 +37,9 @@ FORMATS = ("human", "json", "csv")
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_ASSERTION = 2
-# the sweeps to arity 8, 9 and 10 took 1.8, 9.7 and 53 s (whole command,
-# Python 3.11, one core of an Intel Xeon): each arity costs about five
-# times the one before
+# the sweeps to arity 8, 9 and 10 took 0.92, 3.5 and 12.3 s (whole command,
+# one run each, Python 3.11, one core of an Intel Xeon whose cores switch
+# speed): each arity costs about four times the one before
 IDENTITY_ARITY_MAX = 10
 # the cochain route eliminates one row per triple that touches a nonzero
 # bracket: free (2|1) class 6 has 67,581 such triples and class 7 has

@@ -15,12 +15,19 @@ and the rewriting identity's coefficients, are Python ints.
 back, structure constants from `express` and reduced row-echelon rows,
 is in Fractions, so bases, structure constants and subspaces stay exact
 rationals.
+
+The CLI's sweep of the bracket rewriting identity does not expand in
+the superalgebra: its words use each letter once, so it reads each
+term off the term's all-even expansion times Koszul signs (see
+`rewrite_identity_residual`).  The tests still expand the identity
+directly in the free associative superalgebra and compare.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .exactla import SparseEchelon, Subspace, axpy
@@ -47,6 +54,13 @@ def right_normed_word(indices) -> int | tuple:
     for i in reversed(indices[:-1]):
         w = (i, w)
     return w
+
+
+def word_leaves(w) -> list[int]:
+    """The leaves of w, left to right."""
+    if isinstance(w, int):
+        return [w]
+    return word_leaves(w[0]) + word_leaves(w[1])
 
 
 def word_label(w, labels) -> str:
@@ -420,17 +434,59 @@ def rewrite_tensor_terms(i: int, parities) -> list[tuple[int, object, int]]:
     return terms
 
 
+@cache
+def _even_expansion(w) -> dict[tuple[int, ...], int]:
+    """The expansion of w with every letter even, cached by word.
+
+    It holds nothing that depends on a parity pattern.  Its callers only
+    read the dict it hands out.  The rewriting identity's words depend on
+    the arity alone, i + 2 of them per arity, so the cache stays as small
+    as the arities swept (the CLI stops at `cli.IDENTITY_ARITY_MAX`).
+    """
+    return expand(w, (EVEN,) * (max(word_leaves(w)) + 1))
+
+
+def koszul_sign(letters, parities) -> int:
+    """(-1) to the number of out-of-order pairs of odd letters in `letters`."""
+    odd = [t for t in letters if parities[t]]
+    inversions = sum(a > b for k, a in enumerate(odd) for b in odd[k + 1 :])
+    return -1 if inversions % 2 else 1
+
+
 def rewrite_identity_residual(i: int, parities) -> dict:
     """Residual of the rewriting identity, expanded in the free associative
     superalgebra on i+1 generators with the given parities.  Empty dict
-    means the identity holds exactly.  The terms share their left-normed
-    heads and right-normed tails, so one memo serves them all."""
+    means the identity holds exactly.
+
+    Each term is read off its expansion with every letter even, by the
+    Koszul rule: for a bracket word w that uses each of its letters once,
+    and an associative word u,
+
+        expand(w, p)[u] = expand(w, even)[u] · κ_p(u) · κ_p(leaves(w)),
+
+    where κ_p(s) is `koszul_sign(s, p)`.  Proof: a monomial u of w's
+    expansion picks, at every inner node [A, B], either AB or BA.  Two
+    letters of w change their relative order between leaves(w) and u
+    exactly when u swaps their lowest common node.  The super expansion
+    differs from the even one by (-1)^{|A||B|} at each swapped node,
+    that is by (-1) per pair of odd letters that changed order.  With
+    distinct letters, a pair changed order exactly when it is out of
+    order in one of u and leaves(w) but not in the other, so the count's
+    parity is that of the out-of-order odd pairs of u plus those of
+    leaves(w).  (A repeated odd letter breaks the rule: [f, f] expands to
+    2ff, its even expansion to 0.)
+
+    Every term uses each of x_1..x_{i+1} once, so the residual is
+    κ_p(u) times the sum of coeff · κ_p(leaves(w)) · expand(w, even)
+    over the terms, at every u.  The even expansions are cached by word
+    and shared by all parity patterns; only the nonzero entries of that
+    sum need their sign.
+    """
     parities = tuple(int(p) % 2 for p in parities)
     residual: dict = {}
-    memo: dict = {}
     for coeff, word in rewrite_identity_terms(i, parities):
-        axpy(residual, coeff, _expansion(word, parities, memo)[0])
-    return residual
+        axpy(residual, coeff * koszul_sign(word_leaves(word), parities), _even_expansion(word))
+    return {u: koszul_sign(u, parities) * c for u, c in residual.items()}
 
 
 # -- evaluation homomorphisms ---------------------------------------------------

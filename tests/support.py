@@ -9,6 +9,11 @@ Fraction rows kept fully reduced against one another on every insert.
 Tests hold `SparseEchelon`'s acceptances, ranks, expressions and rows to
 it.
 
+`reference_identity_residual` is the rewriting identity's residual as
+the package computed it before the Koszul rule: every term expanded
+directly in the free associative superalgebra with the pattern's
+parities.  Tests hold `rewrite_identity_residual` to it.
+
 `reference_validation` and `reference_cohomology_dims` visit every basis
 pair and triple, without `LieSuperalgebra.ad_support`, so tests that
 compare them with `validate` and `schur_multiplier_cohomology` check
@@ -23,7 +28,13 @@ import random
 from fractions import Fraction
 
 from superschur.exactla import Subspace, axpy, kernel, subspace_sum
-from superschur.freenilp import GeneratorSpec, build_free_nilpotent
+from superschur.freenilp import (
+    GeneratorSpec,
+    build_free_nilpotent,
+    expand,
+    rewrite_identity_terms,
+    word_leaves,
+)
 from superschur.superalg import SuperDim, change_basis, graded_sign
 
 
@@ -141,10 +152,14 @@ def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:
     return Subspace.span(shared, u.ambient_dim)
 
 
-def word_leaves(w) -> list[int]:
-    if isinstance(w, int):
-        return [w]
-    return word_leaves(w[0]) + word_leaves(w[1])
+def reference_identity_residual(i: int, parities) -> dict:
+    """The signed sum of the rewriting identity's terms, each expanded
+    with the given parities."""
+    parities = tuple(int(p) % 2 for p in parities)
+    residual: dict = {}
+    for coeff, word in rewrite_identity_terms(i, parities):
+        axpy(residual, coeff, expand(word, parities))
+    return residual
 
 
 def word_parity(w, parities) -> int:

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superschur.catalog import heisenberg3, special_heisenberg_odd
 from superschur.exactla import SparseEchelon, axpy
@@ -13,14 +15,16 @@ from superschur.freenilp import (
     expand,
     free_superalgebra_degree_dims,
     hilbert_check,
+    koszul_sign,
     left_normed_word,
     rewrite_identity_terms,
     right_normed_word,
     rewrite_identity_residual,
     rewrite_tensor_terms,
+    word_leaves,
 )
 from superschur.superalg import AlgebraError, SuperDim
-from support import dense, dense_rank, word_leaves, word_parity
+from support import dense, dense_rank, reference_identity_residual, word_parity
 
 F = Fraction
 
@@ -67,6 +71,40 @@ class TestExpand:
             for k, c in rhs.items():
                 total[k] = total.get(k, F(0)) + sign * c
             assert not {k: c for k, c in total.items() if c}
+
+
+@st.composite
+def distinct_letter_words(draw):
+    """A full binary bracket word on the letters 0..n-1, each used once, in
+    a random shape and leaf order (n <= 7), with random parities."""
+    n = draw(st.integers(1, 7))
+    letters = draw(st.permutations(range(n)))
+
+    def build(lo, hi):
+        if hi - lo == 1:
+            return letters[lo]
+        mid = draw(st.integers(lo + 1, hi - 1))
+        return (build(lo, mid), build(mid, hi))
+
+    parities = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return build(0, n), parities
+
+
+class TestKoszulRule:
+    @given(distinct_letter_words())
+    @settings(max_examples=200, deadline=None)
+    def test_super_expansion_is_even_expansion_times_koszul_signs(self, case):
+        w, parities = case
+        even = expand(w, (0,) * len(parities))
+        sign = koszul_sign(word_leaves(w), parities)
+        want = {u: c * koszul_sign(u, parities) * sign for u, c in even.items()}
+        assert expand(w, parities) == want
+
+    def test_a_repeated_odd_letter_breaks_the_rule(self):
+        # why the free build keeps `_expansion`: its words repeat letters,
+        # and [f1, f1] = 2 f1 f1 has no even expansion to be signed from
+        assert expand((0, 0), (1,)) == {(0, 0): 2}
+        assert expand((0, 0), (0,)) == {}
 
 
 class TestWordConstructors:
@@ -234,6 +272,21 @@ class TestLemma31:
             got = {w: c for c, w in general}
             want = {w: c for c, w in terms if c}
             assert got == want
+
+    @pytest.mark.parametrize("flip", [None, "rewrite_head_sign", "rewrite_term_sign"])
+    @pytest.mark.parametrize("i", [2, 3, 4, 5, 6])
+    def test_matches_the_direct_super_expansion(self, i, flip, monkeypatch):
+        # with a sign flipped every residual is nonzero, so the signed
+        # entries are compared too, not only the empty dicts
+        from superschur import freenilp
+
+        if flip:
+            sign = getattr(freenilp, flip)
+            monkeypatch.setattr(freenilp, flip, lambda *args: -sign(*args))
+        for parities in itertools.product((0, 1), repeat=i + 1):
+            got = rewrite_identity_residual(i, parities)
+            assert got == reference_identity_residual(i, parities), parities
+            assert bool(got) == bool(flip) and _ints(got.values()), parities
 
     def test_low_arity_rejected(self):
         with pytest.raises(AlgebraError):
