@@ -164,7 +164,7 @@ def check_bound(L: LieSuperalgebra) -> BoundCheck:
         raise BoundError(
             f"{L.name}: theorem hypotheses not met (r+s=0, the algebra is abelian)"
         )
-    actual = schur_multiplier_hopf(L).dims
+    actual = schur_multiplier_hopf(L)
     rai = None
     if b.n == 0 and b.s == 0:
         rai = rai_bound(b.m, b.r, b.c)

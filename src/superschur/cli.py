@@ -41,10 +41,10 @@ EXIT_ASSERTION = 2
 # one run each, Python 3.11, one core of an Intel Xeon whose cores switch
 # speed): each arity costs about four times the one before
 IDENTITY_ARITY_MAX = 10
-# the cochain route eliminates one row per triple that touches a nonzero
-# bracket: free (2|1) class 6 has 67,581 such triples and class 7 has
-# 491,585, and the route takes 1.2-1.5 s and 33 s on them (Python 3.11, one
-# core of an Intel Xeon); free (3|3) class 4 has 266,285
+# the cochain route eliminates one row per triple touching a nonzero bracket:
+# free (2|1) class 6 has 67,581 and took 1.28 and 1.19 s, class 7 has 491,585
+# and took 34.1 s, free (3|3) class 4 has 266,285 (the route alone, one run
+# each, Python 3.11.7, one core of an Intel Xeon whose cores switch speed)
 COCHAIN_TRIPLES_MAX = 100_000
 
 
@@ -198,9 +198,9 @@ def cmd_multiplier(args) -> Report:
             records.append(rec)
             continue
         if args.method in ("hopf", "both"):
-            rec["multiplier_hopf"] = schur_multiplier_hopf(alg).dims
+            rec["multiplier_hopf"] = schur_multiplier_hopf(alg)
         if args.method in ("cohomology", "both"):
-            rec["multiplier_cohomology"] = schur_multiplier_cohomology(alg).dims
+            rec["multiplier_cohomology"] = schur_multiplier_cohomology(alg)
         if args.method == "both":
             agree = rec["multiplier_hopf"] == rec["multiplier_cohomology"]
             rec["methods_agree"] = agree

@@ -83,6 +83,40 @@ class Matrix:
         )
 
 
+def _reduce(rows: dict, v: dict) -> int:
+    """Clear v's entries at the pivots of `rows` (pivot -> integer row with
+    that pivot as its smallest key), in place and smallest first; returns
+    the positive integer s such that what is left of v is s times v, less
+    a combination of the rows."""
+    scale = 1
+    heap = [k for k in v if k in rows]
+    heapify(heap)
+    while heap:
+        p = heappop(heap)
+        b = v.get(p)
+        if b is None:
+            continue  # cleared since it was pushed
+        row = rows[p]
+        a = row[p]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            scale *= a
+            for k in v:
+                v[k] *= a
+        for k, c in row.items():
+            old = v.get(k)
+            if old is None:
+                v[k] = -b * c
+                if k in rows:
+                    heappush(heap, k)
+            elif nv := old - b * c:
+                v[k] = nv
+            else:
+                del v[k]
+    return scale
+
+
 class SparseEchelon:
     """Echelon rows of sparse keyed vectors, kept in integers.
 
@@ -106,43 +140,10 @@ class SparseEchelon:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, v: dict) -> int:
-        """Clear v's entries at stored pivots, in place and smallest first;
-        returns the positive integer s such that what is left of v is s
-        times v, less a member of the row space."""
-        rows = self._rows
-        scale = 1
-        heap = [k for k in v if k in rows]
-        heapify(heap)
-        while heap:
-            p = heappop(heap)
-            b = v.get(p)
-            if b is None:
-                continue  # cleared since it was pushed
-            row = rows[p]
-            a = row[p]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            if a != 1:
-                scale *= a
-                for k in v:
-                    v[k] *= a
-            for k, c in row.items():
-                old = v.get(k)
-                if old is None:
-                    v[k] = -b * c
-                    if k in rows:
-                        heappush(heap, k)
-                elif nv := old - b * c:
-                    v[k] = nv
-                else:
-                    del v[k]
-        return scale
-
     def insert(self, v: dict) -> bool:
         """Add v if it enlarges the row space; returns acceptance."""
         v, _ = _integral(v)
-        self._reduce(v)
+        _reduce(self._rows, v)
         if not v:
             return False
         pivot = min(v)
@@ -168,10 +169,22 @@ class SparseEchelon:
         only independent u_t appear and the expression is unique.
         """
         v, d = _integral(v)
-        d *= self._reduce(v)
+        d *= _reduce(self._rows, v)
         if v and min(v) < first_tag:
             return None
         return {t: Fraction(-c, d) for t, c in v.items()}
+
+    def relations(self, first_tag, position, n: int) -> "Subspace":
+        """{a : sum_j a_j u_j = 0}, a canonical subspace of Q^n, where u_j went
+        in with one tag t appended, position(t) = j, and first_tag sorts after
+        every real key and at or before every tag.
+
+        A row whose pivot is a tag has no real key, so its tags are a relation.
+        Each insertion stores a row (its tag is new), and the rows with a real
+        pivot number the rank of the u_j, so the tag-pivot rows are a basis.
+        """
+        rels = (row for p, row in self._rows.items() if p >= first_tag)
+        return Subspace.span(({position(t): c for t, c in r.items()} for r in rels), n)
 
     def rows(self) -> tuple[dict, ...]:
         """The reduced row-echelon basis of the row space, in pivot order:
@@ -179,22 +192,15 @@ class SparseEchelon:
         is 0 there.
 
         Back-substitution runs from the largest pivot down, in integers:
-        a finished row is kept as a numerator n with denominator n[pivot],
-        0 at every other pivot, so one pass clears a new row's pivots.
+        a finished row has a positive pivot and is 0 at every other
+        finished pivot, and all of those lie above the new row's pivot, so
+        `_reduce` against the finished rows clears them in one pass.
         """
         if self._rref is None:
             done: dict[Hashable, dict] = {}
             for p in sorted(self._rows, reverse=True):
                 row = dict(self._rows[p])
-                for q in [k for k in row if k in done]:
-                    num = done[q]
-                    a, b = num[q], row[q]
-                    g = gcd(a, b)
-                    a, b = a // g, b // g
-                    if a != 1:
-                        for k in row:
-                            row[k] *= a
-                    axpy(row, -b, num)
+                _reduce(done, row)
                 g = gcd(*row.values())
                 done[p] = {k: c // g for k, c in row.items()} if g != 1 else row
             self._rref = tuple(
@@ -218,18 +224,13 @@ def kernel(columns: Sequence[dict]) -> "Subspace":
     """{a : sum_j a_j columns[j] = 0}, a canonical subspace of Q^len(columns).
 
     Columns are sparse vectors with mutually comparable keys.  Column j
-    goes in keyed (0, k), with the tag (1, j) appended, in one pass.  A
-    row whose pivot is a tag has no real key, so its tags are a kernel
-    vector; there is one such row per column that the others span, so
-    they are a basis of the kernel.
+    goes in keyed (0, k), with the tag (1, j) appended, in one pass, and
+    `SparseEchelon.relations` reads the kernel off the rows.
     """
     ech = SparseEchelon()
     for j, col in enumerate(columns):
         ech.insert({**{(0, k): c for k, c in col.items()}, (1, j): 1})
-    return Subspace.span(
-        ({j: c for (_, j), c in row.items()} for p, row in ech._rows.items() if p[0] == 1),
-        len(columns),
-    )
+    return ech.relations((1,), lambda t: t[1], len(columns))
 
 
 @dataclass(frozen=True)
@@ -293,11 +294,12 @@ class Subspace:
     def contains(self, v: dict) -> bool:
         return not self.reduce(v)
 
-    def coords(self, v: dict) -> tuple[Fraction, ...] | None:
-        """Coefficients of v over the rows (its pivot entries), or None if outside."""
+    def coords(self, v: dict) -> dict | None:
+        """Coefficients of v over the rows (its pivot entries), keyed by row
+        position and nonzero only, or None if v lies outside."""
         if self.reduce(v):
             return None
-        return tuple(Fraction(v.get(p, 0)) for p in self.pivots)
+        return {r: Fraction(v[p]) for r, p in enumerate(self.pivots) if v.get(p)}
 
 
 def _same_ambient(u: Subspace, w: Subspace) -> None:

@@ -8,7 +8,7 @@ is minimal, so R ⊆ F² and the numerator is R itself (proof in
 γ_{c+2}(F) ⊆ [R, F], so every quotient appearing here - the multiplier
 itself and the bracket quotients [γ_i(F)+R, F]/[γ_{i+1}(F)+R, F] - is
 untouched by dividing out γ_{c+2}(F).  Each [γ_i(F)+R, F] is
-γ_{i+1}(F) + [R, F] (see `FreePresentation.bracket_ideal`), so one
+γ_{i+1}(F) + [R, F] (see `FreePresentation.bracket_ideals`), so one
 product, [R, F], serves the multiplier and every bracket quotient.
 
 The cross-check route counts graded-skew 2-cochains that extend the
@@ -31,7 +31,6 @@ from .exactla import (
     Subspace,
     axpy,
     complement_rows,
-    kernel,
     quotient_dim,
     rref,
     subspace_sum,
@@ -59,12 +58,6 @@ _ONE = Fraction(1)
 
 
 @dataclass
-class MultiplierResult:
-    dims: SuperDim
-    witnesses: tuple[dict, ...] | None = None
-
-
-@dataclass
 class FreePresentation:
     """A surjection from a truncated free superalgebra onto the target.
 
@@ -72,7 +65,9 @@ class FreePresentation:
     generator counts, `pi` is the list of columns of the evaluation on
     the chosen homogeneous lifts (`eval_hom`), and `relations` is the
     graded kernel R of `pi`, which lies in γ₂(F) and contains
-    γ_{c+1}(F) (see `present`).
+    γ_{c+1}(F) (see `present`).  `columns` is π's one elimination, each
+    column tagged above the target's coordinates; `column_of` maps a tag
+    to its basis index of fbar, in the order the columns went in.
     """
 
     target: LieSuperalgebra
@@ -80,34 +75,24 @@ class FreePresentation:
     pi: list[dict]
     relations: Subspace
     lift_indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        self._cache: dict = {}
+    columns: SparseEchelon
+    column_of: dict[int, int]
 
     def lift_into_gamma(self, v: dict, i: int) -> dict:
         """Some w in γ_i(fbar) with π(w) = v, as coefficients over fbar's
         basis; raises unless v lies in γ_i(target).
 
-        One echelon serves every i: π's columns go in by decreasing
-        degree (a stable sort), tagged above the target's coordinates,
-        later columns taking smaller tags.  π(γ_i(F)) = γ_i(L), so the
-        independent columns of degree >= i span γ_i(L), and `express`
-        uses independent columns only: v in γ_i(L) has exactly one such
-        expression, and it uses only columns of degree >= i.  Two lifts
-        differ by some r in R ∩ γ_i(F), and [r, g] lies in [R, F] ⊆
-        [γ_{i+1}(F)+R, F], so no reduced residual depends on the lift.
+        The columns went in by decreasing degree, later ones taking smaller
+        tags, so `express` uses independent columns only.  π(γ_i(F)) =
+        γ_i(L), so the independent columns of degree >= i span γ_i(L): v in
+        γ_i(L) has exactly one expression, and it uses only columns of
+        degree >= i.  Two lifts differ by some r in R ∩ γ_i(F), and [r, g]
+        lies in [R, F] ⊆ [γ_{i+1}(F)+R, F], so no reduced residual depends
+        on the lift.
         """
         f = self.fbar
-        top = self.target.dim + f.dim  # the tag of the column put in first
-        if "lift" not in self._cache:
-            order = sorted(range(f.dim), key=f.basis_degree, reverse=True)
-            ech = SparseEchelon()
-            for pos, idx in enumerate(order):
-                ech.insert({**self.pi[idx], top - pos: 1})
-            self._cache["lift"] = (ech, order)
-        ech, order = self._cache["lift"]
-        coeffs = ech.express(v, self.target.dim)
-        lift = {order[top - t]: c for t, c in (coeffs or {}).items()}
+        coeffs = self.columns.express(v, self.target.dim)
+        lift = {self.column_of[t]: c for t, c in (coeffs or {}).items()}
         if coeffs is None or any(f.basis_degree(idx) < i for idx in lift):
             raise AlgebraError("element does not lift into the requested filtration step")
         return lift
@@ -117,14 +102,14 @@ class FreePresentation:
         """[R, F], the one product with F that the presentation forms."""
         return bracket_with_free(self.fbar, self.relations)
 
-    def bracket_ideal(self, i: int) -> Subspace:
-        """[γ_i(F) + R, F] = γ_{i+1}(F) + [R, F] inside fbar, for 2 <= i <= c+1:
-        the bracket is bilinear and [γ_i(F), F] = γ_{i+1}(F) is the degree
-        filtration `FreeNilpotentSuperalgebra.gamma`, zero from c+2 on."""
-        key = ("ideal", i)
-        if key not in self._cache:
-            self._cache[key] = subspace_sum(self.fbar.gamma(i + 1), self.relation_bracket)
-        return self._cache[key]
+    @cached_property
+    def bracket_ideals(self) -> dict[int, Subspace]:
+        """[γ_i(F) + R, F] = γ_{i+1}(F) + [R, F] inside fbar, keyed by i for
+        2 <= i <= c+1: the bracket is bilinear and [γ_i(F), F] = γ_{i+1}(F)
+        is the degree filtration `FreeNilpotentSuperalgebra.gamma`, zero
+        from c+2 on."""
+        f, rf = self.fbar, self.relation_bracket
+        return {i: subspace_sum(f.gamma(i + 1), rf) for i in range(2, f.spec.class_bound + 1)}
 
 
 def bracket_with_free(f: FreeNilpotentSuperalgebra, ideal: Subspace) -> Subspace:
@@ -170,19 +155,27 @@ def present(L: LieSuperalgebra) -> FreePresentation:
     lifts = L.generator_lift_indices()
     images = [{t: _ONE} for t in lifts]
     pi = eval_hom(f, images, L)
-    # the one dense Matrix left; it goes with `rref` (ROADMAP item 2)
+    # the one dense Matrix left, kept while perfbench's spans wrap `rref` and
+    # `Matrix.mul_vec` and its tests expect `rref` in a Hopf run (ROADMAP item 1)
     dense = Matrix(L.dim, f.dim, tuple(c.get(r, 0) for r in range(L.dim) for c in pi))
     _, rank = rref(dense)
     if rank != L.dim:
         raise AlgebraError(
             f"chosen lifts fail to generate {L.name} (closure has rank {rank})"
         )
-    pres = FreePresentation(L, f, pi, kernel(pi), tuple(lifts))
+    # by decreasing degree (a stable sort), later columns taking smaller tags
+    order = sorted(range(f.dim), key=f.basis_degree, reverse=True)
+    column_of = {L.dim + f.dim - s: idx for s, idx in enumerate(order)}
+    columns = SparseEchelon()
+    for t, idx in column_of.items():
+        columns.insert({**pi[idx], t: 1})
+    relations = columns.relations(L.dim, column_of.__getitem__, f.dim)
+    pres = FreePresentation(L, f, pi, relations, tuple(lifts), columns, column_of)
     L._cache["presentation"] = pres
     return pres
 
 
-def schur_multiplier_hopf(L: LieSuperalgebra) -> MultiplierResult:
+def schur_multiplier_hopf(L: LieSuperalgebra) -> SuperDim:
     """(R ∩ F²)/[R, F] over the truncated free presentation, graded.
 
     The presentation is minimal, so R ⊆ F² (proof in `present`) and the
@@ -193,19 +186,16 @@ def schur_multiplier_hopf(L: LieSuperalgebra) -> MultiplierResult:
     L.require_valid()
     L.nilpotency_class()
     if L.dim == 0:
-        result = MultiplierResult(SuperDim(0, 0), ())
-        L._cache["hopf"] = result
-        return result
+        return SuperDim(0, 0)
     pres = present(L)
     A = pres.fbar.algebra
     # a subset of reduced row-echelon rows is itself in that form
     comp = Subspace(A.dim, complement_rows(pres.relations, pres.relation_bracket))
-    result = MultiplierResult(A.superdim(comp), comp.rows)
-    L._cache["hopf"] = result
-    return result
+    L._cache["hopf"] = A.superdim(comp)
+    return L._cache["hopf"]
 
 
-def schur_multiplier_cohomology(L: LieSuperalgebra) -> MultiplierResult:
+def schur_multiplier_cohomology(L: LieSuperalgebra) -> SuperDim:
     """Multiplier dimensions via one-dimensional central extensions.
 
     A graded-skew 2-cochain c of parity sigma (nonzero only on pairs
@@ -245,10 +235,10 @@ def schur_multiplier_cohomology(L: LieSuperalgebra) -> MultiplierResult:
                     row[(t, x)] = row.get((t, x), 0) - sign * graded_sign(p[x], p[t]) * c
         cocycle_rank[sigma].insert(row)
     cob = L.superdim(Subspace.span((table[pair] for pair in L.nonzero_pairs()), L.dim))
-    return MultiplierResult(SuperDim(
+    return SuperDim(
         coords[EVEN] - cocycle_rank[EVEN].rank - cob.even,
         coords[ODD] - cocycle_rank[ODD].rank - cob.odd,
-    ))
+    )
 
 
 # -- bracket quotients and the lambda maps -------------------------------------
@@ -263,7 +253,7 @@ def _check_step(L: LieSuperalgebra, i: int) -> None:
 def bracket_quotient_dim(pres: FreePresentation, i: int) -> int:
     """dim [γ_i(F)+R, F] / [γ_{i+1}(F)+R, F]; at i = c the denominator is [R, F]."""
     _check_step(pres.target, i)
-    return quotient_dim(pres.bracket_ideal(i), pres.bracket_ideal(i + 1))
+    return quotient_dim(pres.bracket_ideals[i], pres.bracket_ideals[i + 1])
 
 
 def bracket_map_kernel_dim(L: LieSuperalgebra, i: int) -> int:
@@ -294,9 +284,10 @@ class WitnessTensor:
     in_kernel: bool
 
 
-def _leg1_coords(L: LieSuperalgebra, i: int, v: dict) -> list[Fraction]:
+def _leg1_coords(L: LieSuperalgebra, i: int, v: dict) -> dict:
     """Coordinates of v's class over the representatives of γ_i/γ_{i+1}
-    that `complement_rows(γ_i, γ_{i+1})` returns (γ_{c+1} is zero).
+    that `complement_rows(γ_i, γ_{i+1})` returns (γ_{c+1} is zero), keyed
+    by representative position and nonzero only.
 
     γ_{i+1}.reduce(v) is v modulo γ_{i+1} with γ_{i+1}'s pivot entries
     cleared, so over γ_i's rows its coordinates (its pivot entries) are
@@ -307,7 +298,8 @@ def _leg1_coords(L: LieSuperalgebra, i: int, v: dict) -> list[Fraction]:
     if coords is None:
         raise AlgebraError("element lies outside the filtration step")
     skip = set(gnext.pivots)
-    return [c for c, p in zip(coords, gi.pivots) if p not in skip]
+    reps = (r for r, p in enumerate(gi.pivots) if p not in skip)
+    return {a: coords[r] for a, r in enumerate(reps) if r in coords}
 
 
 def witness_terms(L: LieSuperalgebra, xs, i: int) -> list[tuple[Fraction, dict, int]]:
@@ -347,7 +339,7 @@ def witness_tensor(L: LieSuperalgebra, i: int, positions) -> WitnessTensor:
     tensor: dict[tuple[int, int], Fraction] = {}
     for coeff, val, k in witness_terms(L, xs, i):
         coords = _leg1_coords(L, i, val)
-        axpy(tensor, coeff, {(a, pos[k]): ca for a, ca in enumerate(coords)})
+        axpy(tensor, coeff, {(a, pos[k]): ca for a, ca in coords.items()})
     rows = complement_rows(L.gamma(i), L.gamma(i + 1))
     residual = bracket_map_residual(pres, i, tensor, rows)
     return WitnessTensor(tensor=tensor, nonzero=bool(tensor), in_kernel=not residual)
@@ -366,7 +358,7 @@ def bracket_map_residual(
         w_u = pres.lift_into_gamma(leg1_rows[a], i)
         w_y = {f.generator_basis_index(b): _ONE}
         axpy(total, coeff, A.bracket(w_u, w_y))
-    return pres.bracket_ideal(i + 1).reduce(total)
+    return pres.bracket_ideals[i + 1].reduce(total)
 
 
 def witness_tuple_positions(L: LieSuperalgebra, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -409,9 +401,9 @@ def verify_top_step_identity(L: LieSuperalgebra) -> IdentityReport:
         raise AlgebraError("identity needs nilpotency class at least 2")
     pres = present(L)
     gc = L.gamma(c).dim
-    m_l = schur_multiplier_hopf(L).dims.total
+    m_l = schur_multiplier_hopf(L).total
     q, _ = L.quotient(L.gamma(c), name=f"{L.name}/g{c}")
-    m_q = schur_multiplier_hopf(q).dims.total
+    m_q = schur_multiplier_hopf(q).total
     bq = bracket_quotient_dim(pres, c)
     return IdentityReport(
         lhs=gc + m_l,
@@ -430,11 +422,11 @@ def verify_telescoped_identity(L: LieSuperalgebra) -> IdentityReport:
     c = L.nilpotency_class()
     if c < 2:
         raise AlgebraError("identity needs nilpotency class at least 2")
-    m_l = schur_multiplier_hopf(L).dims.total
+    m_l = schur_multiplier_hopf(L).total
     g2 = L.gamma(2).dim
     cogen = L.dim - g2
     q, _ = L.quotient(L.gamma(2), name=f"{L.name}/g2")
-    m_ab = schur_multiplier_hopf(q).dims.total
+    m_ab = schur_multiplier_hopf(q).total
     kernels = {i: bracket_map_kernel_dim(L, i) for i in range(2, c + 1)}
     return IdentityReport(
         lhs=m_l,

@@ -19,6 +19,11 @@ pair and triple, without `LieSuperalgebra.ad_support`, so tests that
 compare them with `validate` and `schur_multiplier_cohomology` check
 that the sparse loops skip only zero work.
 
+`gl_changed` is a dense change of basis: where `basis_changed` only
+permutes and rescales, it mixes basis vectors of one parity, so the
+copy's sparsity pattern, generator lifts and degree gradings differ
+from the original's.
+
 `subspace_intersect` gives the textbook numerator R ∩ F² of the Hopf
 formula, against which tests check that the package may take R itself.
 """
@@ -27,7 +32,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from superschur.exactla import Subspace, axpy, kernel, subspace_sum
+from superschur.exactla import SparseEchelon, Subspace, axpy, kernel, subspace_sum
 from superschur.freenilp import (
     GeneratorSpec,
     build_free_nilpotent,
@@ -35,7 +40,7 @@ from superschur.freenilp import (
     rewrite_identity_terms,
     word_leaves,
 )
-from superschur.superalg import SuperDim, change_basis, graded_sign
+from superschur.superalg import LieSuperalgebra, SuperDim, change_basis, graded_sign
 
 
 def dense_rank(rows) -> int:
@@ -180,6 +185,39 @@ def basis_changed(L, seed):
     rng.shuffle(od)
     scales = [Fraction(rng.choice([1, 2, -1, Fraction(1, 2)])) for _ in range(L.dim)]
     return change_basis(L, ev + od, scales)
+
+
+def gl_changed(L, seed):
+    """A seeded dense change_basis copy of L: b'_a is b_i plus small integer
+    multiples of the earlier basis vectors of b_i's parity (a unitriangular
+    matrix within each parity), listed in a shuffled order within each
+    parity.  Catalog bases list generators first, so the copy's
+    commutators carry generator components.
+
+    The table is read off `L.bracket` of the new vectors, expressed over
+    them by a `SparseEchelon` with one tag per new vector.
+    """
+    rng = random.Random(seed)
+    n = L.dim
+    new = []
+    for block in (range(L.n_even), range(L.n_even, n)):
+        vecs = [
+            {i: 1, **{j: c for j in block if j < i if (c := rng.randint(-2, 2))}}
+            for i in block
+        ]
+        rng.shuffle(vecs)
+        new += vecs
+    ech = SparseEchelon()
+    for a, v in enumerate(new):
+        ech.insert({**v, n + a: 1})
+    table = {}
+    for a in range(n):
+        for b in range(a, n):
+            coeffs = ech.express(L.bracket(new[a], new[b]), n)
+            if coeffs:
+                table[(a, b)] = sorted((t - n, c) for t, c in coeffs.items())
+    labels = [f"g{a + 1}" for a in range(n)]
+    return LieSuperalgebra(f"{L.name}~gl", labels, L.parities, table)
 
 
 def random_quotients(count):

@@ -55,7 +55,7 @@ class TestAbelianClosedForm:
     @pytest.mark.parametrize("m", range(5))
     @pytest.mark.parametrize("n", range(5))
     def test_agrees_with_computed_multiplier(self, m, n):
-        assert abelian_multiplier_dims(m, n) == schur_multiplier_hopf(abelian(m, n)).dims
+        assert abelian_multiplier_dims(m, n) == schur_multiplier_hopf(abelian(m, n))
 
 
 class TestMainBound:

@@ -16,7 +16,6 @@ from superschur.catalog import (
 )
 from superschur.cli import main
 from superschur.freenilp import GeneratorSpec, build_free_nilpotent
-from superschur.multiplier import MultiplierResult
 from superschur.superalg import EVEN, LieSuperalgebra, SuperDim
 from support import canonical_table
 
@@ -375,7 +374,7 @@ class TestCli:
         calls = []
         monkeypatch.setattr(cli_mod, "COCHAIN_TRIPLES_MAX", count)
         monkeypatch.setattr(
-            cli_mod, "schur_multiplier_cohomology", lambda L: calls.append(L.name) or MultiplierResult(SuperDim(2, 0))
+            cli_mod, "schur_multiplier_cohomology", lambda L: calls.append(L.name) or SuperDim(2, 0)
         )
         code = main(["multiplier", "--algebra", "heis3", "--method", "cohomology"])
         assert code == 0 and calls == ["heis3"]
@@ -577,7 +576,7 @@ class TestCli:
 
         # heis3's multiplier is (2|0) and its main bound 2
         monkeypatch.setattr(
-            superschur.bounds, "schur_multiplier_hopf", lambda L: MultiplierResult(SuperDim(9, 0))
+            superschur.bounds, "schur_multiplier_hopf", lambda L: SuperDim(9, 0)
         )
         code = main(["--format", fmt, "bounds", "--algebra", "heis3"])
         out = capsys.readouterr().out
@@ -593,12 +592,11 @@ class TestCli:
 
     def test_method_disagreement_prints_both_and_exits_2(self, capsys, monkeypatch):
         from superschur import cli as cli_mod
-        from superschur.multiplier import MultiplierResult
 
         monkeypatch.setattr(
             cli_mod,
             "schur_multiplier_cohomology",
-            lambda L: MultiplierResult(SuperDim(9, 9)),
+            lambda L: SuperDim(9, 9),
         )
         code = main(["multiplier", "--algebra", "heis3", "--method", "both"])
         out = capsys.readouterr().out
@@ -616,5 +614,5 @@ class TestCli:
                      "--method", "hopf"])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
-        direct = schur_multiplier_hopf(heisenberg3()).dims
+        direct = schur_multiplier_hopf(heisenberg3())
         assert out["results"][0]["multiplier_hopf"] == str(direct)

@@ -290,8 +290,11 @@ def test_intersection_members_lie_in_both(pair):
         assert u.contains(sv) == (not red) == inside
         coords = u.coords(sv)
         if inside:
+            # sparse: nonzero coefficients only, keyed by row position
+            assert all(coords.values()) and set(coords) <= set(range(u.dim))
             combo = [F(0)] * u.ambient_dim
-            for c, row in zip(coords, basis(u)):
+            for r, row in enumerate(basis(u)):
+                c = coords.get(r, F(0))
                 combo = [x + c * y for x, y in zip(combo, row)]
             assert tuple(combo) == v
         else:

@@ -6,7 +6,14 @@ of `check`, `invariants`, `multiplier --method both`, `bounds` and
 `verify` on the shipped catalog, and of `free --even 2 --odd 1 --class 4
 --hilbert` and `identity --arity-max 4`, each in human, json and csv.
 
-Regenerate the files with
+`presentations.cat` is data: the seed-1 scrambled `sh(0|4..6)` and
+free (p|q) class-4 targets (p+q = 3) of the benchmark's `hopf-ladder`
+and `large-algebras` workloads, rendered once with `render_catalog`.
+Their free presentations are large and their bases permuted and
+rescaled, so `multiplier --method both` and `verify` are also pinned on
+it, in json.
+
+Regenerate the report files (not the catalog) with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -37,10 +44,14 @@ COMMANDS = {
     "free": ["free", "--even", "2", "--odd", "1", "--class", "4", "--hilbert"],
     "identity": ["identity", "--arity-max", "4"],
 }
+PRESENTATIONS = str(GOLDEN_DIR / "presentations.cat")
 CASES = [
     (f"{name}.{EXTENSIONS[fmt]}", ["--format", fmt] + argv)
     for name, argv in COMMANDS.items()
     for fmt in FORMATS
+] + [
+    (f"presentations_{name}.json", ["--format", "json"] + COMMANDS[name] + [PRESENTATIONS])
+    for name in ("multiplier", "verify")
 ]
 
 
