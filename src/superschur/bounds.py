@@ -53,12 +53,6 @@ class BoundInput:
         return self.m + self.n - self.r - self.s
 
 
-def abelian_multiplier_dims(m: int, n: int) -> SuperDim:
-    """Closed-form multiplier of the abelian algebra A(m|n); its even part
-    (m(m-1) + n(n+1)) / 2 is exact, as each product is of consecutive integers."""
-    return SuperDim((m * (m - 1) + n * (n + 1)) // 2, m * n)
-
-
 def main_bound(b: BoundInput) -> int:
     """1/2[(m+n-r-s)(m+n+r+s) + (n-m-r-3s)] - sum_{i=2}^{l} (m+n-r-s-i),
     with l = min(c, m+n-r-s).  The bracketed part is even: d = m+n-r-s and

@@ -302,23 +302,6 @@ class Subspace:
         return {r: Fraction(v[p]) for r, p in enumerate(self.pivots) if v.get(p)}
 
 
-def _same_ambient(u: Subspace, w: Subspace) -> None:
-    if u.ambient_dim != w.ambient_dim:
-        raise SubspaceError(
-            f"ambient dimensions differ: {u.ambient_dim} vs {w.ambient_dim}"
-        )
-
-
-def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
-    """u + w; when one operand is zero, the other itself."""
-    _same_ambient(u, w)
-    if not u.rows:
-        return w
-    if not w.rows:
-        return u
-    return Subspace.span(u.rows + w.rows, u.ambient_dim)
-
-
 def complement_rows(u: Subspace, w: Subspace) -> tuple[dict, ...]:
     """The rows of u off w's pivots: a basis of a complement of w in u.
 
@@ -327,7 +310,8 @@ def complement_rows(u: Subspace, w: Subspace) -> tuple[dict, ...]:
     members), and a nonzero combination of the returned rows has its
     smallest key at one of their pivots, which no nonzero member of w has.
     """
-    _same_ambient(u, w)
+    if u.ambient_dim != w.ambient_dim:
+        raise SubspaceError(f"ambient dimensions differ: {u.ambient_dim} vs {w.ambient_dim}")
     for row in w.rows:
         if u.reduce(row):
             witness = ", ".join(f"{k}: {c}" for k, c in sorted(row.items()))
@@ -336,8 +320,3 @@ def complement_rows(u: Subspace, w: Subspace) -> tuple[dict, ...]:
             )
     wp = set(w.pivots)
     return tuple(row for row, p in zip(u.rows, u.pivots) if p not in wp)
-
-
-def quotient_dim(u: Subspace, w: Subspace) -> int:
-    """dim(u/w); raises with a witness vector when w is not inside u."""
-    return len(complement_rows(u, w))

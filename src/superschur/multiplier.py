@@ -8,8 +8,8 @@ is minimal, so R ⊆ F² and the numerator is R itself (proof in
 γ_{c+2}(F) ⊆ [R, F], so every quotient appearing here - the multiplier
 itself and the bracket quotients [γ_i(F)+R, F]/[γ_{i+1}(F)+R, F] - is
 untouched by dividing out γ_{c+2}(F).  Each [γ_i(F)+R, F] is
-γ_{i+1}(F) + [R, F] (see `FreePresentation.bracket_ideals`), so one
-product, [R, F], serves the multiplier and every bracket quotient.
+γ_{i+1}(F) + [R, F], read off [R, F]'s pivots (see `bracket_quotient_dim`),
+so one product, [R, F], serves the multiplier and every bracket quotient.
 
 The cross-check route counts graded-skew 2-cochains that extend the
 algebra by a one-dimensional center (even or odd), modulo the cochains
@@ -31,9 +31,7 @@ from .exactla import (
     Subspace,
     axpy,
     complement_rows,
-    quotient_dim,
     rref,
-    subspace_sum,
 )
 from .freenilp import (
     FreeNilpotentSuperalgebra,
@@ -102,14 +100,20 @@ class FreePresentation:
         """[R, F], the one product with F that the presentation forms."""
         return bracket_with_free(self.fbar, self.relations)
 
-    @cached_property
-    def bracket_ideals(self) -> dict[int, Subspace]:
-        """[γ_i(F) + R, F] = γ_{i+1}(F) + [R, F] inside fbar, keyed by i for
-        2 <= i <= c+1: the bracket is bilinear and [γ_i(F), F] = γ_{i+1}(F)
-        is the degree filtration `FreeNilpotentSuperalgebra.gamma`, zero
-        from c+2 on."""
-        f, rf = self.fbar, self.relation_bracket
-        return {i: subspace_sum(f.gamma(i + 1), rf) for i in range(2, f.spec.class_bound + 1)}
+    def bracket_ideal_residual(self, v: dict, i: int) -> dict:
+        """v modulo [γ_i(F)+R, F] = γ_{i+1}(F) + [R, F]: the part of degree
+        <= i of `relation_bracket.reduce(v)`, empty exactly when v lies in it.
+
+        π keeps parity, so [R, F] is graded and each of its reduced rows lies
+        in one parity block, where fbar's basis runs by degree: a row's pivot
+        is its lowest degree.  r = reduce(v) is v less a member of [R, F],
+        and 0 at every pivot.  If r - g = Σ a_p row_p with g in γ_{i+1}(F),
+        then at a pivot p of degree <= i, a_p is r's entry (g has none), 0;
+        so only rows inside γ_{i+1}(F) take part, and r lies in it.  The part
+        is linear and vanishes on [R, F] and on γ_{i+1}(F): a canonical remainder.
+        """
+        deg = self.fbar.basis_degree
+        return {k: c for k, c in self.relation_bracket.reduce(v).items() if deg(k) <= i}
 
 
 def bracket_with_free(f: FreeNilpotentSuperalgebra, ideal: Subspace) -> Subspace:
@@ -251,9 +255,18 @@ def _check_step(L: LieSuperalgebra, i: int) -> None:
 
 
 def bracket_quotient_dim(pres: FreePresentation, i: int) -> int:
-    """dim [γ_i(F)+R, F] / [γ_{i+1}(F)+R, F]; at i = c the denominator is [R, F]."""
+    """dim [γ_i(F)+R, F] / [γ_{i+1}(F)+R, F]; at i = c the denominator is [R, F].
+
+    [γ_j(F)+R, F] = γ_{j+1}(F) + [R, F] has dimension dim γ_{j+1}(F) plus
+    the number of [R, F]'s pivots of degree <= j: a row of [R, F] has its
+    pivot at its lowest degree (`FreePresentation.bracket_ideal_residual`),
+    and a combination of rows is its coefficient at each pivot.  Subtract
+    at j = i+1 from j = i: dim F_{i+1} less the pivots of degree i+1.
+    """
     _check_step(pres.target, i)
-    return quotient_dim(pres.bracket_ideals[i], pres.bracket_ideals[i + 1])
+    f = pres.fbar
+    top = sum(1 for p in pres.relation_bracket.pivots if f.basis_degree(p) == i + 1)
+    return f.degree_dims()[i].total - top
 
 
 def bracket_map_kernel_dim(L: LieSuperalgebra, i: int) -> int:
@@ -348,9 +361,10 @@ def witness_tensor(L: LieSuperalgebra, i: int, positions) -> WitnessTensor:
 def bracket_map_residual(
     pres: FreePresentation, i: int, tensor, leg1_rows
 ) -> dict:
-    """Image of a tensor under the concrete lambda map, reduced modulo
-    [γ_{i+1}(F)+R, F], as a sparse vector; an empty residual certifies
-    kernel membership."""
+    """Image of a tensor under the concrete lambda map modulo
+    [γ_{i+1}(F)+R, F], as the canonical residual of
+    `FreePresentation.bracket_ideal_residual`; an empty residual
+    certifies kernel membership."""
     f = pres.fbar
     A = f.algebra
     total: dict = {}
@@ -358,7 +372,7 @@ def bracket_map_residual(
         w_u = pres.lift_into_gamma(leg1_rows[a], i)
         w_y = {f.generator_basis_index(b): _ONE}
         axpy(total, coeff, A.bracket(w_u, w_y))
-    return pres.bracket_ideals[i + 1].reduce(total)
+    return pres.bracket_ideal_residual(total, i + 1)
 
 
 def witness_tuple_positions(L: LieSuperalgebra, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -417,16 +431,23 @@ def verify_top_step_identity(L: LieSuperalgebra) -> IdentityReport:
     )
 
 
+def abelian_multiplier_dims(m: int, n: int) -> SuperDim:
+    """Closed-form multiplier of the abelian algebra A(m|n); its even part
+    (m(m-1) + n(n+1)) / 2 is exact, as each product is of consecutive integers."""
+    return SuperDim((m * (m - 1) + n * (n + 1)) // 2, m * n)
+
+
 def verify_telescoped_identity(L: LieSuperalgebra) -> IdentityReport:
-    """dim M(L) = dim M(L/γ₂) + dim γ₂ (dim L/γ₂ - 1) - Σ_{i=2}^{c} dim ker λ_i."""
+    """dim M(L) = dim M(L/γ₂) + dim γ₂ (dim L/γ₂ - 1) - Σ_{i=2}^{c} dim ker λ_i,
+    with M(L/γ₂) from the abelian closed form, not from the Hopf route."""
     c = L.nilpotency_class()
     if c < 2:
         raise AlgebraError("identity needs nilpotency class at least 2")
     m_l = schur_multiplier_hopf(L).total
     g2 = L.gamma(2).dim
-    cogen = L.dim - g2
-    q, _ = L.quotient(L.gamma(2), name=f"{L.name}/g2")
-    m_ab = schur_multiplier_hopf(q).total
+    gens = L.minimal_generator_dims()
+    cogen = gens.total
+    m_ab = abelian_multiplier_dims(gens.even, gens.odd).total
     kernels = {i: bracket_map_kernel_dim(L, i) for i in range(2, c + 1)}
     return IdentityReport(
         lhs=m_l,

@@ -26,13 +26,15 @@ from the original's.
 
 `subspace_intersect` gives the textbook numerator R ∩ F² of the Hopf
 formula, against which tests check that the package may take R itself.
+`subspace_sum` builds the ideals γ_i(F) + R whose all-pairs products
+tests hold the bracket-ideal chain to.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
-from superschur.exactla import SparseEchelon, Subspace, axpy, kernel, subspace_sum
+from superschur.exactla import SparseEchelon, Subspace, axpy, kernel
 from superschur.freenilp import (
     GeneratorSpec,
     build_free_nilpotent,
@@ -137,6 +139,12 @@ def basis(S) -> tuple:
 def matrix_rank(m) -> int:
     """dense_rank of an exactla.Matrix."""
     return dense_rank([m.row(i) for i in range(m.rows)])
+
+
+def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
+    """u + w, the span of both row sets."""
+    assert u.ambient_dim == w.ambient_dim
+    return Subspace.span(u.rows + w.rows, u.ambient_dim)
 
 
 def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:

@@ -6,7 +6,6 @@ from superschur.bounds import (
     BoundError,
     BoundInput,
     BoundViolation,
-    abelian_multiplier_dims,
     check_bound,
     extract_input,
     main_bound,
@@ -15,7 +14,7 @@ from superschur.bounds import (
     rai_bound,
 )
 from superschur.catalog import abelian, filiform4, heisenberg3, special_heisenberg_odd
-from superschur.multiplier import schur_multiplier_hopf
+from superschur.multiplier import abelian_multiplier_dims, schur_multiplier_hopf
 from superschur.superalg import SuperDim, direct_sum
 
 F = Fraction

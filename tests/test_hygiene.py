@@ -226,9 +226,8 @@ def dotted_string_names(source: str) -> Counter:
     return found
 
 
-# Stated by PAPER.md: the abelian multiplier and the penultimate form of
-# the main bound.
-KEPT_FOR_TESTS = {"abelian_multiplier_dims", "main_bound_penultimate"}
+# Stated by PAPER.md: the penultimate form of the main bound.
+KEPT_FOR_TESTS = {"main_bound_penultimate"}
 
 
 def uncalled_definitions(source: str, loaded: Counter) -> list[str]:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from superschur import multiplier
+from superschur import freenilp, multiplier
 from superschur.catalog import (
     abelian,
     builtin_algebras,
@@ -15,13 +15,10 @@ from superschur.catalog import (
 )
 from superschur.cli import main
 from superschur.exactla import (
-    SparseEchelon,
     Subspace,
     axpy,
     complement_rows,
     kernel,
-    quotient_dim,
-    subspace_sum,
 )
 from superschur.freenilp import (
     GeneratorSpec,
@@ -45,7 +42,14 @@ from superschur.multiplier import (
     witness_terms,
 )
 from superschur.superalg import AlgebraError, SuperDim, change_basis, direct_sum
-from support import ReferenceEchelon, basis_changed, random_quotients, subspace_intersect
+from support import (
+    ReferenceEchelon,
+    basis_changed,
+    gl_changed,
+    random_quotients,
+    subspace_intersect,
+    subspace_sum,
+)
 
 F = Fraction
 
@@ -55,12 +59,15 @@ def _free33c3():
     return build_free_nilpotent(GeneratorSpec(3, 3, 3))
 
 
-def presented_algebras():
-    """The shipped catalog's nonzero nilpotent algebras and the 50 random
-    quotients, each with a seeded change_basis copy."""
+def presented_bases():
+    """The shipped catalog's nonzero nilpotent algebras and the 50 random quotients."""
     bases = [L for L in builtin_algebras() if L.dim and L.is_nilpotent()]
-    bases += [L for L in random_quotients(50) if L.dim]
-    return [M for t, L in enumerate(bases) for M in (L, basis_changed(L, t))]
+    return bases + [L for L in random_quotients(50) if L.dim]
+
+
+def presented_algebras():
+    """`presented_bases`, each with a seeded change_basis copy."""
+    return [M for t, L in enumerate(presented_bases()) for M in (L, basis_changed(L, t))]
 
 
 @pytest.fixture(scope="module")
@@ -268,36 +275,6 @@ class TestBracketQuotient:
         assert r.parts["bracket_quotient"] == t
         assert r.ok
 
-    def test_top_ideal_is_the_relation_bracket(self):
-        L = filiform4()
-        p = present(L)
-        assert p.bracket_ideals[L.nilpotency_class() + 1] is p.relation_bracket
-
-    def test_verify_reinserts_no_operand_of_a_sum_with_zero(self, monkeypatch, capsys):
-        def inserts():
-            count = 0
-            original = SparseEchelon.insert
-
-            def counted(self, *args, **kwargs):
-                nonlocal count
-                count += 1
-                return original(self, *args, **kwargs)
-
-            with monkeypatch.context() as m:
-                m.setattr(SparseEchelon, "insert", counted)
-                assert main(["verify"]) == 0
-            capsys.readouterr()
-            return count
-
-        now = inserts()
-        monkeypatch.setattr(
-            multiplier, "subspace_sum", lambda u, w: Subspace.span(u.rows + w.rows, u.ambient_dim)
-        )
-        # on the shipped catalog, 19 rows of [R, F] summed with the zero
-        # γ_{c+2}(F) and 58 rows of γ_{i+1}(F) summed with a zero [R, F]
-        assert inserts() - now == 19 + 58
-
-
 class TestLambdaKernel:
     def test_heis3(self):
         assert bracket_map_kernel_dim(heisenberg3(), 2) == 0
@@ -318,17 +295,9 @@ class TestLambdaKernel:
 
     def test_well_defined_under_lift_perturbation(self):
         # first-leg lifts may move by R, second-leg lifts by gamma_2(F) + R;
-        # the image modulo the denominator subspace must not notice
+        # the residual modulo the denominator must not notice, on the plain
+        # basis and on a dense one
         rng = random.Random(11)
-        L = heis_plus_line()
-        p = present(L)
-        c = L.nilpotency_class()
-        rows = complement_rows(L.gamma(c), L.gamma(c + 1))
-        tensor = {(0, 2): F(1)}
-        base = bracket_map_residual(p, c, tensor, rows)
-        A = p.fbar.algebra
-        den = p.bracket_ideals[c + 1]
-        y_freedom = subspace_sum(p.fbar.gamma(2), p.relations)
 
         def perturb(v, freedom):
             out = dict(v)
@@ -336,11 +305,22 @@ class TestLambdaKernel:
                 axpy(out, rng.randint(-2, 2), member)
             return out
 
-        for _ in range(5):
-            w_u = perturb(p.lift_into_gamma(rows[0], c), p.relations)
-            w_y = perturb({p.fbar.generator_basis_index(2): F(1)}, y_freedom)
-            moved = den.reduce(A.bracket(w_u, w_y))
-            assert moved == base
+        for L in (heis_plus_line(), gl_changed(heis_plus_line(), 3)):
+            p = present(L)
+            c = L.nilpotency_class()
+            rows = complement_rows(L.gamma(c), L.gamma(c + 1))
+            A = p.fbar.algebra
+            y_freedom = subspace_sum(p.fbar.gamma(2), p.relations)
+            bases = []
+            for b in range(len(p.lift_indices)):
+                base = bracket_map_residual(p, c, {(0, b): F(1)}, rows)
+                bases.append(base)
+                for _ in range(5):
+                    w_u = perturb(p.lift_into_gamma(rows[0], c), p.relations)
+                    w_y = perturb({p.fbar.generator_basis_index(b): F(1)}, y_freedom)
+                    assert p.bracket_ideal_residual(A.bracket(w_u, w_y), c + 1) == base
+            # some tensor lies outside the kernel: a nonzero residual is held fixed
+            assert any(bases), L.name
 
 
 class TestWitnessTensor:
@@ -448,23 +428,35 @@ class TestBracketWithFree:
             for L in (base, basis_changed(base, 5))
         ]
         # the random quotients and their copies, as `presented` has them
-        + [L for L in presented_algebras() if L.name.startswith("rq")],
+        + [L for L in presented_algebras() if L.name.startswith("rq")]
+        # dense bases, whose R and [R, F] mix many basis words
+        + [gl_changed(L, t) for t, L in enumerate(presented_bases())],
         ids=lambda L: L.name,
     )
     def test_matches_all_pairs_product_space(self, L):
+        """[γ_i(F)+R, F], formed all-pairs, against the chain read off [R, F]'s
+        pivots: every member leaves no residual, the dimension counts the
+        pivots of degree <= i, and a unit vector leaves a residual exactly
+        when it lies outside."""
         p = present(L)
-        A = p.fbar.algebra
+        f, A = p.fbar, p.fbar.algebra
         c = L.nilpotency_class()
-        ideals = [p.relations] + [
-            subspace_sum(p.fbar.gamma(i), p.relations) for i in range(2, c + 1)
-        ]
-        for ideal in ideals:
-            assert bracket_with_free(p.fbar, ideal) == A.product_space(
-                ideal, Subspace.full(A.dim)
-            )
-        # the presentation's chain: base_i = γ_i(F)+R, and base_{c+1} = R
-        for i, base in enumerate(ideals[1:] + [p.relations], start=2):
-            assert p.bracket_ideals[i] == A.product_space(base, Subspace.full(A.dim))
+        full = Subspace.full(A.dim)
+        # base_i = γ_i(F)+R for 2 <= i <= c, and base_{c+1} = R
+        bases = {i: subspace_sum(f.gamma(i), p.relations) for i in range(2, c + 1)}
+        bases[c + 1] = p.relations
+        pivot_degrees = [f.basis_degree(q) for q in p.relation_bracket.pivots]
+        ideals = {}
+        for i, base in bases.items():
+            ideals[i] = ideal = A.product_space(base, full)
+            assert bracket_with_free(f, base) == ideal
+            assert not any(p.bracket_ideal_residual(row, i) for row in ideal.rows)
+            assert ideal.dim == f.gamma(i + 1).dim + sum(d <= i for d in pivot_degrees)
+            for k in range(A.dim):
+                unit = {k: F(1)}
+                assert (not p.bracket_ideal_residual(unit, i)) == ideal.contains(unit)
+        for i in range(2, c + 1):
+            assert bracket_quotient_dim(p, i) == ideals[i].dim - ideals[i + 1].dim
 
     def test_verify_brackets_once_per_presentation(self, monkeypatch, capsys):
         """Every bracket ideal and the Hopf denominator read one product
@@ -488,6 +480,34 @@ class TestBracketWithFree:
         made = {id(f): f for f in fbars}
         assert sorted(map(id, calls)) == sorted(made)
 
+    def test_verify_presents_each_record_and_its_top_quotient_only(self, monkeypatch, capsys):
+        """verify presents each record L of class c >= 2 and L/γ_c, and no
+        L/γ₂ beyond that: M(L/γ₂) is the abelian closed form.  The only
+        other free algebra built is the catalog's free (2|1) of class 3, so
+        the shipped catalog's ten records make 21 builds."""
+        want = set()
+        for L in builtin_algebras():
+            if L.is_nilpotent() and (c := L.nilpotency_class()) >= 2:
+                want |= {L.name, f"{L.name}/g{c}"}
+        presented, builds = [], []
+        real_present = multiplier.present
+        real_init = freenilp.FreeNilpotentSuperalgebra.__init__
+
+        def recording_present(L):
+            presented.append(L.name)
+            return real_present(L)
+
+        def counting_init(self, spec):
+            builds.append(spec)
+            real_init(self, spec)
+
+        monkeypatch.setattr(multiplier, "present", recording_present)
+        monkeypatch.setattr(freenilp.FreeNilpotentSuperalgebra, "__init__", counting_init)
+        assert main(["verify"]) == 0
+        capsys.readouterr()
+        assert set(presented) == want
+        assert len(want) == 20 and len(builds) == 21
+
 
 class TestPresentationInvariance:
     def test_lift_permutations_do_not_change_dimensions(self):
@@ -502,7 +522,7 @@ class TestPresentationInvariance:
             num = subspace_intersect(p.relations, p.fbar.gamma(2))
             den = A.product_space(p.relations, Subspace.full(A.dim))
             sn, sd = A.superdim(num), A.superdim(den)
-            assert quotient_dim(num, den) == sn.total - sd.total
+            assert len(complement_rows(num, den)) == sn.total - sd.total
             dims = SuperDim(sn.even - sd.even, sn.odd - sd.odd)
             assert dims == base
             assert bracket_quotient_dim(p, c) == 2
