@@ -23,6 +23,7 @@ from .catalog import CatalogError, builtin_algebras, parse_catalog
 from .exactla import SparseEchelon, SubspaceError
 from .freenilp import GeneratorSpec, build_free_nilpotent, hilbert_check, rewrite_identity_residual
 from .multiplier import (
+    generator_triples,
     witness_tuple_positions,
     witness_tensor,
     schur_multiplier_cohomology,
@@ -41,10 +42,11 @@ EXIT_ASSERTION = 2
 # one run each, Python 3.11, one core of an Intel Xeon whose cores switch
 # speed): each arity costs about four times the one before
 IDENTITY_ARITY_MAX = 10
-# the cochain route eliminates one row per triple touching a nonzero bracket:
-# free (2|1) class 6 has 67,581 and took 1.28 and 1.19 s, class 7 has 491,585
-# and took 34.1 s, free (3|3) class 4 has 266,285 (the route alone, one run
-# each, Python 3.11.7, one core of an Intel Xeon whose cores switch speed)
+# the cochain route eliminates one row per triple that touches a nonzero
+# bracket and holds a generator lift: free (2|1) class 6 has 39,367 and took
+# 0.48 and 0.53 s (peak RSS 18 -> 33 MB), class 7 has 249,643 and took 3.45
+# and 3.62 s (20 -> 129 MB), free (3|3) class 4 has 201,326 (the route alone,
+# Python 3.11.7, one core of an Intel Xeon whose cores switch speed)
 COCHAIN_TRIPLES_MAX = 100_000
 
 
@@ -181,11 +183,13 @@ def cmd_multiplier(args) -> Report:
     algebras = _load_algebras(args)
     if args.method in ("cohomology", "both"):
         for alg in algebras:
-            # each touching triple is a nonzero pair plus one more index, so
-            # the triples are counted only when that bound exceeds the limit
-            if len(alg.nonzero_pairs()) * alg.dim <= COCHAIN_TRIPLES_MAX:
+            # each generator triple is a nonzero pair plus one more index, so
+            # the triples are counted only when that bound exceeds the limit;
+            # the route skips non-nilpotent records, and so does the count
+            bound = len(alg.nonzero_pairs()) * alg.dim
+            if bound <= COCHAIN_TRIPLES_MAX or not alg.is_nilpotent():
                 continue
-            count = sum(1 for _ in alg.touching_triples())
+            count = sum(1 for _ in generator_triples(alg))
             if count > COCHAIN_TRIPLES_MAX:
                 raise UsageError(
                     f"{alg.name} has {count} triples for the cochain route, over the "

@@ -48,8 +48,10 @@ def axpy(y: dict, a, x: dict) -> None:
 def _integral(v: dict) -> tuple[dict, int]:
     """v times the lcm d of its denominators, as a dict of nonzero ints, and d.
 
-    The entries are ints or Fractions.
+    The entries are ints or Fractions; an all-int v skips the lcm scan.
     """
+    if all(type(c) is int for c in v.values()):
+        return {k: c for k, c in v.items() if c}, 1
     d = lcm(*(c.denominator for c in v.values()))
     if d == 1:
         return {k: c.numerator for k, c in v.items() if c}, 1

@@ -8,9 +8,9 @@ Jacobi identity on all basis triples.  Only the triples with a nonzero
 nested bracket [b_a, [b_b, b_c]] are evaluated: on any other triple
 every term of the Jacobi sum is zero.  `ad_support` indexes the nonzero
 brackets, so products, ideals, the center and quotients also bracket
-only pairs that can be nonzero; the cochain route's rows come from the
-wider set of `touching_triples`, those with one nonzero pair, yielded
-one at a time.
+only pairs that can be nonzero.  `touching_triples` yields the wider
+set with one nonzero pair, one at a time; the cochain route keeps those
+that hold a generator lift.
 
 `integral_table` is the completed table times the lcm of its
 denominators, in ints.  A common positive scale changes no zero test,

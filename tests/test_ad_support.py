@@ -6,7 +6,10 @@ and `integral_table` lets the Jacobi residual, the center and the
 cochain route compute in ints.  These tests hold each of them to an
 all-pairs or all-triples reference from `support`, on the shipped
 catalog, the 50 random quotients, a change-of-basis copy of each, and
-broken tables built from them.
+broken tables built from them.  The cochain route, whose rows are the
+touching triples that hold a generator lift, is also held to the oracle
+on dense `gl_changed` copies, whose lifts differ, and on the second
+battery of 50 larger quotients, where the Hopf route must agree too.
 """
 
 import itertools
@@ -19,11 +22,18 @@ import pytest
 from superschur.catalog import builtin_algebras, parse_catalog, render_catalog
 from superschur.exactla import Subspace
 from superschur.freenilp import GeneratorSpec, build_free_nilpotent
-from superschur.multiplier import schur_multiplier_cohomology
+from superschur.exactla import SparseEchelon
+from superschur.multiplier import (
+    generator_triples,
+    schur_multiplier_cohomology,
+    schur_multiplier_hopf,
+)
 from superschur.superalg import AlgebraError, LieSuperalgebra, change_basis, graded_sign
 from support import (
     _jacobi_residual,
+    FIRST_BATTERY,
     basis_changed,
+    gl_changed,
     random_quotients,
     reference_cohomology_dims,
     reference_validation,
@@ -83,6 +93,13 @@ def catalog():
 def quotients():
     """The 50 random quotients and a seeded change_basis copy of each."""
     return [M for t, L in enumerate(random_quotients(50)) for M in (L, basis_changed(L, t))]
+
+
+@pytest.fixture(scope="module")
+def second_battery():
+    """The 50 random quotients after the first 50: class 5 with p+q = 2 or
+    class 4 with p+q = 3."""
+    return random_quotients(FIRST_BATTERY + 50)[FIRST_BATTERY:]
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +164,51 @@ class TestCohomologyOracle:
             want = reference_cohomology_dims(L)
             assert reference_cohomology_dims(M) == want
             assert schur_multiplier_cohomology(M) == want, M.name
+
+    def test_dense_copies(self, catalog, quotients):
+        # gl_changed moves the generator lifts and the touching triples,
+        # which pick the route's rows
+        sources = [L for L in catalog if L.dim and L.is_nilpotent()] + quotients[::2]
+        for t, L in enumerate(sources):
+            M = gl_changed(L, t)
+            assert schur_multiplier_cohomology(M) == reference_cohomology_dims(M), M.name
+
+    def test_second_battery_on_both_routes(self, second_battery):
+        shapes = set()
+        for L in second_battery:
+            want = reference_cohomology_dims(L)
+            assert schur_multiplier_cohomology(L) == want, L.name
+            assert schur_multiplier_hopf(L) == want, L.name
+            shapes.add(L.name.split("[")[1])
+        # every shape of the battery is drawn, and some quotient keeps class 4 at p+q = 3
+        assert len({s[:3] for s in shapes}) == 7
+        assert any(L.dim >= 30 and L.nilpotency_class() == 4 for L in second_battery)
+
+    @pytest.mark.parametrize("c, rows, touching", [(5, 6_535, 9_497), (6, 39_367, 67_581)])
+    def test_rows_are_the_generator_triples(self, monkeypatch, c, rows, touching):
+        L = build_free_nilpotent(GeneratorSpec(2, 1, c)).algebra
+        lifts = set(L.generator_lift_indices())
+        assert sum(1 for _ in L.touching_triples()) == touching
+        built = list(generator_triples(L))
+        assert len(built) == rows
+        assert built == [t for t in L.touching_triples() if lifts.intersection(t)]
+        inserted = []
+        original = SparseEchelon.insert
+
+        def counted(self, v):
+            inserted.append((id(self), len(v)))
+            return original(self, v)
+
+        monkeypatch.setattr(SparseEchelon, "insert", counted)
+        schur_multiplier_cohomology(L)
+        # one insert per row and none for the coboundaries, into one
+        # echelon per parity, shortest first
+        assert len(inserted) == rows
+        lengths: dict = {}
+        for ech, n in inserted:
+            lengths.setdefault(ech, []).append(n)
+        assert len(lengths) == 2
+        assert all(ns == sorted(ns) for ns in lengths.values())
 
     def test_perturbed_tables_are_refused(self, perturbations):
         for L in perturbations:

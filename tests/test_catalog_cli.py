@@ -16,6 +16,7 @@ from superschur.catalog import (
 )
 from superschur.cli import main
 from superschur.freenilp import GeneratorSpec, build_free_nilpotent
+from superschur.multiplier import generator_triples
 from superschur.superalg import EVEN, LieSuperalgebra, SuperDim
 from support import canonical_table
 
@@ -354,7 +355,7 @@ class TestCli:
         def never(L):
             raise AssertionError("a multiplier route started")
 
-        count = len(list(heisenberg3().touching_triples()))
+        count = len(list(generator_triples(heisenberg3())))
         assert cli_mod.COCHAIN_TRIPLES_MAX == 100_000
         monkeypatch.setattr(cli_mod, "COCHAIN_TRIPLES_MAX", count - 1)
         monkeypatch.setattr(cli_mod, "schur_multiplier_cohomology", never)
@@ -370,7 +371,7 @@ class TestCli:
     def test_cochain_triples_at_the_limit_are_accepted(self, capsys, monkeypatch):
         from superschur import cli as cli_mod
 
-        count = len(list(heisenberg3().touching_triples()))
+        count = len(list(generator_triples(heisenberg3())))
         calls = []
         monkeypatch.setattr(cli_mod, "COCHAIN_TRIPLES_MAX", count)
         monkeypatch.setattr(
@@ -379,6 +380,33 @@ class TestCli:
         code = main(["multiplier", "--algebra", "heis3", "--method", "cohomology"])
         assert code == 0 and calls == ["heis3"]
         assert "(2|0)" in capsys.readouterr().out
+
+    def test_the_limit_counts_generator_triples(self, tmp_path, capsys, monkeypatch):
+        # free (1|1) class 4: 85 triples touch a nonzero bracket, and the 70
+        # that hold a generator lift are the rows the route builds
+        from superschur import cli as cli_mod
+
+        L = relabel_canonical(build_free_nilpotent(GeneratorSpec(1, 1, 4)).algebra, "free11c4")
+        assert len(list(L.touching_triples())) == 85
+        assert len(list(generator_triples(L))) == 70
+        path = tmp_path / "free11c4.cat"
+        path.write_text(render_catalog([L]), encoding="utf-8")
+        monkeypatch.setattr(cli_mod, "COCHAIN_TRIPLES_MAX", 70)
+        assert main(["multiplier", str(path), "--method", "both"]) == 0
+        assert "methods_agree = True" in capsys.readouterr().out
+        monkeypatch.setattr(cli_mod, "COCHAIN_TRIPLES_MAX", 69)
+        assert main(["multiplier", str(path), "--method", "both"]) == 1
+        assert "free11c4 has 70 triples" in capsys.readouterr().err
+
+    def test_the_limit_skips_non_nilpotent_records(self, tmp_path, capsys, monkeypatch):
+        # the route skips them, so the limit does not count their triples
+        from superschur import cli as cli_mod
+
+        path = tmp_path / "solvable.cat"
+        path.write_text("algebra solv2\neven e1 e2\n[e1,e2] = e2\nend\n", encoding="utf-8")
+        monkeypatch.setattr(cli_mod, "COCHAIN_TRIPLES_MAX", 0)
+        assert main(["multiplier", str(path), "--method", "cohomology"]) == 0
+        assert "status = skipped (not nilpotent)" in capsys.readouterr().out
 
     def test_hopf_route_ignores_the_cochain_limit(self, capsys, monkeypatch):
         from superschur import cli as cli_mod

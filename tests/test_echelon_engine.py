@@ -90,12 +90,13 @@ def stored(ech: SparseEchelon) -> dict:
 def test_matches_the_reference_engine_and_dense_rank(ops, stray):
     vs = resolve(ops)
     ech, ref, aug = SparseEchelon(), ReferenceEchelon(), SparseEchelon()
+    unledgered = ReferenceEchelon()
     for t, v in enumerate(vs):
-        assert ech.insert(v) == ref.insert(v, tag=t)
-        assert ech.rank == ref.rank == rank_of(vs[: t + 1])
+        assert ech.insert(v) == ref.insert(v, tag=t) == unledgered.insert(v, None)
+        assert ech.rank == ref.rank == unledgered.rank == rank_of(vs[: t + 1])
         assert aug.insert(tagged(v, t))
     rows = ech.rows()
-    assert rows == ref.rows()
+    assert rows == ref.rows() == unledgered.rows()
     assert len(rows) == rank_of(vs)
     assert all(type(c) is Fraction for row in rows for c in row.values())
     mixed: dict = {}
