@@ -5,9 +5,13 @@ Bracket words embed into the free associative superalgebra through
 rank computation on those expansions: the degree-d candidates are the
 brackets [w, g] of the kept degree-(d-1) words w with the generators g
 (left-normed words span every graded component), and an independent
-word-counting oracle cross-checks the resulting dimensions.  Structure
-constants are read by expressing each bracket's expansion over the kept
-words' expansions, which go in with tag coordinates for that purpose.
+word-counting oracle cross-checks the resulting dimensions.  The free
+presentations read F only through its brackets [x, g] with the
+generators (`generator_columns`): each is a kept candidate, zero, or a
+rejected candidate, whose expansion is expressed over the kept words'
+expansions, which go in with tag coordinates for that purpose.
+`algebra` assembles the full structure-constant table the same way,
+for free algebras used as targets.
 
 Every coefficient of an expansion is a sum of signs ±1, so expansions,
 and the rewriting identity's coefficients, are Python ints.
@@ -148,8 +152,13 @@ class FreeNilpotentSuperalgebra:
     This keeps the same words as trying the left-normed words of all
     index tuples in lexicographic order: a word w left out there is a
     combination of earlier kept words, so [w, g] is a combination of
-    earlier candidates [w', g].  The assembled structure-constant table
-    is computed lazily on first use.
+    earlier candidates [w', g].  The build records the candidates it
+    rejected with a nonzero expansion, and nothing more about them.
+
+    The routes read F only through `generator_columns`, the brackets
+    [x, g] with the generators, computed on first use from that record.
+    The full structure-constant table, `algebra`, is assembled on first
+    use too, for the callers that need a free algebra as a target.
     """
 
     def __init__(self, spec: GeneratorSpec):
@@ -157,15 +166,20 @@ class FreeNilpotentSuperalgebra:
         self.degree_words: list[list] = []
         self.degree_parities: list[list[int]] = []
         self._expansions: dict = {}
+        self._rejected: list[tuple[int, tuple]] = []  # (degree, candidate word)
         for d in range(1, spec.class_bound + 1):
             ech = SparseEchelon()
             words: list = []
             wpars: list[int] = []
             for w, pw, e in self._candidates(d):
-                if e and ech.insert(e):
+                if not e:
+                    continue
+                if ech.insert(e):
                     words.append(w)
                     wpars.append(pw)
                     self._expansions[w] = e
+                else:
+                    self._rejected.append((d, w))
             self.degree_words.append(words)
             self.degree_parities.append(wpars)
         # global basis ordering: all even words (by degree, then selection
@@ -179,6 +193,7 @@ class FreeNilpotentSuperalgebra:
         self.n_odd = len(odds)
         self.dim = len(self._basis)
         self._algebra: LieSuperalgebra | None = None
+        self._columns: tuple[tuple[dict, ...], ...] | None = None
 
     def _candidates(self, d: int):
         """The degree-d candidate words with their parities and expansions,
@@ -227,6 +242,60 @@ class FreeNilpotentSuperalgebra:
         # unit rows in increasing index order are already reduced row-echelon
         rows = tuple({i: _ONE} for i, (deg, _) in enumerate(self._basis) if deg >= d)
         return Subspace(self.dim, rows)
+
+    # -- brackets with the generators -------------------------------------------
+
+    def generator_columns(self) -> tuple[tuple[dict, ...], ...]:
+        """For each generator g_t, the columns of x -> [x, g_t]: entry
+        [t][x] is [b_x, g_t] as a sparse dict over F's basis, built once.
+
+        Every basis word w below the top degree gives the build's
+        candidate [w, g_t], so the build decides each column:
+        * a kept candidate is its own basis element;
+        * at the top degree, and for a candidate with an empty expansion,
+          the bracket is 0;
+        * a rejected candidate's expansion is expressed over the kept
+          words of its degree, which go into an echelon tagged (num,
+          index), as in `_assemble`; only degrees with a rejected
+          candidate build one.
+
+        The dicts are shared, not copied: callers must not mutate them.
+        """
+        if self._columns is None:
+            k, num, pars = self.spec.class_bound, self.spec.num, self.spec.parities
+            index = {w: idx for idx, (_, w) in enumerate(self._basis)}
+            echelons: dict[int, SparseEchelon] = {d: SparseEchelon() for d, _ in self._rejected}
+            for idx, (d, w) in enumerate(self._basis):
+                if d in echelons:
+                    echelons[d].insert({**self._expansions[w], (num, idx): 1})
+            rejected = {}
+            for d, (w, t) in self._rejected:
+                pw = index[w] >= self.n_even  # the basis lists the even words first
+                z = _commutator(self._expansions[w], pw, {(t,): 1}, pars[t])
+                coeffs = echelons[d].express(z, (num,))
+                if coeffs is None:
+                    raise AlgebraError("internal error: a bracket escapes the selected basis")
+                rejected[(w, t)] = {idx: c for (_, idx), c in sorted(coeffs.items())}
+            columns: list[list[dict]] = [[] for _ in range(num)]
+            for d, w in self._basis:
+                for t in range(num):
+                    if d == k:
+                        col = {}
+                    elif (m := index.get((w, t))) is not None:
+                        col = {m: _ONE}
+                    else:
+                        col = rejected.get((w, t), {})
+                    columns[t].append(col)
+            self._columns = tuple(map(tuple, columns))
+        return self._columns
+
+    def bracket_with_generator(self, v: dict, t: int) -> dict:
+        """[v, g_t] for a sparse vector v over F's basis, read off the columns."""
+        col = self.generator_columns()[t]
+        acc: dict = {}
+        for x, c in v.items():
+            axpy(acc, c, col[x])
+        return acc
 
     # -- assembled algebra -------------------------------------------------------
 
@@ -510,18 +579,31 @@ def evaluate_word(L: LieSuperalgebra, w, images, memo: dict) -> dict:
 def eval_hom(
     f: FreeNilpotentSuperalgebra, images, target: LieSuperalgebra
 ) -> list[dict]:
-    """The homomorphism extending generator -> image, checked on generator
-    pairs, as its columns: the sparse images of f's basis, in basis order.
+    """The homomorphism extending generator -> image, checked on the pairs
+    that construction does not settle, as its columns: the sparse images
+    of f's basis, in basis order.
 
     Images are sparse vectors of the target, homogeneous with the
     generators' parities, and the target's class may not exceed the
     truncation class (a violation surfaces as a failed homomorphism
     check).  The target must be a Lie superalgebra (`require_valid` is
-    called first, and cached): the check then covers only the pairs
-    (basis word x, generator g).  That suffices by the graded Jacobi
-    identity in source and target: the set of y with φ[x, y] = [φx, φy]
-    for every x is a subspace, it contains the generators, and it is
-    closed under brackets, so it is all of F.
+    called first, and cached).  Column x is φ(b_x), the basis word w_x
+    evaluated in the target with each generator sent to its image.
+
+    φ is a homomorphism once φ[x, g] = [φx, φg] holds for every basis
+    word x and generator g: by the graded Jacobi identity in source and
+    target, the set of y with φ[x, y] = [φx, φy] for every x is a
+    subspace, it contains the generators, and it is closed under
+    brackets, so it is all of F.  f's `generator_columns` give [x, g].
+    Where the build kept the candidate [w_x, g], that column is the basis
+    word (w_x, g) itself, and its image is by definition the target's
+    bracket of w_x's value with g's image, [φx, φg]: those pairs hold by
+    construction.  The others are checked:
+    * rejected candidates, whose columns are the expressions that
+      `generator_columns` derived;
+    * candidates with an empty expansion, where [x, g] = 0;
+    * x of the top degree, where [x, g] = 0 by truncation; these pairs
+      enforce that the target's class stays within the truncation class.
     """
     target.require_valid()
     images = list(images)
@@ -536,11 +618,17 @@ def eval_hom(
             )
     memo: dict = {}
     columns = [evaluate_word(target, f.basis_word(idx), images, memo) for idx in range(f.dim)]
-    A = f.algebra
+    ad = f.generator_columns()
     for x in range(f.dim):
         for t in range(f.spec.num):
+            col = ad[t][x]
+            if len(col) == 1 and f.basis_word(next(iter(col))) == (f.basis_word(x), t):
+                continue  # a kept candidate
             g = f.generator_basis_index(t)
-            if A.bracket_image(x, g, columns) != target.bracket(columns[x], columns[g]):
+            image: dict = {}
+            for m, c in col.items():
+                axpy(image, c, columns[m])
+            if image != target.bracket(columns[x], columns[g]):
                 raise AlgebraError(
                     "generator images do not extend to a homomorphism "
                     f"(fails at basis pair {x},{g}; is the target's class within "

@@ -52,6 +52,7 @@ from .superalg import (
     AlgebraError,
     LieSuperalgebra,
     SuperDim,
+    graded_dim,
     graded_sign,
 )
 
@@ -121,19 +122,19 @@ class FreePresentation:
 
 
 def bracket_with_free(f: FreeNilpotentSuperalgebra, ideal: Subspace) -> Subspace:
-    """[I, F] for a graded ideal I of F, as the product space [I, G] with
-    G the span of the generators of F.
+    """[I, F] for a graded ideal I of F, as the span of [r, g] over the
+    rows r of I and the generators g, read off F's generator columns:
+    [r, g] = Σ_x r_x [x, g].
 
     [I, F] is the span J of [x, g] over basis members x of I and
     generators g.  The y with [I, y] ⊆ J contain the generators and are
     closed under brackets, because [x, [y, z]] = [[x, y], z] ± [[x, z], y]
     and [x, y], [x, z] lie in I; so they are all of F.
     """
-    A = f.algebra
-    gens = Subspace.span(
-        ({f.generator_basis_index(t): _ONE} for t in range(f.spec.num)), A.dim
+    products = (
+        f.bracket_with_generator(r, t) for r in ideal.rows for t in range(f.spec.num)
     )
-    return A.product_space(ideal, gens)
+    return Subspace.span((z for z in products if z), f.dim)
 
 
 def present(L: LieSuperalgebra) -> FreePresentation:
@@ -196,10 +197,10 @@ def schur_multiplier_hopf(L: LieSuperalgebra) -> SuperDim:
     if L.dim == 0:
         return SuperDim(0, 0)
     pres = present(L)
-    A = pres.fbar.algebra
+    f = pres.fbar
     # a subset of reduced row-echelon rows is itself in that form
-    comp = Subspace(A.dim, complement_rows(pres.relations, pres.relation_bracket))
-    L._cache["hopf"] = A.superdim(comp)
+    comp = Subspace(f.dim, complement_rows(pres.relations, pres.relation_bracket))
+    L._cache["hopf"] = graded_dim(comp, f.n_even)
     return L._cache["hopf"]
 
 
@@ -428,14 +429,13 @@ def bracket_map_residual(
     """Image of a tensor under the concrete lambda map modulo
     [γ_{i+1}(F)+R, F], as the canonical residual of
     `FreePresentation.bracket_ideal_residual`; an empty residual
-    certifies kernel membership."""
+    certifies kernel membership.  A term u ⊗ y_b goes to [w_u, g_b], with
+    w_u a lift of u, read off fbar's generator column b."""
     f = pres.fbar
-    A = f.algebra
     total: dict = {}
     for (a, b), coeff in tensor.items():
         w_u = pres.lift_into_gamma(leg1_rows[a], i)
-        w_y = {f.generator_basis_index(b): _ONE}
-        axpy(total, coeff, A.bracket(w_u, w_y))
+        axpy(total, coeff, f.bracket_with_generator(w_u, b))
     return pres.bracket_ideal_residual(total, i + 1)
 
 

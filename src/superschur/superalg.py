@@ -20,7 +20,8 @@ route read it; `bracket_basis` and `bracket` keep returning Fractions.
 A graded subspace W = W_0 + W_1 is a plain `Subspace` of the full
 coordinate space.  Even coordinates come first, so W's reduced
 row-echelon rows are W_0's rows followed by W_1's: each is homogeneous,
-and `superdim` reads the (even | odd) dimensions off the pivots.
+and `graded_dim` reads the (even | odd) dimensions off the pivots, for
+an algebra's subspaces (`superdim`) and for a free presentation's.
 """
 
 from __future__ import annotations
@@ -66,6 +67,14 @@ class SuperDim:
 
     def __str__(self) -> str:
         return f"({self.even}|{self.odd})"
+
+
+def graded_dim(S: Subspace, n_even: int) -> SuperDim:
+    """(even | odd) dimensions of a graded subspace of a space whose first
+    n_even coordinates are the even ones: its rows with a pivot below
+    n_even are even, the rest odd."""
+    even = sum(1 for p in S.pivots if p < n_even)
+    return SuperDim(even, S.dim - even)
 
 
 @dataclass
@@ -128,10 +137,8 @@ class LieSuperalgebra:
         return SuperDim(self.n_even, self.n_odd)
 
     def superdim(self, S: Subspace) -> SuperDim:
-        """(even | odd) dimensions of a graded subspace: its rows with a
-        pivot below n_even are even, the rest odd."""
-        even = sum(1 for p in S.pivots if p < self.n_even)
-        return SuperDim(even, S.dim - even)
+        """(even | odd) dimensions of a graded subspace (see `graded_dim`)."""
+        return graded_dim(S, self.n_even)
 
     def label_of(self, i: int) -> str:
         return self.basis_labels[i]

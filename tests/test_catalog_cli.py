@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -278,6 +281,18 @@ class TestRoundTrip:
 
 
 class TestCli:
+    def test_python_m_runs_the_cli(self, capsys, monkeypatch):
+        monkeypatch.delenv("SUPERSCHUR_FORMAT", raising=False)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {k: v for k, v in os.environ.items() if k != "SUPERSCHUR_FORMAT"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "superschur", "check"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        code = main(["check"])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, capsys.readouterr().out, "")
+
     def test_multiplier_both_on_heis3(self, capsys):
         code = main(["multiplier", "--algebra", "heis3", "--method", "both"])
         out = capsys.readouterr().out

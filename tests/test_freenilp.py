@@ -368,6 +368,51 @@ class TestTensorTerms:
         assert len(terms) == len(rewrite_identity_terms(3, par)) + 1
 
 
+def _columns_match_the_table(f) -> None:
+    A = f.algebra
+    columns = f.generator_columns()
+    for t in range(f.spec.num):
+        g = f.generator_basis_index(t)
+        for x in range(f.dim):
+            assert columns[t][x] == A.bracket_basis(x, g), (x, t)
+
+
+def _derived_pairs(f) -> list[tuple[int, int]]:
+    """The (x, t) below the top degree whose candidate [w_x, g_t] the
+    build did not keep: rejected, or with an empty expansion."""
+    words = {f.basis_word(i) for i in range(f.dim)}
+    return [
+        (x, t)
+        for x in range(f.dim)
+        for t in range(f.spec.num)
+        if f.basis_degree(x) < f.spec.class_bound and (f.basis_word(x), t) not in words
+    ]
+
+
+class TestGeneratorColumns:
+    """[x, g] read off the build against the assembled table, `_assemble`."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(1, 4))
+        .filter(lambda s: s[0] + s[1] >= 1)
+        .map(lambda s: GeneratorSpec(*s))
+    )
+    def test_columns_match_the_assembled_table(self, spec):
+        _columns_match_the_table(build_free_nilpotent(spec))
+
+    @pytest.mark.parametrize("p,q,rejected", [(2, 1, 46), (1, 2, 48)])
+    def test_class_six_rejected_candidates(self, p, q, rejected):
+        # 49 and 51 candidates below the top degree are not kept; three of
+        # each have an empty expansion: [x, x] for even x and [[f, f], f]
+        f = build_free_nilpotent(GeneratorSpec(p, q, 6))
+        derived = _derived_pairs(f)
+        columns = f.generator_columns()
+        nonzero = [(x, t) for x, t in derived if columns[t][x]]
+        assert (len(derived), len(nonzero)) == (rejected + 3, rejected)
+        _columns_match_the_table(f)
+
+
 class TestEvalHom:
     def test_identity_map(self):
         f = build_free_nilpotent(GeneratorSpec(2, 0, 2))
@@ -418,6 +463,20 @@ class TestEvalHom:
         f = build_free_nilpotent(GeneratorSpec(2, 0, 2))
         with pytest.raises(AlgebraError, match="homomorphism"):
             eval_hom(f, [unit(0), unit(1)], filiform4())
+
+    @pytest.mark.parametrize("p,q,k", [(2, 0, 2), (2, 1, 3), (1, 2, 4)])
+    def test_a_perturbed_rejected_expression_is_caught(self, p, q, k):
+        # the identity map of F checks every rejected candidate's expression
+        f = build_free_nilpotent(GeneratorSpec(p, q, k))
+        images = [unit(f.generator_basis_index(t)) for t in range(f.spec.num)]
+        eval_hom(f, images, f.algebra)
+        columns = f.generator_columns()
+        x, t = next((x, t) for x, t in _derived_pairs(f) if columns[t][x])
+        col = columns[t][x]
+        m = min(col)
+        col[m] += 1
+        with pytest.raises(AlgebraError, match=f"fails at basis pair {x},"):
+            eval_hom(f, images, f.algebra)
 
     def test_failure_at_word_and_odd_generator_detected(self):
         # every generator is odd, so each pair the truncation breaks is

@@ -2,10 +2,11 @@ import functools
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from superschur import freenilp, multiplier
+from superschur import cli, freenilp, multiplier
 from superschur.catalog import (
     abelian,
     builtin_algebras,
@@ -507,6 +508,33 @@ class TestBracketWithFree:
         capsys.readouterr()
         assert set(presented) == want
         assert len(want) == 20 and len(builds) == 21
+
+
+class TestFreeTableNeverAssembled:
+    """The Hopf route, `bounds` and `verify` read F through its generator
+    columns only; `_assemble` stays for free algebras used as targets."""
+
+    PRESENTATIONS = str(Path(__file__).parent / "golden" / "presentations.cat")
+
+    @pytest.mark.parametrize("catalog", [None, PRESENTATIONS], ids=["shipped", "presentations"])
+    @pytest.mark.parametrize(
+        "argv", [["multiplier", "--method", "both"], ["bounds"], ["verify"]], ids=lambda a: a[0]
+    )
+    def test_reports_without_assembling_free(self, argv, catalog, monkeypatch, capsys):
+        argv = ["--format", "json", *argv] + ([catalog] if catalog else [])
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        # the shipped catalog assembles free (2|1) class 3 on purpose, for
+        # its free21c* records, so it is loaded before the guard goes up
+        shipped = builtin_algebras()
+
+        def never(f):
+            raise AssertionError(f"assembled the table of {f.spec}")
+
+        monkeypatch.setattr(freenilp.FreeNilpotentSuperalgebra, "_assemble", never)
+        monkeypatch.setattr(cli, "builtin_algebras", lambda: shipped)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
 
 
 class TestPresentationInvariance:
