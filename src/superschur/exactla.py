@@ -7,7 +7,8 @@ stored row is a primitive integer vector, reduced only against rows of
 smaller pivot and never rewritten afterwards.  It only reduces: spans
 and ranks are its rows, and kernels and solutions are read off tag
 coordinates that the caller appends after its real keys, as in an
-augmented matrix.  No floating point anywhere.  Sparse dicts
+augmented matrix.  Ranks, pivots and remainders are read off the
+integer rows directly.  No floating point anywhere.  Sparse dicts
 {index: nonzero Fraction} are the one vector type: a `Subspace` keeps
 the engine's reduced row-echelon rows, back-substituted once into
 Fractions, so two objects describe the same subspace exactly when
@@ -21,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -43,6 +44,15 @@ def axpy(y: dict, a, x: dict) -> None:
             y[k] = nv
         elif old is not None:
             del y[k]
+
+
+def combine(columns, v: dict) -> dict:
+    """sum_x v[x] * columns[x], as a sparse vector: the image of v under
+    the matrix whose column x is the sparse vector columns[x]."""
+    acc: dict = {}
+    for x, c in v.items():
+        axpy(acc, c, columns[x])
+    return acc
 
 
 def _integral(v: dict) -> tuple[dict, int]:
@@ -158,6 +168,26 @@ class SparseEchelon:
         self._rref = None
         return True
 
+    @property
+    def pivots(self):
+        """The pivots of the stored rows, in insertion order: the same set as
+        the reduced row-echelon form's, as both bases have one row per
+        smallest key of a nonzero member of the row space."""
+        return self._rows.keys()
+
+    def remainder(self, v: dict) -> dict:
+        """v less the member of the row space that leaves it 0 at every pivot.
+
+        `_reduce` leaves s*v less a combination of the rows, 0 at every
+        pivot, so dividing by s gives such a remainder.  It is unique: the
+        difference of two lies in the row space and is 0 at every pivot,
+        so it is 0.  So it is `Subspace.reduce` over the reduced rows, and
+        empty exactly when v lies in the row space.
+        """
+        v, d = _integral(v)
+        d *= _reduce(self._rows, v)
+        return {k: Fraction(c, d) for k, c in v.items()}
+
     def express(self, v: dict, first_tag) -> dict | None:
         """Coefficients c with v = sum c[t] * u_t, or None if v is outside
         their span; each u_t went in with the tag coordinate {t: 1}
@@ -176,17 +206,18 @@ class SparseEchelon:
             return None
         return {t: Fraction(-c, d) for t, c in v.items()}
 
-    def relations(self, first_tag, position, n: int) -> "Subspace":
-        """{a : sum_j a_j u_j = 0}, a canonical subspace of Q^n, where u_j went
-        in with one tag t appended, position(t) = j, and first_tag sorts after
-        every real key and at or before every tag.
+    def tag_rows(self, first_tag) -> Iterator[dict]:
+        """The stored integer rows whose pivot is at or after first_tag, in
+        insertion order: a basis of the relations {a : sum_t a_t u_t = 0}
+        when each u_t went in with one tag t appended and first_tag sorts
+        after every real key and at or before every tag.
 
-        A row whose pivot is a tag has no real key, so its tags are a relation.
-        Each insertion stores a row (its tag is new), and the rows with a real
-        pivot number the rank of the u_j, so the tag-pivot rows are a basis.
+        Such a row has no real key, so its tags are a relation.  Each
+        insertion stores a row (its tag is new), and the rows with a real
+        pivot number the rank of the u_t, so these rows, independent by
+        their distinct pivots, are as many as the relations' dimension.
         """
-        rels = (row for p, row in self._rows.items() if p >= first_tag)
-        return Subspace.span(({position(t): c for t, c in r.items()} for r in rels), n)
+        return (row for p, row in self._rows.items() if p >= first_tag)
 
     def rows(self) -> tuple[dict, ...]:
         """The reduced row-echelon basis of the row space, in pivot order:
@@ -227,12 +258,13 @@ def kernel(columns: Sequence[dict]) -> "Subspace":
 
     Columns are sparse vectors with mutually comparable keys.  Column j
     goes in keyed (0, k), with the tag (1, j) appended, in one pass, and
-    `SparseEchelon.relations` reads the kernel off the rows.
+    the kernel is the span of `SparseEchelon.tag_rows`.
     """
     ech = SparseEchelon()
     for j, col in enumerate(columns):
         ech.insert({**{(0, k): c for k, c in col.items()}, (1, j): 1})
-    return ech.relations((1,), lambda t: t[1], len(columns))
+    rels = ({t[1]: c for t, c in row.items()} for row in ech.tag_rows((1,)))
+    return Subspace.span(rels, len(columns))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ and the rewriting identity's coefficients, are Python ints.
 `SparseEchelon` eliminates them in integers too; only what it hands
 back, structure constants from `express` and reduced row-echelon rows,
 is in Fractions, so bases, structure constants and subspaces stay exact
-rationals.
+rationals.  The generator columns keep their integral coefficients as
+ints, so the presentations bracket integer relations in integers.
 
 The CLI's sweep of the bracket rewriting identity does not expand in
 the superalgebra: its words use each letter once, so it reads each
@@ -34,7 +35,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
-from .exactla import SparseEchelon, Subspace, axpy
+from .exactla import SparseEchelon, Subspace, axpy, combine
 from .superalg import EVEN, ODD, AlgebraError, LieSuperalgebra, SuperDim, graded_sign
 
 _ONE = Fraction(1)
@@ -251,7 +252,7 @@ class FreeNilpotentSuperalgebra:
 
         Every basis word w below the top degree gives the build's
         candidate [w, g_t], so the build decides each column:
-        * a kept candidate is its own basis element;
+        * a kept candidate is its own basis element, {m: 1};
         * at the top degree, and for a candidate with an empty expansion,
           the bracket is 0;
         * a rejected candidate's expansion is expressed over the kept
@@ -259,7 +260,10 @@ class FreeNilpotentSuperalgebra:
           index), as in `_assemble`; only degrees with a rejected
           candidate build one.
 
-        The dicts are shared, not copied: callers must not mutate them.
+        An integral coefficient is stored as an int and every other one as
+        a Fraction, so the bracket of an integer vector with a generator
+        is integer whenever the expressions it meets are.  The dicts are
+        shared, not copied: callers must not mutate them.
         """
         if self._columns is None:
             k, num, pars = self.spec.class_bound, self.spec.num, self.spec.parities
@@ -275,27 +279,22 @@ class FreeNilpotentSuperalgebra:
                 coeffs = echelons[d].express(z, (num,))
                 if coeffs is None:
                     raise AlgebraError("internal error: a bracket escapes the selected basis")
-                rejected[(w, t)] = {idx: c for (_, idx), c in sorted(coeffs.items())}
+                rejected[(w, t)] = {
+                    idx: c.numerator if c.denominator == 1 else c
+                    for (_, idx), c in sorted(coeffs.items())
+                }
             columns: list[list[dict]] = [[] for _ in range(num)]
             for d, w in self._basis:
                 for t in range(num):
                     if d == k:
                         col = {}
                     elif (m := index.get((w, t))) is not None:
-                        col = {m: _ONE}
+                        col = {m: 1}
                     else:
                         col = rejected.get((w, t), {})
                     columns[t].append(col)
             self._columns = tuple(map(tuple, columns))
         return self._columns
-
-    def bracket_with_generator(self, v: dict, t: int) -> dict:
-        """[v, g_t] for a sparse vector v over F's basis, read off the columns."""
-        col = self.generator_columns()[t]
-        acc: dict = {}
-        for x, c in v.items():
-            axpy(acc, c, col[x])
-        return acc
 
     # -- assembled algebra -------------------------------------------------------
 
@@ -625,10 +624,7 @@ def eval_hom(
             if len(col) == 1 and f.basis_word(next(iter(col))) == (f.basis_word(x), t):
                 continue  # a kept candidate
             g = f.generator_basis_index(t)
-            image: dict = {}
-            for m, c in col.items():
-                axpy(image, c, columns[m])
-            if image != target.bracket(columns[x], columns[g]):
+            if combine(columns, col) != target.bracket(columns[x], columns[g]):
                 raise AlgebraError(
                     "generator images do not extend to a homomorphism "
                     f"(fails at basis pair {x},{g}; is the target's class within "

@@ -4,10 +4,13 @@ The primary route realizes the multiplier as (R ∩ F²)/[R, F] over a free
 presentation truncated one class above the target: writing c for the
 target's class, the free algebra is cut at class c+1.  The presentation
 is minimal, so R ⊆ F² and the numerator is R itself (proof in
-`present`).  The truncation loses nothing, because γ_{c+1}(F) ⊆ R forces
-γ_{c+2}(F) ⊆ [R, F], so every quotient appearing here - the multiplier
-itself and the bracket quotients [γ_i(F)+R, F]/[γ_{i+1}(F)+R, F] - is
-untouched by dividing out γ_{c+2}(F).  Each [γ_i(F)+R, F] is
+`present`); R is an ideal and π is onto, so the multiplier's dimension
+is dim F - dim L - rank [R, F] per parity (`schur_multiplier_hopf`),
+counted off [R, F]'s integer echelon.  The truncation loses nothing,
+because γ_{c+1}(F) ⊆ R forces γ_{c+2}(F) ⊆ [R, F], so every quotient
+appearing here - the multiplier itself and the bracket quotients
+[γ_i(F)+R, F]/[γ_{i+1}(F)+R, F] - is untouched by dividing out
+γ_{c+2}(F).  Each [γ_i(F)+R, F] is
 γ_{i+1}(F) + [R, F], read off [R, F]'s pivots (see `bracket_quotient_dim`),
 so one product, [R, F], serves the multiplier and every bracket quotient.
 
@@ -32,8 +35,8 @@ from fractions import Fraction
 from .exactla import (
     Matrix,
     SparseEchelon,
-    Subspace,
     axpy,
+    combine,
     complement_rows,
     rref,
 )
@@ -66,9 +69,10 @@ class FreePresentation:
 
     `fbar` is free nilpotent of class c+1 on the target's minimal
     generator counts, `pi` is the list of columns of the evaluation on
-    the chosen homogeneous lifts (`eval_hom`), and `relations` is the
-    graded kernel R of `pi`, which lies in γ₂(F) and contains
-    γ_{c+1}(F) (see `present`).  `columns` is π's one elimination, each
+    the chosen homogeneous lifts (`eval_hom`), and `relation_rows` are a
+    basis of the graded kernel R of `pi`, which lies in γ₂(F) and
+    contains γ_{c+1}(F) (see `present`): homogeneous primitive integer
+    vectors over fbar's basis.  `columns` is π's one elimination, each
     column tagged above the target's coordinates; `column_of` maps a tag
     to its basis index of fbar, in the order the columns went in.
     """
@@ -76,7 +80,7 @@ class FreePresentation:
     target: LieSuperalgebra
     fbar: FreeNilpotentSuperalgebra
     pi: list[dict]
-    relations: Subspace
+    relation_rows: tuple[dict, ...]
     lift_indices: tuple[int, ...]
     columns: SparseEchelon
     column_of: dict[int, int]
@@ -101,40 +105,47 @@ class FreePresentation:
         return lift
 
     @cached_property
-    def relation_bracket(self) -> Subspace:
-        """[R, F], the one product with F that the presentation forms."""
-        return bracket_with_free(self.fbar, self.relations)
+    def relation_bracket(self) -> SparseEchelon:
+        """[R, F], the one product with F that the presentation forms, as
+        the echelon of its integer rows."""
+        return bracket_with_free(self.fbar, self.relation_rows)
 
     def bracket_ideal_residual(self, v: dict, i: int) -> dict:
         """v modulo [γ_i(F)+R, F] = γ_{i+1}(F) + [R, F]: the part of degree
-        <= i of `relation_bracket.reduce(v)`, empty exactly when v lies in it.
+        <= i of `relation_bracket.remainder(v)`, empty exactly when v lies
+        in it.
 
-        π keeps parity, so [R, F] is graded and each of its reduced rows lies
-        in one parity block, where fbar's basis runs by degree: a row's pivot
-        is its lowest degree.  r = reduce(v) is v less a member of [R, F],
-        and 0 at every pivot.  If r - g = Σ a_p row_p with g in γ_{i+1}(F),
-        then at a pivot p of degree <= i, a_p is r's entry (g has none), 0;
-        so only rows inside γ_{i+1}(F) take part, and r lies in it.  The part
-        is linear and vanishes on [R, F] and on γ_{i+1}(F): a canonical remainder.
+        The remainder is v reduced by [R, F]'s reduced row-echelon rows
+        (`SparseEchelon.remainder`).  π keeps parity, so [R, F] is graded
+        and each of those rows lies in one parity block, where fbar's basis
+        runs by degree: a row's pivot is its lowest degree.  r = remainder
+        is v less a member of [R, F], and 0 at every pivot.  If
+        r - g = Σ a_p row_p with g in γ_{i+1}(F), then at a pivot p of
+        degree <= i, a_p is r's entry (g has none), 0; so only rows inside
+        γ_{i+1}(F) take part, and r lies in it.  The part is linear and
+        vanishes on [R, F] and on γ_{i+1}(F): a canonical remainder.
         """
         deg = self.fbar.basis_degree
-        return {k: c for k, c in self.relation_bracket.reduce(v).items() if deg(k) <= i}
+        return {k: c for k, c in self.relation_bracket.remainder(v).items() if deg(k) <= i}
 
 
-def bracket_with_free(f: FreeNilpotentSuperalgebra, ideal: Subspace) -> Subspace:
-    """[I, F] for a graded ideal I of F, as the span of [r, g] over the
-    rows r of I and the generators g, read off F's generator columns:
-    [r, g] = Σ_x r_x [x, g].
+def bracket_with_free(f: FreeNilpotentSuperalgebra, ideal_rows) -> SparseEchelon:
+    """[I, F] for a graded ideal I of F, as the echelon of [r, g] over
+    vectors r spanning I and the generators g, read off F's generator
+    columns: [r, g] = Σ_x r_x [x, g].
 
-    [I, F] is the span J of [x, g] over basis members x of I and
+    [I, F] is the span J of [x, g] over the spanning vectors x and the
     generators g.  The y with [I, y] ⊆ J contain the generators and are
     closed under brackets, because [x, [y, z]] = [[x, y], z] ± [[x, z], y]
     and [x, y], [x, z] lie in I; so they are all of F.
     """
-    products = (
-        f.bracket_with_generator(r, t) for r in ideal.rows for t in range(f.spec.num)
-    )
-    return Subspace.span((z for z in products if z), f.dim)
+    ad = f.generator_columns()
+    ech = SparseEchelon()
+    for r in ideal_rows:
+        for column in ad:
+            if z := combine(column, r):
+                ech.insert(z)
+    return ech
 
 
 def present(L: LieSuperalgebra) -> FreePresentation:
@@ -178,17 +189,34 @@ def present(L: LieSuperalgebra) -> FreePresentation:
     columns = SparseEchelon()
     for t, idx in column_of.items():
         columns.insert({**pi[idx], t: 1})
-    relations = columns.relations(L.dim, column_of.__getitem__, f.dim)
-    pres = FreePresentation(L, f, pi, relations, tuple(lifts), columns, column_of)
+    relation_rows = tuple(
+        {column_of[t]: c for t, c in row.items()} for row in columns.tag_rows(L.dim)
+    )
+    pres = FreePresentation(L, f, pi, relation_rows, tuple(lifts), columns, column_of)
     L._cache["presentation"] = pres
     return pres
 
 
 def schur_multiplier_hopf(L: LieSuperalgebra) -> SuperDim:
-    """(R ∩ F²)/[R, F] over the truncated free presentation, graded.
+    """(R ∩ F²)/[R, F] over the truncated free presentation, graded, as
+    dim F - dim L - rank [R, F] per parity.
 
     The presentation is minimal, so R ⊆ F² (proof in `present`) and the
-    numerator is R.
+    numerator is R.  Two facts turn its quotient into a rank count, and
+    neither is rechecked:
+
+    * dim R = dim F - dim L per parity.  `present`'s rank check gives
+      rank π = dim L, and π keeps parity, so it maps each parity block
+      of F onto L's.
+    * [R, F] ⊆ R.  R is the kernel of the homomorphism π, so an ideal.
+
+    The rank's parities come off [R, F]'s pivots.  An echelon of
+    homogeneous inputs has homogeneous rows, as an input is reduced only
+    by rows whose pivot it holds, so, inductively, by rows of its own
+    parity.  π's columns, each tagged with its column's parity, are
+    homogeneous, so R's rows are, and so are their brackets [r, g] with
+    the generators.  F's basis lists the even words first, so a pivot
+    below `n_even` is even.
     """
     if "hopf" in L._cache:
         return L._cache["hopf"]
@@ -198,9 +226,8 @@ def schur_multiplier_hopf(L: LieSuperalgebra) -> SuperDim:
         return SuperDim(0, 0)
     pres = present(L)
     f = pres.fbar
-    # a subset of reduced row-echelon rows is itself in that form
-    comp = Subspace(f.dim, complement_rows(pres.relations, pres.relation_bracket))
-    L._cache["hopf"] = graded_dim(comp, f.n_even)
+    rf = graded_dim(pres.relation_bracket.pivots, f.n_even)
+    L._cache["hopf"] = SuperDim(f.n_even - L.n_even - rf.even, f.n_odd - L.n_odd - rf.odd)
     return L._cache["hopf"]
 
 
@@ -431,11 +458,11 @@ def bracket_map_residual(
     `FreePresentation.bracket_ideal_residual`; an empty residual
     certifies kernel membership.  A term u ⊗ y_b goes to [w_u, g_b], with
     w_u a lift of u, read off fbar's generator column b."""
-    f = pres.fbar
+    ad = pres.fbar.generator_columns()
     total: dict = {}
     for (a, b), coeff in tensor.items():
         w_u = pres.lift_into_gamma(leg1_rows[a], i)
-        axpy(total, coeff, f.bracket_with_generator(w_u, b))
+        axpy(total, coeff, combine(ad[b], w_u))
     return pres.bracket_ideal_residual(total, i + 1)
 
 

@@ -69,12 +69,13 @@ class SuperDim:
         return f"({self.even}|{self.odd})"
 
 
-def graded_dim(S: Subspace, n_even: int) -> SuperDim:
+def graded_dim(pivots, n_even: int) -> SuperDim:
     """(even | odd) dimensions of a graded subspace of a space whose first
-    n_even coordinates are the even ones: its rows with a pivot below
-    n_even are even, the rest odd."""
-    even = sum(1 for p in S.pivots if p < n_even)
-    return SuperDim(even, S.dim - even)
+    n_even coordinates are the even ones, from the pivots of a basis of
+    homogeneous rows: a row with a pivot below n_even is even, the rest
+    odd."""
+    even = sum(1 for p in pivots if p < n_even)
+    return SuperDim(even, len(pivots) - even)
 
 
 @dataclass
@@ -138,7 +139,7 @@ class LieSuperalgebra:
 
     def superdim(self, S: Subspace) -> SuperDim:
         """(even | odd) dimensions of a graded subspace (see `graded_dim`)."""
-        return graded_dim(S, self.n_even)
+        return graded_dim(S.pivots, self.n_even)
 
     def label_of(self, i: int) -> str:
         return self.basis_labels[i]

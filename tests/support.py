@@ -28,6 +28,10 @@ from the original's.
 
 `subspace_intersect` gives the textbook numerator R ∩ F² of the Hopf
 formula, against which tests check that the package may take R itself.
+`relations_subspace` is R as a `Subspace`, spanned by a presentation's
+relation rows.  `reference_hopf_dims` is the Hopf route as the package
+counted it before it became a rank count: R's `Subspace`, [R, F]'s
+`Subspace` and `complement_rows`, which re-proves [R, F] ⊆ R.
 `subspace_sum` builds the ideals γ_i(F) + R whose all-pairs products
 tests hold the bracket-ideal chain to.
 """
@@ -36,7 +40,14 @@ import itertools
 import random
 from fractions import Fraction
 
-from superschur.exactla import SparseEchelon, Subspace, axpy, kernel
+from superschur.exactla import (
+    SparseEchelon,
+    Subspace,
+    axpy,
+    combine,
+    complement_rows,
+    kernel,
+)
 from superschur.freenilp import (
     GeneratorSpec,
     build_free_nilpotent,
@@ -44,7 +55,13 @@ from superschur.freenilp import (
     rewrite_identity_terms,
     word_leaves,
 )
-from superschur.superalg import LieSuperalgebra, SuperDim, change_basis, graded_sign
+from superschur.superalg import (
+    LieSuperalgebra,
+    SuperDim,
+    change_basis,
+    graded_dim,
+    graded_sign,
+)
 
 
 def dense_rank(rows) -> int:
@@ -166,6 +183,27 @@ def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:
                 axpy(v, a, u.rows[i])
         shared.append(v)
     return Subspace.span(shared, u.ambient_dim)
+
+
+def relations_subspace(p) -> Subspace:
+    """The relations R of a free presentation, spanned by its relation rows."""
+    return Subspace.span(p.relation_rows, p.fbar.dim)
+
+
+def reference_hopf_dims(p) -> SuperDim:
+    """(R ∩ F²)/[R, F]'s (even | odd) dimensions by complement, not by rank.
+
+    R is `kernel(p.pi)`, eliminated apart from the presentation's own
+    echelon, and [R, F] the span of [r, g] over R's reduced rows and the
+    generators.  `complement_rows` raises unless [R, F] ⊆ R and returns
+    rows of R's reduced row-echelon form, homogeneous as R is graded, so
+    their pivots give the parities.
+    """
+    f = p.fbar
+    R = kernel(p.pi)
+    ad = f.generator_columns()
+    RF = Subspace.span((z for r in R.rows for col in ad if (z := combine(col, r))), f.dim)
+    return graded_dim([min(row) for row in complement_rows(R, RF)], f.n_even)
 
 
 def reference_identity_residual(i: int, parities) -> dict:

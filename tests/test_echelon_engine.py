@@ -6,7 +6,9 @@ inputs, so rejections are exercised as often as acceptances.  Exact
 agreement on such inputs is what rules out lost precision or a wrong
 scale in the integer rows.  `express` reads dependencies off tag
 coordinates appended to the inputs; the reference keeps a ledger per
-row, so it is an independent check of those readings.
+row, so it is an independent check of those readings.  `remainder` is
+held to `Subspace.reduce` over the reduced rows, and `tag_rows` to the
+relations among the inputs.
 """
 
 from fractions import Fraction
@@ -15,7 +17,7 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superschur.exactla import SparseEchelon, axpy
+from superschur.exactla import SparseEchelon, Subspace, axpy
 from support import ReferenceEchelon, dense_rank
 
 F = Fraction
@@ -113,6 +115,36 @@ def test_matches_the_reference_engine_and_dense_rank(ops, stray):
         for t, c in got.items():
             axpy(back, c, vs[t])
         assert back == nonzero(target)
+
+
+@given(operations, vectors)
+@settings(max_examples=60, deadline=None)
+def test_remainder_pivots_and_tag_rows(ops, stray):
+    vs = resolve(ops)
+    ech, aug = SparseEchelon(), SparseEchelon()
+    for t, v in enumerate(vs):
+        ech.insert(v)
+        aug.insert(tagged(v, t))
+    reduced = Subspace(0, ech.rows())
+    assert sorted(ech.pivots) == list(reduced.pivots)
+    mixed: dict = {}
+    for t, v in enumerate(vs):
+        axpy(mixed, F(2 * t - 3, 5), v)
+    for target in vs + [mixed, stray]:
+        got = ech.remainder(target)
+        assert got == reduced.reduce(nonzero(target))
+        assert all(type(c) is Fraction for c in got.values())
+        assert (not got) == (rank_of(vs + [target]) == rank_of(vs))
+    # the tag-pivot rows are independent relations among the inputs, as
+    # many as the inputs less their rank
+    relations = list(aug.tag_rows(FIRST_TAG))
+    assert len(relations) == len(vs) - rank_of(vs)
+    assert rank_of(relations) == len(relations)
+    for row in relations:
+        combo: dict = {}
+        for t, c in untag(row).items():
+            axpy(combo, c, vs[t])
+        assert combo == {}
 
 
 @given(operations)

@@ -1,8 +1,9 @@
 """Source hygiene: every name a package module imports, every private
 module-level constant it defines and every parameter its functions take
 is used in it, every dataclass field it declares is read somewhere in
-the package or its tests, and every function it defines is loaded by the
-package or the benchmark, not only by tests.
+the package or its tests, every function it defines is loaded by the
+package or the benchmark, not only by tests, and no module of the
+package or the benchmark but `exactla` touches `SparseEchelon._rows`.
 
 Deletions tend to leave names behind (a helper's last caller goes, its
 import or its cached constant stays; a field's last reader goes, the
@@ -224,6 +225,36 @@ def dotted_string_names(source: str) -> Counter:
             if re.fullmatch(r"\w+(\.\w+)+", n.value):
                 found.update(n.value.split("."))
     return found
+
+
+def echelon_row_accesses(source: str) -> list[str]:
+    """The lines of `source` that touch an attribute named `_rows`."""
+    return [
+        f"line {line}"
+        for line in sorted(
+            n.lineno
+            for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and n.attr == "_rows"
+        )
+    ]
+
+
+# `SparseEchelon` keeps its primitive integer rows in `_rows`; everything
+# else reads them through its accessors (`pivots`, `remainder`, `express`,
+# `tag_rows`, `rows`)
+OUTSIDE_EXACTLA = [p for p in MODULES if p.name != "exactla.py"] + sorted(PERFBENCH.glob("*.py"))
+
+
+@pytest.mark.parametrize(
+    "path", OUTSIDE_EXACTLA, ids=lambda p: f"{p.parent.name}/{p.name}"
+)
+def test_only_exactla_touches_the_echelon_rows(path):
+    assert echelon_row_accesses(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_an_echelon_row_access():
+    source = "def pivots(ech):\n    n = 0\n    return list(ech._rows), n\nech._rows = {}\n"
+    assert echelon_row_accesses(source) == ["line 3", "line 4"]
 
 
 # Stated by PAPER.md: the penultimate form of the main bound.

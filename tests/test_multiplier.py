@@ -6,12 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from superschur import cli, freenilp, multiplier
+from superschur import cli, exactla, freenilp, multiplier
 from superschur.catalog import (
     abelian,
     builtin_algebras,
     filiform4,
     heisenberg3,
+    parse_catalog,
     special_heisenberg_odd,
 )
 from superschur.cli import main
@@ -48,11 +49,14 @@ from support import (
     basis_changed,
     gl_changed,
     random_quotients,
+    reference_hopf_dims,
+    relations_subspace,
     subspace_intersect,
     subspace_sum,
 )
 
 F = Fraction
+PRESENTATIONS = Path(__file__).parent / "golden" / "presentations.cat"
 
 
 @functools.cache
@@ -76,6 +80,20 @@ def presented():
     return presented_algebras()
 
 
+def gl_copies():
+    """A seeded dense `gl_changed` copy of each of `presented_bases`."""
+    return [gl_changed(L, t) for t, L in enumerate(presented_bases())]
+
+
+def rank_route_cases():
+    """The shipped catalog, the 100 random quotients, the dense copies of
+    `presented_bases` and scrambled sh(0|4..6), the benchmark's Hopf ladder."""
+    catalog = [L for L in builtin_algebras() if L.dim and L.is_nilpotent()]
+    quotients = [L for L in random_quotients(100) if L.dim]
+    ladder = [basis_changed(special_heisenberg_odd(n), n) for n in (4, 5, 6)]
+    return catalog + quotients + gl_copies() + ladder
+
+
 def heis_plus_line():
     return direct_sum(heisenberg3(), abelian(1, 0, labels=["e4"]), name="heis3+A(1|0)")
 
@@ -85,19 +103,20 @@ class TestPresent:
         p = present(heisenberg3())
         assert p.fbar.spec == GeneratorSpec(2, 0, 3)
         assert p.fbar.total_dims == SuperDim(5, 0)
-        assert p.fbar.algebra.superdim(p.relations) == SuperDim(2, 0)
+        R = relations_subspace(p)
+        assert p.fbar.algebra.superdim(R) == SuperDim(2, 0)
         # R is exactly the degree->=3 filtration step here
-        assert p.relations == p.fbar.gamma(3)
+        assert R == p.fbar.gamma(3)
 
     def test_abelian_line(self):
         p = present(abelian(1, 0))
         assert p.fbar.spec == GeneratorSpec(1, 0, 2)
-        assert p.relations.dim == 0
+        assert p.relation_rows == ()
 
     def test_sh01_presented_by_itself(self):
         p = present(special_heisenberg_odd(1))
         assert p.fbar.total_dims == SuperDim(1, 1)
-        assert p.relations.dim == 0
+        assert p.relation_rows == ()
 
     def test_non_nilpotent_rejected(self):
         from superschur.superalg import EVEN, LieSuperalgebra
@@ -113,15 +132,16 @@ class TestPresent:
             p = present(L)
             c = L.nilpotency_class()
             top = p.fbar.gamma(c + 1)
+            R = relations_subspace(p)
             for v in top.rows:
-                assert p.relations.contains(v), L.name
+                assert R.contains(v), L.name
 
     def test_relations_are_the_kernel_of_pi(self, presented):
         # R is read off the tagged echelon that also serves the lifts;
         # `kernel` eliminates π's columns on its own, in another order
         for L in presented:
             p = present(L)
-            assert p.relations == kernel(p.pi), L.name
+            assert relations_subspace(p) == kernel(p.pi), L.name
 
     def test_lift_into_gamma_contract(self, presented):
         # for 2 <= i <= c, a row v of γ_i(L) lifts to a combination of π's
@@ -161,7 +181,8 @@ class TestPresent:
     def test_relations_inside_the_derived_algebra(self, presented):
         for L in presented:
             p = present(L)
-            assert subspace_intersect(p.relations, p.fbar.gamma(2)) == p.relations, L.name
+            R = relations_subspace(p)
+            assert subspace_intersect(R, p.fbar.gamma(2)) == R, L.name
 
     def test_non_minimal_generators_leave_relations_outside_the_derived_algebra(self):
         # heis3 generated by e1, e2 and also e3 = [e1, e2]: x3 - [x1, x2]
@@ -194,6 +215,52 @@ class TestHopf:
 
     def test_zero_algebra(self):
         assert schur_multiplier_hopf(abelian(0, 0)) == SuperDim(0, 0)
+
+
+class TestRankRoute:
+    """The rank count against the complement it replaced, which re-proves
+    [R, F] ⊆ R on every input (`support.reference_hopf_dims`)."""
+
+    CASES = rank_route_cases()
+
+    @pytest.mark.parametrize(
+        "L", CASES, ids=[f"{t}-{L.name}" for t, L in enumerate(CASES)]
+    )
+    def test_rank_count_matches_the_complement(self, L):
+        p = present(L)
+        assert schur_multiplier_hopf(L) == reference_hopf_dims(p)
+        R = relations_subspace(p)
+        assert all(R.contains(row) for row in p.relation_bracket.rows())
+
+    def test_one_back_substitution_per_presentation(self, monkeypatch):
+        """With the series computed, the Hopf route calls
+        `SparseEchelon.rows` once per presentation, in `present`'s dense
+        `rref` check, and never `complement_rows`."""
+        fresh = [
+            L for L in builtin_algebras() + parse_catalog(PRESENTATIONS.read_text())
+            if L.dim and L.is_nilpotent()
+        ]
+        for L in fresh:
+            L.generator_lift_indices()
+            L.minimal_generator_dims()
+
+        def refuse(*args):
+            raise AssertionError("the Hopf route re-proved a containment")
+
+        monkeypatch.setattr(exactla, "complement_rows", refuse)
+        monkeypatch.setattr(multiplier, "complement_rows", refuse)
+        calls = []
+        real_rows = exactla.SparseEchelon.rows
+
+        def counting_rows(self):
+            calls.append(self)
+            return real_rows(self)
+
+        monkeypatch.setattr(exactla.SparseEchelon, "rows", counting_rows)
+        for L in fresh:
+            calls.clear()
+            schur_multiplier_hopf(L)
+            assert len(calls) == 1, L.name
 
 
 class TestCohomology:
@@ -311,13 +378,14 @@ class TestLambdaKernel:
             c = L.nilpotency_class()
             rows = complement_rows(L.gamma(c), L.gamma(c + 1))
             A = p.fbar.algebra
-            y_freedom = subspace_sum(p.fbar.gamma(2), p.relations)
+            R = relations_subspace(p)
+            y_freedom = subspace_sum(p.fbar.gamma(2), R)
             bases = []
             for b in range(len(p.lift_indices)):
                 base = bracket_map_residual(p, c, {(0, b): F(1)}, rows)
                 bases.append(base)
                 for _ in range(5):
-                    w_u = perturb(p.lift_into_gamma(rows[0], c), p.relations)
+                    w_u = perturb(p.lift_into_gamma(rows[0], c), R)
                     w_y = perturb({p.fbar.generator_basis_index(b): F(1)}, y_freedom)
                     assert p.bracket_ideal_residual(A.bracket(w_u, w_y), c + 1) == base
             # some tensor lies outside the kernel: a nonzero residual is held fixed
@@ -431,7 +499,7 @@ class TestBracketWithFree:
         # the random quotients and their copies, as `presented` has them
         + [L for L in presented_algebras() if L.name.startswith("rq")]
         # dense bases, whose R and [R, F] mix many basis words
-        + [gl_changed(L, t) for t, L in enumerate(presented_bases())],
+        + gl_copies(),
         ids=lambda L: L.name,
     )
     def test_matches_all_pairs_product_space(self, L):
@@ -444,13 +512,14 @@ class TestBracketWithFree:
         c = L.nilpotency_class()
         full = Subspace.full(A.dim)
         # base_i = γ_i(F)+R for 2 <= i <= c, and base_{c+1} = R
-        bases = {i: subspace_sum(f.gamma(i), p.relations) for i in range(2, c + 1)}
-        bases[c + 1] = p.relations
+        R = relations_subspace(p)
+        bases = {i: subspace_sum(f.gamma(i), R) for i in range(2, c + 1)}
+        bases[c + 1] = R
         pivot_degrees = [f.basis_degree(q) for q in p.relation_bracket.pivots]
         ideals = {}
         for i, base in bases.items():
             ideals[i] = ideal = A.product_space(base, full)
-            assert bracket_with_free(f, base) == ideal
+            assert Subspace(f.dim, bracket_with_free(f, base.rows).rows()) == ideal
             assert not any(p.bracket_ideal_residual(row, i) for row in ideal.rows)
             assert ideal.dim == f.gamma(i + 1).dim + sum(d <= i for d in pivot_degrees)
             for k in range(A.dim):
@@ -458,6 +527,30 @@ class TestBracketWithFree:
                 assert (not p.bracket_ideal_residual(unit, i)) == ideal.contains(unit)
         for i in range(2, c + 1):
             assert bracket_quotient_dim(p, i) == ideals[i].dim - ideals[i + 1].dim
+
+    def test_echelon_remainder_is_the_reduced_rows_reduce(self, presented):
+        """[R, F]'s echelon remainder is `Subspace.reduce` over its reduced
+        rows, key for key: on unit vectors, random sparse vectors and
+        random members of [R, F], whose remainder is empty."""
+        rng = random.Random(29)
+        inside = 0
+        for L in presented + gl_copies():
+            p = present(L)
+            ech, n = p.relation_bracket, p.fbar.dim
+            S = Subspace(n, ech.rows())
+            targets = [{k: F(1)} for k in range(n)]
+            for _ in range(4):
+                keys = rng.sample(range(n), min(n, 5))
+                targets.append({k: F(rng.choice([-3, -1, 2, 5]), rng.randint(1, 6)) for k in keys})
+            for v in targets:
+                assert ech.remainder(v) == S.reduce(v), L.name
+            for _ in range(2):
+                member: dict = {}
+                for row in S.rows:
+                    axpy(member, F(rng.randint(-3, 3), rng.randint(1, 3)), row)
+                inside += bool(member)
+                assert ech.remainder(member) == {} == S.reduce(member), L.name
+        assert inside > 100
 
     def test_verify_brackets_once_per_presentation(self, monkeypatch, capsys):
         """Every bracket ideal and the Hopf denominator read one product
@@ -514,9 +607,9 @@ class TestFreeTableNeverAssembled:
     """The Hopf route, `bounds` and `verify` read F through its generator
     columns only; `_assemble` stays for free algebras used as targets."""
 
-    PRESENTATIONS = str(Path(__file__).parent / "golden" / "presentations.cat")
-
-    @pytest.mark.parametrize("catalog", [None, PRESENTATIONS], ids=["shipped", "presentations"])
+    @pytest.mark.parametrize(
+        "catalog", [None, str(PRESENTATIONS)], ids=["shipped", "presentations"]
+    )
     @pytest.mark.parametrize(
         "argv", [["multiplier", "--method", "both"], ["bounds"], ["verify"]], ids=lambda a: a[0]
     )
@@ -547,8 +640,9 @@ class TestPresentationInvariance:
             c = L.nilpotency_class()
             p = present(L)
             A = p.fbar.algebra
-            num = subspace_intersect(p.relations, p.fbar.gamma(2))
-            den = A.product_space(p.relations, Subspace.full(A.dim))
+            R = relations_subspace(p)
+            num = subspace_intersect(R, p.fbar.gamma(2))
+            den = A.product_space(R, Subspace.full(A.dim))
             sn, sd = A.superdim(num), A.superdim(den)
             assert len(complement_rows(num, den)) == sn.total - sd.total
             dims = SuperDim(sn.even - sd.even, sn.odd - sd.odd)

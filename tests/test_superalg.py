@@ -25,7 +25,14 @@ from superschur.superalg import (
     direct_sum,
     graded_sign,
 )
-from support import basis_changed, canonical_table, dense_rank, reference_validation, sparse
+from support import (
+    basis_changed,
+    canonical_table,
+    dense_rank,
+    reference_validation,
+    relations_subspace,
+    sparse,
+)
 
 F = Fraction
 
@@ -278,7 +285,8 @@ class TestSeries:
             _assert_graded(L, S)
         if L.dim and L.is_nilpotent():
             p = present(L)
-            _assert_graded(p.fbar.algebra, p.relations)
+            assert all(p.fbar.algebra.is_homogeneous(r) for r in p.relation_rows), L.name
+            _assert_graded(p.fbar.algebra, relations_subspace(p))
             for d in range(1, p.fbar.spec.class_bound + 2):
                 _assert_graded(p.fbar.algebra, p.fbar.gamma(d))
 
