@@ -9,9 +9,10 @@ word-counting oracle cross-checks the resulting dimensions.  The free
 presentations read F only through its brackets [x, g] with the
 generators (`generator_columns`): each is a kept candidate, zero, or a
 rejected candidate, whose expansion is expressed over the kept words'
-expansions, which go in with tag coordinates for that purpose.
-`algebra` assembles the full structure-constant table the same way,
-for free algebras used as targets.
+expansions, which go in with tag coordinates for that purpose.  That is
+the one elimination of F's brackets: `algebra`, the full
+structure-constant table for free algebras used as targets, is filled
+from the generator columns by the graded Jacobi identity.
 
 Every coefficient of an expansion is a sum of signs ±1, so expansions,
 and the rewriting identity's coefficients, are Python ints.
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import comb
 
 from .exactla import SparseEchelon, Subspace, axpy, combine
@@ -158,8 +159,9 @@ class FreeNilpotentSuperalgebra:
 
     The routes read F only through `generator_columns`, the brackets
     [x, g] with the generators, computed on first use from that record.
-    The full structure-constant table, `algebra`, is assembled on first
-    use too, for the callers that need a free algebra as a target.
+    The full structure-constant table, `algebra`, is filled from those
+    columns on first use, for the callers that need a free algebra as a
+    target.
     """
 
     def __init__(self, spec: GeneratorSpec):
@@ -190,10 +192,10 @@ class FreeNilpotentSuperalgebra:
             for w, p in zip(words, wpars):
                 (evens if p == EVEN else odds).append((d0 + 1, w))
         self._basis = evens + odds
+        self._index = {w: idx for idx, (_, w) in enumerate(self._basis)}
         self.n_even = len(evens)
         self.n_odd = len(odds)
         self.dim = len(self._basis)
-        self._algebra: LieSuperalgebra | None = None
         self._columns: tuple[tuple[dict, ...], ...] | None = None
 
     def _candidates(self, d: int):
@@ -256,9 +258,9 @@ class FreeNilpotentSuperalgebra:
         * at the top degree, and for a candidate with an empty expansion,
           the bracket is 0;
         * a rejected candidate's expansion is expressed over the kept
-          words of its degree, which go into an echelon tagged (num,
-          index), as in `_assemble`; only degrees with a rejected
-          candidate build one.
+          words of its degree, which go into an echelon with a tag
+          coordinate (num, index) each, sorting after every associative
+          word; only degrees with a rejected candidate build one.
 
         An integral coefficient is stored as an int and every other one as
         a Fraction, so the bracket of an integer vector with a generator
@@ -267,7 +269,7 @@ class FreeNilpotentSuperalgebra:
         """
         if self._columns is None:
             k, num, pars = self.spec.class_bound, self.spec.num, self.spec.parities
-            index = {w: idx for idx, (_, w) in enumerate(self._basis)}
+            index = self._index
             echelons: dict[int, SparseEchelon] = {d: SparseEchelon() for d, _ in self._rejected}
             for idx, (d, w) in enumerate(self._basis):
                 if d in echelons:
@@ -298,49 +300,47 @@ class FreeNilpotentSuperalgebra:
 
     # -- assembled algebra -------------------------------------------------------
 
-    @property
+    @cached_property
     def algebra(self) -> LieSuperalgebra:
-        if self._algebra is None:
-            self._algebra = self._assemble()
-        return self._algebra
+        return self._assemble()
 
     def _assemble(self) -> LieSuperalgebra:
-        """A bracket [w, g] that the build kept is that basis element; any
-        other bracket's expansion is expressed over the kept words of its
-        degree, tagged (num, index) to sort after every associative word."""
-        k, num = self.spec.class_bound, self.spec.num
-        index = {w: idx for idx, (_, w) in enumerate(self._basis)}
-        echelons = [SparseEchelon() for _ in range(k)]
-        for idx, (d, w) in enumerate(self._basis):
-            echelons[d - 1].insert({**self._expansions[w], (num, idx): 1})
+        """The full table, filled from the generator columns by graded Jacobi.
+
+        A basis word b of degree d > 1 is a kept candidate [c, g], so
+
+            [x, b] = [[x, c], g] - (-1)^{|c||g|} [[x, g], c].
+
+        `ad[b][x]` is [b_x, b_b] for d <= deg x <= k - d, filled by
+        increasing d: both reads, [x, c] and [y, c] for y in [x, g], have
+        a left factor of degree >= d > deg c, so they are already there.
+        The pairs with deg x < deg b follow by graded skew-symmetry.
+        """
+        k, num, pars = self.spec.class_bound, self.spec.num, self.spec.parities
+        columns = self.generator_columns()
+        ad = {self.generator_basis_index(t): dict(enumerate(columns[t])) for t in range(num)}
+        for b in sorted(range(self.dim), key=self.basis_degree):
+            d, w = self._basis[b]
+            if 1 < d <= k // 2:
+                wc, t = w
+                c = self._index[wc]
+                s = graded_sign(c >= self.n_even, pars[t])  # the basis lists the even words first
+                ad[b] = col = {}
+                for x, (dx, _) in enumerate(self._basis):
+                    if d <= dx <= k - d:
+                        col[x] = z = combine(columns[t], ad[c][x])
+                        axpy(z, -s, combine(ad[c], columns[t][x]))
         table = {}
-        for i in range(self.dim):
-            di, wi = self._basis[i]
-            pi = i >= self.n_even  # the basis lists the even words first
-            ei = self._expansions[wi]
-            for j in range(i, self.dim):
-                dj, wj = self._basis[j]
-                dd = di + dj
-                if dd > k:
-                    continue
-                pj = j >= self.n_even
-                if dj == 1 and (m := index.get((wi, wj))) is not None:
-                    table[(i, j)] = ((m, _ONE),)
-                    continue
-                if di == 1 and (m := index.get((wj, wi))) is not None:
-                    table[(i, j)] = ((m, -graded_sign(pi, pj) * _ONE),)
-                    continue
-                z = _commutator(ei, pi, self._expansions[wj], pj)
-                if not z:
-                    continue
-                coeffs = echelons[dd - 1].express(z, (num,))
-                if coeffs is None:
-                    raise AlgebraError("internal error: a bracket escapes the selected basis")
-                if coeffs:
-                    table[(i, j)] = tuple((idx, c) for (_, idx), c in sorted(coeffs.items()))
+        for b, col in ad.items():
+            db, pb = self._basis[b][0], b >= self.n_even
+            for x, z in col.items():
+                if z and (x <= b or self._basis[x][0] > db):
+                    # z is [b_x, b_b]; with x > b it gives [b_b, b_x] by skew-symmetry
+                    sign = 1 if x <= b else -graded_sign(x >= self.n_even, pb)
+                    table[min(x, b), max(x, b)] = [(m, sign * a) for m, a in sorted(z.items())]
         name = f"free({self.spec.even}|{self.spec.odd},c{k})"
         parities = [EVEN] * self.n_even + [ODD] * self.n_odd
-        return LieSuperalgebra(name, self.basis_labels(), parities, table)
+        return LieSuperalgebra(name, self.basis_labels(), parities, dict(sorted(table.items())))
 
 
 def build_free_nilpotent(spec: GeneratorSpec) -> FreeNilpotentSuperalgebra:

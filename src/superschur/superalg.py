@@ -33,7 +33,7 @@ from fractions import Fraction
 from heapq import merge
 from math import lcm
 
-from .exactla import Subspace, axpy, kernel
+from .exactla import Subspace, axpy, combine, kernel
 
 EVEN = 0
 ODD = 1
@@ -262,13 +262,6 @@ class LieSuperalgebra:
         """The basis indices j that some key of v brackets nontrivially."""
         support = self.ad_support()
         return set().union(*(support[k] for k in v))
-
-    def bracket_image(self, i: int, j: int, cols) -> dict:
-        """Image of [b_i, b_j] under the linear map sending b_k to the sparse cols[k]."""
-        acc: dict = {}
-        for k, c in self.bracket_basis(i, j).items():
-            axpy(acc, c, cols[k])
-        return acc
 
     def bracket(self, x: dict, y: dict) -> dict:
         """Bilinear extension of the table to sparse coordinate vectors."""
@@ -509,7 +502,7 @@ class LieSuperalgebra:
         for a, i in enumerate(comp):
             for j in support[i]:
                 if j >= i and j in pos:
-                    z = self.bracket_image(i, j, cols)
+                    z = combine(cols, self.bracket_basis(i, j))
                     if z:
                         table[(a, pos[j])] = tuple(sorted(z.items()))
         q = LieSuperalgebra(

@@ -10,6 +10,7 @@ from superschur.catalog import heisenberg3, special_heisenberg_odd
 from superschur.exactla import SparseEchelon, axpy
 from superschur.freenilp import (
     GeneratorSpec,
+    _commutator,
     build_free_nilpotent,
     eval_hom,
     expand,
@@ -368,7 +369,28 @@ class TestTensorTerms:
         assert len(terms) == len(rewrite_identity_terms(3, par)) + 1
 
 
+def _table_matches_the_expansions(f) -> None:
+    """The associative embedding as the oracle of f's table: for i <= j
+    with deg i + deg j <= k, the table's [b_i, b_j] expands to the
+    commutator of the expansions of b_i and b_j; above k it is 0."""
+    A, k, pars = f.algebra, f.spec.class_bound, f.spec.parities
+    expansions = [expand(f.basis_word(i), pars) for i in range(f.dim)]
+    for i in range(f.dim):
+        for j in range(i, f.dim):
+            if f.basis_degree(i) + f.basis_degree(j) > k:
+                assert not A.bracket_basis(i, j), (i, j)
+                continue
+            got: dict = {}
+            for m, c in A.bracket_basis(i, j).items():
+                axpy(got, c, expansions[m])
+            want = _commutator(expansions[i], A.parities[i], expansions[j], A.parities[j])
+            assert got == want, (i, j)
+
+
 def _columns_match_the_table(f) -> None:
+    """The generator columns are the table's brackets with the generators,
+    and the table matches the associative embedding."""
+    _table_matches_the_expansions(f)
     A = f.algebra
     columns = f.generator_columns()
     for t in range(f.spec.num):
@@ -389,8 +411,41 @@ def _derived_pairs(f) -> list[tuple[int, int]]:
     ]
 
 
+EMBEDDING_SPECS = [
+    (p, n - p, k) for n in (1, 2, 3) for p in range(n + 1) for k in range(1, 6 if n < 3 else 5)
+] + [(2, 1, 6), (2, 1, 7), (1, 1, 10)]
+
+
+class TestTableFill:
+    """The table filled from the generator columns, against the associative
+    embedding of F, and with nothing eliminated on the way."""
+
+    @pytest.mark.parametrize("p,q,k", EMBEDDING_SPECS)
+    def test_table_matches_the_expansions(self, p, q, k):
+        _table_matches_the_expansions(build_free_nilpotent(GeneratorSpec(p, q, k)))
+
+    @pytest.mark.parametrize("p,q,k", [(2, 1, 5), (1, 2, 4)])
+    def test_the_fill_reads_only_the_columns(self, p, q, k, monkeypatch):
+        from superschur import freenilp
+
+        want = build_free_nilpotent(GeneratorSpec(p, q, k)).algebra
+        f = build_free_nilpotent(GeneratorSpec(p, q, k))
+        f.generator_columns()
+
+        def forbidden(*args):
+            raise AssertionError("the fill expanded or eliminated")
+
+        monkeypatch.setattr(freenilp, "_commutator", forbidden)
+        monkeypatch.setattr(SparseEchelon, "insert", forbidden)
+        monkeypatch.setattr(SparseEchelon, "express", forbidden)
+        A = f.algebra
+        assert A.validate().ok
+        assert A._raw == want._raw
+
+
 class TestGeneratorColumns:
-    """[x, g] read off the build against the assembled table, `_assemble`."""
+    """[x, g] read off the build against the table filled from them, and
+    both against the associative embedding."""
 
     @settings(max_examples=30, deadline=None)
     @given(
