@@ -120,7 +120,7 @@ def _free21_quotients() -> list[LieSuperalgebra]:
     q2b, _ = q2.quotient(q2.graded_span([q2.bracket_basis(i_x1, i_f1)]))
     out.append(relabel_canonical(q2b, "free21c2oddcut"))
     # class-3 quotient by one degree-3 line (degree-3 elements are central)
-    g3 = a3.gamma(3)
+    g3 = f3.gamma(3)
     line = a3.graded_span([g3.rows[0]])
     q3, _ = a3.quotient(line)
     out.append(relabel_canonical(q3, "free21c3cut"))

@@ -12,6 +12,12 @@ only pairs that can be nonzero.  `touching_triples` yields the wider
 set with one nonzero pair, one at a time; the cochain route keeps those
 that hold a generator lift.
 
+The lower central series brackets only with the generator lifts, the
+unit vectors off the pivots of gamma_2 = [L, L]: layers S_1 = lifts,
+S_{k+1} = [S_k, lifts] give gamma_k = S_k + S_{k+1} + ... on a valid
+nilpotent algebra (`_series_from_lifts` has the proof).  Any other input
+keeps the chain gamma_{k+1} = [gamma_k, L] and its report.
+
 `integral_table` is the completed table times the lcm of its
 denominators, in ints.  A common positive scale changes no zero test,
 rank or kernel, so the Jacobi residual, the center and the cochain
@@ -33,7 +39,7 @@ from fractions import Fraction
 from heapq import merge
 from math import lcm
 
-from .exactla import Subspace, axpy, combine, kernel
+from .exactla import SparseEchelon, Subspace, axpy, combine, kernel
 
 EVEN = 0
 ODD = 1
@@ -393,19 +399,86 @@ class LieSuperalgebra:
 
         For nilpotent algebras the returned chain ends with the zero
         subspace; otherwise it ends at the first repeated term.
+
+        gamma_2 = [L, L] is the span of the table's entries.  When
+        `_series_from_lifts` accepts its layers, the chain is read off
+        them.  Otherwise (an invalid table, a non-nilpotent algebra) each
+        term is bracketed with all of L until the chain repeats or
+        reaches zero.
         """
         if "series" in self._cache:
             return self._cache["series"]
-        full = Subspace.full(self.dim)
-        chain = [full]
-        while True:
-            nxt = self.product_space(chain[-1], full)
-            if nxt == chain[-1]:
-                break
-            chain.append(nxt)
-            if nxt.dim == 0:
-                break
+        brackets = SparseEchelon()
+        for (i, j), entry in self._table().items():
+            if i <= j:  # [b_j, b_i] is a multiple of [b_i, b_j]
+                brackets.insert(entry)
+        chain = self._series_from_lifts(brackets.pivots)
+        if chain is None:
+            full = Subspace.full(self.dim)
+            chain = [full]
+            nxt = Subspace(self.dim, brackets.rows())
+            while nxt != chain[-1]:
+                chain.append(nxt)
+                if nxt.dim == 0:
+                    break
+                nxt = self.product_space(nxt, full)
         self._cache["series"] = chain
+        return chain
+
+    def _series_from_lifts(self, gamma2_pivots) -> list[Subspace] | None:
+        """The series gamma_k = S_k + S_{k+1} + ..., from layers bracketed
+        only with the generator lifts, or None when the layers are not
+        accepted.
+
+        X is the unit vectors off gamma_2's pivots, S_1 = span X and
+        S_{k+1} = [S_k, X].  The layers are accepted when L validates, some
+        S_m with m <= dim L + 1 is zero, and S_2 + S_3 + ... has the
+        dimension of gamma_2.  That sum lies in gamma_2, so it is then
+        gamma_2, and the S_k span L; a perfect algebra of positive
+        dimension fails this, as its X is empty.  Nilpotent-quotient
+        algorithms build the layers this way (Havas, Newman and
+        Vaughan-Lee, J. Symbolic Comput. 9, 1990).
+
+        Proof that T_k = S_k + S_{k+1} + ... equals gamma_k.  L validates,
+        so the table is homogeneous and graded Jacobi holds; X is
+        homogeneous, so each S_k has homogeneous rows, and
+        [T_k, X] = T_{k+1}.  By induction on i, [S_j, S_i] lies in T_{i+j}
+        for every j: for i = 1 it is S_{j+1}; for i > 1, S_i is spanned by
+        [u, x] with u in S_{i-1} and x in X, and for homogeneous y in S_j
+
+            [y, [u, x]] = [[y, u], x] - (-1)^{|u||x|} [[y, x], u].
+
+        By the induction hypothesis [y, u] lies in T_{i+j-1}, so [[y, u], x]
+        lies in T_{i+j}; and [y, x] lies in S_{j+1}, so [[y, x], u] lies in
+        [S_{j+1}, S_{i-1}], inside T_{i+j} by the hypothesis again.  Now
+        T_1 = L = gamma_1, and if T_k = gamma_k then gamma_{k+1} = [T_k, T_1],
+        the sum of the [S_j, S_i] with j >= k, lies in T_{k+1}, while
+        T_{k+1} = [T_k, X] lies in [gamma_k, L] = gamma_{k+1}.  So
+        T_k = gamma_k for every k.  The first zero layer is S_m, so T_m = 0
+        and T_{m-1} is not: the chain is gamma_1, ..., gamma_m = 0, as
+        bracketing with all of L gives it.
+
+        The T_k are read off one echelon filled with S_m, ..., S_2 in turn.
+        """
+        taken = set(gamma2_pivots)
+        lifts = Subspace(
+            self.dim, tuple({i: _ONE} for i in range(self.dim) if i not in taken)
+        )
+        layers = [lifts]
+        while layers[-1].dim and len(layers) <= self.dim:
+            layers.append(self.product_space(layers[-1], lifts))
+        if layers[-1].dim or not self.validate().ok:
+            return None
+        ech = SparseEchelon()
+        chain = []
+        for layer in reversed(layers[1:]):
+            for row in layer.rows:
+                ech.insert(row)
+            chain.append(Subspace(self.dim, ech.rows()))
+        if ech.rank != len(taken):
+            return None
+        chain.append(Subspace.full(self.dim))
+        chain.reverse()
         return chain
 
     def is_nilpotent(self) -> bool:

@@ -26,6 +26,10 @@ permutes and rescales, it mixes basis vectors of one parity, so the
 copy's sparsity pattern, generator lifts and degree gradings differ
 from the original's.
 
+`reference_series` is the lower central series as the package computed
+it before it read the generator lifts' layers: each term bracketed with
+every basis vector.  Tests hold `lower_central_series` to it row for row.
+
 `subspace_intersect` gives the textbook numerator R ∩ F² of the Hopf
 formula, against which tests check that the package may take R itself.
 `relations_subspace` is R as a `Subspace`, spanned by a presentation's
@@ -165,6 +169,20 @@ def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
     """u + w, the span of both row sets."""
     assert u.ambient_dim == w.ambient_dim
     return Subspace.span(u.rows + w.rows, u.ambient_dim)
+
+
+def reference_series(L) -> list:
+    """γ_1 = L, γ_{k+1} = `L.product_space(γ_k, L)` until the chain repeats
+    a term or reaches zero."""
+    full = Subspace.full(L.dim)
+    chain = [full]
+    while True:
+        nxt = L.product_space(chain[-1], full)
+        if nxt == chain[-1]:
+            return chain
+        chain.append(nxt)
+        if nxt.dim == 0:
+            return chain
 
 
 def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:
