@@ -9,10 +9,12 @@ word-counting oracle cross-checks the resulting dimensions.  The free
 presentations read F only through its brackets [x, g] with the
 generators (`generator_columns`): each is a kept candidate, zero, or a
 rejected candidate, whose expansion is expressed over the kept words'
-expansions, which go in with tag coordinates for that purpose.  That is
-the one elimination of F's brackets: `algebra`, the full
-structure-constant table for free algebras used as targets, is filled
-from the generator columns by the graded Jacobi identity.
+expansions, which go in with tag coordinates for that purpose.  Both
+sides are cut down to the pivots of the build's echelon of that degree,
+on which the kept expansions restrict to a basis.  That is the one
+elimination of F's brackets: `algebra`, the full structure-constant
+table for free algebras used as targets, is filled from the generator
+columns by the graded Jacobi identity.
 
 Every coefficient of an expansion is a sum of signs ±1, so expansions,
 and the rewriting identity's coefficients, are Python ints.
@@ -24,9 +26,11 @@ ints, so the presentations bracket integer relations in integers.
 
 The CLI's sweep of the bracket rewriting identity does not expand in
 the superalgebra: its words use each letter once, so it reads each
-term off the term's all-even expansion times Koszul signs (see
-`rewrite_identity_residual`).  The tests still expand the identity
-directly in the free associative superalgebra and compare.
+term off the term's all-even expansion times Koszul signs.  The words
+and their expansions depend on the arity alone, so a parity pattern is
+tested by membership of its signed coefficient vector in one kernel per
+arity (see `rewrite_identity_residual`).  The tests still expand the
+identity directly in the free associative superalgebra and compare.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import comb
 
-from .exactla import SparseEchelon, Subspace, axpy, combine
+from .exactla import SparseEchelon, Subspace, axpy, combine, kernel
 from .superalg import EVEN, ODD, AlgebraError, LieSuperalgebra, SuperDim, graded_sign
 
 _ONE = Fraction(1)
@@ -155,7 +159,9 @@ class FreeNilpotentSuperalgebra:
     index tuples in lexicographic order: a word w left out there is a
     combination of earlier kept words, so [w, g] is a combination of
     earlier candidates [w', g].  The build records the candidates it
-    rejected with a nonzero expansion, and nothing more about them.
+    rejected with a nonzero expansion, and nothing more about them, and
+    keeps each degree's pivots, the associative words that lead its
+    echelon's rows.
 
     The routes read F only through `generator_columns`, the brackets
     [x, g] with the generators, computed on first use from that record.
@@ -170,6 +176,7 @@ class FreeNilpotentSuperalgebra:
         self.degree_parities: list[list[int]] = []
         self._expansions: dict = {}
         self._rejected: list[tuple[int, tuple]] = []  # (degree, candidate word)
+        self._pivots: list[set] = []  # per degree, the build echelon's pivots
         for d in range(1, spec.class_bound + 1):
             ech = SparseEchelon()
             words: list = []
@@ -185,6 +192,7 @@ class FreeNilpotentSuperalgebra:
                     self._rejected.append((d, w))
             self.degree_words.append(words)
             self.degree_parities.append(wpars)
+            self._pivots.append(set(ech.pivots))
         # global basis ordering: all even words (by degree, then selection
         # order), then all odd words, matching the even-first convention.
         evens, odds = [], []
@@ -257,10 +265,21 @@ class FreeNilpotentSuperalgebra:
         * a kept candidate is its own basis element, {m: 1};
         * at the top degree, and for a candidate with an empty expansion,
           the bracket is 0;
-        * a rejected candidate's expansion is expressed over the kept
-          words of its degree, which go into an echelon with a tag
+        * a rejected candidate's expansion z is expressed over the kept
+          words of its degree d, on the build's pivots P_d only: the kept
+          expansions, restricted to P_d, go into an echelon with a tag
           coordinate (num, index) each, sorting after every associative
           word; only degrees with a rejected candidate build one.
+
+        Restricting to P_d loses nothing.  The build's echelon of degree d
+        spans the kept expansions, and a nonzero member of its row space
+        has its smallest key at a pivot (at the smallest pivot among the
+        rows it combines, which no other of those rows holds).  So
+        restriction to P_d is injective on that span, and the |P_d| kept
+        expansions restrict to a basis of Q^{P_d}.  The build rejected z
+        because z lies in their span, so z restricted to P_d has exactly
+        one expression over the restricted basis, and it is z's expression
+        over the kept expansions; `express` always finds it.
 
         An integral coefficient is stored as an int and every other one as
         a Fraction, so the bracket of an integer vector with a generator
@@ -269,18 +288,19 @@ class FreeNilpotentSuperalgebra:
         """
         if self._columns is None:
             k, num, pars = self.spec.class_bound, self.spec.num, self.spec.parities
-            index = self._index
+            index, pivots = self._index, self._pivots
             echelons: dict[int, SparseEchelon] = {d: SparseEchelon() for d, _ in self._rejected}
             for idx, (d, w) in enumerate(self._basis):
                 if d in echelons:
-                    echelons[d].insert({**self._expansions[w], (num, idx): 1})
+                    on = pivots[d - 1]
+                    e = {u: c for u, c in self._expansions[w].items() if u in on}
+                    echelons[d].insert({**e, (num, idx): 1})
             rejected = {}
             for d, (w, t) in self._rejected:
                 pw = index[w] >= self.n_even  # the basis lists the even words first
                 z = _commutator(self._expansions[w], pw, {(t,): 1}, pars[t])
-                coeffs = echelons[d].express(z, (num,))
-                if coeffs is None:
-                    raise AlgebraError("internal error: a bracket escapes the selected basis")
+                on = pivots[d - 1]
+                coeffs = echelons[d].express({u: c for u, c in z.items() if u in on}, (num,))
                 rejected[(w, t)] = {
                     idx: c.numerator if c.denominator == 1 else c
                     for (_, idx), c in sorted(coeffs.items())
@@ -452,6 +472,39 @@ def rewrite_brace_coeff(i: int, parities) -> int:
     )
 
 
+def _identity_parities(i: int, parities) -> tuple[int, ...]:
+    """The parity pattern as a tuple of 0/1, checked against the arity."""
+    if i < 2:
+        raise AlgebraError("the identity needs i >= 2")
+    parities = tuple(int(p) % 2 for p in parities)
+    if len(parities) != i + 1:
+        raise AlgebraError(f"need {i + 1} parities, got {len(parities)}")
+    return parities
+
+
+@cache
+def _identity_words(i: int) -> tuple:
+    """The i + 2 term words of the degree-(i+1) rewriting identity, which
+    depend on the arity alone: the head, the terms a = i+1 .. 2, and the
+    brace word.  Only their coefficients change with the parity pattern."""
+    words: list = [(left_normed_word(range(0, i)), i)]
+    for a in range(i + 1, 1, -1):
+        right = right_normed_word(range(a - 1, i + 1))
+        words.append((right if a == 2 else (right, left_normed_word(range(0, a - 2))), a - 2))
+    words.append((left_normed_word(range(0, i - 1)), (i - 1, i)))
+    return tuple(words)
+
+
+def _identity_coeffs(i: int, parities) -> list[int]:
+    """The coefficients of `_identity_words(i)` under a checked pattern; only
+    the brace coefficient can be 0."""
+    return [
+        rewrite_head_sign(i, parities),
+        *(rewrite_term_sign(i, a, parities) for a in range(i + 1, 1, -1)),
+        rewrite_brace_coeff(i, parities),
+    ]
+
+
 def rewrite_identity_terms(i: int, parities) -> list[tuple[int, object]]:
     """Signed bracket words of the degree-(i+1) rewriting identity, i >= 2.
 
@@ -460,27 +513,11 @@ def rewrite_identity_terms(i: int, parities) -> list[tuple[int, object]]:
     left-normed head], single factor], closing with a brace term on
     [x_i, x_{i+1}]; the full signed sum vanishes in any Lie superalgebra.
     Indices are 1-based; leaf t of a word stands for x_{t+1}.  At i = 2
-    it is the graded Jacobi identity on x_1, x_2, x_3.
+    it is the graded Jacobi identity on x_1, x_2, x_3.  The brace term is
+    left out where its coefficient is 0.
     """
-    if i < 2:
-        raise AlgebraError("the identity needs i >= 2")
-    parities = tuple(int(p) % 2 for p in parities)
-    if len(parities) != i + 1:
-        raise AlgebraError(f"need {i + 1} parities, got {len(parities)}")
-
-    terms: list[tuple[int, object]] = []
-    terms.append((rewrite_head_sign(i, parities), (left_normed_word(range(0, i)), i)))
-    for a in range(i + 1, 1, -1):
-        right = right_normed_word(range(a - 1, i + 1))
-        if a == 2:
-            inner = right
-        else:
-            inner = (right, left_normed_word(range(0, a - 2)))
-        terms.append((rewrite_term_sign(i, a, parities), (inner, a - 2)))
-    brace = rewrite_brace_coeff(i, parities)
-    if brace:
-        terms.append((brace, (left_normed_word(range(0, i - 1)), (i - 1, i))))
-    return terms
+    parities = _identity_parities(i, parities)
+    return [(c, w) for c, w in zip(_identity_coeffs(i, parities), _identity_words(i)) if c]
 
 
 def rewrite_tensor_terms(i: int, parities) -> list[tuple[int, object, int]]:
@@ -514,6 +551,27 @@ def _even_expansion(w) -> dict[tuple[int, ...], int]:
     return expand(w, (EVEN,) * (max(word_leaves(w)) + 1))
 
 
+@cache
+def _identity_kernel(i: int) -> SparseEchelon:
+    """K_i = {a : sum_t a_t E_t = 0}, E_t the all-even expansion of the
+    t-th of `_identity_words(i)`, cached by arity like the expansions.
+
+    `kernel`'s rows go into an echelon of their own, so that a membership
+    test (an empty `remainder`) reduces in ints, not in Fractions.  The
+    echelon is shared: callers only reduce against it, and insert nothing.
+    """
+    ech = SparseEchelon()
+    for row in kernel([_even_expansion(w) for w in _identity_words(i)]).rows:
+        ech.insert(row)
+    return ech
+
+
+@cache
+def _identity_leaves(i: int) -> tuple[tuple[int, ...], ...]:
+    """The leaves of each of `_identity_words(i)`, left to right."""
+    return tuple(tuple(word_leaves(w)) for w in _identity_words(i))
+
+
 def koszul_sign(letters, parities) -> int:
     """(-1) to the number of out-of-order pairs of odd letters in `letters`."""
     odd = [t for t in letters if parities[t]]
@@ -544,17 +602,28 @@ def rewrite_identity_residual(i: int, parities) -> dict:
     leaves(w).  (A repeated odd letter breaks the rule: [f, f] expands to
     2ff, its even expansion to 0.)
 
-    Every term uses each of x_1..x_{i+1} once, so the residual is
-    κ_p(u) times the sum of coeff · κ_p(leaves(w)) · expand(w, even)
-    over the terms, at every u.  The even expansions are cached by word
-    and shared by all parity patterns; only the nonzero entries of that
-    sum need their sign.
+    Every term uses each of x_1..x_{i+1} once.  So with w_t the term
+    words (`_identity_words(i)`, which depend on the arity alone), E_t
+    their even expansions and c_t = coeff_t · κ_p(leaves(w_t)), the
+    residual at u is κ_p(u) · (sum_t c_t E_t)[u].  As κ_p(u) = ±1, the
+    residual is empty exactly when c lies in the kernel K_i of the E_t
+    (`_identity_kernel`).  So a pattern is one membership test of an
+    integer vector with at most i + 2 entries; only a pattern that fails
+    it has its residual summed, from the same cached expansions.
     """
-    parities = tuple(int(p) % 2 for p in parities)
+    parities = _identity_parities(i, parities)
+    c = {
+        t: a * koszul_sign(leaves, parities)
+        for t, (a, leaves) in enumerate(zip(_identity_coeffs(i, parities), _identity_leaves(i)))
+        if a
+    }
+    if not _identity_kernel(i).remainder(c):
+        return {}
+    words = _identity_words(i)
     residual: dict = {}
-    for coeff, word in rewrite_identity_terms(i, parities):
-        axpy(residual, coeff * koszul_sign(word_leaves(word), parities), _even_expansion(word))
-    return {u: koszul_sign(u, parities) * c for u, c in residual.items()}
+    for t, a in c.items():
+        axpy(residual, a, _even_expansion(words[t]))
+    return {u: koszul_sign(u, parities) * v for u, v in residual.items()}
 
 
 # -- evaluation homomorphisms ---------------------------------------------------

@@ -14,6 +14,10 @@ the package computed it before the Koszul rule: every term expanded
 directly in the free associative superalgebra with the pattern's
 parities.  Tests hold `rewrite_identity_residual` to it.
 
+`reference_generator_columns` solves F's brackets with the generators
+over the kept words' full expansions, where `generator_columns` solves
+on the build's pivot coordinates only.  Tests hold the columns to it.
+
 `reference_validation` and `reference_cohomology_dims` visit every basis
 pair and triple, without `LieSuperalgebra.ad_support`, so tests that
 compare them with `validate` and `schur_multiplier_cohomology` check
@@ -232,6 +236,40 @@ def reference_identity_residual(i: int, parities) -> dict:
     for coeff, word in rewrite_identity_terms(i, parities):
         axpy(residual, coeff, expand(word, parities))
     return residual
+
+
+def reference_generator_columns(f) -> tuple[tuple[dict, ...], ...]:
+    """F's brackets with the generators, [b_x, g_t] at [t][x], by an
+    unrestricted tagged solve: each candidate [w_x, g_t] that is not a
+    basis word is expanded afresh and expressed over every kept word of
+    its degree, all their expansions in full.  This is how the package
+    solved them before it restricted the solve to the build's pivots."""
+    pars, num, k = f.spec.parities, f.spec.num, f.spec.class_bound
+    index = {f.basis_word(x): x for x in range(f.dim)}
+    echelons: dict = {}
+    columns: list[list[dict]] = [[] for _ in range(num)]
+    for x in range(f.dim):
+        d, w = f.basis_degree(x), f.basis_word(x)
+        for t in range(num):
+            if d == k:
+                col = {}
+            elif (w, t) in index:
+                col = {index[w, t]: 1}
+            elif not (z := expand((w, t), pars)):
+                col = {}
+            else:
+                if d + 1 not in echelons:
+                    echelons[d + 1] = ech = SparseEchelon()
+                    for m in range(f.dim):
+                        if f.basis_degree(m) == d + 1:
+                            ech.insert({**expand(f.basis_word(m), pars), (num, m): 1})
+                coeffs = echelons[d + 1].express(z, (num,))
+                col = {
+                    m: c.numerator if c.denominator == 1 else c
+                    for (_, m), c in sorted(coeffs.items())
+                }
+            columns[t].append(col)
+    return tuple(map(tuple, columns))
 
 
 def word_parity(w, parities) -> int:

@@ -354,6 +354,17 @@ class TestCli:
         assert len(calls) == sum(2 ** (i + 1) for i in range(3, 11))
         assert '"arity": 10' in capsys.readouterr().out
 
+    def test_identity_sweep_at_the_limit_holds(self, capsys):
+        from superschur import cli as cli_mod
+
+        limit = cli_mod.IDENTITY_ARITY_MAX
+        code = main(["--format", "json", "identity", "--arity-max", str(limit)])
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert code == 0
+        assert [r["arity"] for r in results] == list(range(3, limit + 1))
+        assert all(r["parity_cases"] == 2 ** (r["arity"] + 1) for r in results)
+        assert all(r["nonzero_residuals"] == 0 for r in results)
+
     def test_readme_quotes_the_limits(self):
         from superschur import cli as cli_mod
 

@@ -25,7 +25,13 @@ from superschur.freenilp import (
     word_leaves,
 )
 from superschur.superalg import AlgebraError, SuperDim
-from support import dense, dense_rank, reference_identity_residual, word_parity
+from support import (
+    dense,
+    dense_rank,
+    reference_generator_columns,
+    reference_identity_residual,
+    word_parity,
+)
 
 F = Fraction
 
@@ -274,20 +280,43 @@ class TestLemma31:
             want = {w: c for c, w in terms if c}
             assert got == want
 
-    @pytest.mark.parametrize("flip", [None, "rewrite_head_sign", "rewrite_term_sign"])
-    @pytest.mark.parametrize("i", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize(
+        "flip", [None, "rewrite_head_sign", "rewrite_term_sign", "rewrite_brace_coeff"]
+    )
+    @pytest.mark.parametrize("i", [2, 3, 4, 5, 6, 7])
     def test_matches_the_direct_super_expansion(self, i, flip, monkeypatch):
-        # with a sign flipped every residual is nonzero, so the signed
-        # entries are compared too, not only the empty dicts
+        # with a sign flipped every residual is nonzero, and with the brace
+        # coefficient zeroed every residual whose brace term it drops, so
+        # the signed entries are compared too, not only the empty dicts
         from superschur import freenilp
 
-        if flip:
+        brace = freenilp.rewrite_brace_coeff
+        if flip == "rewrite_brace_coeff":
+            monkeypatch.setattr(freenilp, flip, lambda *args: 0)
+        elif flip:
             sign = getattr(freenilp, flip)
             monkeypatch.setattr(freenilp, flip, lambda *args: -sign(*args))
         for parities in itertools.product((0, 1), repeat=i + 1):
             got = rewrite_identity_residual(i, parities)
             assert got == reference_identity_residual(i, parities), parities
-            assert bool(got) == bool(flip) and _ints(got.values()), parities
+            broken = brace(i, parities) != 0 if flip == "rewrite_brace_coeff" else bool(flip)
+            assert bool(got) == broken and _ints(got.values()), parities
+
+    def test_a_passing_pattern_sums_no_expansion(self, monkeypatch):
+        # once K_i is built, a pattern the identity holds for is one kernel
+        # membership test: no expansion is added up
+        from superschur import freenilp
+
+        for i in range(2, 8):
+            rewrite_identity_residual(i, (0,) * (i + 1))
+        patterns = [p for i in range(2, 8) for p in itertools.product((0, 1), repeat=i + 1)]
+
+        def forbidden(*args):
+            raise AssertionError("a passing pattern summed its expansions")
+
+        monkeypatch.setattr(freenilp, "axpy", forbidden)
+        for parities in patterns:
+            assert rewrite_identity_residual(len(parities) - 1, parities) == {}, parities
 
     def test_low_arity_rejected(self):
         with pytest.raises(AlgebraError):
@@ -443,6 +472,11 @@ class TestTableFill:
         assert A._raw == want._raw
 
 
+# the class-six specs of `test_class_six_rejected_candidates`, free (2|1) class 7
+# and free (1|1) class 10
+PIVOT_SPECS = [(2, 1, 6), (1, 2, 6), (2, 1, 7), (1, 1, 10)]
+
+
 class TestGeneratorColumns:
     """[x, g] read off the build against the table filled from them, and
     both against the associative embedding."""
@@ -455,6 +489,37 @@ class TestGeneratorColumns:
     )
     def test_columns_match_the_assembled_table(self, spec):
         _columns_match_the_table(build_free_nilpotent(spec))
+
+    @pytest.mark.parametrize("p,q,k", PIVOT_SPECS)
+    def test_the_kept_expansions_restrict_to_a_basis_on_the_pivots(self, p, q, k):
+        f = build_free_nilpotent(GeneratorSpec(p, q, k))
+        for d, words in enumerate(f.degree_words, start=1):
+            on = f._pivots[d - 1]
+            ech = SparseEchelon()
+            for w in words:
+                ech.insert({u: c for u, c in expand(w, f.spec.parities).items() if u in on})
+            assert ech.rank == len(on) == len(words), d
+
+    @pytest.mark.parametrize("p,q,k", PIVOT_SPECS)
+    def test_columns_equal_the_unrestricted_solve(self, p, q, k):
+        f = build_free_nilpotent(GeneratorSpec(p, q, k))
+        assert f.generator_columns() == reference_generator_columns(f)
+
+    @pytest.mark.parametrize("p,q,k", PIVOT_SPECS)
+    def test_the_solve_sees_only_pivot_keys(self, p, q, k, monkeypatch):
+        f = build_free_nilpotent(GeneratorSpec(p, q, k))
+        seen = []
+        insert, express = SparseEchelon.insert, SparseEchelon.express
+        monkeypatch.setattr(SparseEchelon, "insert", lambda e, v: seen.append(v) or insert(e, v))
+        monkeypatch.setattr(
+            SparseEchelon, "express", lambda e, v, tag: seen.append(v) or express(e, v, tag)
+        )
+        f.generator_columns()
+        num = f.spec.num
+        assert seen
+        for v in seen:
+            real = [u for u in v if u[0] < num]  # a tag is (num, index)
+            assert real and all(u in f._pivots[len(u) - 1] for u in real)
 
     @pytest.mark.parametrize("p,q,rejected", [(2, 1, 46), (1, 2, 48)])
     def test_class_six_rejected_candidates(self, p, q, rejected):
