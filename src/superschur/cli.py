@@ -38,10 +38,10 @@ FORMATS = ("human", "json", "csv")
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_ASSERTION = 2
-# the sweeps to arity 8, 9 and 10 took 0.24, 0.27 and 0.45 s (whole command
-# in a fresh interpreter, one run each, Python 3.11.7, one core of an Intel
-# Xeon whose cores switch speed); the patterns double with each arity, and
-# each is one kernel membership test
+# the sweeps to arity 8, 9 and 10 took 0.14-0.21, 0.18-0.19 and 0.30-0.37 s
+# (whole command in a fresh interpreter, three runs each, Python 3.11.7, an
+# Intel Xeon whose cores switch speed); the patterns double with each arity,
+# and each is one kernel membership test
 IDENTITY_ARITY_MAX = 10
 # the cochain route eliminates one row per triple that touches a nonzero
 # bracket and holds a generator lift: free (2|1) class 6 has 39,367 and took

@@ -5,7 +5,11 @@ Bracket words embed into the free associative superalgebra through
 rank computation on those expansions: the degree-d candidates are the
 brackets [w, g] of the kept degree-(d-1) words w with the generators g
 (left-normed words span every graded component), and an independent
-word-counting oracle cross-checks the resulting dimensions.  The free
+word-counting oracle cross-checks the resulting dimensions.  The build
+codes each associative word as the int of its letters' digits in base
+num, which orders words of one length as their index tuples (see
+`FreeNilpotentSuperalgebra`); `expand` keeps tuple keys, as the tests'
+oracle.  The free
 presentations read F only through its brackets [x, g] with the
 generators (`generator_columns`): each is a kept candidate, zero, or a
 rejected candidate, whose expansion is expressed over the kept words'
@@ -107,6 +111,25 @@ def _expansion(w, parities, memo: dict) -> tuple[dict, int]:
     return hit
 
 
+def _bracket_letter(e: dict, sign: int, g: int, num: int, high: int) -> dict:
+    """[w, g] = wg - sign·gw from the coded expansion e of w, with sign
+    (-1)^{|w||g|} and high = num^(deg w): a word u of e codes ug as
+    u·num + g and gu as g·high + u.  The words ug are distinct, and so
+    are the words gu; a word of both kinds collects (as g..g does)."""
+    out = {u * num + g: c for u, c in e.items()}
+    lead = g * high
+    for u, c in e.items():
+        k = lead + u
+        old = out.get(k)
+        if old is None:
+            out[k] = -sign * c
+        elif nv := old - sign * c:
+            out[k] = nv
+        else:
+            del out[k]
+    return out
+
+
 def expand(w, parities) -> dict[tuple[int, ...], int]:
     """Expansion of a bracket word in the free associative superalgebra.
 
@@ -163,6 +186,12 @@ class FreeNilpotentSuperalgebra:
     keeps each degree's pivots, the associative words that lead its
     echelon's rows.
 
+    Expansions and pivots are keyed by coded associative words: the
+    degree-d word (g_1 .. g_d) is the int sum_i g_i num^(d-i), below
+    num^d.  Among words of one length this order is the lexicographic
+    order of the index tuples, so each echelon has the pivots, keeps the
+    words and rejects the candidates that it would on tuple keys.
+
     The routes read F only through `generator_columns`, the brackets
     [x, g] with the generators, computed on first use from that record.
     The full structure-constant table, `algebra`, is filled from those
@@ -176,7 +205,7 @@ class FreeNilpotentSuperalgebra:
         self.degree_parities: list[list[int]] = []
         self._expansions: dict = {}
         self._rejected: list[tuple[int, tuple]] = []  # (degree, candidate word)
-        self._pivots: list[set] = []  # per degree, the build echelon's pivots
+        self._pivots: list[set[int]] = []  # per degree, the build echelon's coded pivots
         for d in range(1, spec.class_bound + 1):
             ech = SparseEchelon()
             words: list = []
@@ -207,18 +236,20 @@ class FreeNilpotentSuperalgebra:
         self._columns: tuple[tuple[dict, ...], ...] | None = None
 
     def _candidates(self, d: int):
-        """The degree-d candidate words with their parities and expansions,
-        lazily; [w, g] has parity |w| + |g| and its expansion is the
-        commutator of w's stored expansion with g."""
-        pars = self.spec.parities
+        """The degree-d candidate words with their parities and coded
+        expansions, lazily; [w, g] has parity |w| + |g| and its expansion
+        is `_bracket_letter` of w's stored expansion with g."""
+        num, pars = self.spec.num, self.spec.parities
         if d == 1:
-            for g in range(self.spec.num):
-                yield g, pars[g], {(g,): 1}
+            for g in range(num):
+                yield g, pars[g], {g: 1}
             return
+        high = num ** (d - 1)
         for w, pw in zip(self.degree_words[d - 2], self.degree_parities[d - 2]):
             e = self._expansions[w]
-            for g in range(self.spec.num):
-                yield (w, g), (pw + pars[g]) % 2, _commutator(e, pw, {(g,): 1}, pars[g])
+            for g in range(num):
+                pg = pars[g]
+                yield (w, g), (pw + pg) % 2, _bracket_letter(e, graded_sign(pw, pg), g, num, high)
 
     # -- counting ------------------------------------------------------------
 
@@ -268,8 +299,8 @@ class FreeNilpotentSuperalgebra:
         * a rejected candidate's expansion z is expressed over the kept
           words of its degree d, on the build's pivots P_d only: the kept
           expansions, restricted to P_d, go into an echelon with a tag
-          coordinate (num, index) each, sorting after every associative
-          word; only degrees with a rejected candidate build one.
+          coordinate num^d + index each, sorting after every coded word
+          of degree d; only degrees with a rejected candidate build one.
 
         Restricting to P_d loses nothing.  The build's echelon of degree d
         spans the kept expansions, and a nonzero member of its row space
@@ -294,16 +325,18 @@ class FreeNilpotentSuperalgebra:
                 if d in echelons:
                     on = pivots[d - 1]
                     e = {u: c for u, c in self._expansions[w].items() if u in on}
-                    echelons[d].insert({**e, (num, idx): 1})
+                    echelons[d].insert({**e, num**d + idx: 1})
             rejected = {}
             for d, (w, t) in self._rejected:
                 pw = index[w] >= self.n_even  # the basis lists the even words first
-                z = _commutator(self._expansions[w], pw, {(t,): 1}, pars[t])
+                top = num**d
+                sign = graded_sign(pw, pars[t])
+                z = _bracket_letter(self._expansions[w], sign, t, num, top // num)
                 on = pivots[d - 1]
-                coeffs = echelons[d].express({u: c for u, c in z.items() if u in on}, (num,))
+                coeffs = echelons[d].express({u: c for u, c in z.items() if u in on}, top)
                 rejected[(w, t)] = {
-                    idx: c.numerator if c.denominator == 1 else c
-                    for (_, idx), c in sorted(coeffs.items())
+                    tag - top: c.numerator if c.denominator == 1 else c
+                    for tag, c in sorted(coeffs.items())
                 }
             columns: list[list[dict]] = [[] for _ in range(num)]
             for d, w in self._basis:
@@ -439,7 +472,7 @@ def hilbert_check(f: FreeNilpotentSuperalgebra) -> list[str]:
 
 def _psum(parities, a: int, b: int) -> int:
     """Sum of |x_a| .. |x_b| (1-based, inclusive, empty when a > b)."""
-    return sum(parities[t - 1] for t in range(a, b + 1))
+    return sum(parities[a - 1 : b])
 
 
 def rewrite_head_sign(i: int, parities) -> int:
@@ -572,6 +605,22 @@ def _identity_leaves(i: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(word_leaves(w)) for w in _identity_words(i))
 
 
+@cache
+def _identity_inversions(i: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The out-of-order letter pairs of the leaves of each of
+    `_identity_words(i)`, grouped by their first letter: (a, B) with B the
+    bitmask of the letters b < a that come after a.  κ_p of the leaves is
+    (-1) to the number of these pairs whose letters are both odd."""
+    return tuple(
+        tuple(
+            (a, later)
+            for k, a in enumerate(leaves)
+            if (later := sum(1 << b for b in leaves[k + 1 :] if b < a))
+        )
+        for leaves in _identity_leaves(i)
+    )
+
+
 def koszul_sign(letters, parities) -> int:
     """(-1) to the number of out-of-order pairs of odd letters in `letters`."""
     odd = [t for t in letters if parities[t]]
@@ -609,12 +658,15 @@ def rewrite_identity_residual(i: int, parities) -> dict:
     residual is empty exactly when c lies in the kernel K_i of the E_t
     (`_identity_kernel`).  So a pattern is one membership test of an
     integer vector with at most i + 2 entries; only a pattern that fails
-    it has its residual summed, from the same cached expansions.
+    it has its residual summed, from the same cached expansions.  The
+    signs κ_p(leaves(w_t)) count odd pairs among the words' out-of-order
+    letter pairs, which depend on the arity alone (`_identity_inversions`).
     """
     parities = _identity_parities(i, parities)
+    odd = sum(p << t for t, p in enumerate(parities))  # bitmask of the odd letters
     c = {
-        t: a * koszul_sign(leaves, parities)
-        for t, (a, leaves) in enumerate(zip(_identity_coeffs(i, parities), _identity_leaves(i)))
+        t: -a if sum((odd & later).bit_count() for x, later in pairs if odd >> x & 1) % 2 else a
+        for t, (a, pairs) in enumerate(zip(_identity_coeffs(i, parities), _identity_inversions(i)))
         if a
     }
     if not _identity_kernel(i).remainder(c):
@@ -655,18 +707,20 @@ def eval_hom(
     generators' parities, and the target's class may not exceed the
     truncation class (a violation surfaces as a failed homomorphism
     check).  The target must be a Lie superalgebra (`require_valid` is
-    called first, and cached).  Column x is φ(b_x), the basis word w_x
-    evaluated in the target with each generator sent to its image.
+    called first, and cached).  Column x is φ(b_x), filled by increasing
+    degree: a generator's column is its image, and the basis word
+    b = [c, g] of degree > 1 has column [φ(b_c), φ(g)], the target's
+    bracket of an earlier column with an image.
 
     φ is a homomorphism once φ[x, g] = [φx, φg] holds for every basis
     word x and generator g: by the graded Jacobi identity in source and
     target, the set of y with φ[x, y] = [φx, φy] for every x is a
     subspace, it contains the generators, and it is closed under
     brackets, so it is all of F.  f's `generator_columns` give [x, g].
-    Where the build kept the candidate [w_x, g], that column is the basis
-    word (w_x, g) itself, and its image is by definition the target's
-    bracket of w_x's value with g's image, [φx, φg]: those pairs hold by
-    construction.  The others are checked:
+    Where the build kept the candidate [b_x, g], that column is the basis
+    word b = [b_x, g] itself, and its image is by definition
+    [φx, φg]: those pairs hold by construction, and are told apart by
+    indices, (x, g) being b's factors.  The others are checked:
     * rejected candidates, whose columns are the expressions that
       `generator_columns` derived;
     * candidates with an empty expansion, where [x, g] = 0;
@@ -684,13 +738,20 @@ def eval_hom(
             raise AlgebraError(
                 f"generator {f.spec.labels[t]} is mapped to an element of the wrong parity"
             )
-    memo: dict = {}
-    columns = [evaluate_word(target, f.basis_word(idx), images, memo) for idx in range(f.dim)]
+    columns: list = [None] * f.dim
+    factors: list = [None] * f.dim  # b -> (index of c, t) for the basis word [c, g_t]
+    for b in sorted(range(f.dim), key=f.basis_degree):
+        w = f.basis_word(b)
+        if isinstance(w, int):
+            columns[b] = images[w]
+        else:
+            factors[b] = c, t = f._index[w[0]], w[1]
+            columns[b] = target.bracket(columns[c], images[t])
     ad = f.generator_columns()
     for x in range(f.dim):
         for t in range(f.spec.num):
             col = ad[t][x]
-            if len(col) == 1 and f.basis_word(next(iter(col))) == (f.basis_word(x), t):
+            if len(col) == 1 and factors[next(iter(col))] == (x, t):
                 continue  # a kept candidate
             g = f.generator_basis_index(t)
             if combine(columns, col) != target.bracket(columns[x], columns[g]):

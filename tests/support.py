@@ -18,6 +18,12 @@ parities.  Tests hold `rewrite_identity_residual` to it.
 over the kept words' full expansions, where `generator_columns` solves
 on the build's pivot coordinates only.  Tests hold the columns to it.
 
+`reference_build` is the free build as it ran on tuple-keyed associative
+words: each candidate expanded afresh by `expand`.  `word_code` and
+`coded` translate `expand`'s tuple keys into the build's integer codes,
+and `decoded_word` back, so tests hold the build's words and pivots to
+it.
+
 `reference_validation` and `reference_cohomology_dims` visit every basis
 pair and triple, without `LieSuperalgebra.ad_support`, so tests that
 compare them with `validate` and `schur_multiplier_cohomology` check
@@ -270,6 +276,52 @@ def reference_generator_columns(f) -> tuple[tuple[dict, ...], ...]:
                 }
             columns[t].append(col)
     return tuple(map(tuple, columns))
+
+
+def word_code(u, num: int) -> int:
+    """The associative word u, a tuple of generator indices below num, as
+    the int of its digits in base num."""
+    code = 0
+    for g in u:
+        code = code * num + g
+    return code
+
+
+def decoded_word(code: int, d: int, num: int) -> tuple:
+    """The degree-d associative word whose `word_code` is code."""
+    digits = []
+    for _ in range(d):
+        code, g = divmod(code, num)
+        digits.append(g)
+    return tuple(reversed(digits))
+
+
+def coded(e: dict, num: int) -> dict:
+    """An expansion with tuple keys, keyed by `word_code` instead."""
+    return {word_code(u, num): c for u, c in e.items()}
+
+
+def reference_build(spec) -> tuple[list[list], list[set]]:
+    """(degree_words, pivots) of the free build on tuple keys: the degree-d
+    candidates are the generators at d = 1 and the [w, g] of the kept
+    degree-(d-1) words w otherwise, each expanded by `expand` and kept when
+    independent of the kept expansions; the pivots are each degree's
+    echelon's, as sets of tuples."""
+    words_by_degree: list[list] = []
+    pivots: list[set] = []
+    for d in range(1, spec.class_bound + 1):
+        if d == 1:
+            candidates = list(range(spec.num))
+        else:
+            candidates = [(w, g) for w in words_by_degree[-1] for g in range(spec.num)]
+        ech, words = SparseEchelon(), []
+        for w in candidates:
+            e = expand(w, spec.parities)
+            if e and ech.insert(e):
+                words.append(w)
+        words_by_degree.append(words)
+        pivots.append(set(ech.pivots))
+    return words_by_degree, pivots
 
 
 def word_parity(w, parities) -> int:

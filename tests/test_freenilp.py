@@ -13,6 +13,7 @@ from superschur.freenilp import (
     _commutator,
     build_free_nilpotent,
     eval_hom,
+    evaluate_word,
     expand,
     free_superalgebra_degree_dims,
     hilbert_check,
@@ -26,8 +27,11 @@ from superschur.freenilp import (
 )
 from superschur.superalg import AlgebraError, SuperDim
 from support import (
+    coded,
+    decoded_word,
     dense,
     dense_rank,
+    reference_build,
     reference_generator_columns,
     reference_identity_residual,
     word_parity,
@@ -336,7 +340,8 @@ class TestIntegerCoefficients:
         for d in range(1, 5):
             for w, _, e in f._candidates(d):
                 got = expand(w, pars)
-                assert got == e and _ints(got.values()) and _ints(e.values()), w
+                assert coded(got, f.spec.num) == e, w
+                assert _ints(got.values()) and _ints(e.values()), w
 
     def test_engine_rows_and_subspaces_stay_fractions(self):
         f = build_free_nilpotent(GeneratorSpec(1, 2, 4))
@@ -490,6 +495,14 @@ class TestGeneratorColumns:
     def test_columns_match_the_assembled_table(self, spec):
         _columns_match_the_table(build_free_nilpotent(spec))
 
+    @pytest.mark.parametrize("p,q,k", PIVOT_SPECS + [(2, 1, 8), (0, 3, 5)])
+    def test_the_coded_build_matches_the_tuple_keyed_build(self, p, q, k):
+        f = build_free_nilpotent(GeneratorSpec(p, q, k))
+        words, pivots = reference_build(f.spec)
+        assert f.degree_words == words
+        for d, (got, want) in enumerate(zip(f._pivots, pivots, strict=True), start=1):
+            assert {decoded_word(u, d, f.spec.num) for u in got} == want, d
+
     @pytest.mark.parametrize("p,q,k", PIVOT_SPECS)
     def test_the_kept_expansions_restrict_to_a_basis_on_the_pivots(self, p, q, k):
         f = build_free_nilpotent(GeneratorSpec(p, q, k))
@@ -497,7 +510,8 @@ class TestGeneratorColumns:
             on = f._pivots[d - 1]
             ech = SparseEchelon()
             for w in words:
-                ech.insert({u: c for u, c in expand(w, f.spec.parities).items() if u in on})
+                e = coded(expand(w, f.spec.parities), f.spec.num)
+                ech.insert({u: c for u, c in e.items() if u in on})
             assert ech.rank == len(on) == len(words), d
 
     @pytest.mark.parametrize("p,q,k", PIVOT_SPECS)
@@ -510,16 +524,26 @@ class TestGeneratorColumns:
         f = build_free_nilpotent(GeneratorSpec(p, q, k))
         seen = []
         insert, express = SparseEchelon.insert, SparseEchelon.express
-        monkeypatch.setattr(SparseEchelon, "insert", lambda e, v: seen.append(v) or insert(e, v))
         monkeypatch.setattr(
-            SparseEchelon, "express", lambda e, v, tag: seen.append(v) or express(e, v, tag)
+            SparseEchelon, "insert", lambda e, v: seen.append((e, v, True)) or insert(e, v)
+        )
+        monkeypatch.setattr(
+            SparseEchelon,
+            "express",
+            lambda e, v, tag: seen.append((e, v, False)) or express(e, v, tag),
         )
         f.generator_columns()
-        num = f.spec.num
         assert seen
-        for v in seen:
-            real = [u for u in v if u[0] < num]  # a tag is (num, index)
-            assert real and all(u in f._pivots[len(u) - 1] for u in real)
+        by_echelon: dict = {}
+        for e, v, inserted in seen:
+            by_echelon.setdefault(id(e), []).append((v, inserted))
+        # every echelon serves one degree d: what it sees is coded words of
+        # P_d and, on insertion only, one tag num^d + index of a degree-d word
+        for vectors in by_echelon.values():
+            assert any(
+                all(_on_the_pivots(f, d, v, inserted) for v, inserted in vectors)
+                for d in range(1, k + 1)
+            )
 
     @pytest.mark.parametrize("p,q,rejected", [(2, 1, 46), (1, 2, 48)])
     def test_class_six_rejected_candidates(self, p, q, rejected):
@@ -533,7 +557,32 @@ class TestGeneratorColumns:
         _columns_match_the_table(f)
 
 
+def _on_the_pivots(f, d: int, v: dict, inserted: bool) -> bool:
+    """Whether v, inserted into or expressed against a degree-d echelon of
+    `generator_columns`, holds coded words of P_d only, and one tag
+    num^d + index of a degree-d basis word exactly when inserted."""
+    top = f.spec.num**d
+    real = [u for u in v if u < top]
+    tags = [u - top for u in v if u >= top]
+    if not real or any(u not in f._pivots[d - 1] for u in real):
+        return False
+    if not inserted:
+        return not tags
+    return len(tags) == 1 and tags[0] < f.dim and f.basis_degree(tags[0]) == d
+
+
 class TestEvalHom:
+    @pytest.mark.parametrize("p,q,k", [(2, 1, 4), (1, 2, 4), (0, 3, 3)])
+    def test_columns_are_the_words_evaluated(self, p, q, k):
+        # the columns filled by basis index against each basis word
+        # evaluated recursively in the target, on the identity of F
+        f = build_free_nilpotent(GeneratorSpec(p, q, k))
+        A = f.algebra
+        images = [unit(f.generator_basis_index(t)) for t in range(f.spec.num)]
+        hom = eval_hom(f, images, A)
+        for b in range(f.dim):
+            assert hom[b] == evaluate_word(A, f.basis_word(b), images, {}) == unit(b), b
+
     def test_identity_map(self):
         f = build_free_nilpotent(GeneratorSpec(2, 0, 2))
         A = f.algebra

@@ -49,6 +49,8 @@ from support import (
     basis_changed,
     gl_changed,
     random_quotients,
+    reference_build,
+    reference_generator_columns,
     reference_hopf_dims,
     relations_subspace,
     subspace_intersect,
@@ -628,6 +630,28 @@ class TestFreeTableNeverAssembled:
         monkeypatch.setattr(cli, "builtin_algebras", lambda: shipped)
         assert main(argv) == 0
         assert capsys.readouterr().out == want
+
+
+class TestFreeBuildOnCodedWords:
+    """The free build and its generator columns run on integer-coded words:
+    neither forms a tuple-keyed product or commutator of expansions."""
+
+    @pytest.mark.parametrize(
+        "p,q,k", [(2, 1, 6), (1, 2, 5), (0, 3, 4), (3, 0, 4), (1, 1, 8), (0, 1, 3)]
+    )
+    def test_build_and_columns_form_no_tuple_words(self, p, q, k, monkeypatch):
+        spec = GeneratorSpec(p, q, k)
+        words, _ = reference_build(spec)
+        want = reference_generator_columns(build_free_nilpotent(spec))
+
+        def never(*args):
+            raise AssertionError("formed a tuple-keyed expansion")
+
+        monkeypatch.setattr(freenilp, "_commutator", never)
+        monkeypatch.setattr(freenilp, "_concat", never)
+        f = build_free_nilpotent(spec)
+        assert f.degree_words == words
+        assert f.generator_columns() == want
 
 
 class TestPresentationInvariance:
