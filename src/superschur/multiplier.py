@@ -233,12 +233,86 @@ def schur_multiplier_hopf(L: LieSuperalgebra) -> SuperDim:
 
 def generator_triples(L: LieSuperalgebra) -> Iterator[tuple[int, int, int]]:
     """The triples i <= j <= k that touch a nonzero bracket and hold one of
-    L's generator lifts, in increasing order: the rows of the cochain route
-    (see `schur_multiplier_cohomology`).  Raises on non-nilpotent L."""
-    lift = [False] * L.dim
+    L's generator lifts, each once, lift by lift: the rows of the cochain
+    route (see `schur_multiplier_cohomology`).  Raises on non-nilpotent L.
+
+    Each such triple comes under its smallest lift g, as g and the pair
+    a <= b left when one g is taken out; neither a nor b is a lift below
+    g.  The triple touches a nonzero bracket exactly when a or b lies in
+    g's ad-support or (a, b) is a nonzero pair.  So under g come the
+    pairs that hold an index s of g's ad-support (a pair with two such
+    indices under the smaller one), then the nonzero pairs with neither
+    index in it, all without a lift below g.
+    """
+    support = L.ad_support()
+    pairs = L.nonzero_pairs()
+    below: set[int] = set()
     for g in L.generator_lift_indices():
-        lift[g] = True
-    return ((i, j, k) for i, j, k in L.touching_triples() if lift[i] or lift[j] or lift[k])
+        near = set(support[g])
+        rest = [x for x in range(L.dim) if x not in below]
+        found = [
+            (s, x) if s <= x else (x, s)
+            for s in support[g] if s not in below
+            for x in rest if x not in near or x >= s
+        ]
+        found += [
+            (a, b) for a, b in pairs
+            if a not in below and b not in below and a not in near and b not in near
+        ]
+        for a, b in found:
+            yield (g, a, b) if g <= a else (a, g, b) if g <= b else (a, b, g)
+        below.add(g)
+
+
+def _peeled_rank(rows: list[dict]) -> int:
+    """The rank of sparse integer rows: the keys peeled off the rows that
+    are left with one key, plus the `SparseEchelon` rank of the rest with
+    those keys removed, shortest first.
+
+    The rows hold nonzero entries only, so a row with one key k is a
+    nonzero multiple of e_k.  Peeling repeats: each pass takes out of
+    every kept row the keys peeled so far, and a row left with one key k
+    peels it; a row left with none is dropped.  By induction in the order
+    the keys are peeled, every peeled e_k lies in the row space V: the
+    row that peels k is c e_k (c != 0) plus multiples of e_z for keys z
+    peeled before it.  So with Z the peeled keys and P the projection
+    that sets their coordinates to 0, V holds span{e_z : z in Z} and
+    v - P v for each v in V, and so P v; V is the direct sum of
+    span{e_z} and P V, and rank V = |Z| + rank P V.  P V is spanned by the
+    projected rows, and a peeled row projects to 0.  Passes stop when
+    one peels nothing, so every row left keeps at least two keys.
+
+    This is the first phase of structured Gaussian elimination (LaMacchia
+    and Odlyzko, "Solving large sparse linear systems over finite
+    fields", CRYPTO '90, LNCS 537).  Pivoting on sparse rows first keeps
+    fill-in low (Markowitz, "The elimination form of the inverse and its
+    application to linear programming", Management Science 3 (1957)).
+    """
+    peeled: set = set()
+    kept = []
+    for row in rows:
+        if len(row) == 1:
+            peeled.update(row)
+        elif row:
+            kept.append(row)
+    grew = bool(peeled)
+    while grew:
+        grew = False
+        left = []
+        for row in kept:
+            keys = row.keys() - peeled
+            if len(keys) == 1:
+                peeled.update(keys)
+                grew = True
+            elif keys:
+                left.append(row)
+        kept = left
+    ech = SparseEchelon()
+    for row in sorted(
+        ({k: c for k, c in row.items() if k not in peeled} for row in kept), key=len
+    ):
+        ech.insert(row)
+    return len(peeled) + ech.rank
 
 
 def schur_multiplier_cohomology(L: LieSuperalgebra) -> SuperDim:
@@ -256,9 +330,9 @@ def schur_multiplier_cohomology(L: LieSuperalgebra) -> SuperDim:
 
     Rows come only from triples that touch a nonzero bracket (on any other
     every term evaluates φ on a zero inner bracket) and hold a generator
-    lift: the lifts X, the basis vectors off γ₂'s pivots, span L modulo
-    γ₂, and J vanishes everywhere once it vanishes on the triples that
-    meet X.
+    lift (`generator_triples`): the lifts X, the basis vectors off γ₂'s
+    pivots, span L modulo γ₂, and J vanishes everywhere once it vanishes
+    on the triples that meet X.
     * X generates L.  The subalgebra H it generates has H + γ₂ = L.  So
       γ_k, spanned by k-fold brackets of elements of H + γ₂, lies in
       H + γ_{k+1}, as a bracket with an entry in γ₂ lies one step deeper;
@@ -281,13 +355,10 @@ def schur_multiplier_cohomology(L: LieSuperalgebra) -> SuperDim:
     In a row, φ(b_x, b_t) is the coordinate (x, t) for x < t or x = t odd,
     keyed x·n + t; zero for x = t even; and −(−1)^{|x||t|} times
     coordinate (t, x) for x > t.  `orient` holds each key with its sign.
-    The rows go in shortest first, a stable sort by length: pivoting on
-    sparse rows first keeps fill-in low (Markowitz, "The elimination form
-    of the inverse and its application to linear programming", Management
-    Science 3 (1957)).  Against increasing and reversed triple order it
-    stored the fewest entries on free (2|1) classes 5 and 6 in two bases
-    each, and the fewest or tied on 75 of the 75 catalog records and
-    random quotients and 68 of their 75 dense copies (CHANGES.md).
+    Most rows have one entry once their zeros are dropped, and most of
+    the rest are left with one after those keys are taken out, so each
+    parity's rows are ranked by peeling first (`_peeled_rank` has the
+    proof); only what is left goes into a `SparseEchelon`.
 
     The coboundary f -> f([x, y]) has the brackets' coordinates as its
     columns, so its rank per parity is the superdimension of their span,
@@ -301,7 +372,10 @@ def schur_multiplier_cohomology(L: LieSuperalgebra) -> SuperDim:
     # the pairs a <= b of each parity, less the even diagonals that graded
     # skew-symmetry forces to zero
     coords = {EVEN: e * (e - 1) // 2 + o * (o + 1) // 2, ODD: e * o}
-    table = L.integral_table()
+    # adj[y][w] is the integral table's entry for [b_y, b_w]
+    adj: list[dict] = [{} for _ in range(n)]
+    for (y, w), entry in L.integral_table().items():
+        adj[y][w] = entry
     orient = [
         [
             (x * n + t, 1) if x < t or (x == t and p[x] == ODD)
@@ -314,26 +388,22 @@ def schur_multiplier_cohomology(L: LieSuperalgebra) -> SuperDim:
     for i, j, k in generator_triples(L):
         row: dict = {}
         for x, y, w in ((i, j, k), (j, k, i), (k, i, j)):
-            entry = table.get((y, w))
-            if entry:
-                sign = graded_sign(p[x], p[w])
+            if entry := adj[y].get(w):
+                sign = -1 if p[x] and p[w] else 1
                 ox = orient[x]
                 for t, c in entry.items():
                     if oriented := ox[t]:
                         key, s = oriented
-                        row[key] = row.get(key, 0) + sign * s * c
-        rows[(p[i] + p[j] + p[k]) % 2].append(row)
-    rank = {}
-    for sigma, built in rows.items():
-        built.sort(key=len)
-        ech = SparseEchelon()
-        for row in built:
-            ech.insert(row)
-        rank[sigma] = ech.rank
+                        if total := row.get(key, 0) + sign * s * c:
+                            row[key] = total
+                        else:
+                            del row[key]
+        if row:
+            rows[(p[i] + p[j] + p[k]) % 2].append(row)
     cob = L.superdim(L.gamma(2))
     return SuperDim(
-        coords[EVEN] - rank[EVEN] - cob.even,
-        coords[ODD] - rank[ODD] - cob.odd,
+        coords[EVEN] - _peeled_rank(rows[EVEN]) - cob.even,
+        coords[ODD] - _peeled_rank(rows[ODD]) - cob.odd,
     )
 
 

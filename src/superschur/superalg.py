@@ -8,9 +8,8 @@ Jacobi identity on all basis triples.  Only the triples with a nonzero
 nested bracket [b_a, [b_b, b_c]] are evaluated: on any other triple
 every term of the Jacobi sum is zero.  `ad_support` indexes the nonzero
 brackets, so products, ideals, the center and quotients also bracket
-only pairs that can be nonzero.  `touching_triples` yields the wider
-set with one nonzero pair, one at a time; the cochain route keeps those
-that hold a generator lift.
+only pairs that can be nonzero, and the cochain route reads each
+generator lift's ad-support to find its rows.
 
 The lower central series brackets only with the generator lifts, the
 unit vectors off the pivots of gamma_2 = [L, L]: layers S_1 = lifts,
@@ -32,11 +31,8 @@ an algebra's subspaces (`superdim`) and for a free presentation's.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import merge
 from math import lcm
 
 from .exactla import SparseEchelon, Subspace, axpy, combine, kernel
@@ -227,30 +223,6 @@ class LieSuperalgebra:
         return [
             (i, j) for i, sup in enumerate(self.ad_support()) for j in sup if i <= j
         ]
-
-    def touching_triples(self) -> Iterator[tuple[int, int, int]]:
-        """The triples i <= j <= k with a nonzero bracket among their three
-        pairs, yielded in increasing order.
-
-        A nonzero pair (i, j) takes every k >= j; any other pair takes the
-        k >= j that bracket b_i or b_j nontrivially, from their sorted
-        ad-supports, merged only when both are nonempty.
-        """
-        table = self._table()
-        support = self.ad_support()
-        tails = [s[bisect_left(s, j):] for j, s in enumerate(support)]
-        for i, si in enumerate(support):
-            for j in range(i, self.dim):
-                if (i, j) in table:
-                    ks = range(j, self.dim)
-                else:
-                    a, b = si[bisect_left(si, j):], tails[j]
-                    ks = merge(a, b) if a and b else a or b
-                last = -1
-                for k in ks:
-                    if k != last:  # a k in both supports comes twice
-                        yield (i, j, k)
-                        last = k
 
     def _nested_triples(self) -> list[tuple[int, int, int]]:
         """The triples i <= j <= k, in increasing order, with some nonzero

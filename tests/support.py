@@ -24,6 +24,11 @@ words: each candidate expanded afresh by `expand`.  `word_code` and
 and `decoded_word` back, so tests hold the build's words and pivots to
 it.
 
+`touching_triples` yields the triples i <= j <= k with a nonzero pair,
+in increasing order, from the sorted ad-supports.  Tests hold the
+cochain route's `generator_triples`, which enumerates its triples lift
+by lift, to the ones among them that hold a generator lift.
+
 `reference_validation` and `reference_cohomology_dims` visit every basis
 pair and triple, without `LieSuperalgebra.ad_support`, so tests that
 compare them with `validate` and `schur_multiplier_cohomology` check
@@ -52,7 +57,9 @@ tests hold the bracket-ideal chain to.
 
 import itertools
 import random
+from bisect import bisect_left
 from fractions import Fraction
+from heapq import merge
 
 from superschur.exactla import (
     SparseEchelon,
@@ -424,6 +431,30 @@ def random_quotients(count):
         quotient, _ = A.quotient(ideal, name=f"rq{len(out)}[{p}|{q},c{k}]")
         out.append(quotient)
     return out
+
+
+def touching_triples(L):
+    """The triples i <= j <= k with a nonzero bracket among their three
+    pairs, yielded in increasing order.
+
+    A nonzero pair (i, j) takes every k >= j; any other pair takes the
+    k >= j that bracket b_i or b_j nontrivially, from their sorted
+    ad-supports, merged only when both are nonempty.
+    """
+    support = L.ad_support()
+    tails = [s[bisect_left(s, j):] for j, s in enumerate(support)]
+    for i, si in enumerate(support):
+        for j in range(i, L.dim):
+            if L.bracket_basis(i, j):
+                ks = range(j, L.dim)
+            else:
+                a, b = si[bisect_left(si, j):], tails[j]
+                ks = merge(a, b) if a and b else a or b
+            last = -1
+            for k in ks:
+                if k != last:  # a k in both supports comes twice
+                    yield (i, j, k)
+                    last = k
 
 
 def _jacobi_residual(L, i, j, k) -> dict:

@@ -23,6 +23,7 @@ from superschur.catalog import builtin_algebras, parse_catalog, render_catalog
 from superschur.exactla import Subspace
 from superschur.freenilp import GeneratorSpec, build_free_nilpotent
 from superschur.exactla import SparseEchelon
+from superschur import multiplier
 from superschur.multiplier import (
     generator_triples,
     schur_multiplier_cohomology,
@@ -37,6 +38,7 @@ from support import (
     random_quotients,
     reference_cohomology_dims,
     reference_validation,
+    touching_triples,
 )
 
 F = Fraction
@@ -184,29 +186,54 @@ class TestCohomologyOracle:
         assert len({s[:3] for s in shapes}) == 7
         assert any(L.dim >= 30 and L.nilpotency_class() == 4 for L in second_battery)
 
+    def test_generator_triples_come_once_each(self, catalog, quotients):
+        # lift by lift, the touching triples that hold a lift, each once, on
+        # the sources and on dense copies, whose lifts differ
+        sources = [L for L in catalog if L.is_nilpotent()] + quotients[::2]
+        for t, L in enumerate(sources):
+            for M in (L, gl_changed(L, t)):
+                lifts = set(M.generator_lift_indices())
+                want = [x for x in touching_triples(M) if lifts.intersection(x)]
+                assert sorted(generator_triples(M)) == want, M.name
+
     @pytest.mark.parametrize("c, rows, touching", [(5, 6_535, 9_497), (6, 39_367, 67_581)])
     def test_rows_are_the_generator_triples(self, monkeypatch, c, rows, touching):
+        # keys peeled and rows left for the echelons, both parities together
+        peeled, inserted = {5: (3_049, 250), 6: (19_497, 778)}[c]
         L = build_free_nilpotent(GeneratorSpec(2, 1, c)).algebra
         lifts = set(L.generator_lift_indices())
-        assert sum(1 for _ in L.touching_triples()) == touching
+        assert sum(1 for _ in touching_triples(L)) == touching
         built = list(generator_triples(L))
         assert len(built) == rows
-        assert built == [t for t in L.touching_triples() if lifts.intersection(t)]
-        inserted = []
+        # lift by lift, each triple once
+        assert sorted(built) == [t for t in touching_triples(L) if lifts.intersection(t)]
+        calls = []
         original = SparseEchelon.insert
 
         def counted(self, v):
-            inserted.append((id(self), len(v)))
-            return original(self, v)
+            accepted = original(self, v)
+            calls.append((self, len(v), accepted))
+            return accepted
+
+        ranks = []
+        peeled_rank = multiplier._peeled_rank
+
+        def ranked(rows):
+            ranks.append(peeled_rank(rows))
+            return ranks[-1]
 
         monkeypatch.setattr(SparseEchelon, "insert", counted)
+        monkeypatch.setattr(multiplier, "_peeled_rank", ranked)
         schur_multiplier_cohomology(L)
-        # one insert per row and none for the coboundaries, into one
-        # echelon per parity, shortest first
-        assert len(inserted) == rows
+        # the rows left after peeling go into one echelon per parity,
+        # shortest first, each with two entries or more; the coboundaries
+        # take none
+        assert len(calls) == inserted
+        assert sum(ranks) - sum(accepted for _, _, accepted in calls) == peeled
+        assert min(n for _, n, _ in calls) >= 2
         lengths: dict = {}
-        for ech, n in inserted:
-            lengths.setdefault(ech, []).append(n)
+        for ech, n, _ in calls:
+            lengths.setdefault(id(ech), []).append(n)
         assert len(lengths) == 2
         assert all(ns == sorted(ns) for ns in lengths.values())
 
@@ -238,7 +265,7 @@ class TestAdSupport:
                 for k in range(j, L.dim)
                 if {(i, j), (j, k), (i, k)} & set(pairs)
             ]
-            assert list(L.touching_triples()) == touched
+            assert list(touching_triples(L)) == touched
 
     def test_zero_coefficients_are_ignored(self):
         L = LieSuperalgebra(
@@ -266,7 +293,7 @@ class TestAdSupport:
     def test_triple_bound_covers_the_count(self, catalog, quotients):
         # each touching triple is a nonzero pair plus one more index
         for L in catalog + quotients:
-            assert len(L.nonzero_pairs()) * L.dim >= len(list(L.touching_triples())), L.name
+            assert len(L.nonzero_pairs()) * L.dim >= len(list(touching_triples(L))), L.name
 
     def test_mirror_only_entries_are_indexed(self):
         L = LieSuperalgebra("m", ["e1", "e2", "e3"], [0] * 3, {(1, 0): [(2, 1)]})
@@ -378,10 +405,10 @@ def test_validate_evaluates_only_nested_triples(monkeypatch):
     assert L.validate().ok
     assert L.dim == 83 and comb(L.dim + 2, 3) == 98_770
     assert len(L.nonzero_pairs()) == 139
-    assert len(list(L.touching_triples())) == 9_497
+    assert len(list(touching_triples(L))) == 9_497
     nested = [
         (i, j, k)
-        for i, j, k in L.touching_triples()
+        for i, j, k in touching_triples(L)
         if any(
             L.bracket_basis(a, t)
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j))

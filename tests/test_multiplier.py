@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superschur import cli, exactla, freenilp, multiplier
 from superschur.catalog import (
@@ -280,6 +282,63 @@ class TestCohomology:
         assert schur_multiplier_cohomology(abelian(0, 0)) == SuperDim(0, 0)
 
 
+# block sigma's keys are 100*sigma + 0..15; random single-entry rows take
+# 0..9 and the planted chains 10..15, which random longer rows may share
+_coefficient = st.integers(-6, 6).filter(bool) | st.sampled_from([10**20, -(10**20) - 7])
+_block_row = st.dictionaries(st.integers(0, 15), _coefficient, min_size=2, max_size=4)
+_block_unit = st.tuples(st.integers(0, 9), _coefficient)
+_chain = st.lists(_coefficient, min_size=6, max_size=6)
+_block = st.tuples(
+    st.lists(_block_row, max_size=10),
+    st.lists(_block_unit, max_size=4),
+    st.lists(_chain, min_size=1, max_size=2),
+    st.randoms(use_true_random=False),
+)
+
+
+def _planted_rows(sigma, block) -> list[dict]:
+    """A parity block's rows: random rows of two to four entries, random
+    single-entry rows, and planted chains (k0), (k1, k0), (k2, k1, k0) on
+    keys no random single-entry row holds, listed last row first after
+    the shuffled others, so k1 is single only after one peel and k2
+    after two."""
+    rows, units, chains, rng = block
+    base = 100 * sigma
+    out = [{base + k: c for k, c in row.items()} for row in rows]
+    out += [{base + k: c} for k, c in units]
+    rng.shuffle(out)
+    for n, (a, b, c, d, e, f) in enumerate(chains):
+        k0, k1, k2 = (base + 10 + 3 * n + m for m in range(3))
+        out += [{k2: a, k1: b, k0: c}, {k1: d, k0: e}, {k0: f}]
+    return out
+
+
+@given(_block, _block)
+@settings(max_examples=100, deadline=None)
+def test_peeled_rank_is_the_rank_of_all_rows(even, odd):
+    """Peeling, then eliminating the rest, ranks each parity block as
+    `ReferenceEchelon` ranks all the rows; every row it eliminates keeps
+    two entries or more."""
+    blocks = [_planted_rows(0, even), _planted_rows(1, odd)]
+    reference = ReferenceEchelon()
+    for row in blocks[0] + blocks[1]:
+        reference.insert(row, None)
+    inserted = []
+    original = exactla.SparseEchelon.insert
+
+    def counted(self, v):
+        inserted.append(len(v))
+        return original(self, v)
+
+    exactla.SparseEchelon.insert = counted
+    try:
+        got = sum(multiplier._peeled_rank(rows) for rows in blocks)
+    finally:
+        exactla.SparseEchelon.insert = original
+    assert got == reference.rank
+    assert all(n >= 2 for n in inserted)
+
+
 class TestMethodAgreement:
     @pytest.mark.parametrize("name", [a.name for a in builtin_algebras()])
     def test_catalog(self, name):
@@ -292,7 +351,8 @@ class TestFreeMultiplierClosedForm:
     @pytest.mark.parametrize(
         "p,q,c",
         [(1, 0, 2), (0, 1, 3), (2, 0, 3), (1, 1, 3), (1, 1, 4), (0, 2, 3), (0, 2, 4),
-         (1, 2, 2), (1, 2, 3), (0, 3, 2), (2, 1, 3), (2, 1, 4)],
+         (1, 2, 2), (1, 2, 3), (0, 3, 2), (2, 1, 3), (2, 1, 4), (2, 1, 5), (2, 1, 6),
+         (1, 1, 8)],
     )
     def test_both_routes_give_the_next_free_degree(self, p, q, c):
         """For F = Φ/γ_{c+1}(Φ), Φ free on (p|q), M(F) ≅ γ_{c+1}(Φ)/γ_{c+2}(Φ).
