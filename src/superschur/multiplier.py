@@ -56,7 +56,6 @@ from .superalg import (
     LieSuperalgebra,
     SuperDim,
     graded_dim,
-    graded_sign,
 )
 
 
@@ -250,32 +249,34 @@ def generator_triples(L: LieSuperalgebra) -> Iterator[tuple[int, int, int]]:
     for g in L.generator_lift_indices():
         near = set(support[g])
         rest = [x for x in range(L.dim) if x not in below]
-        found = [
-            (s, x) if s <= x else (x, s)
-            for s in support[g] if s not in below
-            for x in rest if x not in near or x >= s
-        ]
-        found += [
-            (a, b) for a, b in pairs
-            if a not in below and b not in below and a not in near and b not in near
-        ]
+        found = itertools.chain(
+            (
+                (s, x) if s <= x else (x, s)
+                for s in support[g] if s not in below
+                for x in rest if x not in near or x >= s
+            ),
+            (
+                (a, b) for a, b in pairs
+                if a not in below and b not in below and a not in near and b not in near
+            ),
+        )
         for a, b in found:
             yield (g, a, b) if g <= a else (a, g, b) if g <= b else (a, b, g)
         below.add(g)
 
 
-def _peeled_rank(rows: list[dict]) -> int:
-    """The rank of sparse integer rows: the keys peeled off the rows that
-    are left with one key, plus the `SparseEchelon` rank of the rest with
-    those keys removed, shortest first.
+def _peeled_rank(rows: list[dict], peeled: set) -> int:
+    """The rank of the space V spanned by sparse integer rows and the e_k
+    for k in `peeled`: the keys peeled, `peeled` grown in place, plus the
+    `SparseEchelon` rank of the rows left with those keys removed,
+    shortest first.
 
-    The rows hold nonzero entries only, so a row with one key k is a
-    nonzero multiple of e_k.  Peeling repeats: each pass takes out of
-    every kept row the keys peeled so far, and a row left with one key k
-    peels it; a row left with none is dropped.  By induction in the order
-    the keys are peeled, every peeled e_k lies in the row space V: the
-    row that peels k is c e_k (c != 0) plus multiples of e_z for keys z
-    peeled before it.  So with Z the peeled keys and P the projection
+    The rows hold nonzero entries only.  Peeling repeats: each pass takes
+    out of every kept row the keys peeled so far, and a row left with one
+    key k peels it; a row left with none is dropped.  By induction in the
+    order the keys are peeled, every peeled e_k lies in V: a key passed
+    in does by definition, and the row that peels k is c e_k (c != 0)
+    plus multiples of e_z for keys z peeled before it.  So with Z the peeled keys and P the projection
     that sets their coordinates to 0, V holds span{e_z : z in Z} and
     v - P v for each v in V, and so P v; V is the direct sum of
     span{e_z} and P V, and rank V = |Z| + rank P V.  P V is spanned by the
@@ -288,28 +289,21 @@ def _peeled_rank(rows: list[dict]) -> int:
     fill-in low (Markowitz, "The elimination form of the inverse and its
     application to linear programming", Management Science 3 (1957)).
     """
-    peeled: set = set()
-    kept = []
-    for row in rows:
-        if len(row) == 1:
-            peeled.update(row)
-        elif row:
-            kept.append(row)
-    grew = bool(peeled)
+    grew = True
     while grew:
         grew = False
         left = []
-        for row in kept:
+        for row in rows:
             keys = row.keys() - peeled
             if len(keys) == 1:
                 peeled.update(keys)
                 grew = True
             elif keys:
                 left.append(row)
-        kept = left
+        rows = left
     ech = SparseEchelon()
     for row in sorted(
-        ({k: c for k, c in row.items() if k not in peeled} for row in kept), key=len
+        ({k: c for k, c in row.items() if k not in peeled} for row in rows), key=len
     ):
         ech.insert(row)
     return len(peeled) + ech.rank
@@ -354,11 +348,13 @@ def schur_multiplier_cohomology(L: LieSuperalgebra) -> SuperDim:
 
     In a row, φ(b_x, b_t) is the coordinate (x, t) for x < t or x = t odd,
     keyed x·n + t; zero for x = t even; and −(−1)^{|x||t|} times
-    coordinate (t, x) for x > t.  `orient` holds each key with its sign.
-    Most rows have one entry once their zeros are dropped, and most of
-    the rest are left with one after those keys are taken out, so each
-    parity's rows are ranked by peeling first (`_peeled_rank` has the
-    proof); only what is left goes into a `SparseEchelon`.
+    coordinate (t, x) for x > t; each term's key and sign are worked out
+    as its row is built.  Most rows have one entry once their zeros are
+    dropped, and such a row, a nonzero multiple of e_k, adds only its key
+    k to its parity's peeled keys and is not stored.  Most of the rest are
+    left with one entry after those keys are taken out, so each parity's
+    rows are ranked by peeling first (`_peeled_rank` has the proof); only
+    what is left goes into a `SparseEchelon`.
 
     The coboundary f -> f([x, y]) has the brackets' coordinates as its
     columns, so its rank per parity is the superdimension of their span,
@@ -376,34 +372,35 @@ def schur_multiplier_cohomology(L: LieSuperalgebra) -> SuperDim:
     adj: list[dict] = [{} for _ in range(n)]
     for (y, w), entry in L.integral_table().items():
         adj[y][w] = entry
-    orient = [
-        [
-            (x * n + t, 1) if x < t or (x == t and p[x] == ODD)
-            else (t * n + x, -graded_sign(p[x], p[t])) if x > t else None
-            for t in range(n)
-        ]
-        for x in range(n)
-    ]
+    # the rows of two entries or more, and the keys of the one-entry rows
     rows: dict[int, list[dict]] = {EVEN: [], ODD: []}
+    peeled: dict[int, set] = {EVEN: set(), ODD: set()}
     for i, j, k in generator_triples(L):
         row: dict = {}
         for x, y, w in ((i, j, k), (j, k, i), (k, i, j)):
             if entry := adj[y].get(w):
-                sign = -1 if p[x] and p[w] else 1
-                ox = orient[x]
+                px = p[x]
+                sign = -1 if px and p[w] else 1
                 for t, c in entry.items():
-                    if oriented := ox[t]:
-                        key, s = oriented
-                        if total := row.get(key, 0) + sign * s * c:
-                            row[key] = total
-                        else:
-                            del row[key]
-        if row:
-            rows[(p[i] + p[j] + p[k]) % 2].append(row)
+                    if x < t or (x == t and px):
+                        key, s = x * n + t, sign
+                    elif x > t:
+                        key, s = t * n + x, sign if px and p[t] else -sign
+                    else:
+                        continue
+                    if total := row.get(key, 0) + s * c:
+                        row[key] = total
+                    else:
+                        del row[key]
+        sigma = (p[i] + p[j] + p[k]) % 2
+        if len(row) == 1:
+            peeled[sigma].update(row)
+        elif row:
+            rows[sigma].append(row)
     cob = L.superdim(L.gamma(2))
     return SuperDim(
-        coords[EVEN] - _peeled_rank(rows[EVEN]) - cob.even,
-        coords[ODD] - _peeled_rank(rows[ODD]) - cob.odd,
+        coords[EVEN] - _peeled_rank(rows[EVEN], peeled[EVEN]) - cob.even,
+        coords[ODD] - _peeled_rank(rows[ODD], peeled[ODD]) - cob.odd,
     )
 
 

@@ -218,8 +218,11 @@ class TestCohomologyOracle:
         ranks = []
         peeled_rank = multiplier._peeled_rank
 
-        def ranked(rows):
-            ranks.append(peeled_rank(rows))
+        def ranked(rows, peeled):
+            # the one-entry rows arrive as keys, never as rows
+            assert all(len(row) >= 2 for row in rows)
+            assert peeled
+            ranks.append(peeled_rank(rows, peeled))
             return ranks[-1]
 
         monkeypatch.setattr(SparseEchelon, "insert", counted)

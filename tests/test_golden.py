@@ -13,7 +13,16 @@ Their free presentations are large and their bases permuted and
 rescaled, so `multiplier --method both` and `verify` are also pinned on
 it, in json.
 
-Regenerate the report files (not the catalog) with
+`ladder.cat` is data too, rendered once with `render_catalog`: the
+records of high class and on dense bases.  It holds sfil8, sfil10 and
+sfil12 (e0 even, f1 ... f_{n-1} odd, [e0, f_i] = f_{i+1}, class n-1),
+fil8 + A(1|0) (filiform of class 7 plus an even line, three even
+generators) and the seed-7 `support.gl_changed` copies of free21c3 and
+sh(0|4), whose bases mix vectors of one parity.  `check`, `invariants`,
+`multiplier --method both`, `bounds` and `verify` are pinned on it, in
+json.
+
+Regenerate the report files (not the catalogs) with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -45,6 +54,8 @@ COMMANDS = {
     "identity": ["identity", "--arity-max", "4"],
 }
 PRESENTATIONS = str(GOLDEN_DIR / "presentations.cat")
+LADDER = str(GOLDEN_DIR / "ladder.cat")
+LADDER_COMMANDS = ("check", "invariants", "multiplier", "bounds", "verify")
 CASES = [
     (f"{name}.{EXTENSIONS[fmt]}", ["--format", fmt] + argv)
     for name, argv in COMMANDS.items()
@@ -52,6 +63,9 @@ CASES = [
 ] + [
     (f"presentations_{name}.json", ["--format", "json"] + COMMANDS[name] + [PRESENTATIONS])
     for name in ("multiplier", "verify")
+] + [
+    (f"ladder_{name}.json", ["--format", "json"] + COMMANDS[name] + [LADDER])
+    for name in LADDER_COMMANDS
 ]
 
 

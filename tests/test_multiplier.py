@@ -313,16 +313,22 @@ def _planted_rows(sigma, block) -> list[dict]:
     return out
 
 
-@given(_block, _block)
+@given(_block, _block, st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_peeled_rank_is_the_rank_of_all_rows(even, odd):
+def test_peeled_rank_is_the_rank_of_all_rows(even, odd, as_keys):
     """Peeling, then eliminating the rest, ranks each parity block as
     `ReferenceEchelon` ranks all the rows; every row it eliminates keeps
-    two entries or more."""
+    two entries or more.  The one-entry rows go in as peeled keys, as
+    the cochain route passes them, or stay among the rows."""
     blocks = [_planted_rows(0, even), _planted_rows(1, odd)]
     reference = ReferenceEchelon()
     for row in blocks[0] + blocks[1]:
         reference.insert(row, None)
+    keys: list[set] = [set(), set()]
+    if as_keys:
+        for sigma, rows in enumerate(blocks):
+            keys[sigma].update(k for row in rows if len(row) == 1 for k in row)
+            blocks[sigma] = [row for row in rows if len(row) > 1]
     inserted = []
     original = exactla.SparseEchelon.insert
 
@@ -332,7 +338,7 @@ def test_peeled_rank_is_the_rank_of_all_rows(even, odd):
 
     exactla.SparseEchelon.insert = counted
     try:
-        got = sum(multiplier._peeled_rank(rows) for rows in blocks)
+        got = sum(multiplier._peeled_rank(rows, ks) for rows, ks in zip(blocks, keys))
     finally:
         exactla.SparseEchelon.insert = original
     assert got == reference.rank
@@ -352,7 +358,7 @@ class TestFreeMultiplierClosedForm:
         "p,q,c",
         [(1, 0, 2), (0, 1, 3), (2, 0, 3), (1, 1, 3), (1, 1, 4), (0, 2, 3), (0, 2, 4),
          (1, 2, 2), (1, 2, 3), (0, 3, 2), (2, 1, 3), (2, 1, 4), (2, 1, 5), (2, 1, 6),
-         (1, 1, 8)],
+         (2, 1, 7), (1, 1, 8)],
     )
     def test_both_routes_give_the_next_free_degree(self, p, q, c):
         """For F = Φ/γ_{c+1}(Φ), Φ free on (p|q), M(F) ≅ γ_{c+1}(Φ)/γ_{c+2}(Φ).
