@@ -43,10 +43,10 @@ EXIT_ASSERTION = 2
 # Intel Xeon whose cores switch speed); the patterns double with each arity,
 # and each is one kernel membership test
 IDENTITY_ARITY_MAX = 10
-# the cochain route eliminates one row per triple that touches a nonzero
-# bracket and holds a generator lift: free (2|1) class 6 has 39,367 and took
-# 0.48 and 0.53 s (peak RSS 18 -> 33 MB), class 7 has 249,643 and took 3.45
-# and 3.62 s (20 -> 129 MB), free (3|3) class 4 has 201,326 (the route alone,
+# the cochain route builds one row per triple that touches a nonzero bracket
+# and holds a generator lift: free (2|1) class 6 has 39,367 and took 0.077 and
+# 0.100 s (peak RSS 18 -> 24 MB), class 7 has 249,643 and took 0.46 to 0.79 s
+# in five runs (20 -> 71 MB), free (3|3) class 4 has 201,326 (the route alone,
 # Python 3.11.7, one core of an Intel Xeon whose cores switch speed)
 COCHAIN_TRIPLES_MAX = 100_000
 

@@ -276,12 +276,13 @@ def _peeled_rank(rows: list[dict], peeled: set) -> int:
     key k peels it; a row left with none is dropped.  By induction in the
     order the keys are peeled, every peeled e_k lies in V: a key passed
     in does by definition, and the row that peels k is c e_k (c != 0)
-    plus multiples of e_z for keys z peeled before it.  So with Z the peeled keys and P the projection
-    that sets their coordinates to 0, V holds span{e_z : z in Z} and
-    v - P v for each v in V, and so P v; V is the direct sum of
-    span{e_z} and P V, and rank V = |Z| + rank P V.  P V is spanned by the
-    projected rows, and a peeled row projects to 0.  Passes stop when
-    one peels nothing, so every row left keeps at least two keys.
+    plus multiples of e_z for keys z peeled before it.  So with Z the
+    peeled keys and P the projection that sets their coordinates to 0, V
+    holds span{e_z : z in Z} and v - P v for each v in V, and so P v; V
+    is the direct sum of span{e_z} and P V, and rank V = |Z| + rank P V.
+    P V is spanned by the projected rows, as P e_z = 0, and a peeled row
+    projects to 0.  Passes stop when one peels nothing, so every row left
+    keeps at least two keys.
 
     This is the first phase of structured Gaussian elimination (LaMacchia
     and Odlyzko, "Solving large sparse linear systems over finite

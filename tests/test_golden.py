@@ -55,7 +55,6 @@ COMMANDS = {
 }
 PRESENTATIONS = str(GOLDEN_DIR / "presentations.cat")
 LADDER = str(GOLDEN_DIR / "ladder.cat")
-LADDER_COMMANDS = ("check", "invariants", "multiplier", "bounds", "verify")
 CASES = [
     (f"{name}.{EXTENSIONS[fmt]}", ["--format", fmt] + argv)
     for name, argv in COMMANDS.items()
@@ -65,7 +64,7 @@ CASES = [
     for name in ("multiplier", "verify")
 ] + [
     (f"ladder_{name}.json", ["--format", "json"] + COMMANDS[name] + [LADDER])
-    for name in LADDER_COMMANDS
+    for name in ("check", "invariants", "multiplier", "bounds", "verify")
 ]
 
 
