@@ -6,14 +6,14 @@ integers: an input is scaled by the lcm of its denominators, and a
 stored row is a primitive integer vector, reduced only against rows of
 smaller pivot and never rewritten afterwards.  It only reduces: spans
 and ranks are its rows, and kernels and solutions are read off tag
-coordinates that the caller appends after its real keys, as in an
-augmented matrix.  Ranks, pivots and remainders are read off the
-integer rows directly.  No floating point anywhere.  Sparse dicts
-{index: nonzero Fraction} are the one vector type: a `Subspace` keeps
-the engine's reduced row-echelon rows, back-substituted once into
-Fractions, so two objects describe the same subspace exactly when
-their rows compare equal.  Dense Fraction tuples appear only in
-`Matrix` and `rref`."""
+coordinates after the real keys, as in an augmented matrix, appended by
+the caller or, in `insert_or_express`, by the engine.  Ranks, pivots
+and remainders are read off the integer rows directly.  No floating
+point anywhere.  Sparse dicts {index: nonzero Fraction} are the one
+vector type: a `Subspace` keeps the engine's reduced row-echelon rows,
+back-substituted once into Fractions, so two objects describe the same
+subspace exactly when their rows compare equal.  Dense Fraction tuples
+appear only in `Matrix` and `rref`."""
 
 from __future__ import annotations
 
@@ -58,10 +58,10 @@ def combine(columns, v: dict) -> dict:
 def _integral(v: dict) -> tuple[dict, int]:
     """v times the lcm d of its denominators, as a dict of nonzero ints, and d.
 
-    The entries are ints or Fractions; an all-int v skips the lcm scan.
+    The entries are ints or Fractions; a v of nonzero ints is just copied.
     """
-    if all(type(c) is int for c in v.values()):
-        return {k: c for k, c in v.items() if c}, 1
+    if all(type(c) is int and c for c in v.values()):
+        return dict(v), 1
     d = lcm(*(c.denominator for c in v.values()))
     if d == 1:
         return {k: c.numerator for k, c in v.items() if c}, 1
@@ -156,9 +156,35 @@ class SparseEchelon:
         """Add v if it enlarges the row space; returns acceptance."""
         v, _ = _integral(v)
         _reduce(self._rows, v)
-        if not v:
-            return False
-        pivot = min(v)
+        if v:
+            self._store(v, min(v))
+        return bool(v)
+
+    def insert_or_express(self, v: dict, tag, first_tag) -> tuple[dict, int] | None:
+        """Reduce v once: if a real key (before first_tag) is left, store it
+        with {tag: s} appended and return None; else store nothing and return
+        ints (a, q), v = sum_t (a[t] / q) * u_t, u_t the input stored with tag t.
+
+        Proof.  v (scaled to integers) reduces to s*v - sum_p c_p r_p, s > 0.
+        Invariant: each stored row r has real(r) = sum_t r[t] * u_t.  So the
+        remainder's real part is s*v + sum_t a[t] * u_t, a its tag part, and
+        appending s at v's tag keeps the invariant, as does dividing by a
+        gcd; with no real key left, v = sum_t (a[t] / -s) * u_t.  No tag is
+        ever a pivot, so tags never steer a reduction: the real parts are
+        `insert`'s rows up to positive factors, the same inputs are stored
+        with the same pivots, and the stored u_t are independent, so the
+        expression is unique.
+        """
+        v, d = _integral(v)
+        d *= _reduce(self._rows, v)
+        if not v or (pivot := min(v)) >= first_tag:
+            return v, -d
+        v[tag] = d
+        self._store(v, pivot)
+        return None
+
+    def _store(self, v: dict, pivot) -> None:
+        """Store the reduced v, smallest key pivot, primitive with pivot > 0."""
         g = gcd(*v.values())
         if v[pivot] < 0:
             g = -g
@@ -166,7 +192,6 @@ class SparseEchelon:
             v = {k: c // g for k, c in v.items()}
         self._rows[pivot] = v
         self._rref = None
-        return True
 
     @property
     def pivots(self):

@@ -13,20 +13,20 @@ oracle.  The free
 presentations read F only through its brackets [x, g] with the
 generators (`generator_columns`): each is a kept candidate, zero, or a
 rejected candidate, whose expansion is expressed over the kept words'
-expansions, which go in with tag coordinates for that purpose.  Both
-sides are cut down to the pivots of the build's echelon of that degree,
-on which the kept expansions restrict to a basis.  That is the one
-elimination of F's brackets: `algebra`, the full structure-constant
-table for free algebras used as targets, is filled from the generator
-columns by the graded Jacobi identity.
+expansions.  The kept expansions go into the build's echelon with tag
+coordinates, so the reduction that rejects a candidate also gives that
+expression.  The build is the one elimination of F's brackets:
+`algebra`, the full structure-constant table for free algebras used as
+targets, is filled from the generator columns by the graded Jacobi
+identity.
 
 Every coefficient of an expansion is a sum of signs ±1, so expansions,
 and the rewriting identity's coefficients, are Python ints.
-`SparseEchelon` eliminates them in integers too; only what it hands
-back, structure constants from `express` and reduced row-echelon rows,
-is in Fractions, so bases, structure constants and subspaces stay exact
-rationals.  The generator columns keep their integral coefficients as
-ints, so the presentations bracket integer relations in integers.
+`SparseEchelon` eliminates them in integers too, and hands the build
+its expressions as ints over one denominator.  The generator columns
+keep the integral coefficients as ints and make the rest Fractions, so
+the presentations bracket integer relations in integers, and bases,
+structure constants and subspaces stay exact rationals.
 
 The CLI's sweep of the bracket rewriting identity does not expand in
 the superalgebra: its words use each letter once, so it reads each
@@ -181,19 +181,20 @@ class FreeNilpotentSuperalgebra:
     This keeps the same words as trying the left-normed words of all
     index tuples in lexicographic order: a word w left out there is a
     combination of earlier kept words, so [w, g] is a combination of
-    earlier candidates [w', g].  The build records the candidates it
-    rejected with a nonzero expansion, and nothing more about them, and
-    keeps each degree's pivots, the associative words that lead its
-    echelon's rows.
+    earlier candidates [w', g].  One reduction per candidate
+    (`SparseEchelon.insert_or_express`) keeps it, tagged num^d + its
+    position among the kept degree-d words, or records its expression
+    over those words in ints.
 
-    Expansions and pivots are keyed by coded associative words: the
-    degree-d word (g_1 .. g_d) is the int sum_i g_i num^(d-i), below
-    num^d.  Among words of one length this order is the lexicographic
-    order of the index tuples, so each echelon has the pivots, keeps the
-    words and rejects the candidates that it would on tuple keys.
+    Expansions are keyed by coded associative words: the degree-d word
+    (g_1 .. g_d) is the int sum_i g_i num^(d-i), below num^d, so every
+    tag sorts after them.  Among words of one length this order is the
+    lexicographic order of the index tuples, so each echelon has the
+    pivots, keeps the words and rejects the candidates that it would on
+    tuple keys.
 
     The routes read F only through `generator_columns`, the brackets
-    [x, g] with the generators, computed on first use from that record.
+    [x, g] with the generators, assembled on first use from that record.
     The full structure-constant table, `algebra`, is filled from those
     columns on first use, for the callers that need a free algebra as a
     target.
@@ -204,24 +205,24 @@ class FreeNilpotentSuperalgebra:
         self.degree_words: list[list] = []
         self.degree_parities: list[list[int]] = []
         self._expansions: dict = {}
-        self._rejected: list[tuple[int, tuple]] = []  # (degree, candidate word)
-        self._pivots: list[set[int]] = []  # per degree, the build echelon's coded pivots
+        # rejected [w, g] -> (a, q): sum_j a[num^d + j] / q times the j-th kept word
+        self._expressed: dict[tuple, tuple[dict, int]] = {}
         for d in range(1, spec.class_bound + 1):
             ech = SparseEchelon()
+            top = spec.num**d
             words: list = []
             wpars: list[int] = []
             for w, pw, e in self._candidates(d):
                 if not e:
                     continue
-                if ech.insert(e):
+                if (found := ech.insert_or_express(e, top + len(words), top)) is None:
                     words.append(w)
                     wpars.append(pw)
                     self._expansions[w] = e
                 else:
-                    self._rejected.append((d, w))
+                    self._expressed[w] = found
             self.degree_words.append(words)
             self.degree_parities.append(wpars)
-            self._pivots.append(set(ech.pivots))
         # global basis ordering: all even words (by degree, then selection
         # order), then all odd words, matching the even-first convention.
         evens, odds = [], []
@@ -289,28 +290,16 @@ class FreeNilpotentSuperalgebra:
 
     def generator_columns(self) -> tuple[tuple[dict, ...], ...]:
         """For each generator g_t, the columns of x -> [x, g_t]: entry
-        [t][x] is [b_x, g_t] as a sparse dict over F's basis, built once.
+        [t][x] is [b_x, g_t] as a sparse dict over F's basis, built once
+        from what the build recorded, with no elimination.
 
         Every basis word w below the top degree gives the build's
         candidate [w, g_t], so the build decides each column:
         * a kept candidate is its own basis element, {m: 1};
         * at the top degree, and for a candidate with an empty expansion,
           the bracket is 0;
-        * a rejected candidate's expansion z is expressed over the kept
-          words of its degree d, on the build's pivots P_d only: the kept
-          expansions, restricted to P_d, go into an echelon with a tag
-          coordinate num^d + index each, sorting after every coded word
-          of degree d; only degrees with a rejected candidate build one.
-
-        Restricting to P_d loses nothing.  The build's echelon of degree d
-        spans the kept expansions, and a nonzero member of its row space
-        has its smallest key at a pivot (at the smallest pivot among the
-        rows it combines, which no other of those rows holds).  So
-        restriction to P_d is injective on that span, and the |P_d| kept
-        expansions restrict to a basis of Q^{P_d}.  The build rejected z
-        because z lies in their span, so z restricted to P_d has exactly
-        one expression over the restricted basis, and it is z's expression
-        over the kept expansions; `express` always finds it.
+        * a rejected candidate is its expression over the kept words of
+          its degree, read off their tags by its one reduction in the build.
 
         An integral coefficient is stored as an int and every other one as
         a Fraction, so the bracket of an integer vector with a generator
@@ -318,35 +307,21 @@ class FreeNilpotentSuperalgebra:
         shared, not copied: callers must not mutate them.
         """
         if self._columns is None:
-            k, num, pars = self.spec.class_bound, self.spec.num, self.spec.parities
-            index, pivots = self._index, self._pivots
-            echelons: dict[int, SparseEchelon] = {d: SparseEchelon() for d, _ in self._rejected}
-            for idx, (d, w) in enumerate(self._basis):
-                if d in echelons:
-                    on = pivots[d - 1]
-                    e = {u: c for u, c in self._expansions[w].items() if u in on}
-                    echelons[d].insert({**e, num**d + idx: 1})
-            rejected = {}
-            for d, (w, t) in self._rejected:
-                pw = index[w] >= self.n_even  # the basis lists the even words first
-                top = num**d
-                sign = graded_sign(pw, pars[t])
-                z = _bracket_letter(self._expansions[w], sign, t, num, top // num)
-                on = pivots[d - 1]
-                coeffs = echelons[d].express({u: c for u, c in z.items() if u in on}, top)
-                rejected[(w, t)] = {
-                    tag - top: c.numerator if c.denominator == 1 else c
-                    for tag, c in sorted(coeffs.items())
-                }
+            num, index = self.spec.num, self._index
             columns: list[list[dict]] = [[] for _ in range(num)]
             for d, w in self._basis:
                 for t in range(num):
-                    if d == k:
-                        col = {}
-                    elif (m := index.get((w, t))) is not None:
+                    if (m := index.get((w, t))) is not None:
                         col = {m: 1}
+                    elif (found := self._expressed.get((w, t))) is None:
+                        col = {}  # top degree, or an empty expansion
                     else:
-                        col = rejected.get((w, t), {})
+                        a, q = found
+                        top, kept = num ** (d + 1), self.degree_words[d]
+                        col = dict(sorted(
+                            (index[kept[tag - top]], c // q if c % q == 0 else Fraction(c, q))
+                            for tag, c in a.items()
+                        ))
                     columns[t].append(col)
             self._columns = tuple(map(tuple, columns))
         return self._columns

@@ -15,14 +15,14 @@ directly in the free associative superalgebra with the pattern's
 parities.  Tests hold `rewrite_identity_residual` to it.
 
 `reference_generator_columns` solves F's brackets with the generators
-over the kept words' full expansions, where `generator_columns` solves
-on the build's pivot coordinates only.  Tests hold the columns to it.
+by a second elimination over the kept words' full expansions, where
+`generator_columns` reads them off the build's own reductions.  Tests
+hold the columns to it.
 
 `reference_build` is the free build as it ran on tuple-keyed associative
 words: each candidate expanded afresh by `expand`.  `word_code` and
 `coded` translate `expand`'s tuple keys into the build's integer codes,
-and `decoded_word` back, so tests hold the build's words and pivots to
-it.
+so tests hold the build's words and expansions to it.
 
 `touching_triples` yields the triples i <= j <= k with a nonzero pair,
 in increasing order, from the sorted ad-supports.  Tests hold the
@@ -256,7 +256,7 @@ def reference_generator_columns(f) -> tuple[tuple[dict, ...], ...]:
     unrestricted tagged solve: each candidate [w_x, g_t] that is not a
     basis word is expanded afresh and expressed over every kept word of
     its degree, all their expansions in full.  This is how the package
-    solved them before it restricted the solve to the build's pivots."""
+    solved them before it read them off the build's reductions."""
     pars, num, k = f.spec.parities, f.spec.num, f.spec.class_bound
     index = {f.basis_word(x): x for x in range(f.dim)}
     echelons: dict = {}
@@ -294,28 +294,17 @@ def word_code(u, num: int) -> int:
     return code
 
 
-def decoded_word(code: int, d: int, num: int) -> tuple:
-    """The degree-d associative word whose `word_code` is code."""
-    digits = []
-    for _ in range(d):
-        code, g = divmod(code, num)
-        digits.append(g)
-    return tuple(reversed(digits))
-
-
 def coded(e: dict, num: int) -> dict:
     """An expansion with tuple keys, keyed by `word_code` instead."""
     return {word_code(u, num): c for u, c in e.items()}
 
 
-def reference_build(spec) -> tuple[list[list], list[set]]:
-    """(degree_words, pivots) of the free build on tuple keys: the degree-d
+def reference_build(spec) -> list[list]:
+    """The degree_words of the free build on tuple keys: the degree-d
     candidates are the generators at d = 1 and the [w, g] of the kept
     degree-(d-1) words w otherwise, each expanded by `expand` and kept when
-    independent of the kept expansions; the pivots are each degree's
-    echelon's, as sets of tuples."""
+    independent of the kept expansions."""
     words_by_degree: list[list] = []
-    pivots: list[set] = []
     for d in range(1, spec.class_bound + 1):
         if d == 1:
             candidates = list(range(spec.num))
@@ -327,8 +316,7 @@ def reference_build(spec) -> tuple[list[list], list[set]]:
             if e and ech.insert(e):
                 words.append(w)
         words_by_degree.append(words)
-        pivots.append(set(ech.pivots))
-    return words_by_degree, pivots
+    return words_by_degree
 
 
 def word_parity(w, parities) -> int:

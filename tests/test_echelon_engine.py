@@ -1,14 +1,15 @@
 """`SparseEchelon`, the integer engine, held to `ReferenceEchelon` and `dense_rank`.
 
 Inputs have tuple keys, integers up to 10^30 and fractions whose
-denominators reach 10^30, and half of them are combinations of earlier
-inputs, so rejections are exercised as often as acceptances.  Exact
-agreement on such inputs is what rules out lost precision or a wrong
-scale in the integer rows.  `express` reads dependencies off tag
-coordinates appended to the inputs; the reference keeps a ledger per
-row, so it is an independent check of those readings.  `remainder` is
-held to `Subspace.reduce` over the reduced rows, and `tag_rows` to the
-relations among the inputs.
+denominators reach 10^30, and two thirds of them are combinations or
+repeats of earlier inputs, so rejections are exercised as often as
+acceptances.  Exact agreement on such inputs is what rules out lost
+precision or a wrong scale in the integer rows.  `express` reads
+dependencies off tag coordinates appended to the inputs, and
+`insert_or_express` appends them itself; the reference keeps a ledger
+per row, so it is an independent check of those readings.  `remainder`
+is held to `Subspace.reduce` over the reduced rows, and `tag_rows` to
+the relations among the inputs.
 """
 
 from fractions import Fraction
@@ -30,13 +31,15 @@ coefficients = st.one_of(
     st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG)),
 )
 vectors = st.dictionaries(keys, coefficients, max_size=5)
-# an operation is a fresh vector or a combination of earlier ones
+# an operation is a fresh vector, a combination of earlier ones or a
+# repeat of an earlier one
 operations = st.lists(
     st.one_of(
         vectors.map(lambda v: ("vector", v)),
         st.lists(st.tuples(st.integers(0, 30), coefficients), min_size=1, max_size=3).map(
             lambda terms: ("combination", terms)
         ),
+        st.integers(0, 30).map(lambda idx: ("combination", [(idx, 1)])),
     ),
     min_size=1,
     max_size=14,
@@ -117,6 +120,33 @@ def test_matches_the_reference_engine_and_dense_rank(ops, stray):
         assert back == nonzero(target)
 
 
+@given(operations)
+@settings(max_examples=80, deadline=None)
+def test_insert_or_express_matches_express_then_insert(ops):
+    # the reference expresses each input over those it kept, and keeps it
+    # when that fails; the engine does both in one reduction
+    ech, ref = SparseEchelon(), ReferenceEchelon()
+    kept: dict = {}
+    for t, v in enumerate(resolve(ops)):
+        want = ref.express(v)
+        got = ech.insert_or_express(v, (4, t), (4, 0))  # the first tag itself
+        if want is None:
+            assert got is None and ref.insert(v, tag=(4, t))
+            kept[t] = v
+        else:
+            assert got is not None
+            a, d = got
+            assert d and all(type(c) is int for c in [*a.values(), d])
+            coeffs = {tag: F(c, d) for tag, c in a.items()}
+            assert coeffs == want
+            back: dict = {}
+            for (_, u), c in coeffs.items():
+                axpy(back, c, kept[u])
+            assert back == nonzero(v)
+        assert ech.rank == ref.rank == len(kept)
+        assert set(ech.pivots) == {min(row) for row in ref.rows()}
+
+
 @given(operations, vectors)
 @settings(max_examples=60, deadline=None)
 def test_remainder_pivots_and_tag_rows(ops, stray):
@@ -150,18 +180,23 @@ def test_remainder_pivots_and_tag_rows(ops, stray):
 @given(operations)
 @settings(max_examples=60, deadline=None)
 def test_insert_and_express_never_rewrite_a_stored_row(ops):
-    ech = SparseEchelon()
+    ech, one = SparseEchelon(), SparseEchelon()
     for t, v in enumerate(resolve(ops)):
-        before = stored(ech)
+        before, one_before = stored(ech), stored(one)
         ech.insert(tagged(v, t))
         ech.express(v, FIRST_TAG)
-        for p, (row, row_copy) in before.items():
-            assert ech._rows[p] is row and row == row_copy
-    # each stored row is a primitive integer vector with a positive pivot
-    for p, row in ech._rows.items():
-        assert p == min(row) and row[p] > 0
-        assert all(type(c) is int for c in row.values())
-        assert gcd(*row.values()) == 1
+        one.insert_or_express(v, (4, t), FIRST_TAG)
+        for e, was in ((ech, before), (one, one_before)):
+            for p, (row, row_copy) in was.items():
+                assert e._rows[p] is row and row == row_copy
+    # each stored row is a primitive integer vector with a positive pivot,
+    # and insert_or_express stores only rows with a real pivot
+    for e in (ech, one):
+        for p, row in e._rows.items():
+            assert p == min(row) and row[p] > 0
+            assert all(type(c) is int for c in row.values())
+            assert gcd(*row.values()) == 1
+    assert all(p < FIRST_TAG for p in one._rows)
 
 
 def test_rows_are_recomputed_after_an_accepted_insert():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superschur.catalog import heisenberg3, special_heisenberg_odd
+from superschur import exactla
 from superschur.exactla import SparseEchelon, axpy
 from superschur.freenilp import (
     GeneratorSpec,
@@ -28,7 +29,6 @@ from superschur.freenilp import (
 from superschur.superalg import AlgebraError, SuperDim
 from support import (
     coded,
-    decoded_word,
     dense,
     dense_rank,
     reference_build,
@@ -498,52 +498,49 @@ class TestGeneratorColumns:
     @pytest.mark.parametrize("p,q,k", PIVOT_SPECS + [(2, 1, 8), (0, 3, 5)])
     def test_the_coded_build_matches_the_tuple_keyed_build(self, p, q, k):
         f = build_free_nilpotent(GeneratorSpec(p, q, k))
-        words, pivots = reference_build(f.spec)
-        assert f.degree_words == words
-        for d, (got, want) in enumerate(zip(f._pivots, pivots, strict=True), start=1):
-            assert {decoded_word(u, d, f.spec.num) for u in got} == want, d
-
-    @pytest.mark.parametrize("p,q,k", PIVOT_SPECS)
-    def test_the_kept_expansions_restrict_to_a_basis_on_the_pivots(self, p, q, k):
-        f = build_free_nilpotent(GeneratorSpec(p, q, k))
-        for d, words in enumerate(f.degree_words, start=1):
-            on = f._pivots[d - 1]
-            ech = SparseEchelon()
-            for w in words:
-                e = coded(expand(w, f.spec.parities), f.spec.num)
-                ech.insert({u: c for u, c in e.items() if u in on})
-            assert ech.rank == len(on) == len(words), d
-
-    @pytest.mark.parametrize("p,q,k", PIVOT_SPECS)
-    def test_columns_equal_the_unrestricted_solve(self, p, q, k):
-        f = build_free_nilpotent(GeneratorSpec(p, q, k))
+        assert f.degree_words == reference_build(f.spec)
         assert f.generator_columns() == reference_generator_columns(f)
 
     @pytest.mark.parametrize("p,q,k", PIVOT_SPECS)
-    def test_the_solve_sees_only_pivot_keys(self, p, q, k, monkeypatch):
+    def test_columns_equal_the_unrestricted_solve(self, p, q, k):
+        # `==` takes the int 1 for Fraction(1), so the types are compared too:
+        # int when integral, Fraction otherwise
         f = build_free_nilpotent(GeneratorSpec(p, q, k))
-        seen = []
-        insert, express = SparseEchelon.insert, SparseEchelon.express
-        monkeypatch.setattr(
-            SparseEchelon, "insert", lambda e, v: seen.append((e, v, True)) or insert(e, v)
-        )
-        monkeypatch.setattr(
-            SparseEchelon,
-            "express",
-            lambda e, v, tag: seen.append((e, v, False)) or express(e, v, tag),
-        )
-        f.generator_columns()
-        assert seen
-        by_echelon: dict = {}
-        for e, v, inserted in seen:
-            by_echelon.setdefault(id(e), []).append((v, inserted))
-        # every echelon serves one degree d: what it sees is coded words of
-        # P_d and, on insertion only, one tag num^d + index of a degree-d word
-        for vectors in by_echelon.values():
-            assert any(
-                all(_on_the_pivots(f, d, v, inserted) for v, inserted in vectors)
-                for d in range(1, k + 1)
+        got, want = f.generator_columns(), reference_generator_columns(f)
+        assert got == want
+        for cols, want_cols in zip(got, want, strict=True):
+            for col, want_col in zip(cols, want_cols, strict=True):
+                assert [type(c) for c in col.values()] == [type(c) for c in want_col.values()]
+
+    @pytest.mark.parametrize("p,q,k", PIVOT_SPECS)
+    def test_generator_columns_run_no_elimination(self, p, q, k, monkeypatch):
+        # the build reduces each candidate with a nonempty expansion once,
+        # and the columns are assembled from what those reductions recorded
+        spec = GeneratorSpec(p, q, k)
+        want = build_free_nilpotent(spec).generator_columns()
+        calls = []
+        for name in ("insert", "insert_or_express", "express", "remainder", "tag_rows", "rows"):
+            method = getattr(SparseEchelon, name)
+            monkeypatch.setattr(
+                SparseEchelon, name,
+                lambda e, *args, name=name, method=method: calls.append(name) or method(e, *args),
             )
+        f = build_free_nilpotent(spec)
+        candidates = spec.num + sum(
+            1 for words in f.degree_words[:-1] for w in words for t in range(spec.num)
+            if expand((w, t), spec.parities)
+        )
+        assert calls == ["insert_or_express"] * candidates
+        monkeypatch.undo()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the columns eliminated")
+
+        for name, attr in vars(SparseEchelon).items():
+            if callable(attr) or isinstance(attr, property):
+                monkeypatch.setattr(SparseEchelon, name, forbidden)
+        monkeypatch.setattr(exactla, "_reduce", forbidden)
+        assert f.generator_columns() == want
 
     @pytest.mark.parametrize("p,q,rejected", [(2, 1, 46), (1, 2, 48)])
     def test_class_six_rejected_candidates(self, p, q, rejected):
@@ -555,20 +552,6 @@ class TestGeneratorColumns:
         nonzero = [(x, t) for x, t in derived if columns[t][x]]
         assert (len(derived), len(nonzero)) == (rejected + 3, rejected)
         _columns_match_the_table(f)
-
-
-def _on_the_pivots(f, d: int, v: dict, inserted: bool) -> bool:
-    """Whether v, inserted into or expressed against a degree-d echelon of
-    `generator_columns`, holds coded words of P_d only, and one tag
-    num^d + index of a degree-d basis word exactly when inserted."""
-    top = f.spec.num**d
-    real = [u for u in v if u < top]
-    tags = [u - top for u in v if u >= top]
-    if not real or any(u not in f._pivots[d - 1] for u in real):
-        return False
-    if not inserted:
-        return not tags
-    return len(tags) == 1 and tags[0] < f.dim and f.basis_degree(tags[0]) == d
 
 
 class TestEvalHom:

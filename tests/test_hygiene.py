@@ -3,7 +3,8 @@ module-level constant it defines and every parameter its functions take
 is used in it, every dataclass field it declares is read somewhere in
 the package or its tests, every function it defines is loaded by the
 package or the benchmark, not only by tests, and no module of the
-package or the benchmark but `exactla` touches `SparseEchelon._rows`.
+package or the benchmark but `exactla` touches `SparseEchelon._rows`
+or a private `exactla` name such as `_reduce`.
 
 Deletions tend to leave names behind (a helper's last caller goes, its
 import or its cached constant stays; a field's last reader goes, the
@@ -228,20 +229,24 @@ def dotted_string_names(source: str) -> Counter:
 
 
 def echelon_row_accesses(source: str) -> list[str]:
-    """The lines of `source` that touch an attribute named `_rows`."""
-    return [
-        f"line {line}"
-        for line in sorted(
-            n.lineno
-            for n in ast.walk(ast.parse(source))
-            if isinstance(n, ast.Attribute) and n.attr == "_rows"
-        )
-    ]
+    """The lines of `source` that touch an attribute named `_rows`, import a
+    private name from `exactla` or read one as `exactla._name`."""
+    lines = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Attribute) and (
+            n.attr == "_rows"
+            or n.attr.startswith("_") and isinstance(n.value, ast.Name) and n.value.id == "exactla"
+        ):
+            lines.append(n.lineno)
+        elif isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[-1] == "exactla":
+            lines += [n.lineno for alias in n.names if alias.name.startswith("_")]
+    return [f"line {line}" for line in sorted(lines)]
 
 
-# `SparseEchelon` keeps its primitive integer rows in `_rows`; everything
-# else reads them through its accessors (`pivots`, `remainder`, `express`,
-# `tag_rows`, `rows`)
+# `SparseEchelon` keeps its primitive integer rows in `_rows` and reduces
+# with `exactla`'s private `_reduce` and `_integral`; everything else
+# reads and reduces through its accessors (`pivots`, `remainder`,
+# `express`, `insert_or_express`, `tag_rows`, `rows`)
 OUTSIDE_EXACTLA = [p for p in MODULES if p.name != "exactla.py"] + sorted(PERFBENCH.glob("*.py"))
 
 
@@ -255,6 +260,18 @@ def test_only_exactla_touches_the_echelon_rows(path):
 def test_the_check_sees_an_echelon_row_access():
     source = "def pivots(ech):\n    n = 0\n    return list(ech._rows), n\nech._rows = {}\n"
     assert echelon_row_accesses(source) == ["line 3", "line 4"]
+
+
+def test_the_check_sees_a_private_exactla_name():
+    source = (
+        "from .exactla import SparseEchelon, _reduce\n"
+        "from superschur import exactla\n"
+        "from superschur.exactla import axpy\n"
+        "s = exactla._integral({})\n"
+        "ech = exactla.SparseEchelon()\n"
+        "_reduce(ech.rows, {})\n"
+    )
+    assert echelon_row_accesses(source) == ["line 1", "line 4"]
 
 
 # Stated by PAPER.md: the penultimate form of the main bound.

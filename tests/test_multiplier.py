@@ -707,7 +707,7 @@ class TestFreeBuildOnCodedWords:
     )
     def test_build_and_columns_form_no_tuple_words(self, p, q, k, monkeypatch):
         spec = GeneratorSpec(p, q, k)
-        words, _ = reference_build(spec)
+        words = reference_build(spec)
         want = reference_generator_columns(build_free_nilpotent(spec))
 
         def never(*args):
