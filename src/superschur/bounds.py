@@ -7,9 +7,9 @@ checker pairs them with the computed multiplier of a concrete algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .exactla import Record
 from .multiplier import schur_multiplier_hopf
 from .superalg import LieSuperalgebra, SuperDim
 
@@ -29,23 +29,23 @@ class BoundViolation(RuntimeError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class BoundInput:
+class BoundInput(Record):
     """dim L = (m|n), dim [L,L] = (r|s), nilpotency class c."""
 
-    m: int
-    n: int
-    r: int
-    s: int
-    c: int
+    __slots__ = _fields = ("m", "n", "r", "s", "c")
 
-    def __post_init__(self) -> None:
-        if min(self.m, self.n, self.r, self.s, self.c) < 0:
+    def __init__(self, m: int, n: int, r: int, s: int, c: int):
+        if min(m, n, r, s, c) < 0:
             raise BoundError("negative entry")
-        if self.r > self.m or self.s > self.n:
+        if r > m or s > n:
             raise BoundError("derived subalgebra larger than the algebra")
-        if self.r + self.s > 0 and self.r + self.s > self.m + self.n - 1:
+        if r + s > 0 and r + s > m + n - 1:
             raise BoundError("a nilpotent algebra needs a generator outside [L, L]")
+        self.m = m
+        self.n = n
+        self.r = r
+        self.s = s
+        self.c = c
 
     @property
     def codim(self) -> int:
@@ -110,14 +110,19 @@ def extract_input(L: LieSuperalgebra) -> BoundInput:
     return BoundInput(m=L.n_even, n=L.n_odd, r=g2.even, s=g2.odd, c=c)
 
 
-@dataclass
 class BoundCheck:
-    algebra: str
-    input: BoundInput
-    actual: SuperDim
-    main: int
-    nayak: Fraction
-    rai: int | None
+    __slots__ = ("algebra", "input", "actual", "main", "nayak", "rai")
+
+    def __init__(
+        self, algebra: str, input: BoundInput, actual: SuperDim, main: int,
+        nayak: Fraction, rai: int | None,
+    ):
+        self.algebra = algebra
+        self.input = input
+        self.actual = actual
+        self.main = main
+        self.nayak = nayak
+        self.rai = rai
 
     @property
     def tight_main(self) -> bool:

@@ -21,7 +21,6 @@ import re
 from fractions import Fraction
 
 from .exactla import axpy
-from .freenilp import GeneratorSpec, build_free_nilpotent
 from .superalg import EVEN, ODD, LieSuperalgebra, direct_sum
 
 _LABEL = r"[A-Za-z_][A-Za-z0-9_']*"
@@ -103,6 +102,9 @@ def relabel_canonical(L: LieSuperalgebra, name: str) -> LieSuperalgebra:
 
 def _free21_quotients() -> list[LieSuperalgebra]:
     """Small-class quotients of the free nilpotent algebra on (2|1) generators."""
+    # imported here, its only use, so that parsing a catalog never loads freenilp
+    from .freenilp import GeneratorSpec, build_free_nilpotent
+
     out = []
     f3 = build_free_nilpotent(GeneratorSpec(2, 1, 3))
     a3 = f3.algebra

@@ -16,7 +16,6 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .bounds import BoundError, BoundViolation, check_bound
 from .catalog import CatalogError, builtin_algebras, parse_catalog
@@ -60,11 +59,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
 class Report:
-    command: str
-    records: list[dict]
-    ok: bool
+    __slots__ = ("command", "records", "ok")
+
+    def __init__(self, command: str, records: list[dict], ok: bool):
+        self.command = command
+        self.records = records
+        self.ok = ok
 
     def render(self, fmt: str) -> str:
         if fmt == "json":

@@ -17,12 +17,11 @@ appear only in `Matrix` and `rref`."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Hashable, Iterable, Iterator, Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -30,6 +29,31 @@ _ONE = Fraction(1)
 
 class SubspaceError(ValueError):
     """Ambient-dimension mismatch or failed containment."""
+
+
+class Record:
+    """Base of the package's value classes: field-wise `==` (NotImplemented
+    against any other class), a hash that agrees with it, and the repr
+    `Name(field=value, ...)`, over the attributes a subclass names in
+    `_fields`.  Instances are treated as immutable."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 def axpy(y: dict, a, x: dict) -> None:
@@ -68,20 +92,20 @@ def _integral(v: dict) -> tuple[dict, int]:
     return {k: c.numerator * (d // c.denominator) for k, c in v.items() if c}, d
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Record):
     """Immutable rational matrix, stored row-major."""
 
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
+    __slots__ = _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, rows: int, cols: int, entries: tuple[Fraction, ...]):
+        if len(entries) != rows * cols:
             raise ValueError(
-                f"matrix with {self.rows}x{self.cols} shape needs "
-                f"{self.rows * self.cols} entries, got {len(self.entries)}"
+                f"matrix with {rows}x{cols} shape needs "
+                f"{rows * cols} entries, got {len(entries)}"
             )
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
@@ -292,8 +316,7 @@ def kernel(columns: Sequence[dict]) -> "Subspace":
     return Subspace.span(rels, len(columns))
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """Subspace of Q^n stored as its reduced row-echelon rows.
 
     `rows` are the sparse rows of a `SparseEchelon`, in pivot order: each
@@ -303,8 +326,11 @@ class Subspace:
     callers must not mutate them.
     """
 
-    ambient_dim: int
-    rows: tuple[dict, ...]
+    _fields = ("ambient_dim", "rows")
+
+    def __init__(self, ambient_dim: int, rows: tuple[dict, ...]):
+        self.ambient_dim = ambient_dim
+        self.rows = rows
 
     def __hash__(self) -> int:
         return hash((self.ambient_dim, tuple(frozenset(r.items()) for r in self.rows)))

@@ -39,12 +39,11 @@ identity directly in the free associative superalgebra and compare.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import comb
 
-from .exactla import SparseEchelon, Subspace, axpy, combine, kernel
+from .exactla import Record, SparseEchelon, Subspace, axpy, combine, kernel
 from .superalg import EVEN, ODD, AlgebraError, LieSuperalgebra, SuperDim, graded_sign
 
 _ONE = Fraction(1)
@@ -140,21 +139,21 @@ def expand(w, parities) -> dict[tuple[int, ...], int]:
     return _expansion(w, parities, {})[0]
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Record):
     """p even and q odd generators, truncated at nilpotency class `class_bound`."""
 
-    even: int
-    odd: int
-    class_bound: int
+    __slots__ = _fields = ("even", "odd", "class_bound")
 
-    def __post_init__(self) -> None:
-        if self.even < 0 or self.odd < 0:
+    def __init__(self, even: int, odd: int, class_bound: int):
+        if even < 0 or odd < 0:
             raise AlgebraError("generator counts must be nonnegative")
-        if self.even + self.odd < 1:
+        if even + odd < 1:
             raise AlgebraError("need at least one generator")
-        if self.class_bound < 1:
+        if class_bound < 1:
             raise AlgebraError("class bound must be at least 1")
+        self.even = even
+        self.odd = odd
+        self.class_bound = class_bound
 
     @property
     def num(self) -> int:

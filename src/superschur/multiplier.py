@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
@@ -62,7 +61,6 @@ from .superalg import (
 _ONE = Fraction(1)
 
 
-@dataclass
 class FreePresentation:
     """A surjection from a truncated free superalgebra onto the target.
 
@@ -76,13 +74,18 @@ class FreePresentation:
     to its basis index of fbar, in the order the columns went in.
     """
 
-    target: LieSuperalgebra
-    fbar: FreeNilpotentSuperalgebra
-    pi: list[dict]
-    relation_rows: tuple[dict, ...]
-    lift_indices: tuple[int, ...]
-    columns: SparseEchelon
-    column_of: dict[int, int]
+    def __init__(
+        self, target: LieSuperalgebra, fbar: FreeNilpotentSuperalgebra, pi: list[dict],
+        relation_rows: tuple[dict, ...], lift_indices: tuple[int, ...],
+        columns: SparseEchelon, column_of: dict[int, int],
+    ):
+        self.target = target
+        self.fbar = fbar
+        self.pi = pi
+        self.relation_rows = relation_rows
+        self.lift_indices = lift_indices
+        self.columns = columns
+        self.column_of = column_of
 
     def lift_into_gamma(self, v: dict, i: int) -> dict:
         """Some w in γ_i(fbar) with π(w) = v, as coefficients over fbar's
@@ -100,7 +103,9 @@ class FreePresentation:
         coeffs = self.columns.express(v, self.target.dim)
         lift = {self.column_of[t]: c for t, c in (coeffs or {}).items()}
         if coeffs is None or any(f.basis_degree(idx) < i for idx in lift):
-            raise AlgebraError("element does not lift into the requested filtration step")
+            raise AlgebraError(
+                f"{self.target.name}: element does not lift into the requested filtration step"
+            )
         return lift
 
     @cached_property
@@ -411,7 +416,7 @@ def schur_multiplier_cohomology(L: LieSuperalgebra) -> SuperDim:
 def _check_step(L: LieSuperalgebra, i: int) -> None:
     c = L.nilpotency_class()
     if not 2 <= i <= c:
-        raise AlgebraError(f"index {i} outside [2, {c}]")
+        raise AlgebraError(f"{L.name}: index {i} outside [2, {c}]")
 
 
 def bracket_quotient_dim(pres: FreePresentation, i: int) -> int:
@@ -448,13 +453,15 @@ def bracket_map_kernel_dim(L: LieSuperalgebra, i: int) -> int:
 # -- witness tensors ------------------------------------------------------------
 
 
-@dataclass
 class WitnessTensor:
     """A signed tensor built from generators, plus its kernel verdict."""
 
-    tensor: dict[tuple[int, int], Fraction]
-    nonzero: bool
-    in_kernel: bool
+    __slots__ = ("tensor", "nonzero", "in_kernel")
+
+    def __init__(self, tensor: dict[tuple[int, int], Fraction], nonzero: bool, in_kernel: bool):
+        self.tensor = tensor
+        self.nonzero = nonzero
+        self.in_kernel = in_kernel
 
 
 def _leg1_coords(L: LieSuperalgebra, i: int, v: dict) -> dict:
@@ -556,11 +563,13 @@ def witness_tuple_positions(L: LieSuperalgebra, i: int) -> tuple[tuple[int, ...]
 # -- the dimension identities ---------------------------------------------------
 
 
-@dataclass
 class IdentityReport:
-    lhs: int
-    rhs: int
-    parts: dict[str, int]
+    __slots__ = ("lhs", "rhs", "parts")
+
+    def __init__(self, lhs: int, rhs: int, parts: dict[str, int]):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.parts = parts
 
     @property
     def ok(self) -> bool:
@@ -571,7 +580,7 @@ def verify_top_step_identity(L: LieSuperalgebra) -> IdentityReport:
     """dim γ_c(L) + dim M(L) = dim M(L/γ_c(L)) + dim [γ_c(F)+R, F]/[R, F]."""
     c = L.nilpotency_class()
     if c < 2:
-        raise AlgebraError("identity needs nilpotency class at least 2")
+        raise AlgebraError(f"{L.name}: identity needs nilpotency class at least 2")
     pres = present(L)
     gc = L.gamma(c).dim
     m_l = schur_multiplier_hopf(L).total
@@ -601,7 +610,7 @@ def verify_telescoped_identity(L: LieSuperalgebra) -> IdentityReport:
     with M(L/γ₂) from the abelian closed form, not from the Hopf route."""
     c = L.nilpotency_class()
     if c < 2:
-        raise AlgebraError("identity needs nilpotency class at least 2")
+        raise AlgebraError(f"{L.name}: identity needs nilpotency class at least 2")
     m_l = schur_multiplier_hopf(L).total
     g2 = L.gamma(2).dim
     gens = L.minimal_generator_dims()

@@ -31,11 +31,10 @@ an algebra's subspaces (`superdim`) and for a free presentation's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exactla import SparseEchelon, Subspace, axpy, combine, kernel
+from .exactla import Record, SparseEchelon, Subspace, axpy, combine, kernel
 
 EVEN = 0
 ODD = 1
@@ -56,12 +55,14 @@ class AlgebraError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SuperDim:
+class SuperDim(Record):
     """A pair (even count | odd count) of natural numbers."""
 
-    even: int
-    odd: int
+    __slots__ = _fields = ("even", "odd")
+
+    def __init__(self, even: int, odd: int):
+        self.even = even
+        self.odd = odd
 
     @property
     def total(self) -> int:
@@ -80,7 +81,6 @@ def graded_dim(pivots, n_even: int) -> SuperDim:
     return SuperDim(even, len(pivots) - even)
 
 
-@dataclass
 class ValidationReport:
     """Outcome of table validation.
 
@@ -89,8 +89,11 @@ class ValidationReport:
     graded skew-symmetry and of the graded Jacobi identity.
     """
 
-    malformed: list[str]
-    violations: list[str]
+    __slots__ = ("malformed", "violations")
+
+    def __init__(self, malformed: list[str], violations: list[str]):
+        self.malformed = malformed
+        self.violations = violations
 
     @property
     def ok(self) -> bool:

@@ -68,10 +68,10 @@ class TestParse:
             parse_catalog(text)
 
     def test_syntax_error_carries_line(self):
-        text = "algebra a\neven e1\n[e1 e2] = e1\nend\n"
+        text = "algebra a\neven e1\n  [e1 e2] = e1\nend\n"
         with pytest.raises(CatalogError) as err:
             parse_catalog(text)
-        assert err.value.line == 3
+        assert (err.value.line, err.value.column) == (3, 3)
 
     def test_unknown_label(self):
         text = "algebra a\neven e1 e2 e3\n[e1,zz] = e3\nend\n"

@@ -1,14 +1,18 @@
 """Source hygiene: every name a package module imports, every private
 module-level constant it defines and every parameter its functions take
-is used in it, every dataclass field it declares is read somewhere in
-the package or its tests, every function it defines is loaded by the
-package or the benchmark, not only by tests, and no module of the
-package or the benchmark but `exactla` touches `SparseEchelon._rows`
-or a private `exactla` name such as `_reduce`.
+is used in it, every field its classes store (a `__slots__` name, an
+attribute `__init__` sets as `self.x = ...`, or a `@dataclass` field) is
+read somewhere in the package or its tests, every function it defines is
+loaded by the package or the benchmark, not only by tests, no module of
+the package imports `dataclasses` or `typing`, and no module of the
+package or the benchmark but `exactla` touches `SparseEchelon._rows` or
+a private `exactla` name such as `_reduce`.
 
 Deletions tend to leave names behind (a helper's last caller goes, its
 import or its cached constant stays; a field's last reader goes, the
-field stays; a parameter's last use goes, callers keep passing it).  This parses each module with the stdlib `ast`, so it
+field stays; a parameter's last use goes, callers keep passing it).
+Start-up cost creeps back the same way: one convenience import is paid
+by every CLI call.  This parses each module with the stdlib `ast`, so it
 needs no linter.
 """
 
@@ -124,21 +128,51 @@ def test_the_check_sees_an_unused_parameter():
     ]
 
 
-def dataclass_fields(source: str) -> list[tuple[str, str, int]]:
-    """(class, field, line) for each field of the `@dataclass` classes in `source`."""
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _self_attributes(target: ast.expr) -> list[str]:
+    """The names `x` that an assignment target stores as `self.x`, also
+    inside a tuple or list target such as `self.a, self.b`."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [name for elt in target.elts for name in _self_attributes(elt)]
+    if isinstance(target, ast.Attribute) and getattr(target.value, "id", None) == "self":
+        return [target.attr]
+    return []
+
+
+def stored_fields(source: str) -> list[tuple[str, str, int]]:
+    """(class, field, line) for each field a class in `source` declares: the
+    annotated fields of a `@dataclass`, the names in `__slots__`, and the
+    attributes that `__init__` stores as `self.x = ...`."""
     fields = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.ClassDef):
             continue
-        for deco in node.decorator_list:
-            target = deco.func if isinstance(deco, ast.Call) else deco
-            if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
-                break
-        else:
-            continue
+        found = {}
         for stmt in node.body:
             if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                fields.append((node.name, stmt.target.id, stmt.lineno))
+                if _is_dataclass(node):
+                    found.setdefault(stmt.target.id, stmt.lineno)
+            elif isinstance(stmt, ast.Assign) and any(
+                getattr(t, "id", None) == "__slots__" for t in stmt.targets
+            ):
+                slots = stmt.value.elts if isinstance(stmt.value, (ast.Tuple, ast.List)) else [stmt.value]
+                for slot in slots:
+                    found.setdefault(slot.value, stmt.lineno)
+            elif isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+                for sub in ast.walk(stmt):
+                    targets = sub.targets if isinstance(sub, ast.Assign) else (
+                        [sub.target] if isinstance(sub, ast.AnnAssign) else [])
+                    for target in targets:
+                        for name in _self_attributes(target):
+                            found.setdefault(name, sub.lineno)
+        fields += [(node.name, name, line) for name, line in found.items()]
     return fields
 
 
@@ -151,13 +185,13 @@ def attribute_reads(source: str) -> set[str]:
     }
 
 
-def test_every_dataclass_field_is_read():
+def test_every_stored_field_is_read():
     readers = MODULES + sorted(TESTS.glob("*.py"))
     reads = set().union(*(attribute_reads(p.read_text(encoding="utf-8")) for p in readers))
     unread = [
         f"{path.name}: {cls}.{name} (line {line})"
         for path in MODULES
-        for cls, name, line in dataclass_fields(path.read_text(encoding="utf-8"))
+        for cls, name, line in stored_fields(path.read_text(encoding="utf-8"))
         if name not in reads
     ]
     assert unread == []
@@ -168,10 +202,53 @@ def test_the_check_sees_an_unread_field():
         "from dataclasses import dataclass\n"
         "@dataclass(frozen=True)\nclass P:\n    x: int\n    y: int\n"
         "class Q:\n    z: int\n"
-        "print(P(1, 2).x)\n"
+        "class R:\n    __slots__ = ('u', 'v')\n"
+        "    def __init__(self, u, v):\n        self.u = u\n        self.v = v\n"
+        "class S:\n    def __init__(self, a):\n        self.a, self.b = a\n"
+        "        self.c = self.a\n        if a:\n            self.d: int = 0\n"
+        "    def grow(self):\n        self.e = 1\n"
+        "print(P(1, 2).x, R(1, 2).u, S((1, 2)).a, S((1, 2)).c)\n"
     )
     reads = attribute_reads(source)
-    assert [f for f in dataclass_fields(source) if f[1] not in reads] == [("P", "y", 5)]
+    assert [f for f in stored_fields(source) if f[1] not in reads] == [
+        ("P", "y", 5), ("R", "v", 9), ("S", "b", 15), ("S", "d", 18),
+    ]
+
+
+# `dataclasses` imports `inspect`, and with it `ast`, `dis` and `tokenize`;
+# `typing` is a large module of its own: each would be paid on every CLI call
+SLOW_IMPORTS = {"dataclasses", "typing"}
+
+
+def slow_imports(source: str) -> list[str]:
+    """The lines of `source` that import a module in SLOW_IMPORTS."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] in SLOW_IMPORTS for name in names):
+            lines.append(f"line {node.lineno}")
+    return lines
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_slow_imports(path):
+    assert slow_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_slow_import():
+    source = (
+        "from dataclasses import dataclass\n"
+        "import os, typing as t\n"
+        "from collections.abc import Iterable\n"
+        "from .typing import x\n"
+        "def f():\n    import dataclasses\n"
+    )
+    assert slow_imports(source) == ["line 1", "line 2", "line 6"]
 
 
 def unquoted_catalog_errors(source: str, tests_text: str) -> list[str]:

@@ -555,6 +555,23 @@ class TestIdentities:
             verify_top_step_identity(abelian(2, 0))
 
 
+def test_errors_name_the_algebra():
+    # each message starts with the algebra's name, so a failure inside a
+    # catalog run says which record it came from
+    ab, heis = abelian(2, 1), heisenberg3()
+    cases = [
+        (lambda: bracket_quotient_dim(present(ab), 2), "A(2|1): index 2 outside [2, 1]"),
+        (lambda: witness_tensor(ab, 2, (0, 0, 0)), "A(2|1): index 2 outside"),
+        (lambda: present(heis).lift_into_gamma({0: 1}, 2), "heis3: element does not lift"),
+        (lambda: verify_top_step_identity(ab), "A(2|1): identity needs nilpotency class"),
+        (lambda: verify_telescoped_identity(ab), "A(2|1): identity needs nilpotency class"),
+    ]
+    for call, prefix in cases:
+        with pytest.raises(AlgebraError) as err:
+            call()
+        assert str(err.value).startswith(prefix), str(err.value)
+
+
 class TestBracketWithFree:
     @pytest.mark.parametrize(
         "L",
