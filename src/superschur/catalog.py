@@ -109,22 +109,22 @@ def _free21_quotients() -> list[LieSuperalgebra]:
     f3 = build_free_nilpotent(GeneratorSpec(2, 1, 3))
     a3 = f3.algebra
     out.append(relabel_canonical(a3, "free21c3"))
-    q2, _ = a3.quotient(f3.gamma(3))
+    q2 = a3.quotient(f3.gamma(3))
     out.append(relabel_canonical(q2, "free21c2"))
     i_x1, i_x2, i_f1 = q2.index_of("x1"), q2.index_of("x2"), q2.index_of("f1")
     # cut one even central line of the class-2 quotient: [x1,x2] - [f1,f1]
     cut: dict = {}
     axpy(cut, 1, q2.bracket_basis(i_x1, i_x2))
     axpy(cut, -1, q2.bracket_basis(i_f1, i_f1))
-    q2a, _ = q2.quotient(q2.graded_span([cut]))
+    q2a = q2.quotient(q2.graded_span([cut]))
     out.append(relabel_canonical(q2a, "free21c2cut"))
     # cut one odd central line of the class-2 quotient: [x1,f1]
-    q2b, _ = q2.quotient(q2.graded_span([q2.bracket_basis(i_x1, i_f1)]))
+    q2b = q2.quotient(q2.graded_span([q2.bracket_basis(i_x1, i_f1)]))
     out.append(relabel_canonical(q2b, "free21c2oddcut"))
     # class-3 quotient by one degree-3 line (degree-3 elements are central)
     g3 = f3.gamma(3)
     line = a3.graded_span([g3.rows[0]])
-    q3, _ = a3.quotient(line)
+    q3 = a3.quotient(line)
     out.append(relabel_canonical(q3, "free21c3cut"))
     return out
 

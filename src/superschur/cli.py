@@ -19,7 +19,7 @@ import sys
 
 from .bounds import BoundError, BoundViolation, check_bound
 from .catalog import CatalogError, builtin_algebras, parse_catalog
-from .exactla import SparseEchelon, SubspaceError
+from .exactla import SparseEchelon
 from .freenilp import GeneratorSpec, build_free_nilpotent, hilbert_check, rewrite_identity_residual
 from .multiplier import (
     generator_triples,
@@ -403,7 +403,7 @@ def main(argv=None) -> int:
         if args.format not in FORMATS:
             raise UsageError(f"{FORMAT_ENV}={args.format!r} is not one of {', '.join(FORMATS)}")
         report = args.func(args)
-    except (UsageError, CatalogError, OSError, AlgebraError, BoundError, SubspaceError) as exc:
+    except (UsageError, CatalogError, OSError, AlgebraError, BoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(report.render(args.format))

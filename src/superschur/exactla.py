@@ -27,10 +27,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class SubspaceError(ValueError):
-    """Ambient-dimension mismatch or failed containment."""
-
-
 class Record:
     """Base of the package's value classes: field-wise `==` (NotImplemented
     against any other class), a hash that agrees with it, and the repr
@@ -378,30 +374,3 @@ class Subspace(Record):
 
     def contains(self, v: dict) -> bool:
         return not self.reduce(v)
-
-    def coords(self, v: dict) -> dict | None:
-        """Coefficients of v over the rows (its pivot entries), keyed by row
-        position and nonzero only, or None if v lies outside."""
-        if self.reduce(v):
-            return None
-        return {r: Fraction(v[p]) for r, p in enumerate(self.pivots) if v.get(p)}
-
-
-def complement_rows(u: Subspace, w: Subspace) -> tuple[dict, ...]:
-    """The rows of u off w's pivots: a basis of a complement of w in u.
-
-    Raises with a witness row when w is not inside u.  For w ⊆ u every
-    pivot of w is a pivot of u (pivots are the smallest keys of nonzero
-    members), and a nonzero combination of the returned rows has its
-    smallest key at one of their pivots, which no nonzero member of w has.
-    """
-    if u.ambient_dim != w.ambient_dim:
-        raise SubspaceError(f"ambient dimensions differ: {u.ambient_dim} vs {w.ambient_dim}")
-    for row in w.rows:
-        if u.reduce(row):
-            witness = ", ".join(f"{k}: {c}" for k, c in sorted(row.items()))
-            raise SubspaceError(
-                f"quotient undefined: witness {{{witness}}} lies outside the numerator"
-            )
-    wp = set(w.pivots)
-    return tuple(row for row, p in zip(u.rows, u.pivots) if p not in wp)

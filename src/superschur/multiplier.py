@@ -36,7 +36,6 @@ from .exactla import (
     SparseEchelon,
     axpy,
     combine,
-    complement_rows,
     rref,
 )
 from .freenilp import (
@@ -170,7 +169,7 @@ def present(L: LieSuperalgebra) -> FreePresentation:
     L.require_valid()
     c = L.nilpotency_class()
     if L.dim == 0:
-        raise AlgebraError("the zero algebra has no generators to present")
+        raise AlgebraError(f"{L.name}: the zero algebra has no generators to present")
     if "presentation" in L._cache:
         return L._cache["presentation"]
     gens = L.minimal_generator_dims()
@@ -446,7 +445,7 @@ def bracket_map_kernel_dim(L: LieSuperalgebra, i: int) -> int:
     first = L.gamma(i).dim - L.gamma(i + 1).dim
     kernel = first * cogen - bracket_quotient_dim(pres, i)
     if kernel < 0:
-        raise AlgebraError("bracket quotient exceeds its tensor domain")
+        raise AlgebraError(f"{L.name}: bracket quotient exceeds its tensor domain")
     return kernel
 
 
@@ -454,32 +453,19 @@ def bracket_map_kernel_dim(L: LieSuperalgebra, i: int) -> int:
 
 
 class WitnessTensor:
-    """A signed tensor built from generators, plus its kernel verdict."""
+    """A signed tensor built from generators, plus its kernel verdict:
+    `tensor` maps (m, b) to the coefficient of b_m ⊗ y_b, over the first
+    legs' canonical remainders and the second legs' generator positions."""
 
-    __slots__ = ("tensor", "nonzero", "in_kernel")
+    __slots__ = ("tensor", "in_kernel")
 
-    def __init__(self, tensor: dict[tuple[int, int], Fraction], nonzero: bool, in_kernel: bool):
+    def __init__(self, tensor: dict[tuple[int, int], Fraction], in_kernel: bool):
         self.tensor = tensor
-        self.nonzero = nonzero
         self.in_kernel = in_kernel
 
-
-def _leg1_coords(L: LieSuperalgebra, i: int, v: dict) -> dict:
-    """Coordinates of v's class over the representatives of γ_i/γ_{i+1}
-    that `complement_rows(γ_i, γ_{i+1})` returns (γ_{c+1} is zero), keyed
-    by representative position and nonzero only.
-
-    γ_{i+1}.reduce(v) is v modulo γ_{i+1} with γ_{i+1}'s pivot entries
-    cleared, so over γ_i's rows its coordinates (its pivot entries) are
-    zero except at the representatives.
-    """
-    gi, gnext = L.gamma(i), L.gamma(i + 1)
-    coords = gi.coords(gnext.reduce(v))
-    if coords is None:
-        raise AlgebraError("element lies outside the filtration step")
-    skip = set(gnext.pivots)
-    reps = (r for r, p in enumerate(gi.pivots) if p not in skip)
-    return {a: coords[r] for a, r in enumerate(reps) if r in coords}
+    @property
+    def nonzero(self) -> bool:
+        return bool(self.tensor)
 
 
 def witness_terms(L: LieSuperalgebra, xs, i: int) -> list[tuple[Fraction, dict, int]]:
@@ -503,41 +489,42 @@ def witness_tensor(L: LieSuperalgebra, i: int, positions) -> WitnessTensor:
     (i+1 indices into the presentation's lifts) and check that its image
     under the concrete lambda map vanishes.
 
-    First legs live in γ_i(L) coordinates at the top step and in
-    γ_i/γ_{i+1} coordinates below it; second legs live in L/γ₂(L)
-    coordinates, indexed by generator position.
+    The terms are summed per second-leg position b, and each sum u_b in
+    γ_i(L) is kept as its canonical remainder `γ_{i+1}.reduce(u_b)`: u_b
+    less a member of γ_{i+1}(L), so still in γ_i(L), and 0 at γ_{i+1}'s
+    pivots.  The remainder map is linear with kernel γ_{i+1}(L), so it is
+    injective on γ_i/γ_{i+1} (the identity at the top step, where γ_{c+1}
+    is zero), and a tensor's class is zero exactly when its legs are.
     """
     pres = present(L)
     _check_step(L, i)
     pos = tuple(positions)
     if len(pos) != i + 1:
-        raise AlgebraError(f"need {i + 1} tuple entries, got {len(pos)}")
+        raise AlgebraError(f"{L.name}: need {i + 1} tuple entries, got {len(pos)}")
     gens = len(pres.lift_indices)
     if not all(0 <= t < gens for t in pos):
-        raise AlgebraError(f"generator positions must lie in range({gens})")
+        raise AlgebraError(f"{L.name}: generator positions must lie in range({gens})")
     xs = [{pres.lift_indices[t]: _ONE} for t in pos]
-    tensor: dict[tuple[int, int], Fraction] = {}
+    sums: dict[int, dict] = {}
     for coeff, val, k in witness_terms(L, xs, i):
-        coords = _leg1_coords(L, i, val)
-        axpy(tensor, coeff, {(a, pos[k]): ca for a, ca in coords.items()})
-    rows = complement_rows(L.gamma(i), L.gamma(i + 1))
-    residual = bracket_map_residual(pres, i, tensor, rows)
-    return WitnessTensor(tensor=tensor, nonzero=bool(tensor), in_kernel=not residual)
+        axpy(sums.setdefault(pos[k], {}), coeff, val)
+    gnext = L.gamma(i + 1)
+    legs = {b: leg for b, u in sums.items() if (leg := gnext.reduce(u))}
+    tensor = {(m, b): c for b, leg in legs.items() for m, c in leg.items()}
+    return WitnessTensor(tensor, in_kernel=not bracket_map_residual(pres, i, legs))
 
 
-def bracket_map_residual(
-    pres: FreePresentation, i: int, tensor, leg1_rows
-) -> dict:
-    """Image of a tensor under the concrete lambda map modulo
-    [γ_{i+1}(F)+R, F], as the canonical residual of
-    `FreePresentation.bracket_ideal_residual`; an empty residual
-    certifies kernel membership.  A term u ⊗ y_b goes to [w_u, g_b], with
-    w_u a lift of u, read off fbar's generator column b."""
+def bracket_map_residual(pres: FreePresentation, i: int, legs: dict[int, dict]) -> dict:
+    """Image of Σ_b legs[b] ⊗ y_b (first legs in γ_i(L)) under the concrete
+    lambda map modulo [γ_{i+1}(F)+R, F], as the canonical residual of
+    `FreePresentation.bracket_ideal_residual`; an empty residual certifies
+    kernel membership.  u ⊗ y_b goes to [w_u, g_b], w_u a lift of u into
+    γ_i(F), read off fbar's generator column b; a u in γ_{i+1}(L) goes
+    into γ_{i+2}(F), which the residual drops."""
     ad = pres.fbar.generator_columns()
     total: dict = {}
-    for (a, b), coeff in tensor.items():
-        w_u = pres.lift_into_gamma(leg1_rows[a], i)
-        axpy(total, coeff, combine(ad[b], w_u))
+    for b, u in legs.items():
+        axpy(total, 1, combine(ad[b], pres.lift_into_gamma(u, i)))
     return pres.bracket_ideal_residual(total, i + 1)
 
 
@@ -556,7 +543,7 @@ def witness_tuple_positions(L: LieSuperalgebra, i: int) -> tuple[tuple[int, ...]
             rest = tuple(t for t in range(len(lifts)) if t not in used)
             return tup, rest
     raise AlgebraError(
-        f"no left-normed generator word of length {i} survives modulo the next step"
+        f"{L.name}: no left-normed generator word of length {i} survives modulo the next step"
     )
 
 
@@ -584,7 +571,7 @@ def verify_top_step_identity(L: LieSuperalgebra) -> IdentityReport:
     pres = present(L)
     gc = L.gamma(c).dim
     m_l = schur_multiplier_hopf(L).total
-    q, _ = L.quotient(L.gamma(c), name=f"{L.name}/g{c}")
+    q = L.quotient(L.gamma(c), name=f"{L.name}/g{c}")
     m_q = schur_multiplier_hopf(q).total
     bq = bracket_quotient_dim(pres, c)
     return IdentityReport(

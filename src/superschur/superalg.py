@@ -517,7 +517,7 @@ class LieSuperalgebra:
         return " + ".join(terms) if terms else "0"
 
     def quotient(self, ideal: Subspace, name: str | None = None):
-        """Quotient algebra by a graded ideal, plus the projection's columns.
+        """Quotient algebra by a graded ideal.
 
         The complement basis is the set of non-pivot coordinates of the
         ideal, so the induced table is deterministic.  Column s of the
@@ -553,10 +553,9 @@ class LieSuperalgebra:
                     z = combine(cols, self.bracket_basis(i, j))
                     if z:
                         table[(a, pos[j])] = tuple(sorted(z.items()))
-        q = LieSuperalgebra(
+        return LieSuperalgebra(
             name if name is not None else f"{self.name}/I", labels, pars, table
         )
-        return q, cols
 
     def minimal_generator_dims(self) -> SuperDim:
         """Superdimension of L / [L, L] for nilpotent L."""

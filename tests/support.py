@@ -53,6 +53,13 @@ counted it before it became a rank count: R's `Subspace`, [R, F]'s
 `Subspace` and `complement_rows`, which re-proves [R, F] ⊆ R.
 `subspace_sum` builds the ideals γ_i(F) + R whose all-pairs products
 tests hold the bracket-ideal chain to.
+
+`complement_rows` gives the rows of one subspace off another's pivots,
+a basis of a complement, and raises `SubspaceError` unless the second
+lies in the first.  `reference_witness_tensor` is the witness tensor as
+the package built it before it named each γ_i/γ_{i+1} class by its
+canonical remainder: coordinates over those complement rows, each
+lifted back onto its row.  Tests hold `witness_tensor` to it.
 """
 
 import itertools
@@ -66,7 +73,6 @@ from superschur.exactla import (
     Subspace,
     axpy,
     combine,
-    complement_rows,
     kernel,
 )
 from superschur.freenilp import (
@@ -76,6 +82,7 @@ from superschur.freenilp import (
     rewrite_identity_terms,
     word_leaves,
 )
+from superschur.multiplier import present, witness_terms
 from superschur.superalg import (
     LieSuperalgebra,
     SuperDim,
@@ -223,6 +230,62 @@ def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:
 def relations_subspace(p) -> Subspace:
     """The relations R of a free presentation, spanned by its relation rows."""
     return Subspace.span(p.relation_rows, p.fbar.dim)
+
+
+class SubspaceError(ValueError):
+    """Ambient-dimension mismatch or failed containment."""
+
+
+def complement_rows(u: Subspace, w: Subspace) -> tuple[dict, ...]:
+    """The rows of u off w's pivots: a basis of a complement of w in u.
+
+    Raises with a witness row when w is not inside u.  For w ⊆ u every
+    pivot of w is a pivot of u (pivots are the smallest keys of nonzero
+    members), and a nonzero combination of the returned rows has its
+    smallest key at one of their pivots, which no nonzero member of w has.
+    """
+    if u.ambient_dim != w.ambient_dim:
+        raise SubspaceError(f"ambient dimensions differ: {u.ambient_dim} vs {w.ambient_dim}")
+    for row in w.rows:
+        if u.reduce(row):
+            witness = ", ".join(f"{k}: {c}" for k, c in sorted(row.items()))
+            raise SubspaceError(
+                f"quotient undefined: witness {{{witness}}} lies outside the numerator"
+            )
+    wp = set(w.pivots)
+    return tuple(row for row, p in zip(u.rows, u.pivots) if p not in wp)
+
+
+def reference_witness_tensor(L, i: int, positions) -> tuple[dict, bool]:
+    """`witness_tensor`'s tensor and kernel verdict as the package built
+    them when it named a class of γ_i/γ_{i+1} by coordinates over the
+    representatives `complement_rows(γ_i, γ_{i+1})`.
+
+    Each term's value is expressed over the representatives and
+    γ_{i+1}'s rows by a tagged `ReferenceEchelon`, never reduced by
+    γ_{i+1}; the representatives' coefficients key the tensor as (a, b),
+    a a representative's position and b the term's generator position.
+    The λ map lifts representative a for each (a, b) and reads [w, g_b]
+    off fbar's generator column b.
+    """
+    pres = present(L)
+    reps = complement_rows(L.gamma(i), L.gamma(i + 1))
+    ech = ReferenceEchelon()
+    for a, row in enumerate(reps):
+        ech.insert(row, (0, a))
+    for j, row in enumerate(L.gamma(i + 1).rows):
+        ech.insert(row, (1, j))
+    pos = tuple(positions)
+    xs = [{pres.lift_indices[t]: Fraction(1)} for t in pos]
+    tensor: dict = {}
+    for coeff, val, k in witness_terms(L, xs, i):
+        coords = ech.express(val)
+        axpy(tensor, coeff, {(a, pos[k]): c for (kind, a), c in coords.items() if kind == 0})
+    ad = pres.fbar.generator_columns()
+    image: dict = {}
+    for (a, b), coeff in tensor.items():
+        axpy(image, coeff, combine(ad[b], pres.lift_into_gamma(reps[a], i)))
+    return tensor, not pres.bracket_ideal_residual(image, i + 1)
 
 
 def reference_hopf_dims(p) -> SuperDim:
@@ -416,7 +479,7 @@ def random_quotients(count):
             ideal = grown
         j = rng.randint(3, k + 1)
         ideal = subspace_sum(ideal, f.gamma(j))
-        quotient, _ = A.quotient(ideal, name=f"rq{len(out)}[{p}|{q},c{k}]")
+        quotient = A.quotient(ideal, name=f"rq{len(out)}[{p}|{q},c{k}]")
         out.append(quotient)
     return out
 

@@ -483,19 +483,6 @@ class TestCli:
         assert code == 1
         assert "line 2" in err and "not a valid basis label" in err
 
-    def test_subspace_error_is_usage_error(self, capsys, monkeypatch):
-        from superschur import cli as cli_mod
-        from superschur.exactla import SubspaceError
-
-        def broken(L):
-            raise SubspaceError("quotient undefined")
-
-        monkeypatch.setattr(cli_mod, "schur_multiplier_hopf", broken)
-        code = main(["multiplier", "--algebra", "heis3", "--method", "hopf"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err == "error: quotient undefined\n"
-
     def test_stdin_catalog(self, monkeypatch, capsys):
         import io
 

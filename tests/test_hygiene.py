@@ -2,8 +2,8 @@
 module-level constant it defines and every parameter its functions take
 is used in it, every field its classes store (a `__slots__` name, an
 attribute `__init__` sets as `self.x = ...`, or a `@dataclass` field) is
-read somewhere in the package or its tests, every function it defines is
-loaded by the package or the benchmark, not only by tests, no module of
+read somewhere in the package or its tests, every function and class it
+defines is loaded by the package or the benchmark, not only by tests, no module of
 the package imports `dataclasses` or `typing`, and no module of the
 package or the benchmark but `exactla` touches `SparseEchelon._rows` or
 a private `exactla` name such as `_reduce`.
@@ -356,11 +356,12 @@ KEPT_FOR_TESTS = {"main_bound_penultimate"}
 
 
 def uncalled_definitions(source: str, loaded: Counter) -> list[str]:
-    """Functions, methods and properties in `source` that `loaded` holds
-    only as loads from their own bodies; dunders and KEPT_FOR_TESTS are exempt."""
+    """Functions, methods, properties and classes in `source` that `loaded`
+    holds only as loads from their own bodies; dunders and KEPT_FOR_TESTS
+    are exempt."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
         name = node.name
         if re.fullmatch(r"__\w+__", name) or name in KEPT_FOR_TESTS:
@@ -403,3 +404,18 @@ def test_the_check_sees_an_uncalled_definition():
     )
     loaded = loads(ast.parse(source)) + dotted_string_names("T = ['C.traced']\n")
     assert uncalled_definitions(source, loaded) == ["unused (line 3)", "depth (line 5)"]
+
+
+def test_the_check_sees_an_unloaded_class():
+    source = (
+        "class UsedError(ValueError):\n    pass\n"
+        "class UnusedError(ValueError):\n    pass\n"
+        "class Node:\n    def child(self):\n        return Node()\n"
+        "class Base:\n    pass\n"
+        "class Derived(Base):\n    pass\n"
+        "def f(x):\n    if x:\n        raise UsedError(x)\n    return Derived()\n"
+        "class Traced:\n    pass\n"
+        "print(f(0).child)\n"
+    )
+    loaded = loads(ast.parse(source)) + dotted_string_names("T = ['Traced.run']\n")
+    assert uncalled_definitions(source, loaded) == ["UnusedError (line 3)", "Node (line 5)"]

@@ -21,7 +21,6 @@ from superschur.cli import main
 from superschur.exactla import (
     Subspace,
     axpy,
-    complement_rows,
     kernel,
 )
 from superschur.freenilp import (
@@ -49,11 +48,13 @@ from superschur.superalg import AlgebraError, SuperDim, change_basis, direct_sum
 from support import (
     ReferenceEchelon,
     basis_changed,
+    complement_rows,
     gl_changed,
     random_quotients,
     reference_build,
     reference_generator_columns,
     reference_hopf_dims,
+    reference_witness_tensor,
     relations_subspace,
     subspace_intersect,
     subspace_sum,
@@ -61,6 +62,7 @@ from support import (
 
 F = Fraction
 PRESENTATIONS = Path(__file__).parent / "golden" / "presentations.cat"
+LADDER = Path(__file__).parent / "golden" / "ladder.cat"
 
 
 @functools.cache
@@ -239,7 +241,7 @@ class TestRankRoute:
     def test_one_back_substitution_per_presentation(self, monkeypatch):
         """With the series computed, the Hopf route calls
         `SparseEchelon.rows` once per presentation, in `present`'s dense
-        `rref` check, and never `complement_rows`."""
+        `rref` check."""
         fresh = [
             L for L in builtin_algebras() + parse_catalog(PRESENTATIONS.read_text())
             if L.dim and L.is_nilpotent()
@@ -248,11 +250,6 @@ class TestRankRoute:
             L.generator_lift_indices()
             L.minimal_generator_dims()
 
-        def refuse(*args):
-            raise AssertionError("the Hopf route re-proved a containment")
-
-        monkeypatch.setattr(exactla, "complement_rows", refuse)
-        monkeypatch.setattr(multiplier, "complement_rows", refuse)
         calls = []
         real_rows = exactla.SparseEchelon.rows
 
@@ -444,16 +441,17 @@ class TestLambdaKernel:
         for L in (heis_plus_line(), gl_changed(heis_plus_line(), 3)):
             p = present(L)
             c = L.nilpotency_class()
-            rows = complement_rows(L.gamma(c), L.gamma(c + 1))
+            # γ_{c+1} is zero, so a row of γ_c is its own canonical remainder
+            u = L.gamma(c).rows[0]
             A = p.fbar.algebra
             R = relations_subspace(p)
             y_freedom = subspace_sum(p.fbar.gamma(2), R)
             bases = []
             for b in range(len(p.lift_indices)):
-                base = bracket_map_residual(p, c, {(0, b): F(1)}, rows)
+                base = bracket_map_residual(p, c, {b: u})
                 bases.append(base)
                 for _ in range(5):
-                    w_u = perturb(p.lift_into_gamma(rows[0], c), R)
+                    w_u = perturb(p.lift_into_gamma(u, c), R)
                     w_y = perturb({p.fbar.generator_basis_index(b): F(1)}, y_freedom)
                     assert p.bracket_ideal_residual(A.bracket(w_u, w_y), c + 1) == base
             # some tensor lies outside the kernel: a nonzero residual is held fixed
@@ -465,7 +463,7 @@ class TestWitnessTensor:
         L = heis_plus_line()
         # generators are e1, e2, e4; witness on (e1, e2, e4)
         w = witness_tensor(L, 2, (0, 1, 2))
-        assert w.tensor == {(0, 2): F(1)}  # e3 (x) class of e4
+        assert w.tensor == {(2, 2): F(1)}  # e3 (x) class of e4
         assert w.nonzero and w.in_kernel
 
     def test_heis3_repeated_generator_collapses(self):
@@ -508,6 +506,50 @@ class TestWitnessTensor:
                     w = witness_tensor(L, i, z_pos + (y,))
                     assert w.in_kernel
                     assert w.nonzero
+
+
+def witness_cases():
+    """The algebras of class at least 2 that `verify` checks witnesses on,
+    from the shipped catalog, presentations.cat, ladder.cat and the 100
+    random quotients."""
+    algebras = (
+        builtin_algebras()
+        + parse_catalog(PRESENTATIONS.read_text())
+        + parse_catalog(LADDER.read_text())
+        + random_quotients(100)
+    )
+    return [L for L in algebras if L.is_nilpotent() and L.nilpotency_class() >= 2]
+
+
+def _echelon_rank(rows) -> int:
+    ech = ReferenceEchelon()
+    return sum(ech.insert(r, None) for r in rows)
+
+
+@pytest.mark.parametrize("L", witness_cases(), ids=lambda L: L.name)
+def test_witness_tensors_match_the_coordinate_reference(L):
+    """Every witness `verify` checks, against `reference_witness_tensor`:
+    its nonzero flag and kernel verdict, each step's rank, and the tensor
+    itself, once each representative's row replaces its coordinate (a
+    combination of the representatives is the canonical remainder of its
+    class, being in γ_i and 0 at γ_{i+1}'s pivots)."""
+    c = L.nilpotency_class()
+    gens = L.minimal_generator_dims().total
+    for i in range(2, min(c, gens) + 1):
+        reps = complement_rows(L.gamma(i), L.gamma(i + 1))
+        z_pos, y_pos = witness_tuple_positions(L, i)
+        ours, theirs = [], []
+        for y in y_pos:
+            w = witness_tensor(L, i, z_pos + (y,))
+            ref, in_kernel = reference_witness_tensor(L, i, z_pos + (y,))
+            assert (w.nonzero, w.in_kernel) == (bool(ref), in_kernel), (i, y)
+            named: dict = {}
+            for (a, b), coeff in ref.items():
+                axpy(named, coeff, {(m, b): x for m, x in reps[a].items()})
+            assert w.tensor == named, (i, y)
+            ours.append(w.tensor)
+            theirs.append(ref)
+        assert _echelon_rank(ours) == _echelon_rank(theirs), i
 
 
 class TestIdentities:
@@ -555,21 +597,47 @@ class TestIdentities:
             verify_top_step_identity(abelian(2, 0))
 
 
-def test_errors_name_the_algebra():
+def _no_word_survives(monkeypatch):
+    monkeypatch.setattr(multiplier, "evaluate_word", lambda *args: {})
+
+
+def _domain_overflows(monkeypatch):
+    monkeypatch.setattr(multiplier, "bracket_quotient_dim", lambda pres, i: 10**6)
+
+
+A21, HEIS = abelian(2, 1), heisenberg3()
+
+
+@pytest.mark.parametrize(
+    "patch, call, prefix",
+    [
+        (None, lambda: bracket_quotient_dim(present(A21), 2), "A(2|1): index 2 outside [2, 1]"),
+        (None, lambda: witness_tensor(A21, 2, (0, 0, 0)), "A(2|1): index 2 outside"),
+        (None, lambda: present(HEIS).lift_into_gamma({0: 1}, 2), "heis3: element does not lift"),
+        (None, lambda: verify_top_step_identity(A21), "A(2|1): identity needs nilpotency class"),
+        (None, lambda: verify_telescoped_identity(A21), "A(2|1): identity needs nilpotency class"),
+        (None, lambda: present(abelian(0, 0)), "A(0|0): the zero algebra has no generators"),
+        (_domain_overflows, lambda: bracket_map_kernel_dim(HEIS, 2),
+         "heis3: bracket quotient exceeds its tensor domain"),
+        (None, lambda: witness_tensor(HEIS, 2, (0, 1)), "heis3: need 3 tuple entries, got 2"),
+        (None, lambda: witness_tensor(HEIS, 2, (0, 1, 2)),
+         "heis3: generator positions must lie in range(2)"),
+        (_no_word_survives, lambda: witness_tuple_positions(HEIS, 2),
+         "heis3: no left-normed generator word of length 2"),
+    ],
+    ids=[
+        "step-range", "witness-step-range", "lift", "top-step-class", "telescoped-class",
+        "zero-algebra", "tensor-domain", "tuple-length", "position-range", "no-word",
+    ],
+)
+def test_errors_name_the_algebra(monkeypatch, patch, call, prefix):
     # each message starts with the algebra's name, so a failure inside a
     # catalog run says which record it came from
-    ab, heis = abelian(2, 1), heisenberg3()
-    cases = [
-        (lambda: bracket_quotient_dim(present(ab), 2), "A(2|1): index 2 outside [2, 1]"),
-        (lambda: witness_tensor(ab, 2, (0, 0, 0)), "A(2|1): index 2 outside"),
-        (lambda: present(heis).lift_into_gamma({0: 1}, 2), "heis3: element does not lift"),
-        (lambda: verify_top_step_identity(ab), "A(2|1): identity needs nilpotency class"),
-        (lambda: verify_telescoped_identity(ab), "A(2|1): identity needs nilpotency class"),
-    ]
-    for call, prefix in cases:
-        with pytest.raises(AlgebraError) as err:
-            call()
-        assert str(err.value).startswith(prefix), str(err.value)
+    if patch:
+        patch(monkeypatch)
+    with pytest.raises(AlgebraError) as err:
+        call()
+    assert str(err.value).startswith(prefix), str(err.value)
 
 
 class TestBracketWithFree:
