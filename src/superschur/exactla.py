@@ -10,10 +10,12 @@ coordinates after the real keys, as in an augmented matrix, appended by
 the caller or, in `insert_or_express`, by the engine.  Ranks, pivots
 and remainders are read off the integer rows directly.  No floating
 point anywhere.  Sparse dicts {index: nonzero Fraction} are the one
-vector type: a `Subspace` keeps the engine's reduced row-echelon rows,
-back-substituted once into Fractions, so two objects describe the same
-subspace exactly when their rows compare equal.  Dense Fraction tuples
-appear only in `Matrix` and `rref`."""
+vector type: a `Subspace` keeps the engine's reduced row-echelon rows in
+Fractions, so two objects describe the same subspace exactly when their
+rows compare equal.  `Subspace.of_echelon` snapshots an echelon's
+integer rows and back-substitutes them only when its rows are first
+read; its dimension and pivots come off the stored pivots.  Dense
+Fraction tuples appear only in `Matrix` and `rref`."""
 
 from __future__ import annotations
 
@@ -149,6 +151,27 @@ def _reduce(rows: dict, v: dict) -> int:
     return scale
 
 
+def _back_substitute(stored: dict) -> tuple[dict, ...]:
+    """The reduced row-echelon basis of the span of `stored` (pivot ->
+    integer row with that pivot as its smallest key), in pivot order, in
+    Fractions.
+
+    Back-substitution runs from the largest pivot down, in integers: a
+    finished row has a positive pivot and is 0 at every other finished
+    pivot, and all of those lie above the new row's pivot, so `_reduce`
+    against the finished rows clears them in one pass.
+    """
+    done: dict[Hashable, dict] = {}
+    for p in sorted(stored, reverse=True):
+        row = dict(stored[p])
+        _reduce(done, row)
+        g = gcd(*row.values())
+        done[p] = {k: c // g for k, c in row.items()} if g != 1 else row
+    return tuple(
+        {k: Fraction(c, done[p][p]) for k, c in done[p].items()} for p in sorted(done)
+    )
+
+
 class SparseEchelon:
     """Echelon rows of sparse keyed vectors, kept in integers.
 
@@ -264,27 +287,18 @@ class SparseEchelon:
         """
         return (row for p, row in self._rows.items() if p >= first_tag)
 
+    def primitive_rows(self):
+        """The stored primitive integer rows, in insertion order: a basis of
+        the row space, each row's pivot its smallest key.  The rows are
+        shared, not copied: callers must not mutate them."""
+        return self._rows.values()
+
     def rows(self) -> tuple[dict, ...]:
         """The reduced row-echelon basis of the row space, in pivot order:
         each pivot is its row's smallest key, it is 1, and every other row
-        is 0 there.
-
-        Back-substitution runs from the largest pivot down, in integers:
-        a finished row has a positive pivot and is 0 at every other
-        finished pivot, and all of those lie above the new row's pivot, so
-        `_reduce` against the finished rows clears them in one pass.
-        """
+        is 0 there (see `_back_substitute`)."""
         if self._rref is None:
-            done: dict[Hashable, dict] = {}
-            for p in sorted(self._rows, reverse=True):
-                row = dict(self._rows[p])
-                _reduce(done, row)
-                g = gcd(*row.values())
-                done[p] = {k: c // g for k, c in row.items()} if g != 1 else row
-            self._rref = tuple(
-                {k: Fraction(c, done[p][p]) for k, c in done[p].items()}
-                for p in sorted(done)
-            )
+            self._rref = _back_substitute(self._rows)
         return self._rref
 
 
@@ -319,7 +333,10 @@ class Subspace(Record):
     pivot is its row's smallest key, it is 1, and every other row is 0
     there.  The form is canonical, so equal subspaces have equal rows and
     compare equal and hash alike.  The rows are shared, not copied:
-    callers must not mutate them.
+    callers must not mutate them.  A subspace made by `of_echelon` holds
+    a copy of the echelon's primitive integer rows instead, reads `dim`,
+    `pivots` and `non_pivots` off their pivots, and back-substitutes
+    `rows` on first read.
     """
 
     _fields = ("ambient_dim", "rows")
@@ -327,6 +344,31 @@ class Subspace(Record):
     def __init__(self, ambient_dim: int, rows: tuple[dict, ...]):
         self.ambient_dim = ambient_dim
         self.rows = rows
+        self.dim = len(rows)
+
+    @staticmethod
+    def of_echelon(ech: SparseEchelon, ambient_dim: int) -> "Subspace":
+        """The row space of `ech` as it is now, its keys ints below
+        ambient_dim and no tags.
+
+        The pivot -> row dict is copied, and a stored row is never
+        touched again, so later insertions into `ech` leave this subspace
+        as it is.  The pivots are the reduced row-echelon form's (see
+        `SparseEchelon.pivots`), and `rows` is `_back_substitute` of the
+        same rows, so the subspace equals `Subspace(ambient_dim,
+        ech.rows())` and hashes alike.
+        """
+        S = Subspace.__new__(Subspace)
+        S.ambient_dim = ambient_dim
+        S._stored = dict(ech._rows)
+        S.pivots = tuple(sorted(S._stored))
+        S.dim = len(S._stored)
+        return S
+
+    @cached_property
+    def rows(self) -> tuple[dict, ...]:
+        # reached only by `of_echelon`'s subspaces: `__init__` sets rows
+        return _back_substitute(self._stored)
 
     def __hash__(self) -> int:
         return hash((self.ambient_dim, tuple(frozenset(r.items()) for r in self.rows)))
@@ -342,10 +384,6 @@ class Subspace(Record):
     @staticmethod
     def full(n: int) -> "Subspace":
         return Subspace(n, tuple({i: _ONE} for i in range(n)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:

@@ -694,7 +694,9 @@ def eval_hom(
     Where the build kept the candidate [b_x, g], that column is the basis
     word b = [b_x, g] itself, and its image is by definition
     [φx, φg]: those pairs hold by construction, and are told apart by
-    indices, (x, g) being b's factors.  The others are checked:
+    indices, (x, g) being b's factors.  So do the pairs with [x, g] = 0
+    and φx = 0, where both sides are 0 by bilinearity.  The others are
+    checked:
     * rejected candidates, whose columns are the expressions that
       `generator_columns` derived;
     * candidates with an empty expansion, where [x, g] = 0;
@@ -727,6 +729,8 @@ def eval_hom(
             col = ad[t][x]
             if len(col) == 1 and factors[next(iter(col))] == (x, t):
                 continue  # a kept candidate
+            if not col and not columns[x]:
+                continue  # both sides are 0, by bilinearity
             g = f.generator_basis_index(t)
             if combine(columns, col) != target.bracket(columns[x], columns[g]):
                 raise AlgebraError(

@@ -179,8 +179,13 @@ def present(L: LieSuperalgebra) -> FreePresentation:
     images = [{t: _ONE} for t in lifts]
     pi = eval_hom(f, images, L)
     # the one dense Matrix left, kept while perfbench's spans wrap `rref` and
-    # `Matrix.mul_vec` and its tests expect `rref` in a Hopf run (ROADMAP item 1)
-    dense = Matrix(L.dim, f.dim, tuple(c.get(r, 0) for r in range(L.dim) for c in pi))
+    # `Matrix.mul_vec` and its tests expect `rref` in a Hopf run (ROADMAP item 1);
+    # it holds pi's nonzero columns only: zero columns add nothing to a rank,
+    # and the whole top degree is zero, as gamma_{c+1}(L) = 0
+    nonzero = [col for col in pi if col]
+    dense = Matrix(
+        L.dim, len(nonzero), tuple(col.get(r, 0) for r in range(L.dim) for col in nonzero)
+    )
     _, rank = rref(dense)
     if rank != L.dim:
         raise AlgebraError(

@@ -14,13 +14,16 @@ generator lift's ad-support to find its rows.
 The lower central series brackets only with the generator lifts, the
 unit vectors off the pivots of gamma_2 = [L, L]: layers S_1 = lifts,
 S_{k+1} = [S_k, lifts] give gamma_k = S_k + S_{k+1} + ... on a valid
-nilpotent algebra (`_series_from_lifts` has the proof).  Any other input
-keeps the chain gamma_{k+1} = [gamma_k, L] and its report.
+nilpotent algebra (`_series_from_lifts` has the proof).  The layers are
+made in integers, and each gamma_k is a snapshot of one echelon whose
+reduced Fraction rows are made only when read.  Any other input keeps
+the chain gamma_{k+1} = [gamma_k, L] and its report.
 
 `integral_table` is the completed table times the lcm of its
 denominators, in ints.  A common positive scale changes no zero test,
-rank or kernel, so the Jacobi residual, the center and the cochain
-route read it; `bracket_basis` and `bracket` keep returning Fractions.
+span, rank or kernel, so the Jacobi residual, gamma_2 and the series'
+layers, the center and the cochain route read it; `bracket_basis` and
+`bracket` keep returning Fractions.
 
 A graded subspace W = W_0 + W_1 is a plain `Subspace` of the full
 coordinate space.  Even coordinates come first, so W's reduced
@@ -230,13 +233,17 @@ class LieSuperalgebra:
     def _nested_triples(self) -> list[tuple[int, int, int]]:
         """The triples i <= j <= k, in increasing order, with some nonzero
         nested bracket [b_a, [b_b, b_c]] among their orderings: [b_b, b_c]
-        has a target t and a lies in t's ad-support."""
+        has a target t and a lies in t's ad-support.  [b_c, b_b] is a
+        multiple of [b_b, b_c], with the same targets, so only b <= c is
+        read, and a is placed into the ordered pair."""
         support = self.ad_support()
         found = set()
         for (b, c), terms in self._table().items():
+            if b > c:
+                continue
             for t in terms:
                 for a in support[t]:
-                    found.add(tuple(sorted((a, b, c))))
+                    found.add((a, b, c) if a <= b else (b, a, c) if a <= c else (b, c, a))
         return sorted(found)
 
     def _reach(self, v: dict) -> set[int]:
@@ -375,7 +382,7 @@ class LieSuperalgebra:
         For nilpotent algebras the returned chain ends with the zero
         subspace; otherwise it ends at the first repeated term.
 
-        gamma_2 = [L, L] is the span of the table's entries.  When
+        gamma_2 = [L, L] is the span of the integral table's entries.  When
         `_series_from_lifts` accepts its layers, the chain is read off
         them.  Otherwise (an invalid table, a non-nilpotent algebra) each
         term is bracketed with all of L until the chain repeats or
@@ -384,7 +391,7 @@ class LieSuperalgebra:
         if "series" in self._cache:
             return self._cache["series"]
         brackets = SparseEchelon()
-        for (i, j), entry in self._table().items():
+        for (i, j), entry in self.integral_table().items():
             if i <= j:  # [b_j, b_i] is a multiple of [b_i, b_j]
                 brackets.insert(entry)
         chain = self._series_from_lifts(brackets.pivots)
@@ -433,23 +440,44 @@ class LieSuperalgebra:
         and T_{m-1} is not: the chain is gamma_1, ..., gamma_m = 0, as
         bracketing with all of L gives it.
 
-        The T_k are read off one echelon filled with S_m, ..., S_2 in turn.
+        Each layer is made in integers.  Proof that its echelon spans S_k.
+        The integral table is D times the table, D > 0, so for a lift
+        index j the sum of x_i * D[b_i, b_j] is D[x, b_j], a nonzero
+        multiple of [x, b_j] with the same zero test.  A layer's echelon
+        stores primitive rows, each a nonzero multiple of a combination
+        of its inputs, and they have the inputs' span.  So if the rows x
+        of layer k span S_k, the D[x, b_j] span [S_k, X] = S_{k+1}, and so
+        do the next layer's rows; S_1's rows are the unit vectors of X.
+        Spans, dimensions and zero tests are all the acceptance checks
+        read, so they decide as they would in Fractions.
+
+        The T_k are snapshots of one echelon filled with S_m, ..., S_2 in
+        turn; their reduced rows are made only when read.
         """
         taken = set(gamma2_pivots)
-        lifts = Subspace(
-            self.dim, tuple({i: _ONE} for i in range(self.dim) if i not in taken)
-        )
-        layers = [lifts]
-        while layers[-1].dim and len(layers) <= self.dim:
-            layers.append(self.product_space(layers[-1], lifts))
-        if layers[-1].dim or not self.validate().ok:
+        lifts = [j for j in range(self.dim) if j not in taken]
+        table = self.integral_table()
+        support = self.ad_support()
+        # each lift's ad-support, and its columns D[b_i, b_j], empty off it
+        columns = [
+            (set(support[j]), [table.get((i, j), {}) for i in range(self.dim)]) for j in lifts
+        ]
+        layers = [[{j: 1} for j in lifts]]
+        while layers[-1] and len(layers) <= self.dim:
+            layer = SparseEchelon()
+            for x in layers[-1]:
+                for reach, column in columns:
+                    if not reach.isdisjoint(x) and (z := combine(column, x)):
+                        layer.insert(z)
+            layers.append(list(layer.primitive_rows()))
+        if layers[-1] or not self.validate().ok:
             return None
         ech = SparseEchelon()
         chain = []
         for layer in reversed(layers[1:]):
-            for row in layer.rows:
+            for row in layer:
                 ech.insert(row)
-            chain.append(Subspace(self.dim, ech.rows()))
+            chain.append(Subspace.of_echelon(ech, self.dim))
         if ech.rank != len(taken):
             return None
         chain.append(Subspace.full(self.dim))

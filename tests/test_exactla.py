@@ -336,6 +336,33 @@ def test_canonical_basis_is_spanning_set_independent(data):
         assert all(p not in other for t, other in enumerate(u.rows) if t != i)
 
 
+@given(
+    st.integers(2, 5).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=2, max_size=6)
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_an_echelon_snapshot_is_its_span_then_and_stays_so(vecs):
+    # dim and pivots come off the stored rows before any reduced row is
+    # made; the rows, made on first read, are the span's canonical rows;
+    # later insertions into the echelon leave the snapshot as it was
+    n = len(vecs[0])
+    half = len(vecs) // 2
+    ech = SparseEchelon()
+    for v in vecs[:half]:
+        ech.insert(sparse(v))
+    snap = Subspace.of_echelon(ech, n)
+    early = Subspace.span(map(sparse, vecs[:half]), n)
+    for v in vecs[half:]:
+        ech.insert(sparse(v))
+    assert (snap.dim, snap.pivots, snap.non_pivots) == (
+        early.dim, early.pivots, early.non_pivots
+    )
+    assert snap == early and hash(snap) == hash(early)
+    assert snap.rows == early.rows and len(snap.rows) == snap.dim
+    assert Subspace.of_echelon(ech, n) == Subspace.span(map(sparse, vecs), n)
+
+
 def test_solve_consistent_and_inconsistent():
     """m x = b solved by expressing b over m's columns."""
     m = matrix([[1, 2], [3, 4]])

@@ -322,8 +322,9 @@ def echelon_row_accesses(source: str) -> list[str]:
 
 # `SparseEchelon` keeps its primitive integer rows in `_rows` and reduces
 # with `exactla`'s private `_reduce` and `_integral`; everything else
-# reads and reduces through its accessors (`pivots`, `remainder`,
-# `express`, `insert_or_express`, `tag_rows`, `rows`)
+# reads and reduces through its accessors (`pivots`, `primitive_rows`,
+# `remainder`, `express`, `insert_or_express`, `tag_rows`, `rows`) and
+# snapshots it with `Subspace.of_echelon`
 OUTSIDE_EXACTLA = [p for p in MODULES if p.name != "exactla.py"] + sorted(PERFBENCH.glob("*.py"))
 
 

@@ -2,20 +2,24 @@
 
 `LieSuperalgebra.lower_central_series` brackets each layer S_k only with
 the lifts X, the unit vectors off γ₂'s pivots, and reads γ_k as
-S_k + S_{k+1} + ... (the proof is in `_series_from_lifts`).
+S_k + S_{k+1} + ... (the proof is in `_series_from_lifts`).  The layers
+are made in integers through the integral table, and each γ_k is a
+snapshot of one echelon whose reduced rows are made only when read.
 `support.reference_series` is the chain it replaced, each γ_k bracketed
 with all of L.  The two must agree row for row, on sparse and dense
 bases.  Inputs whose layers are not accepted (non-nilpotent, perfect,
 failing Jacobi, zero-dimensional) must keep the reference chain and its
 "series stabilizes" report.  The work on free algebras is pinned by a
-count of brackets, not by a timing.
+count of layer products, not by a timing.
 """
 
 import functools
 
 import pytest
 
+from superschur import superalg
 from superschur.catalog import abelian, builtin_algebras
+from superschur.exactla import combine
 from superschur.freenilp import GeneratorSpec, build_free_nilpotent
 from superschur.superalg import EVEN, ODD, AlgebraError, LieSuperalgebra, ValidationReport
 from support import basis_changed, gl_changed, random_quotients, reference_series
@@ -57,21 +61,16 @@ BATTERIES = {
 }
 
 
-def _series_with_right_factors(L, monkeypatch):
-    """L's series computed afresh, and the dimension of the right factor
-    of every `product_space` call it made."""
-    seen = []
-    inner = LieSuperalgebra.product_space
+def _series_without_product_space(L, monkeypatch):
+    """L's series computed afresh, failing on any `product_space` call."""
 
-    def recording(self, u, w):
-        seen.append(w.dim)
-        return inner(self, u, w)
+    def forbidden(self, u, w):
+        raise AssertionError(f"product_space on {self.name}'s accepted layers")
 
     L._cache.pop("series", None)
     with monkeypatch.context() as m:
-        m.setattr(LieSuperalgebra, "product_space", recording)
-        chain = L.lower_central_series()
-    return chain, seen
+        m.setattr(LieSuperalgebra, "product_space", forbidden)
+        return L.lower_central_series()
 
 
 @pytest.mark.parametrize("battery", list(BATTERIES))
@@ -80,12 +79,22 @@ def test_series_equals_the_reference_chain(battery, monkeypatch):
     algebras = build()
     assert len(algebras) == size
     for L in algebras:
-        chain, right_factors = _series_with_right_factors(L, monkeypatch)
+        # every input here is nilpotent, so its layers are accepted, and
+        # they bracket through the integral table, not `product_space`
+        chain = _series_without_product_space(L, monkeypatch)
+        # each term is a snapshot of the chain's one echelon, taken before
+        # the shallower layers went in: its dim, pivots and complement are
+        # read off the stored pivots, and its reduced rows, made when first
+        # read, agree with them and with the reference
+        before = [(S.dim, S.pivots, S.non_pivots) for S in chain]
         assert chain == reference_series(L), L.name
-        # every input here is nilpotent, so only the lifts were bracketed
+        after = []
+        for S in chain:
+            pivots = tuple(min(r) for r in S.rows)
+            rest = tuple(i for i in range(L.dim) if i not in pivots)
+            after.append((len(S.rows), pivots, rest))
+        assert before == after, L.name
         assert chain[-1].dim == 0, L.name
-        lifts = L.dim - L.gamma(2).dim
-        assert set(right_factors) <= {lifts}, L.name
 
 
 def aff():
@@ -165,34 +174,30 @@ def test_layers_of_a_table_failing_jacobi_are_not_its_series(monkeypatch):
 
 
 def test_series_never_brackets_with_the_whole_algebra(monkeypatch):
-    L = free(2, 1, 6)
-    inner = LieSuperalgebra.product_space
-
-    def guarded(self, u, w):
-        if w.dim == self.dim:
-            raise AssertionError("product_space with the whole algebra")
-        return inner(self, u, w)
-
-    L._cache.pop("series", None)
-    monkeypatch.setattr(LieSuperalgebra, "product_space", guarded)
-    assert [S.dim for S in L.lower_central_series()] == [203, 200, 196, 188, 168, 120, 0]
+    # accepted layers make no `product_space` call at all, with L or not
+    chain = _series_without_product_space(free(2, 1, 6), monkeypatch)
+    assert [S.dim for S in chain] == [203, 200, 196, 188, 168, 120, 0]
 
 
-@pytest.mark.parametrize("c,brackets", [(6, 246), (7, 606)])
-def test_series_work_on_free_algebras(c, brackets, monkeypatch):
+@pytest.mark.parametrize("c,products", [(6, 246), (7, 606)])
+def test_series_work_on_free_algebras(c, products, monkeypatch):
     # each row of a layer below the top is bracketed at most once with each
-    # of the three lifts, and not where the ad-support rules the bracket
-    # out; the top layer's rows bracket nothing and are skipped
+    # of the three lifts, by `combine` over ad b_j's integral columns, and
+    # not where the ad-support rules the bracket out; the top layer's rows
+    # bracket nothing and are skipped; `bracket` itself is never called
     L = free(2, 1, c)
     calls = []
-    inner = LieSuperalgebra.bracket
 
-    def counted(self, x, y):
+    def counted(columns, v):
         calls.append(1)
-        return inner(self, x, y)
+        return combine(columns, v)
+
+    def forbidden(self, x, y):
+        raise AssertionError("bracket on accepted layers")
 
     L._cache.pop("series", None)
     with monkeypatch.context() as m:
-        m.setattr(LieSuperalgebra, "bracket", counted)
+        m.setattr(superalg, "combine", counted)
+        m.setattr(LieSuperalgebra, "bracket", forbidden)
         chain = L.lower_central_series()
-    assert len(calls) == brackets <= 3 * (L.dim - chain[c - 1].dim)
+    assert len(calls) == products <= 3 * (L.dim - chain[c - 1].dim)
