@@ -2,9 +2,10 @@
 
 The substrate for every dimension computation in this package.  One
 elimination engine, `SparseEchelon`, reduces sparse keyed vectors in
-integers: an input is scaled by the lcm of its denominators, and a
-stored row is a primitive integer vector, reduced only against rows of
-smaller pivot and never rewritten afterwards.  It only reduces: spans
+integers: an input is scaled by the lcm of its denominators (except in
+`insert_or_express`, which takes ints), and a stored row is a
+primitive integer vector, reduced only against rows of smaller pivot
+and never rewritten afterwards.  It only reduces: spans
 and ranks are its rows, and kernels and solutions are read off tag
 coordinates after the real keys, as in an augmented matrix, appended by
 the caller or, in `insert_or_express`, by the engine.  Ranks, pivots
@@ -14,7 +15,8 @@ vector type: a `Subspace` keeps the engine's reduced row-echelon rows in
 Fractions, so two objects describe the same subspace exactly when their
 rows compare equal.  `Subspace.of_echelon` snapshots an echelon's
 integer rows and back-substitutes them only when its rows are first
-read; its dimension and pivots come off the stored pivots.  Dense
+read; its dimension and pivots come off the stored pivots, and
+`kernel`'s subspace is made the same way from its relation rows.  Dense
 Fraction tuples appear only in `Matrix` and `rref`."""
 
 from __future__ import annotations
@@ -208,7 +210,12 @@ class SparseEchelon:
         with {tag: s} appended and return None; else store nothing and return
         ints (a, q), v = sum_t (a[t] / q) * u_t, u_t the input stored with tag t.
 
-        Proof.  v (scaled to integers) reduces to s*v - sum_p c_p r_p, s > 0.
+        v must be a fresh dict of nonzero ints with no tag key: it is
+        reduced in place, and then stored or handed back as a.  (Its one
+        caller, the free build, makes such a dict per candidate, so no
+        scan or copy is spent on scaling it to integers.)
+
+        Proof.  v reduces to s*v - sum_p c_p r_p, s > 0.
         Invariant: each stored row r has real(r) = sum_t r[t] * u_t.  So the
         remainder's real part is s*v + sum_t a[t] * u_t, a its tag part, and
         appending s at v's tag keeps the invariant, as does dividing by a
@@ -218,8 +225,7 @@ class SparseEchelon:
         with the same pivots, and the stored u_t are independent, so the
         expression is unique.
         """
-        v, d = _integral(v)
-        d *= _reduce(self._rows, v)
+        d = _reduce(self._rows, v)
         if not v or (pivot := min(v)) >= first_tag:
             return v, -d
         v[tag] = d
@@ -317,13 +323,20 @@ def kernel(columns: Sequence[dict]) -> "Subspace":
 
     Columns are sparse vectors with mutually comparable keys.  Column j
     goes in keyed (0, k), with the tag (1, j) appended, in one pass, and
-    the kernel is the span of `SparseEchelon.tag_rows`.
+    the kernel is the span of `SparseEchelon.tag_rows`.  Those rows have
+    distinct pivots, each its row's smallest key, and are primitive, so
+    with (1, j) read as j they are an echelon of the kernel as they
+    stand: like `Subspace.of_echelon`'s, the subspace reads its pivots
+    off them and back-substitutes its rows only when they are first read.
     """
     ech = SparseEchelon()
     for j, col in enumerate(columns):
         ech.insert({**{(0, k): c for k, c in col.items()}, (1, j): 1})
-    rels = ({t[1]: c for t, c in row.items()} for row in ech.tag_rows((1,)))
-    return Subspace.span(rels, len(columns))
+    rels = {}
+    for row in ech.tag_rows((1,)):
+        rel = {t[1]: c for t, c in row.items()}
+        rels[min(rel)] = rel
+    return Subspace._of_stored(rels, len(columns))
 
 
 class Subspace(Record):
@@ -333,10 +346,10 @@ class Subspace(Record):
     pivot is its row's smallest key, it is 1, and every other row is 0
     there.  The form is canonical, so equal subspaces have equal rows and
     compare equal and hash alike.  The rows are shared, not copied:
-    callers must not mutate them.  A subspace made by `of_echelon` holds
-    a copy of the echelon's primitive integer rows instead, reads `dim`,
-    `pivots` and `non_pivots` off their pivots, and back-substitutes
-    `rows` on first read.
+    callers must not mutate them.  A subspace made by `of_echelon` or
+    `kernel` holds primitive integer rows instead, reads `dim`, `pivots`
+    and `non_pivots` off their pivots, and back-substitutes `rows` on
+    first read.
     """
 
     _fields = ("ambient_dim", "rows")
@@ -358,16 +371,23 @@ class Subspace(Record):
         same rows, so the subspace equals `Subspace(ambient_dim,
         ech.rows())` and hashes alike.
         """
+        return Subspace._of_stored(dict(ech._rows), ambient_dim)
+
+    @staticmethod
+    def _of_stored(stored: dict, ambient_dim: int) -> "Subspace":
+        """The span of `stored` (pivot -> primitive integer row with that
+        pivot as its smallest key), which it keeps: `dim` and `pivots` are
+        read off the pivots, and `rows` is back-substituted on first read."""
         S = Subspace.__new__(Subspace)
         S.ambient_dim = ambient_dim
-        S._stored = dict(ech._rows)
-        S.pivots = tuple(sorted(S._stored))
-        S.dim = len(S._stored)
+        S._stored = stored
+        S.pivots = tuple(sorted(stored))
+        S.dim = len(stored)
         return S
 
     @cached_property
     def rows(self) -> tuple[dict, ...]:
-        # reached only by `of_echelon`'s subspaces: `__init__` sets rows
+        # reached only by `_of_stored`'s subspaces: `__init__` sets rows
         return _back_substitute(self._stored)
 
     def __hash__(self) -> int:

@@ -9,7 +9,13 @@ word-counting oracle cross-checks the resulting dimensions.  The build
 codes each associative word as the int of its letters' digits in base
 num, which orders words of one length as their index tuples (see
 `FreeNilpotentSuperalgebra`); `expand` keeps tuple keys, as the tests'
-oracle.  The free
+oracle.  Each expansion is eliminated only on the words that can be a
+pivot, those whose first letter is smaller than their last, and ff for
+an odd generator f: the smallest word of a Lie superpolynomial is a
+super Lyndon–Shirshov word, and every such word is one of them (the
+proof is in the class docstring).  The next degree's candidates are
+made from the whole expansions, which are kept below the top degree
+only.  The free
 presentations read F only through its brackets [x, g] with the
 generators (`generator_columns`): each is a kept candidate, zero, or a
 rejected candidate, whose expansion is expressed over the kept words'
@@ -188,9 +194,38 @@ class FreeNilpotentSuperalgebra:
     Expansions are keyed by coded associative words: the degree-d word
     (g_1 .. g_d) is the int sum_i g_i num^(d-i), below num^d, so every
     tag sorts after them.  Among words of one length this order is the
-    lexicographic order of the index tuples, so each echelon has the
-    pivots, keeps the words and rejects the candidates that it would on
-    tuple keys.
+    lexicographic order of the index tuples, generator 0 the smallest
+    letter, so each echelon has the pivots, keeps the words and rejects
+    the candidates that it would on tuple keys.
+
+    Each candidate goes into the echelon restricted to the words that can
+    be a pivot: at d >= 2 the words whose first letter is smaller than
+    their last, k // num^(d-1) < k % num on the code k, and at d = 2 also
+    ff for each odd generator f.  This changes nothing the build records.
+    Proof.  Call a word Lyndon when it is smaller than each of its proper
+    suffixes (a proper prefix sorts first).  The smallest word of a
+    nonzero element of the free Lie superalgebra, expanded, is a super
+    Lyndon–Shirshov word: a Lyndon word, or vv with v an odd
+    Lyndon word (Reutenauer, Free Lie Algebras, 1993, ch. 5; Bokut, Kang,
+    Lee and Malcolmson, J. Algebra 217 (1999), in the super case).  A
+    Lyndon word a..b of length >= 2 has a < b: it is smaller than its
+    suffix b, so a <= b, and a = b would make b a proper prefix, smaller
+    than the word.  So vv has first letter < last unless v is a letter f,
+    and then vv = ff lies at d = 2.  Now compare with the same build on
+    whole expansions.  By induction, each stored row is a positive
+    multiple of that build's row with the same pivot, restricted: a
+    pivot is the smallest word of a nonzero real part, which expands an
+    element of F_d, so restriction keeps it.  A candidate's remainder,
+    divided by its scale, is the one vector that is the candidate less a
+    member of the row space and is 0 at every pivot (see
+    `SparseEchelon.remainder`), so it is the restriction of the other
+    build's.  Its real part expands an element of F_d, which is 0 exactly
+    when its restriction is, since a nonzero one keeps its smallest word.
+    So each candidate is kept or rejected as before, a kept one stores a
+    positive multiple of the restricted row, and a rejected one's tag
+    part gives the same expression as a rational.  (Its ints could differ
+    by a common positive factor, since a row is divided by the gcd of
+    fewer entries; `generator_columns` reads only the rationals.)
 
     The routes read F only through `generator_columns`, the brackets
     [x, g] with the generators, assembled on first use from that record.
@@ -206,18 +241,25 @@ class FreeNilpotentSuperalgebra:
         self._expansions: dict = {}
         # rejected [w, g] -> (a, q): sum_j a[num^d + j] / q times the j-th kept word
         self._expressed: dict[tuple, tuple[dict, int]] = {}
-        for d in range(1, spec.class_bound + 1):
+        num, k = spec.num, spec.class_bound
+        for d in range(1, k + 1):
             ech = SparseEchelon()
-            top = spec.num**d
+            top, high = num**d, num ** (d - 1)
+            squares = {f * (num + 1) for f in range(spec.even, num)} if d == 2 else ()
             words: list = []
             wpars: list[int] = []
             for w, pw, e in self._candidates(d):
                 if not e:
                     continue
-                if (found := ech.insert_or_express(e, top + len(words), top)) is None:
+                if d == 1:
+                    v = dict(e)
+                else:  # the words that can be a pivot: first letter < last, or ff
+                    v = {u: c for u, c in e.items() if u // high < u % num or u in squares}
+                if (found := ech.insert_or_express(v, top + len(words), top)) is None:
                     words.append(w)
                     wpars.append(pw)
-                    self._expansions[w] = e
+                    if d < k:  # the next degree's candidates read it
+                        self._expansions[w] = e
                 else:
                     self._expressed[w] = found
             self.degree_words.append(words)

@@ -20,7 +20,9 @@ by a second elimination over the kept words' full expansions, where
 hold the columns to it.
 
 `reference_build` is the free build as it ran on tuple-keyed associative
-words: each candidate expanded afresh by `expand`.  `word_code` and
+words: each candidate expanded afresh by `expand`, and eliminated on all
+its words.  `reference_expressions` runs that build through
+`insert_or_express`, for the rejected candidates' int expressions.  `word_code` and
 `coded` translate `expand`'s tuple keys into the build's integer codes,
 so tests hold the build's words and expansions to it.
 
@@ -380,6 +382,27 @@ def reference_build(spec) -> list[list]:
                 words.append(w)
         words_by_degree.append(words)
     return words_by_degree
+
+
+def reference_expressions(spec) -> dict:
+    """The rejected candidates of `reference_build`, each with its
+    (ints, denominator) expression as the build records it: every
+    candidate is reduced once by `insert_or_express` on its whole tuple-
+    keyed expansion, with the tag (num, j) for the j-th kept word, which
+    sorts after every word and is read back as the build's code num^d + j."""
+    num, words, out = spec.num, [], {}
+    for d in range(1, spec.class_bound + 1):
+        candidates = list(range(num)) if d == 1 else [(w, g) for w in words for g in range(num)]
+        ech, words = SparseEchelon(), []
+        for w in candidates:
+            if not (e := expand(w, spec.parities)):
+                continue
+            if (found := ech.insert_or_express(dict(e), (num, len(words)), (num,))) is None:
+                words.append(w)
+            else:
+                a, q = found
+                out[w] = ({num**d + j: c for (_, j), c in a.items()}, q)
+    return out
 
 
 def word_parity(w, parities) -> int:

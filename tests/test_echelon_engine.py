@@ -6,14 +6,15 @@ repeats of earlier inputs, so rejections are exercised as often as
 acceptances.  Exact agreement on such inputs is what rules out lost
 precision or a wrong scale in the integer rows.  `express` reads
 dependencies off tag coordinates appended to the inputs, and
-`insert_or_express` appends them itself; the reference keeps a ledger
-per row, so it is an independent check of those readings.  `remainder`
+`insert_or_express` appends them itself (it takes a fresh dict of nonzero
+ints, which it consumes, so its inputs are scaled copies); the reference
+keeps a ledger per row, so it is an independent check of those readings.  `remainder`
 is held to `Subspace.reduce` over the reduced rows, and `tag_rows` to
 the relations among the inputs.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,6 +70,13 @@ def rank_of(vs) -> int:
 
 def nonzero(v: dict) -> dict:
     return {k: c for k, c in v.items() if c}
+
+
+def fresh_ints(v: dict) -> dict:
+    """A new dict of v's nonzero entries times the lcm of their
+    denominators: the input `insert_or_express` takes and consumes."""
+    d = lcm(*(F(c).denominator for c in v.values()))
+    return {k: int(c * d) for k, c in v.items() if c}
 
 
 # real keys start with 0..3, so these tags sort after all of them
@@ -127,9 +135,9 @@ def test_insert_or_express_matches_express_then_insert(ops):
     # when that fails; the engine does both in one reduction
     ech, ref = SparseEchelon(), ReferenceEchelon()
     kept: dict = {}
-    for t, v in enumerate(resolve(ops)):
+    for t, v in enumerate(map(fresh_ints, resolve(ops))):
         want = ref.express(v)
-        got = ech.insert_or_express(v, (4, t), (4, 0))  # the first tag itself
+        got = ech.insert_or_express(dict(v), (4, t), (4, 0))  # the first tag itself
         if want is None:
             assert got is None and ref.insert(v, tag=(4, t))
             kept[t] = v
@@ -185,7 +193,7 @@ def test_insert_and_express_never_rewrite_a_stored_row(ops):
         before, one_before = stored(ech), stored(one)
         ech.insert(tagged(v, t))
         ech.express(v, FIRST_TAG)
-        one.insert_or_express(v, (4, t), FIRST_TAG)
+        one.insert_or_express(fresh_ints(v), (4, t), FIRST_TAG)
         for e, was in ((ech, before), (one, one_before)):
             for p, (row, row_copy) in was.items():
                 assert e._rows[p] is row and row == row_copy

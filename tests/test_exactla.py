@@ -177,6 +177,19 @@ class TestNullspace:
                 axpy(total, c, cols[j])
             assert total == {}
 
+    @given(keyed_columns)
+    @settings(max_examples=60, deadline=None)
+    def test_dim_and_pivots_come_before_the_reduced_rows(self, cols):
+        # the kernel's relation rows are kept as they are: dim, pivots and
+        # non_pivots are read off them, and the reduced rows made on first
+        # read are the span's canonical rows with those pivots
+        ns = kernel(cols)
+        early = ns.dim, ns.pivots, ns.non_pivots
+        assert "rows" not in vars(ns)
+        want = Subspace.span(ns.rows, len(cols))
+        assert early == (want.dim, want.pivots, want.non_pivots)
+        assert ns.rows == want.rows and hash(ns) == hash(want)
+
 
 class TestSubspace:
     def test_sum_of_lines(self):

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from superschur.catalog import heisenberg3, special_heisenberg_odd
@@ -32,6 +32,7 @@ from support import (
     dense,
     dense_rank,
     reference_build,
+    reference_expressions,
     reference_generator_columns,
     reference_identity_residual,
     word_parity,
@@ -192,6 +193,46 @@ class TestBuild:
                 else:
                     for t, c in z.items():
                         assert c != 0 and f.basis_degree(t) == dd
+
+
+def is_lyndon(u: tuple) -> bool:
+    """u is strictly smaller than each proper suffix (a prefix sorts first)."""
+    return all(u < u[i:] for i in range(1, len(u)))
+
+
+def draw_word(data, d: int, num: int):
+    """A bracket word of degree d on num generators, of any shape."""
+    if d == 1:
+        return data.draw(st.integers(0, num - 1))
+    left = data.draw(st.integers(1, d - 1))
+    return (draw_word(data, left, num), draw_word(data, d - left, num))
+
+
+class TestPivotWords:
+    """The lemma the build's restriction rests on: the smallest word of a
+    nonzero Lie superpolynomial is a super Lyndon–Shirshov word, so its
+    first letter is smaller than its last, or it is ff for an odd f."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_smallest_word_of_a_lie_element_can_be_a_pivot(self, data):
+        num = data.draw(st.integers(1, 3))
+        parities = data.draw(st.lists(st.integers(0, 1), min_size=num, max_size=num))
+        d = data.draw(st.integers(2, 7))
+        combo: dict = {}
+        for _ in range(data.draw(st.integers(1, 4))):
+            c = data.draw(st.integers(-3, 3).filter(bool))
+            axpy(combo, c, expand(draw_word(data, d, num), parities))
+        assume(combo)
+        u = min(combo)
+        half = u[: d // 2]
+        assert is_lyndon(u) or (
+            u == half + half and is_lyndon(half) and word_parity(left_normed_word(half), parities)
+        )
+        # the build's test on the coded word, with ff kept at degree 2
+        squares = {f * (num + 1) for f in range(num) if parities[f]} if d == 2 else ()
+        k = sum(g * num ** (d - 1 - i) for i, g in enumerate(u))
+        assert k // num ** (d - 1) < k % num or k in squares
 
 
 class TestValidateSweep:
@@ -480,6 +521,9 @@ class TestTableFill:
 # the class-six specs of `test_class_six_rejected_candidates`, free (2|1) class 7
 # and free (1|1) class 10
 PIVOT_SPECS = [(2, 1, 6), (1, 2, 6), (2, 1, 7), (1, 1, 10)]
+# high class on few generators, where the words that can be a pivot are
+# the fewest share of all words
+HIGH_CLASS_SPECS = [(0, 2, 8), (0, 1, 9), (0, 2, 10), (3, 0, 7), (0, 3, 7), (1, 2, 7), (2, 2, 6)]
 
 
 class TestGeneratorColumns:
@@ -495,11 +539,20 @@ class TestGeneratorColumns:
     def test_columns_match_the_assembled_table(self, spec):
         _columns_match_the_table(build_free_nilpotent(spec))
 
-    @pytest.mark.parametrize("p,q,k", PIVOT_SPECS + [(2, 1, 8), (0, 3, 5)])
+    @pytest.mark.parametrize("p,q,k", PIVOT_SPECS + [(2, 1, 8), (0, 3, 5)] + HIGH_CLASS_SPECS)
     def test_the_coded_build_matches_the_tuple_keyed_build(self, p, q, k):
         f = build_free_nilpotent(GeneratorSpec(p, q, k))
         assert f.degree_words == reference_build(f.spec)
         assert f.generator_columns() == reference_generator_columns(f)
+
+    @pytest.mark.parametrize("p,q,k", PIVOT_SPECS + HIGH_CLASS_SPECS)
+    def test_the_recorded_expressions_are_those_of_the_whole_expansions(self, p, q, k):
+        # the build eliminates on the words that can be a pivot, which are
+        # the pivots of the whole expansions too, so each reduction runs as
+        # it does on the whole expansions; only a row whose restriction has
+        # a larger gcd could change the ints, and on these specs none does
+        f = build_free_nilpotent(GeneratorSpec(p, q, k))
+        assert f._expressed == reference_expressions(f.spec)
 
     @pytest.mark.parametrize("p,q,k", PIVOT_SPECS)
     def test_columns_equal_the_unrestricted_solve(self, p, q, k):

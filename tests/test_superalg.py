@@ -323,6 +323,21 @@ class TestCenter:
         [L for base in builtin_algebras() for L in (base, basis_changed(base, 11))],
         ids=lambda L: L.name,
     )
+    def test_superdim_reads_pivots_without_reduced_rows(self, L):
+        # `cli` reads only superdim(center): no reduced row is made for it,
+        # and the pivots it reads are those of the rows made later
+        z = L.center()
+        got = L.superdim(z), z.dim, z.pivots, z.non_pivots
+        assert "rows" not in vars(z)
+        want = Subspace(L.dim, z.rows)
+        assert got == (L.superdim(want), want.dim, want.pivots, want.non_pivots)
+        assert z == want and hash(z) == hash(want)
+
+    @pytest.mark.parametrize(
+        "L",
+        [L for base in builtin_algebras() for L in (base, basis_changed(base, 11))],
+        ids=lambda L: L.name,
+    )
     def test_members_commute_and_dimension_is_corank_of_ad(self, L):
         z = L.center()
         for v in z.rows:
