@@ -10,10 +10,14 @@ and ranks are its rows, and kernels and solutions are read off tag
 coordinates after the real keys, as in an augmented matrix, appended by
 the caller or, in `insert_or_express`, by the engine.  Ranks, pivots
 and remainders are read off the integer rows directly.  No floating
-point anywhere.  Sparse dicts {index: nonzero Fraction} are the one
-vector type: a `Subspace` keeps the engine's reduced row-echelon rows in
-Fractions, so two objects describe the same subspace exactly when their
-rows compare equal.  `Subspace.of_echelon` snapshots an echelon's
+point anywhere.  Sparse dicts {index: nonzero coefficient} are the one
+vector type.  Their coefficients are ints where the data is integral (an
+algebra's integral table, a free presentation's columns and relation
+rows, the series' layers, the free build's expansions) and Fractions
+where a denominator remains; functions take either, and `axpy` keeps
+int data int.  A `Subspace` keeps the engine's reduced row-echelon rows
+in Fractions, so two objects describe the same subspace exactly when
+their rows compare equal.  `Subspace.of_echelon` snapshots an echelon's
 integer rows and back-substitutes them only when its rows are first
 read; its dimension and pivots come off the stored pivots, and
 `kernel`'s subspace is made the same way from its relation rows.  Dense

@@ -15,7 +15,8 @@ an odd generator f: the smallest word of a Lie superpolynomial is a
 super Lyndon–Shirshov word, and every such word is one of them (the
 proof is in the class docstring).  The next degree's candidates are
 made from the whole expansions, which are kept below the top degree
-only.  The free
+only; at the top degree k > 2 only the words that can be a pivot are
+formed (`_pivot_words`).  The free
 presentations read F only through its brackets [x, g] with the
 generators (`generator_columns`): each is a kept candidate, zero, or a
 rejected candidate, whose expansion is expressed over the kept words'
@@ -32,7 +33,9 @@ and the rewriting identity's coefficients, are Python ints.
 its expressions as ints over one denominator.  The generator columns
 keep the integral coefficients as ints and make the rest Fractions, so
 the presentations bracket integer relations in integers, and bases,
-structure constants and subspaces stay exact rationals.
+structure constants and subspaces stay exact rationals.  `eval_hom`
+evaluates on the target's integral table, so a presentation's columns
+are ints too, each scaled by a power of the table's common denominator.
 
 The CLI's sweep of the bracket rewriting identity does not expand in
 the superalgebra: its words use each letter once, so it reads each
@@ -135,6 +138,21 @@ def _bracket_letter(e: dict, sign: int, g: int, num: int, high: int) -> dict:
     return out
 
 
+def _pivot_words(e: dict, sign: int, g: int, num: int, high: int) -> dict:
+    """`_bracket_letter`'s [w, g] restricted to the words whose first
+    letter is smaller than their last, for deg w >= 2: the words ug with
+    first(u) < g, then the words gu with g < last(u), each in e's order,
+    as the restriction of `_bracket_letter`'s dict has them.  No word is
+    of both kinds: ug = gu forces u = g..g, whose first and last letters
+    are both g, so no coefficient collects."""
+    lead, below = g * high, high // num  # u // below is u's first letter
+    out = {u * num + g: c for u, c in e.items() if u // below < g}
+    for u, c in e.items():
+        if g < u % num:
+            out[lead + u] = -sign * c
+    return out
+
+
 def expand(w, parities) -> dict[tuple[int, ...], int]:
     """Expansion of a bracket word in the free associative superalgebra.
 
@@ -225,7 +243,11 @@ class FreeNilpotentSuperalgebra:
     positive multiple of the restricted row, and a rejected one's tag
     part gives the same expression as a rational.  (Its ints could differ
     by a common positive factor, since a row is divided by the gcd of
-    fewer entries; `generator_columns` reads only the rationals.)
+    fewer entries; `generator_columns` reads only the rationals.)  No
+    degree above the top reads a top-degree expansion, so there the
+    build forms only the restricted words (`_pivot_words`), in the order
+    the restriction of the whole expansion has them; at d = 2 the ff
+    squares keep the whole expansion's path.
 
     The routes read F only through `generator_columns`, the brackets
     [x, g] with the generators, assembled on first use from that record.
@@ -253,6 +275,8 @@ class FreeNilpotentSuperalgebra:
                     continue
                 if d == 1:
                     v = dict(e)
+                elif d == k > 2:
+                    v = e  # formed on the words that can be a pivot only
                 else:  # the words that can be a pivot: first letter < last, or ff
                     v = {u: c for u, c in e.items() if u // high < u % num or u in squares}
                 if (found := ech.insert_or_express(v, top + len(words), top)) is None:
@@ -280,18 +304,21 @@ class FreeNilpotentSuperalgebra:
     def _candidates(self, d: int):
         """The degree-d candidate words with their parities and coded
         expansions, lazily; [w, g] has parity |w| + |g| and its expansion
-        is `_bracket_letter` of w's stored expansion with g."""
+        is `_bracket_letter` of w's stored expansion with g.  At the top
+        degree k > 2 the expansion is `_pivot_words`, its restriction to
+        the words that can be a pivot, as no later degree reads it."""
         num, pars = self.spec.num, self.spec.parities
         if d == 1:
             for g in range(num):
                 yield g, pars[g], {g: 1}
             return
         high = num ** (d - 1)
+        letter = _pivot_words if d == self.spec.class_bound > 2 else _bracket_letter
         for w, pw in zip(self.degree_words[d - 2], self.degree_parities[d - 2]):
             e = self._expansions[w]
             for g in range(num):
                 pg = pars[g]
-                yield (w, g), (pw + pg) % 2, _bracket_letter(e, graded_sign(pw, pg), g, num, high)
+                yield (w, g), (pw + pg) % 2, letter(e, graded_sign(pw, pg), g, num, high)
 
     # -- counting ------------------------------------------------------------
 
@@ -715,30 +742,36 @@ def evaluate_word(L: LieSuperalgebra, w, images, memo: dict) -> dict:
 def eval_hom(
     f: FreeNilpotentSuperalgebra, images, target: LieSuperalgebra
 ) -> list[dict]:
-    """The homomorphism extending generator -> image, checked on the pairs
-    that construction does not settle, as its columns: the sparse images
-    of f's basis, in basis order.
+    """The homomorphism φ extending generator -> image, checked on the
+    pairs that construction does not settle, as its columns scaled by
+    degree: column x is ψ(b_x) = D^{deg x - 1} φ(b_x), in basis order,
+    with D the target's `table_scale`.
 
     Images are sparse vectors of the target, homogeneous with the
     generators' parities, and the target's class may not exceed the
     truncation class (a violation surfaces as a failed homomorphism
     check).  The target must be a Lie superalgebra (`require_valid` is
-    called first, and cached).  Column x is φ(b_x), filled by increasing
-    degree: a generator's column is its image, and the basis word
-    b = [c, g] of degree > 1 has column [φ(b_c), φ(g)], the target's
-    bracket of an earlier column with an image.
+    called first, and cached).  ψ is evaluated on the integral table
+    T_D = D·T, so int images give int columns.  It is filled by
+    increasing degree: a generator's column is its image, and the basis
+    word b = [c, g] of degree > 1 has column [ψ(b_c), ψ(g)]_{T_D}, the
+    bracket on T_D of an earlier column with an image.  By induction
+    that is D · D^{deg c - 1} [φ(b_c), φ(g)] = D^{deg b - 1} φ(b).
 
     φ is a homomorphism once φ[x, g] = [φx, φg] holds for every basis
     word x and generator g: by the graded Jacobi identity in source and
     target, the set of y with φ[x, y] = [φx, φy] for every x is a
     subspace, it contains the generators, and it is closed under
-    brackets, so it is all of F.  f's `generator_columns` give [x, g].
-    Where the build kept the candidate [b_x, g], that column is the basis
-    word b = [b_x, g] itself, and its image is by definition
-    [φx, φg]: those pairs hold by construction, and are told apart by
-    indices, (x, g) being b's factors.  So do the pairs with [x, g] = 0
-    and φx = 0, where both sides are 0 by bilinearity.  The others are
-    checked:
+    brackets, so it is all of F.  f's `generator_columns` give [x, g],
+    which lies in F's degree deg x + 1, as F is graded.  So
+    Σ_y [x, g]_y ψ(y) = D^{deg x} φ[x, g], and [ψx, ψg]_{T_D} =
+    D^{deg x} [φx, φg]: the scaled sides agree exactly when the unscaled
+    ones do, and the check runs on them.  Where the build kept the
+    candidate [b_x, g], that column is the basis word b = [b_x, g]
+    itself, and its image is by definition [φx, φg]: those pairs hold by
+    construction, and are told apart by indices, (x, g) being b's
+    factors.  So do the pairs with [x, g] = 0 and φx = 0, where both
+    sides are 0 by bilinearity.  The others are checked:
     * rejected candidates, whose columns are the expressions that
       `generator_columns` derived;
     * candidates with an empty expansion, where [x, g] = 0;
@@ -756,6 +789,15 @@ def eval_hom(
             raise AlgebraError(
                 f"generator {f.spec.labels[t]} is mapped to an element of the wrong parity"
             )
+    table, support = target.integral_table(), target.ad_support()
+    # right[t][i] = [b_i, image_t] on the integral table
+    right: list[list[dict]] = []
+    for img in images:
+        brackets: list[dict] = [{} for _ in range(target.dim)]
+        for j, c in img.items():
+            for i in support[j]:
+                axpy(brackets[i], c, table[i, j])
+        right.append(brackets)
     columns: list = [None] * f.dim
     factors: list = [None] * f.dim  # b -> (index of c, t) for the basis word [c, g_t]
     for b in sorted(range(f.dim), key=f.basis_degree):
@@ -764,7 +806,7 @@ def eval_hom(
             columns[b] = images[w]
         else:
             factors[b] = c, t = f._index[w[0]], w[1]
-            columns[b] = target.bracket(columns[c], images[t])
+            columns[b] = combine(right[t], columns[c])
     ad = f.generator_columns()
     for x in range(f.dim):
         for t in range(f.spec.num):
@@ -774,7 +816,7 @@ def eval_hom(
             if not col and not columns[x]:
                 continue  # both sides are 0, by bilinearity
             g = f.generator_basis_index(t)
-            if combine(columns, col) != target.bracket(columns[x], columns[g]):
+            if combine(columns, col) != combine(right[t], columns[x]):
                 raise AlgebraError(
                     "generator images do not extend to a homomorphism "
                     f"(fails at basis pair {x},{g}; is the target's class within "

@@ -2,7 +2,9 @@
 
 The primary route realizes the multiplier as (R ∩ F²)/[R, F] over a free
 presentation truncated one class above the target: writing c for the
-target's class, the free algebra is cut at class c+1.  The presentation
+target's class, the free algebra is cut at class c+1.  π is evaluated
+on the target's integral table, in ints, and its relations and lifts
+are rescaled to π's own (`present`).  The presentation
 is minimal, so R ⊆ F² and the numerator is R itself (proof in
 `present`); R is an ideal and π is onto, so the multiplier's dimension
 is dim F - dim L - rank [R, F] per parity (`schur_multiplier_hopf`),
@@ -30,6 +32,7 @@ import itertools
 from collections.abc import Iterator
 from functools import cached_property
 from fractions import Fraction
+from math import gcd
 
 from .exactla import (
     Matrix,
@@ -61,26 +64,29 @@ _ONE = Fraction(1)
 
 
 class FreePresentation:
-    """A surjection from a truncated free superalgebra onto the target.
+    """A surjection π from a truncated free superalgebra onto the target.
 
     `fbar` is free nilpotent of class c+1 on the target's minimal
-    generator counts, `pi` is the list of columns of the evaluation on
-    the chosen homogeneous lifts (`eval_hom`), and `relation_rows` are a
-    basis of the graded kernel R of `pi`, which lies in γ₂(F) and
+    generator counts.  `psi` is the list of int columns of `eval_hom` on
+    the chosen homogeneous lifts, ψ(b) = `scale[b]` · π(b) with `scale[b]`
+    = D^{deg b - 1} and D the target's `table_scale`, and `relation_rows`
+    are a basis of the graded kernel R of π, which lies in γ₂(F) and
     contains γ_{c+1}(F) (see `present`): homogeneous primitive integer
-    vectors over fbar's basis.  `columns` is π's one elimination, each
-    column tagged above the target's coordinates; `column_of` maps a tag
-    to its basis index of fbar, in the order the columns went in.
+    vectors over fbar's basis.  `columns` is ψ's one elimination, each
+    nonzero column tagged above the target's coordinates; `column_of`
+    maps a tag to its basis index of fbar, in the order the columns were
+    taken.
     """
 
     def __init__(
-        self, target: LieSuperalgebra, fbar: FreeNilpotentSuperalgebra, pi: list[dict],
-        relation_rows: tuple[dict, ...], lift_indices: tuple[int, ...],
+        self, target: LieSuperalgebra, fbar: FreeNilpotentSuperalgebra, psi: list[dict],
+        scale: tuple[int, ...], relation_rows: tuple[dict, ...], lift_indices: tuple[int, ...],
         columns: SparseEchelon, column_of: dict[int, int],
     ):
         self.target = target
         self.fbar = fbar
-        self.pi = pi
+        self.psi = psi
+        self.scale = scale
         self.relation_rows = relation_rows
         self.lift_indices = lift_indices
         self.columns = columns
@@ -94,13 +100,18 @@ class FreePresentation:
         tags, so `express` uses independent columns only.  π(γ_i(F)) =
         γ_i(L), so the independent columns of degree >= i span γ_i(L): v in
         γ_i(L) has exactly one expression, and it uses only columns of
-        degree >= i.  Two lifts differ by some r in R ∩ γ_i(F), and [r, g]
-        lies in [R, F] ⊆ [γ_{i+1}(F)+R, F], so no reduced residual depends
-        on the lift.
+        degree >= i.  The expression is over ψ's columns; v = Σ a_b ψ(b) =
+        Σ a_b scale[b] π(b), so the lift's coefficient at b is
+        a_b scale[b].  Two lifts differ by some r in R ∩ γ_i(F), and
+        [r, g] lies in [R, F] ⊆ [γ_{i+1}(F)+R, F], so no reduced residual
+        depends on the lift.
         """
         f = self.fbar
         coeffs = self.columns.express(v, self.target.dim)
-        lift = {self.column_of[t]: c for t, c in (coeffs or {}).items()}
+        lift = {}
+        for t, c in (coeffs or {}).items():
+            b = self.column_of[t]
+            lift[b] = c * self.scale[b]
         if coeffs is None or any(f.basis_degree(idx) < i for idx in lift):
             raise AlgebraError(
                 f"{self.target.name}: element does not lift into the requested filtration step"
@@ -140,11 +151,15 @@ def bracket_with_free(f: FreeNilpotentSuperalgebra, ideal_rows) -> SparseEchelon
     [I, F] is the span J of [x, g] over the spanning vectors x and the
     generators g.  The y with [I, y] ⊆ J contain the generators and are
     closed under brackets, because [x, [y, z]] = [[x, y], z] ± [[x, z], y]
-    and [x, y], [x, z] lie in I; so they are all of F.
+    and [x, y], [x, z] lie in I; so they are all of F.  A vector inside
+    F's top degree is skipped: [γ_{c+1}(F), F] = 0 by truncation, and its
+    columns are empty.  (R holds one such unit row per top-degree word.)
     """
-    ad = f.generator_columns()
+    ad, top, deg = f.generator_columns(), f.spec.class_bound, f.basis_degree
     ech = SparseEchelon()
     for r in ideal_rows:
+        if all(deg(x) == top for x in r):
+            continue  # [F_top, F] = 0 by truncation
         for column in ad:
             if z := combine(column, r):
                 ech.insert(z)
@@ -155,7 +170,7 @@ def present(L: LieSuperalgebra) -> FreePresentation:
     """Truncated free presentation of a nonzero nilpotent superalgebra.
 
     Lifts are the coordinate vectors complementary to [L, L], evens
-    first.  pi keeps parity, so an even and an odd column share no key
+    first.  π keeps parity, so an even and an odd column share no key
     and its kernel R is graded.  Two containments hold by construction
     and are not rechecked:
 
@@ -165,6 +180,46 @@ def present(L: LieSuperalgebra) -> FreePresentation:
       γ₂(L), and r₁ = 0.
     * γ_{c+1}(F) ⊆ R.  `eval_hom` has checked that π is a homomorphism,
       so π(γ_{c+1}(F)) ⊆ γ_{c+1}(L) = 0.
+
+    Neither check below can fail on a valid nilpotent L:
+
+    * rank π = dim L.  The lifts X span L modulo γ₂(L), so the
+      subalgebra H they generate has H + γ₂(L) = L.  γ_k(L) is spanned
+      by k-fold brackets of elements of H + γ₂(L), and one with an entry
+      in γ₂(L) lies in γ_{k+1}(L), so γ_k(L) ⊆ H + γ_{k+1}(L) and
+      L = H + γ₂(L) = H + γ₃(L) = ... = H + γ_{c+1}(L) = H.  H is
+      spanned by the left-normed brackets of X of length at most c, as
+      longer ones lie in γ_{c+1}(L) = 0.  F's degree-k part holds the
+      left-normed words of length k in the generators, for k <= c + 1,
+      and π sends them to those brackets, so π is onto.  The dense
+      `rref` check of this stays while perfbench's spans wrap `rref` and
+      `Matrix.mul_vec` and its tests expect `rref` in a Hopf run
+      (ROADMAP item 1); it takes ψ's nonzero columns only, as zero
+      columns add nothing to a rank, and ψ's rank is π's.
+    * `eval_hom`'s homomorphism check.  L is valid and its class c is at
+      most the truncation class c + 1, so by the universal property of
+      the free nilpotent superalgebra the lifts extend to a homomorphism
+      F → L, and eval_hom's columns are its values: each basis word
+      [u, g] goes to [π(u), π(g)].  So every checked pair holds unless
+      the free build recorded a wrong expression; on this call the check
+      tests the build alone.
+
+    ψ = `eval_hom` on the integral table, ψ(b) = D^{deg b - 1} π(b),
+    is eliminated in ints.  Its columns are taken by decreasing degree
+    (a stable sort), later ones taking smaller tags.  A nonzero column
+    goes into one tagged `SparseEchelon`; a zero column (all of F's top
+    degree, where π vanishes, among them) goes straight to R as its unit
+    row {b: 1}.  That is the row the echelon would store for it, pivot
+    its tag, and no other input or row ever holds that tag, so leaving
+    it out changes no other row.  R's rows come in the order the columns
+    were taken, which is by decreasing pivot tag (a row from column t
+    has no tag below t, and t's entry survives).  Scaling column b by
+    scale[b] > 0 keeps which columns are independent of the earlier
+    ones, and maps the ψ-relations a onto the π-relations
+    (a_b scale[b])_b, keeping each row's support.  The row of column t
+    is the relation, unique up to a factor, with smallest tag t and 0 at
+    the pivots stored before it; so each rescaled row, made primitive,
+    is the row that eliminating π's own columns stores, pivot positive.
     """
     L.require_valid()
     c = L.nilpotency_class()
@@ -176,13 +231,8 @@ def present(L: LieSuperalgebra) -> FreePresentation:
     spec = GeneratorSpec(gens.even, gens.odd, c + 1)
     f = build_free_nilpotent(spec)
     lifts = L.generator_lift_indices()
-    images = [{t: _ONE} for t in lifts]
-    pi = eval_hom(f, images, L)
-    # the one dense Matrix left, kept while perfbench's spans wrap `rref` and
-    # `Matrix.mul_vec` and its tests expect `rref` in a Hopf run (ROADMAP item 1);
-    # it holds pi's nonzero columns only: zero columns add nothing to a rank,
-    # and the whole top degree is zero, as gamma_{c+1}(L) = 0
-    nonzero = [col for col in pi if col]
+    psi = eval_hom(f, [{t: 1} for t in lifts], L)
+    nonzero = [col for col in psi if col]
     dense = Matrix(
         L.dim, len(nonzero), tuple(col.get(r, 0) for r in range(L.dim) for col in nonzero)
     )
@@ -191,18 +241,34 @@ def present(L: LieSuperalgebra) -> FreePresentation:
         raise AlgebraError(
             f"chosen lifts fail to generate {L.name} (closure has rank {rank})"
         )
-    # by decreasing degree (a stable sort), later columns taking smaller tags
+    d = L.table_scale()
+    scale = tuple(d ** (f.basis_degree(b) - 1) for b in range(f.dim))
     order = sorted(range(f.dim), key=f.basis_degree, reverse=True)
-    column_of = {L.dim + f.dim - s: idx for s, idx in enumerate(order)}
+    column_of = {L.dim + f.dim - s: b for s, b in enumerate(order)}
     columns = SparseEchelon()
-    for t, idx in column_of.items():
-        columns.insert({**pi[idx], t: 1})
-    relation_rows = tuple(
-        {column_of[t]: c for t, c in row.items()} for row in columns.tag_rows(L.dim)
-    )
-    pres = FreePresentation(L, f, pi, relation_rows, tuple(lifts), columns, column_of)
+    relations = []
+    for t, b in column_of.items():
+        if psi[b]:
+            columns.insert({**psi[b], t: 1})
+        else:
+            relations.append({t: 1})
+    relations += columns.tag_rows(L.dim)
+    relations.sort(key=min, reverse=True)  # by pivot tag: the order the columns were taken
+    relation_rows = tuple(_relation_of_pi(row, column_of, scale) for row in relations)
+    pres = FreePresentation(L, f, psi, scale, relation_rows, tuple(lifts), columns, column_of)
     L._cache["presentation"] = pres
     return pres
+
+
+def _relation_of_pi(row: dict, column_of: dict[int, int], scale: tuple[int, ...]) -> dict:
+    """The relation of π, over fbar's basis and primitive, from a tagged
+    relation of ψ: the entry at column b times scale[b]."""
+    rel = {}
+    for t, a in row.items():
+        b = column_of[t]
+        rel[b] = a * scale[b]
+    g = gcd(*rel.values())
+    return rel if g == 1 else {b: a // g for b, a in rel.items()}
 
 
 def schur_multiplier_hopf(L: LieSuperalgebra) -> SuperDim:

@@ -20,10 +20,11 @@ reduced Fraction rows are made only when read.  Any other input keeps
 the chain gamma_{k+1} = [gamma_k, L] and its report.
 
 `integral_table` is the completed table times the lcm of its
-denominators, in ints.  A common positive scale changes no zero test,
-span, rank or kernel, so the Jacobi residual, gamma_2 and the series'
-layers, the center and the cochain route read it; `bracket_basis` and
-`bracket` keep returning Fractions.
+denominators D (`table_scale`), in ints.  A common positive scale
+changes no zero test, span, rank or kernel, so the Jacobi residual,
+gamma_2 and the series' layers, the center and the cochain route read
+it; `eval_hom` reads it too, its columns scaled by powers of D.
+`bracket_basis` and `bracket` keep returning Fractions.
 
 A graded subspace W = W_0 + W_1 is a plain `Subspace` of the full
 coordinate space.  Even coordinates come first, so W's reduced
@@ -218,11 +219,18 @@ class LieSuperalgebra:
         if "integral_table" not in self._cache:
             table = self._table()
             d = lcm(*(c.denominator for terms in table.values() for c in terms.values()))
+            self._cache["table_scale"] = d
             self._cache["integral_table"] = {
                 key: {k: c.numerator * (d // c.denominator) for k, c in terms.items()}
                 for key, terms in table.items()
             }
         return self._cache["integral_table"]
+
+    def table_scale(self) -> int:
+        """D, the lcm of the table's denominators: `integral_table` is D
+        times the table."""
+        self.integral_table()
+        return self._cache["table_scale"]
 
     def nonzero_pairs(self) -> list[tuple[int, int]]:
         """The pairs i <= j with [b_i, b_j] != 0, in increasing order."""

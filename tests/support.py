@@ -56,6 +56,12 @@ counted it before it became a rank count: R's `Subspace`, [R, F]'s
 `subspace_sum` builds the ideals γ_i(F) + R whose all-pairs products
 tests hold the bracket-ideal chain to.
 
+`reference_presentation` is `present` as it ran before π was evaluated
+on the integral table: π in Fractions by `evaluate_word` over
+`L.bracket`, every column, zero or not, eliminated by decreasing degree
+in one tagged echelon.  Tests hold `relation_rows`, ints and order, and
+every lift to it, and read π itself from it.
+
 `complement_rows` gives the rows of one subspace off another's pivots,
 a basis of a complement, and raises `SubspaceError` unless the second
 lies in the first.  `reference_witness_tensor` is the witness tensor as
@@ -69,6 +75,7 @@ import random
 from bisect import bisect_left
 from fractions import Fraction
 from heapq import merge
+from types import SimpleNamespace
 
 from superschur.exactla import (
     SparseEchelon,
@@ -80,6 +87,7 @@ from superschur.exactla import (
 from superschur.freenilp import (
     GeneratorSpec,
     build_free_nilpotent,
+    evaluate_word,
     expand,
     rewrite_identity_terms,
     word_leaves,
@@ -290,17 +298,47 @@ def reference_witness_tensor(L, i: int, positions) -> tuple[dict, bool]:
     return tensor, not pres.bracket_ideal_residual(image, i + 1)
 
 
+def reference_presentation(L) -> SimpleNamespace:
+    """`present`'s π, relation rows and lifts as the package computed
+    them before it evaluated π on the integral table: π in Fractions,
+    each basis word evaluated by `evaluate_word` over `L.bracket`, and
+    every column, zero or not, fed to one tagged echelon by decreasing
+    degree (a stable sort), later columns taking smaller tags.
+    `relation_rows` are the echelon's tag-pivot rows in insertion order,
+    and `lift(v)` is v's expression over π's columns off that echelon,
+    or None outside their span."""
+    gens = L.minimal_generator_dims()
+    f = build_free_nilpotent(GeneratorSpec(gens.even, gens.odd, L.nilpotency_class() + 1))
+    images = [{t: Fraction(1)} for t in L.generator_lift_indices()]
+    memo: dict = {}
+    pi = [evaluate_word(L, f.basis_word(b), images, memo) for b in range(f.dim)]
+    order = sorted(range(f.dim), key=f.basis_degree, reverse=True)
+    column_of = {L.dim + f.dim - s: b for s, b in enumerate(order)}
+    columns = SparseEchelon()
+    for t, b in column_of.items():
+        columns.insert({**pi[b], t: 1})
+
+    def lift(v: dict) -> dict | None:
+        coeffs = columns.express(v, L.dim)
+        return None if coeffs is None else {column_of[t]: c for t, c in coeffs.items()}
+
+    relation_rows = tuple(
+        {column_of[t]: c for t, c in row.items()} for row in columns.tag_rows(L.dim)
+    )
+    return SimpleNamespace(pi=pi, relation_rows=relation_rows, lift=lift)
+
+
 def reference_hopf_dims(p) -> SuperDim:
     """(R ∩ F²)/[R, F]'s (even | odd) dimensions by complement, not by rank.
 
-    R is `kernel(p.pi)`, eliminated apart from the presentation's own
-    echelon, and [R, F] the span of [r, g] over R's reduced rows and the
-    generators.  `complement_rows` raises unless [R, F] ⊆ R and returns
-    rows of R's reduced row-echelon form, homogeneous as R is graded, so
-    their pivots give the parities.
+    R is the kernel of the reference presentation's π, eliminated apart
+    from the presentation's own echelon, and [R, F] the span of [r, g]
+    over R's reduced rows and the generators.  `complement_rows` raises
+    unless [R, F] ⊆ R and returns rows of R's reduced row-echelon form,
+    homogeneous as R is graded, so their pivots give the parities.
     """
     f = p.fbar
-    R = kernel(p.pi)
+    R = kernel(reference_presentation(p.target).pi)
     ad = f.generator_columns()
     RF = Subspace.span((z for r in R.rows for col in ad if (z := combine(col, r))), f.dim)
     return graded_dim([min(row) for row in complement_rows(R, RF)], f.n_even)

@@ -54,6 +54,7 @@ from support import (
     reference_build,
     reference_generator_columns,
     reference_hopf_dims,
+    reference_presentation,
     reference_witness_tensor,
     relations_subspace,
     subspace_intersect,
@@ -144,24 +145,62 @@ class TestPresent:
 
     def test_relations_are_the_kernel_of_pi(self, presented):
         # R is read off the tagged echelon that also serves the lifts;
-        # `kernel` eliminates π's columns on its own, in another order
+        # `kernel` eliminates the reference's Fraction π on its own, in
+        # another order
         for L in presented:
             p = present(L)
-            assert relations_subspace(p) == kernel(p.pi), L.name
+            assert relations_subspace(p) == kernel(reference_presentation(L).pi), L.name
+
+    def test_relations_and_lifts_equal_the_fraction_presentation(self, presented):
+        # π evaluated on the integral table and rescaled gives the rows,
+        # ints in order, and the lifts that π in Fractions gives; 33 of the
+        # algebras have a fractional table, so D > 1 rescales their rows
+        fractional = 0
+        for L in presented:
+            p, ref = present(L), reference_presentation(L)
+            assert p.relation_rows == ref.relation_rows, L.name
+            assert all(type(c) is int for row in p.relation_rows for c in row.values()), L.name
+            for i in range(2, L.nilpotency_class() + 1):
+                for v in L.gamma(i).rows:
+                    assert p.lift_into_gamma(v, i) == ref.lift(v), L.name
+            fractional += L.table_scale() > 1
+        assert (len(presented), fractional) == (150, 33)
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["heis3", "heis3-basis-changed"])
+    def test_eliminated_columns_are_int(self, scaled, monkeypatch):
+        # every column `present` eliminates, and every row of its rank
+        # check, is a dict of ints, on an integral table and on one with D > 1
+        L = basis_changed(heisenberg3(), 4) if scaled else heisenberg3()
+        assert (L.table_scale() > 1) == scaled
+        L.nilpotency_class()
+        L.generator_lift_indices()
+        L.minimal_generator_dims()
+        inserted = []
+        real_insert = exactla.SparseEchelon.insert
+
+        def recording_insert(self, v):
+            inserted.append((self, dict(v)))
+            return real_insert(self, v)
+
+        monkeypatch.setattr(exactla.SparseEchelon, "insert", recording_insert)
+        p = present(L)
+        columns = [v for ech, v in inserted if ech is p.columns]
+        assert len(columns) == sum(1 for col in p.psi if col) > 0
+        assert all(type(c) is int for _, v in inserted for c in v.values())
 
     def test_lift_into_gamma_contract(self, presented):
         # for 2 <= i <= c, a row v of γ_i(L) lifts to a combination of π's
         # columns of degree >= i that sums to v; a row of γ_{i-1} outside
         # γ_i is refused
         for L in presented:
-            p = present(L)
+            p, pi = present(L), reference_presentation(L).pi
             for i in range(2, L.nilpotency_class() + 1):
                 for v in L.gamma(i).rows:
                     w = p.lift_into_gamma(v, i)
                     assert all(p.fbar.basis_degree(t) >= i for t in w), L.name
                     image: dict = {}
                     for t, c in w.items():
-                        axpy(image, c, p.pi[t])
+                        axpy(image, c, pi[t])
                     assert image == v, L.name
                 for v in L.gamma(i - 1).rows:
                     if not L.gamma(i).contains(v):
@@ -173,11 +212,11 @@ class TestPresent:
         # when independent of those kept before it: the lift uses only kept
         # columns and is the reference engine's expression over them
         for L in presented:
-            p = present(L)
+            p, pi = present(L), reference_presentation(L).pi
             f = p.fbar
             ref, kept = ReferenceEchelon(), set()
             for idx in sorted(range(f.dim), key=f.basis_degree, reverse=True):
-                if ref.insert(p.pi[idx], tag=idx):
+                if ref.insert(pi[idx], tag=idx):
                     kept.add(idx)
             for i in range(2, L.nilpotency_class() + 1):
                 for v in L.gamma(i).rows:
